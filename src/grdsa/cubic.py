@@ -20,6 +20,9 @@ from .estimators import (
     HessianEstimate,
     batch_gradient,
     batch_hessian,
+    gradient_samples,
+    hessian_samples,
+    probe,
 )
 from .newton import _initial_theta
 from .oracle import (
@@ -28,13 +31,7 @@ from .oracle import (
     LinearGaussianNoise,
     Objective,
 )
-from .perturb import (
-    PerturbationSpec,
-    gaussian,
-    gradient_unbias_factor,
-    scaling_matrices,
-)
-from .stencils import grad_stencil, hess_stencil
+from .perturb import PerturbationSpec, gaussian
 
 #: regularizer floor used when the objective has a vanishing third derivative
 ALPHA_FLOOR = 1e-3
@@ -274,27 +271,26 @@ def _batched_estimates(theta, oracle, cfg, rng):
 
     # Reuse: the first min(m, b) gradient draws read the Hessian batch's
     # shift-0..k measurements instead of buying their own.
-    weights = grad_stencil(cfg.k).to_float()
     shared = min(cfg.m, cfg.b)
     directions = cfg.perturbation.sample(rng, (cfg.b, theta.size))
-    shifts = np.arange(2 * cfg.k + 1, dtype=float)
-    points = theta[None, None, :] + cfg.delta * shifts[None, :, None] * directions[:, None, :]
-    values = oracle.evaluate_many(points.reshape(-1, theta.size)).reshape(cfg.b, -1)
+    values = probe(oracle, theta, directions, cfg.delta, 2 * cfg.k + 1)
 
-    hess_weights = hess_stencil(cfg.k, cfg.k).to_float()
-    quads = values @ hess_weights / cfg.delta**2
-    scalers = scaling_matrices(cfg.perturbation, directions, cfg.paper_literal_scaling)
     hess = HessianEstimate(
-        value=(scalers * quads[:, None, None]).mean(axis=0),
+        value=hessian_samples(
+            values, directions, cfg.delta, cfg.k, cfg.k, cfg.perturbation,
+            cfg.paper_literal_scaling,
+        ).mean(axis=0),
         measurements_used=cfg.b * (2 * cfg.k + 1),
         k1=cfg.k,
         k2=cfg.k,
         delta=cfg.delta,
     )
 
-    factor = gradient_unbias_factor(cfg.perturbation)
-    slopes = values[:shared, : cfg.k + 1] @ weights / cfg.delta
-    samples = [factor * directions[:shared] * slopes[:, None]]
+    samples = [
+        gradient_samples(
+            values[:shared], directions[:shared], cfg.delta, cfg.k, cfg.perturbation
+        )
+    ]
     extra = cfg.m - shared
     fresh_used = 0
     if extra > 0:

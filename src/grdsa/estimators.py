@@ -1,10 +1,11 @@
-"""Gradient and Hessian estimators from measurements along one random ray.
+"""Gradient and Hessian estimators from measurements along random rays.
 
-A single draw of the direction ``Delta`` yields a gradient estimate from
-``k+1`` function values at ``theta + l*delta*Delta`` (shifts ``l = 0..k``)
-and a Hessian estimate from ``2k+1`` values (shifts ``0..2k``); the gradient
-shifts are a prefix of the Hessian's, which is what measurement reuse
-exploits.  Batch variants average independent single-draw estimates.
+Every estimator goes through one probe, :func:`probe`, which measures the
+objective at ``theta + (delta*s)*Delta`` for the shifts ``s = 0..n_shifts-1``
+of each drawn direction ``Delta``.  The Hessian reduction reads all ``2k+1``
+columns of that value matrix; the gradient reduction reads the first ``k+1``,
+which is what measurement reuse exploits.  A single-draw estimate is the
+one-row case; batch variants average independent single-draw estimates.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .perturb import (
     scaling_matrices,
     scaling_matrix,
 )
-from .stencils import grad_stencil, hess_stencil
+from .stencils import grad_weights, hess_weights
 
 
 class NonFiniteEvaluation(RuntimeError):
@@ -42,8 +43,6 @@ class HessianEstimate:
     k1: int
     k2: int
     delta: float
-    #: function value per stencil shift, for reuse by the gradient estimator
-    shift_values: dict[int, float] | None = None
 
 
 def _check_inputs(theta: np.ndarray, direction: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -60,9 +59,69 @@ def _check_inputs(theta: np.ndarray, direction: np.ndarray, delta: float) -> tup
     return theta, direction
 
 
-def _require_finite(values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
+def probe(
+    oracle: BudgetedOracle,
+    theta: np.ndarray,
+    directions: np.ndarray,
+    delta: float,
+    n_shifts: int,
+) -> np.ndarray:
+    """Measure ``n_shifts`` points along each of the ``(n, d)`` directions.
+
+    Returns the ``(n, n_shifts)`` matrix whose entry ``(i, s)`` is the
+    oracle's value at ``theta + (delta*s)*directions[i]``.  The points are
+    evaluated in one call, draw-major, and every value must be finite.
+    """
+    n = directions.shape[0]
+    shifts = np.arange(n_shifts, dtype=float)
+    points = theta[None, None, :] + delta * shifts[None, :, None] * directions[:, None, :]
+    flat = oracle.evaluate_many(points.reshape(n * n_shifts, -1))
+    if not np.all(np.isfinite(flat)):
         raise NonFiniteEvaluation("oracle returned a non-finite value")
+    return flat.reshape(n, n_shifts)
+
+
+def gradient_samples(
+    values: np.ndarray,
+    directions: np.ndarray,
+    delta: float,
+    k: int,
+    spec: PerturbationSpec,
+) -> np.ndarray:
+    """One-draw gradient estimates from the first ``k+1`` probe columns.
+
+    ``values`` is one probe row with a ``(d,)`` direction, giving a ``(d,)``
+    estimate, or a probe matrix with ``(n, d)`` directions, giving ``(n, d)``.
+    """
+    slopes = values[..., : k + 1] @ grad_weights(k) / delta
+    return gradient_unbias_factor(spec) * directions * slopes[..., None]
+
+
+def _quads(values: np.ndarray, delta: float, k1: int, k2: int | None) -> np.ndarray:
+    """Second directional derivative per draw, from all ``k1+k2+1`` columns."""
+    return values @ hess_weights(k1, k2) / delta**2
+
+
+def hessian_samples(
+    values: np.ndarray,
+    directions: np.ndarray,
+    delta: float,
+    k1: int,
+    k2: int | None,
+    spec: PerturbationSpec,
+    paper_literal_scaling: bool = False,
+) -> np.ndarray:
+    """One-draw Hessian estimates from the ``k1+k2+1`` probe columns.
+
+    Shapes follow :func:`gradient_samples`: one row gives a ``(d, d)``
+    estimate, a matrix of ``n`` rows gives ``(n, d, d)``.  Each estimate is
+    symmetric by construction (quadratic-form scalar times the symmetric
+    scaling matrix).
+    """
+    quads = _quads(values, delta, k1, k2)
+    if directions.ndim == 1:
+        return scaling_matrix(spec, directions, paper_literal_scaling) * quads
+    return scaling_matrices(spec, directions, paper_literal_scaling) * quads[:, None, None]
 
 
 def estimate_gradient(
@@ -72,33 +131,15 @@ def estimate_gradient(
     delta: float,
     k: int,
     spec: PerturbationSpec,
-    shared_evals: dict[int, float] | None = None,
 ) -> GradientEstimate:
     """One-draw gradient estimate of order ``k`` along ``direction``.
 
-    ``shared_evals`` maps stencil shifts to already-measured function values
-    (from a Hessian estimate with the same ``direction`` and ``delta``);
-    only the missing shifts are charged against the budget.
+    Consumes ``k + 1`` measurements.
     """
     theta, direction = _check_inputs(theta, direction, delta)
-    stencil = grad_stencil(k)
-    weights = stencil.to_float()
-    shared_evals = shared_evals or {}
-
-    values = np.empty(k + 1)
-    missing = [s for s in range(k + 1) if s not in shared_evals]
-    for s in range(k + 1):
-        if s in shared_evals:
-            values[s] = shared_evals[s]
-    if missing:
-        points = theta[None, :] + delta * np.asarray(missing, dtype=float)[:, None] * direction[None, :]
-        fresh = oracle.evaluate_many(points)
-        values[missing] = fresh
-    _require_finite(values)
-
-    slope = float(weights @ values) / delta
-    value = gradient_unbias_factor(spec) * direction * slope
-    return GradientEstimate(value=value, measurements_used=len(missing), k=k, delta=delta)
+    values = probe(oracle, theta, direction[None, :], delta, k + 1)[0]
+    value = gradient_samples(values, direction, delta, k, spec)
+    return GradientEstimate(value=value, measurements_used=k + 1, k=k, delta=delta)
 
 
 def estimate_hessian(
@@ -113,47 +154,21 @@ def estimate_hessian(
 ) -> HessianEstimate:
     """One-draw Hessian estimate of orders ``(k1, k2)`` along ``direction``.
 
-    Consumes ``k1 + k2 + 1`` measurements.  The returned matrix is symmetric
-    by construction (quadratic-form scalar times the symmetric scaling
-    matrix).
+    Consumes ``k1 + k2 + 1`` measurements (``k2`` defaults to ``k1``).
     """
     theta, direction = _check_inputs(theta, direction, delta)
     if spec is None:
         raise ValueError("a PerturbationSpec is required to unbias the estimate")
-    stencil = hess_stencil(k1, k2)
-    weights = stencil.to_float()
-    shifts = np.arange(weights.size, dtype=float)
-
-    points = theta[None, :] + delta * shifts[:, None] * direction[None, :]
-    values = oracle.evaluate_many(points)
-    _require_finite(values)
-
-    quad = float(weights @ values) / delta**2
-    value = scaling_matrix(spec, direction, paper_literal_scaling) * quad
+    n_shifts = hess_weights(k1, k2).size
+    values = probe(oracle, theta, direction[None, :], delta, n_shifts)[0]
+    value = hessian_samples(values, direction, delta, k1, k2, spec, paper_literal_scaling)
     return HessianEstimate(
         value=value,
-        measurements_used=weights.size,
-        k1=stencil.k1,
-        k2=stencil.k2,
+        measurements_used=n_shifts,
+        k1=k1,
+        k2=k1 if k2 is None else k2,
         delta=delta,
-        shift_values={s: float(v) for s, v in zip(range(weights.size), values)},
     )
-
-
-def _batch_values(
-    oracle: BudgetedOracle,
-    theta: np.ndarray,
-    directions: np.ndarray,
-    delta: float,
-    n_shifts: int,
-) -> np.ndarray:
-    """Evaluate all ``(draw, shift)`` points in draw-major order."""
-    n = directions.shape[0]
-    shifts = np.arange(n_shifts, dtype=float)
-    points = theta[None, None, :] + delta * shifts[None, :, None] * directions[:, None, :]
-    flat = oracle.evaluate_many(points.reshape(n * n_shifts, -1))
-    _require_finite(flat)
-    return flat.reshape(n, n_shifts)
 
 
 def batch_gradient(
@@ -175,11 +190,9 @@ def batch_gradient(
     theta = np.asarray(theta, dtype=float)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    weights = grad_stencil(k).to_float()
     directions = spec.sample(rng, (m, theta.size))
-    values = _batch_values(oracle, theta, directions, delta, k + 1)
-    slopes = values @ weights / delta
-    samples = gradient_unbias_factor(spec) * directions * slopes[:, None]
+    values = probe(oracle, theta, directions, delta, k + 1)
+    samples = gradient_samples(values, directions, delta, k, spec)
     estimate = GradientEstimate(
         value=samples.mean(axis=0),
         measurements_used=m * (k + 1),
@@ -202,21 +215,24 @@ def batch_hessian(
     paper_literal_scaling: bool = False,
     return_samples: bool = False,
 ) -> HessianEstimate | tuple[HessianEstimate, np.ndarray]:
-    """Average of ``b`` independent one-draw Hessian estimates (order ``k``)."""
+    """Average of ``b`` independent one-draw Hessian estimates (order ``k``).
+
+    Without ``return_samples`` the average is formed in ``O(d**2)`` memory
+    instead of stacking ``b`` matrices.
+    """
     theta = np.asarray(theta, dtype=float)
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
-    weights = hess_stencil(k, k).to_float()
     directions = spec.sample(rng, (b, theta.size))
-    values = _batch_values(oracle, theta, directions, delta, 2 * k + 1)
-    quads = values @ weights / delta**2
+    values = probe(oracle, theta, directions, delta, 2 * k + 1)
 
     d = theta.size
     if return_samples:
-        samples = scaling_matrices(spec, directions, paper_literal_scaling) * quads[:, None, None]
+        samples = hessian_samples(values, directions, delta, k, k, spec, paper_literal_scaling)
         mean = samples.mean(axis=0)
     else:
         samples = None
+        quads = _quads(values, delta, k, k)
         outer_mean = directions.T @ (directions * quads[:, None]) / b
         quad_mean = quads.mean()
         if paper_literal_scaling:
@@ -263,13 +279,9 @@ def gradient_deviation(
         raise ValueError("objective must provide an analytic gradient")
     theta = np.asarray(theta, dtype=float)
     directions = np.asarray(directions, dtype=float)
-    weights = grad_stencil(k).to_float()
-    shifts = np.arange(k + 1, dtype=float)
-    points = theta[None, None, :] + delta * shifts[None, :, None] * directions[:, None, :]
-    values = np.asarray(objective.value(points), dtype=float)
-    slopes = values @ weights / delta
+    values = probe(BudgetedOracle(objective), theta, directions, delta, k + 1)
+    estimates = gradient_samples(values, directions, delta, k, spec)
     factor = gradient_unbias_factor(spec)
-    estimates = factor * directions * slopes[:, None]
 
     grad = np.asarray(objective.gradient(theta), dtype=float)
     if mode == "residual":
@@ -301,13 +313,10 @@ def hessian_deviation(
         raise ValueError("objective must provide an analytic Hessian")
     theta = np.asarray(theta, dtype=float)
     directions = np.asarray(directions, dtype=float)
-    weights = hess_stencil(k1, k2).to_float()
-    shifts = np.arange(weights.size, dtype=float)
-    points = theta[None, None, :] + delta * shifts[None, :, None] * directions[:, None, :]
-    values = np.asarray(objective.value(points), dtype=float)
-    quads = values @ weights / delta**2
+    n_shifts = hess_weights(k1, k2).size
+    values = probe(BudgetedOracle(objective), theta, directions, delta, n_shifts)
     scalers = scaling_matrices(spec, directions, paper_literal_scaling)
-    estimates = scalers * quads[:, None, None]
+    estimates = scalers * _quads(values, delta, k1, k2)[:, None, None]
 
     hess = np.asarray(objective.hessian(theta), dtype=float)
     if mode == "residual":

@@ -464,7 +464,7 @@ def validate_config(config: dict) -> list[Finding]:
             )
         )
 
-    sigma = config.get("noise", {}).get("sigma", 0.0)
+    sigma = (config.get("noise") or {}).get("sigma", 0.0)
     findings.append(
         Finding(
             "noise.sigma_nonnegative",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import estimate_gradient, estimate_hessian
+from .estimators import estimate_gradient, gradient_samples, hessian_samples, probe
 from .oracle import (
     BudgetedOracle,
     BudgetTooSmall,
@@ -260,35 +260,22 @@ def newton_step(
     back into the box.
     """
     n = state.n
+    k = cfg.k
     delta_n = cfg.schedules.delta(n)
     direction = cfg.perturbation.sample(rng, state.theta.size)
+    rays = direction[None, :]
 
-    hess = estimate_hessian(
-        oracle,
-        state.theta,
-        direction,
-        delta_n,
-        cfg.k,
-        cfg.k,
-        spec=cfg.perturbation,
-        paper_literal_scaling=cfg.paper_literal_scaling,
+    values = probe(oracle, state.theta, rays, delta_n, 2 * k + 1)[0]
+    hess = hessian_samples(
+        values, direction, delta_n, k, k, cfg.perturbation, cfg.paper_literal_scaling
     )
-    shared = None
-    if cfg.reuse:
-        shared = {s: v for s, v in hess.shift_values.items() if s <= cfg.k}
-    grad = estimate_gradient(
-        oracle,
-        state.theta,
-        direction,
-        delta_n,
-        cfg.k,
-        spec=cfg.perturbation,
-        shared_evals=shared,
-    )
+    if not cfg.reuse:
+        values = probe(oracle, state.theta, rays, delta_n, k + 1)[0]
+    grad = gradient_samples(values, direction, delta_n, k, cfg.perturbation)
 
-    hbar = state.hbar + cfg.schedules.b(n) * (hess.value - state.hbar)
+    hbar = state.hbar + cfg.schedules.b(n) * (hess - state.hbar)
     hbar = 0.5 * (hbar + hbar.T)
-    step = clamped_newton_direction(hbar, grad.value, cfg.eps_pd)
+    step = clamped_newton_direction(hbar, grad, cfg.eps_pd)
     theta = cfg.box.clip(state.theta - cfg.schedules.a(n) * step)
     return NewtonState(theta=theta, hbar=hbar, n=n + 1)
 
@@ -368,6 +355,8 @@ def run_first_order(cfg: NewtonConfig) -> RunRecord:
     start = time.perf_counter()
     if cfg.k < 1:
         raise ValueError(f"k must be >= 1, got {cfg.k}")
+    if cfg.record_stride < 1:
+        raise ValueError(f"record_stride must be >= 1, got {cfg.record_stride}")
     cost = cfg.k + 1
     if cfg.budget < cost:
         raise BudgetTooSmall(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
@@ -149,6 +150,31 @@ def hess_stencil(k1: int, k2: int | None = None, max_order: int = MAX_ORDER) -> 
                 factorial(l) * factorial(m)
             )
     return HessStencil(k1=k1, k2=k2, weights=tuple(weights))
+
+
+@lru_cache(maxsize=None, typed=True)
+def grad_weights(k: int) -> np.ndarray:
+    """Float weights of :func:`grad_stencil`, built once per order.
+
+    The array is shared by every caller and therefore read-only.  Orders
+    outside ``1..MAX_ORDER`` raise before anything is cached, so the cache
+    stays bounded; keys are typed, so ``1.0`` is checked (and rejected)
+    rather than served the entry for ``1``.
+    """
+    weights = grad_stencil(k).to_float()
+    weights.flags.writeable = False
+    return weights
+
+
+@lru_cache(maxsize=None, typed=True)
+def hess_weights(k1: int, k2: int | None = None) -> np.ndarray:
+    """Float weights of :func:`hess_stencil`, built once per order pair.
+
+    Read-only and bounded like :func:`grad_weights`.
+    """
+    weights = hess_stencil(k1, k2).to_float()
+    weights.flags.writeable = False
+    return weights
 
 
 def residual_coefficient(k1: int, k2: int) -> Fraction:

@@ -16,6 +16,7 @@ from grdsa.cubic import (
     run_crzon,
     solve_cubic_subproblem,
 )
+from grdsa.estimators import NonFiniteEvaluation
 from grdsa.oracle import (
     BudgetedOracle,
     BudgetTooSmall,
@@ -262,6 +263,18 @@ class TestRunCrzon:
             alpha=1.0, budget=10,
         )
         with pytest.raises(BudgetTooSmall):
+            run_crzon(cfg)
+
+    @pytest.mark.parametrize("reuse", [False, True])
+    def test_nonfinite_objective_raises(self, reuse):
+        obj = Objective(
+            name="nan", dim=2, value=lambda x: np.full(np.shape(x)[:-1], np.nan)
+        )
+        cfg = CubicConfig(
+            objective=obj, k=1, n_steps=2, m=4, b=4, delta=0.05, alpha=1.0,
+            reuse=reuse,
+        )
+        with pytest.raises(NonFiniteEvaluation):
             run_crzon(cfg)
 
     def test_deterministic_given_seed(self):

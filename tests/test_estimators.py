@@ -13,7 +13,9 @@ from grdsa.estimators import (
     estimate_hessian,
     fit_loglog_slope,
     gradient_deviation,
+    gradient_samples,
     hessian_deviation,
+    probe,
 )
 from grdsa.oracle import BudgetedOracle, BudgetExhausted, Objective, quadratic, quartic
 from grdsa.perturb import gaussian, scaling_matrix, uniform
@@ -98,26 +100,15 @@ class TestEstimateGradient:
         assert orc.evals_used == 4
 
     def test_shared_evaluations_cost_nothing(self):
+        # the first k+1 columns of a Hessian probe give the standalone
+        # gradient without a further measurement
         d = np.array([0.8, -0.6])
-        hess = estimate_hessian(fresh_oracle(), THETA, d, 0.1, 2, spec=SPEC)
-        shared = {s: v for s, v in hess.shift_values.items() if s <= 2}
         orc = fresh_oracle()
-        reused = estimate_gradient(orc, THETA, d, 0.1, 2, SPEC, shared_evals=shared)
-        assert reused.measurements_used == 0
-        assert orc.evals_used == 0
+        values = probe(orc, THETA, d[None, :], 0.1, 5)[0]
+        reused = gradient_samples(values, d, 0.1, 2, SPEC)
+        assert orc.evals_used == 5
         standalone = estimate_gradient(fresh_oracle(), THETA, d, 0.1, 2, SPEC)
-        assert np.allclose(reused.value, standalone.value, atol=1e-14)
-
-    def test_partial_sharing(self):
-        d = np.array([0.8, -0.6])
-        full = estimate_gradient(fresh_oracle(), THETA, d, 0.1, 2, SPEC)
-        obj = quadratic(A, B)
-        shared = {0: float(obj.value(THETA))}
-        orc = fresh_oracle()
-        est = estimate_gradient(orc, THETA, d, 0.1, 2, SPEC, shared_evals=shared)
-        assert est.measurements_used == 2
-        assert orc.evals_used == 2
-        assert np.allclose(est.value, full.value, atol=1e-14)
+        assert np.array_equal(reused, standalone.value)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -133,6 +124,33 @@ class TestEstimateGradient:
         )
         with pytest.raises(NonFiniteEvaluation):
             estimate_gradient(BudgetedOracle(obj), THETA, np.ones(2), 0.1, 1, SPEC)
+
+
+class TestProbe:
+    def test_values_along_the_ray(self):
+        obj = quadratic(A, B)
+        dirs = SPEC.sample(np.random.default_rng(3), (3, 2))
+        orc = BudgetedOracle(obj)
+        values = probe(orc, THETA, dirs, 0.1, 5)
+        assert values.shape == (3, 5)
+        assert orc.evals_used == 15
+        for i in range(3):
+            for s in range(5):
+                expected = float(obj.value(THETA + 0.1 * s * dirs[i]))
+                assert values[i, s] == pytest.approx(expected)
+
+    def test_prefix_matches_shorter_probe(self):
+        dirs = SPEC.sample(np.random.default_rng(4), (4, 2))
+        long = probe(fresh_oracle(), THETA, dirs, 0.1, 5)
+        short = probe(fresh_oracle(), THETA, dirs, 0.1, 3)
+        assert np.array_equal(long[:, :3], short)
+
+    def test_nonfinite_value_raises(self):
+        obj = Objective(
+            name="bad", dim=2, value=lambda x: np.full(np.shape(x)[:-1], np.inf)
+        )
+        with pytest.raises(NonFiniteEvaluation):
+            probe(BudgetedOracle(obj), THETA, np.ones((2, 2)), 0.1, 3)
 
 
 class TestEstimateHessian:
@@ -164,14 +182,6 @@ class TestEstimateHessian:
         d = SPEC.sample(np.random.default_rng(6), 2)
         est = estimate_hessian(fresh_oracle(), THETA, d, 0.1, 2, spec=SPEC)
         assert np.array_equal(est.value, est.value.T)
-
-    def test_shift_values_recorded(self):
-        obj = quadratic(A, B)
-        d = np.array([0.5, 0.5])
-        est = estimate_hessian(BudgetedOracle(obj), THETA, d, 0.1, 2, spec=SPEC)
-        assert sorted(est.shift_values) == list(range(5))
-        for s, v in est.shift_values.items():
-            assert v == pytest.approx(float(obj.value(THETA + 0.1 * s * d)))
 
     def test_spec_required(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,126 @@
+"""Golden bits: outputs pinned to recorded values, so drift between commits fails.
+
+The determinism tests elsewhere compare two runs of the same code, so they
+cannot see an output drift between commits.  These tests compare against
+values recorded once (x86_64, numpy 2.4, OpenBLAS): a refactor or speed-up
+that changes the float order of operations changes these bits.  They also pin the cached float stencil weights to the exact
+``Fraction`` tables they come from.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from grdsa.cubic import run_crzon
+from grdsa.harness import build_cubic_config, run_table
+from grdsa.stencils import (
+    MAX_ORDER,
+    grad_stencil,
+    grad_weights,
+    hess_stencil,
+    hess_weights,
+)
+
+#: (reuse, method) -> (final_parameter_error.hex(), evals_used)
+TABLE_GOLDEN = {
+    (True, "GSF-5"): ("0x1.099d368192c9ap+1", 600),
+    (True, "G2SF-3"): ("0x1.3c314fd7c020ep+0", 600),
+    (True, "G2SF-9"): ("0x1.0792ce7ae587dp+2", 594),
+    (True, "G2R-3"): ("0x1.deb5034db3189p-1", 600),
+    (False, "GSF-5"): ("0x1.099d368192c9ap+1", 600),
+    (False, "G2SF-3"): ("0x1.6ae19ded76c76p+1", 600),
+    (False, "G2SF-9"): ("0x1.c69109323a9cap+1", 588),
+    (False, "G2R-3"): ("0x1.a615e55e865f5p+1", 600),
+}
+
+#: (m, b, k, seed, reuse) -> (evals_used, r_index, sha256 of theta_r bytes)
+CRZON_GOLDEN = {
+    (6, 4, 2, 1, True): (
+        104, 1, "dae8eb5a5318da2095a1b4ed0ed6b02ed09338dcba11dbe7a769a527e88fa8ed"
+    ),
+    (6, 4, 2, 1, False): (
+        152, 1, "ba9e2c43a759870cc1cd3b2ddd92d4a721bc192ef0cfb613dbdf544690462913"
+    ),
+    (3, 5, 1, 2, True): (
+        60, 3, "5a0dd51f25a4c99447370a42781d91ec36d944711d538fe90036434f6eeca3b3"
+    ),
+    (3, 5, 1, 2, False): (
+        84, 3, "a994d62fae5d3fbe1d8a8a0c183613d144239f470851f5c72db3d3825a14ff42"
+    ),
+}
+
+
+@pytest.mark.parametrize("reuse", [True, False])
+def test_table_bits(reuse):
+    result = run_table(
+        {
+            "objective": "rastrigin",
+            "methods": ["GSF-5", "G2SF-3", "G2SF-9", "G2R-3"],
+            "dims": [5],
+            "budgets": [600],
+            "seeds": 1,
+            "seed_base": 0,
+            "estimator": {"reuse": reuse},
+        }
+    )
+    got = {
+        (reuse, row.method): (row.final_parameter_error.hex(), row.evals_used)
+        for row in result.rows
+    }
+    assert got == {key: val for key, val in TABLE_GOLDEN.items() if key[0] == reuse}
+
+
+@pytest.mark.parametrize("key", sorted(CRZON_GOLDEN), ids=str)
+def test_crzon_bits(key):
+    m, b, k, seed, reuse = key
+    cfg = build_cubic_config(
+        {
+            "objective": "quartic",
+            "dim": 4,
+            "noise": {"sigma": 0.01},
+            "crzon": {"k": k, "N": 4, "m": m, "b": b, "delta": 0.1, "alpha": 2.0},
+            "estimator": {"reuse": reuse},
+        },
+        seed=seed,
+    )
+    rep = run_crzon(cfg)
+    digest = hashlib.sha256(rep.theta_r.tobytes()).hexdigest()
+    assert (rep.evals_used, rep.r_index, digest) == CRZON_GOLDEN[key]
+
+
+ORDERS = range(1, MAX_ORDER + 1)
+
+
+@pytest.mark.parametrize("k", ORDERS)
+def test_grad_weights_cached_exact_readonly(k):
+    weights = grad_weights(k)
+    assert weights is grad_weights(k)
+    assert weights.dtype == np.float64
+    assert np.array_equal(weights, grad_stencil(k).to_float())
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
+
+
+@pytest.mark.parametrize("k1", ORDERS)
+def test_hess_weights_cached_exact_readonly(k1):
+    for k2 in ORDERS:
+        weights = hess_weights(k1, k2)
+        assert weights is hess_weights(k1, k2)
+        assert weights.dtype == np.float64
+        assert np.array_equal(weights, hess_stencil(k1, k2).to_float())
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+    assert np.array_equal(hess_weights(k1), hess_stencil(k1).to_float())
+
+
+def test_weights_reject_bad_orders():
+    grad_weights(1)
+    with pytest.raises(ValueError):
+        grad_weights(1.0)
+    with pytest.raises(ValueError):
+        grad_weights(MAX_ORDER + 1)
+    with pytest.raises(ValueError):
+        hess_weights(0, 2)

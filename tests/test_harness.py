@@ -370,6 +370,14 @@ class TestValidateConfig:
         findings = validate_config({"noise": {"sigma": -0.5}})
         assert not next(f for f in findings if f.check == "noise.sigma_nonnegative").ok
 
+    def test_null_noise_is_no_noise(self):
+        # make_noise reads "noise": null as no noise; the validator agrees
+        config = {"noise": None}
+        assert make_noise(config) is None
+        findings = validate_config(config)
+        assert next(f for f in findings if f.check == "noise.sigma_nonnegative").ok
+        assert not has_errors(findings)
+
     def test_schedule_findings_prefixed(self):
         findings = validate_config({"schedules": {"a0": -1.0}})
         assert any(

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grdsa.newton as newton_mod
-from grdsa.estimators import GradientEstimate, HessianEstimate
 from grdsa.newton import (
     INIT_RANGE,
     Box,
@@ -189,30 +188,29 @@ class TestIterationCost:
 class TestNewtonStep:
     @pytest.fixture
     def patched(self, monkeypatch):
-        """Replace both estimators with deterministic stubs."""
+        """Replace both reductions with deterministic stubs; record probes."""
         htilde = np.array([[5.0, 1.0], [0.0, 2.0]])  # deliberately asymmetric
         g0 = np.array([0.6, -0.3])
-        calls = {}
+        calls = {"probes": []}
+        real_probe = newton_mod.probe
 
-        def fake_hessian(oracle, theta, direction, delta, k1, k2=None, spec=None,
+        def spy_probe(oracle, theta, directions, delta, n_shifts):
+            values = real_probe(oracle, theta, directions, delta, n_shifts)
+            calls["probes"].append((n_shifts, values))
+            return values
+
+        def fake_hessian(values, directions, delta, k1, k2, spec,
                          paper_literal_scaling=False):
             calls["hess_delta"] = delta
-            return HessianEstimate(
-                value=htilde.copy(),
-                measurements_used=0,
-                k1=k1,
-                k2=k1 if k2 is None else k2,
-                delta=delta,
-                shift_values={s: 0.0 for s in range(2 * k1 + 1)},
-            )
+            return htilde.copy()
 
-        def fake_gradient(oracle, theta, direction, delta, k, spec=None,
-                          shared_evals=None):
-            calls["shared"] = shared_evals
-            return GradientEstimate(value=g0.copy(), measurements_used=0, k=k, delta=delta)
+        def fake_gradient(values, directions, delta, k, spec):
+            calls["grad_values"] = values
+            return g0.copy()
 
-        monkeypatch.setattr(newton_mod, "estimate_hessian", fake_hessian)
-        monkeypatch.setattr(newton_mod, "estimate_gradient", fake_gradient)
+        monkeypatch.setattr(newton_mod, "probe", spy_probe)
+        monkeypatch.setattr(newton_mod, "hessian_samples", fake_hessian)
+        monkeypatch.setattr(newton_mod, "gradient_samples", fake_gradient)
         return htilde, g0, calls
 
     def test_average_update_and_move(self, patched):
@@ -246,18 +244,26 @@ class TestNewtonStep:
         assert state.n == 3
 
     def test_reuse_passes_gradient_shift_prefix(self, patched):
+        # one probe of 2k+1 shifts; the gradient reads its row
         _, _, calls = patched
         cfg = NewtonConfig(objective=QUAD, budget=100, k=2, seed=0, reuse=True)
         state = NewtonState(theta=np.zeros(2), hbar=np.eye(2), n=1)
-        newton_step(state, BudgetedOracle(QUAD), cfg, np.random.default_rng(0))
-        assert sorted(calls["shared"]) == [0, 1, 2]
+        oracle = BudgetedOracle(QUAD)
+        newton_step(state, oracle, cfg, np.random.default_rng(0))
+        assert [n for n, _ in calls["probes"]] == [5]
+        assert np.array_equal(calls["grad_values"], calls["probes"][0][1][0])
+        assert oracle.evals_used == 5
 
     def test_no_reuse_passes_nothing(self, patched):
+        # the gradient reads a second, fresh probe of k+1 shifts
         _, _, calls = patched
         cfg = NewtonConfig(objective=QUAD, budget=100, k=2, seed=0, reuse=False)
         state = NewtonState(theta=np.zeros(2), hbar=np.eye(2), n=1)
-        newton_step(state, BudgetedOracle(QUAD), cfg, np.random.default_rng(0))
-        assert calls["shared"] is None
+        oracle = BudgetedOracle(QUAD)
+        newton_step(state, oracle, cfg, np.random.default_rng(0))
+        assert [n for n, _ in calls["probes"]] == [5, 3]
+        assert np.array_equal(calls["grad_values"], calls["probes"][1][1][0])
+        assert oracle.evals_used == 8
 
 
 class TestRunNewton:
@@ -333,8 +339,10 @@ class TestRunNewton:
             run_newton(NewtonConfig(objective=QUAD, budget=2, k=1))
         with pytest.raises(ValueError):
             run_newton(NewtonConfig(objective=QUAD, budget=30, k=0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="record_stride"):
             run_newton(NewtonConfig(objective=QUAD, budget=30, k=1, record_stride=0))
+        with pytest.raises(ValueError, match="record_stride"):
+            run_first_order(NewtonConfig(objective=QUAD, budget=30, k=1, record_stride=0))
 
     def test_error_none_without_known_optimum(self):
         rec = run_newton(NewtonConfig(objective=exp_sin(), budget=9, k=1, seed=0))
