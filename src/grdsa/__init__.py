@@ -34,6 +34,7 @@ from .newton import (
     RunRecord,
     Schedules,
     clamped_newton_direction,
+    gradient_step,
     iteration_cost,
     newton_step,
     run_first_order,

@@ -24,7 +24,7 @@ from .estimators import (
     hessian_samples,
     probe,
 )
-from .newton import _initial_theta
+from .newton import _initial_theta, _spawn_streams
 from .oracle import (
     BudgetedOracle,
     BudgetTooSmall,
@@ -353,11 +353,7 @@ def run_crzon(cfg: CubicConfig) -> SospReport:
         )
     alpha = cfg.alpha_value()
 
-    init_ss, perturb_ss, noise_ss, select_ss = np.random.SeedSequence(cfg.seed).spawn(4)
-    init_rng = np.random.default_rng(init_ss)
-    perturb_rng = np.random.default_rng(perturb_ss)
-    noise_rng = np.random.default_rng(noise_ss)
-    select_rng = np.random.default_rng(select_ss)
+    init_rng, perturb_rng, noise_rng, select_rng = _spawn_streams(cfg.seed, 4)
 
     dim = cfg.objective.dim
     theta0 = _initial_theta(cfg.theta0, dim, init_rng)

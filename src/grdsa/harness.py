@@ -13,7 +13,7 @@ import hashlib
 import json
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from . import cubic as cubic_mod
 from .estimators import fit_loglog_slope, gradient_deviation, hessian_deviation
 from .newton import (
     Box,
+    Finding,
     NewtonConfig,
     RunRecord,
     Schedules,
@@ -92,7 +93,7 @@ def make_objective(config: dict) -> Objective:
     if name == "rastrigin":
         return rastrigin(dim)
     if name == "quadratic":
-        spec = config.get("quadratic", {})
+        spec = config.get("quadratic") or {}
         if "matrix" in spec:
             a = np.asarray(spec["matrix"], dtype=float)
         else:
@@ -119,7 +120,7 @@ def make_noise(config: dict) -> LinearGaussianNoise | None:
 
 
 def make_perturbation(config: dict) -> PerturbationSpec:
-    spec = config.get("perturb", {})
+    spec = config.get("perturb") or {}
     family = spec.get("family", "gaussian")
     if family == "gaussian":
         return gaussian()
@@ -129,7 +130,7 @@ def make_perturbation(config: dict) -> PerturbationSpec:
 
 
 def make_schedules(config: dict) -> Schedules:
-    sched = config.get("schedules", {})
+    sched = config.get("schedules") or {}
     return Schedules(
         a0=float(sched.get("a0", 0.9)),
         big_a=float(sched.get("A", 20.0)),
@@ -143,12 +144,12 @@ def make_schedules(config: dict) -> Schedules:
 
 
 def make_box(config: dict) -> Box:
-    box = config.get("box", {})
+    box = config.get("box") or {}
     return Box(lower=float(box.get("lower", -5.12)), upper=float(box.get("upper", 5.12)))
 
 
 def build_newton_config(config: dict, seed: int | None = None) -> NewtonConfig:
-    estimator = config.get("estimator", {})
+    estimator = config.get("estimator") or {}
     theta0 = config.get("theta0")
     return NewtonConfig(
         objective=make_objective(config),
@@ -169,8 +170,8 @@ def build_newton_config(config: dict, seed: int | None = None) -> NewtonConfig:
 
 def build_cubic_config(config: dict, seed: int | None = None) -> cubic_mod.CubicConfig:
     objective = make_objective(config)
-    section = config.get("crzon", {})
-    estimator = config.get("estimator", {})
+    section = config.get("crzon") or {}
+    estimator = config.get("estimator") or {}
     theta0 = config.get("theta0")
     common = dict(
         noise=make_noise(config),
@@ -256,10 +257,9 @@ def run_table(config: dict) -> TableResult:
                     sub = dict(config)
                     sub["dim"] = dim
                     sub["budget"] = budget
-                    sub.setdefault("estimator", {})
-                    sub["estimator"] = dict(sub["estimator"], k=method.k)
+                    sub["estimator"] = dict(config.get("estimator") or {}, k=method.k)
                     sub["perturb"] = dict(
-                        config.get("perturb", {}), family=method.family
+                        config.get("perturb") or {}, family=method.family
                     )
                     start = time.perf_counter()
                     try:
@@ -403,23 +403,22 @@ def run_bias_sweep(config: dict) -> BiasSweepResult:
 
 # --- config validation ----------------------------------------------------
 
-@dataclass(frozen=True)
-class Finding:
-    check: str
-    severity: str  # "error" | "warning"
-    ok: bool
-    message: str
-
-
 def validate_config(config: dict) -> list[Finding]:
-    """Schedule compliance, budget feasibility, and estimator-order checks."""
-    findings: list[Finding] = []
+    """Schedule compliance, budget feasibility, and estimator-order checks.
 
-    for sf in validate_schedules(make_schedules(config)):
-        findings.append(Finding(f"schedules.{sf.check}", sf.severity, sf.ok, sf.message))
+    A null section counts as absent.  With a ``crzon`` section the order is
+    ``crzon.k`` and the budget must cover one CRZON outer step; otherwise
+    the order is ``estimator.k`` and the budget must cover one Newton
+    iteration.
+    """
+    findings = [
+        replace(f, check=f"schedules.{f.check}")
+        for f in validate_schedules(make_schedules(config))
+    ]
 
-    estimator = config.get("estimator", {})
-    k = int(estimator.get("k", config.get("crzon", {}).get("k", 1)))
+    estimator = config.get("estimator") or {}
+    crzon = config.get("crzon")
+    k = int(crzon.get("k", 1) if crzon is not None else estimator.get("k", 1))
     findings.append(
         Finding(
             "estimator.order_supported",
@@ -429,7 +428,7 @@ def validate_config(config: dict) -> list[Finding]:
         )
     )
 
-    box = config.get("box", {})
+    box = config.get("box") or {}
     lower = float(box.get("lower", -5.12))
     upper = float(box.get("upper", 5.12))
     findings.append(
@@ -441,7 +440,7 @@ def validate_config(config: dict) -> list[Finding]:
         )
     )
 
-    family = config.get("perturb", {}).get("family", "gaussian")
+    family = (config.get("perturb") or {}).get("family", "gaussian")
     findings.append(
         Finding(
             "perturb.family_known",
@@ -453,8 +452,10 @@ def validate_config(config: dict) -> list[Finding]:
 
     budget = config.get("budget")
     if budget is not None and 1 <= k <= MAX_ORDER:
-        reuse = bool(estimator.get("reuse", True))
-        cost = iteration_cost(k, reuse)
+        if crzon is not None:
+            cost = build_cubic_config(config).step_cost()
+        else:
+            cost = iteration_cost(k, bool(estimator.get("reuse", True)))
         findings.append(
             Finding(
                 "budget.covers_one_iteration",

@@ -4,17 +4,19 @@ Each iteration draws one direction, measures the objective at ``2k+1``
 points along it, updates a running Hessian average on the faster timescale,
 and moves the iterate against the clamped-Newton direction on the slower
 one.  The gradient estimate reuses the first ``k+1`` Hessian measurements,
-so an iteration costs exactly ``2k+1`` evaluations.
+so an iteration costs exactly ``2k+1`` evaluations.  The gradient-only
+baseline runs through the same driver with :func:`gradient_step`.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import estimate_gradient, gradient_samples, hessian_samples, probe
+from .estimators import gradient_samples, hessian_samples, probe
 from .oracle import (
     BudgetedOracle,
     BudgetTooSmall,
@@ -55,13 +57,10 @@ class Schedules:
     def delta(self, n: int) -> float:
         return self.delta0 / n**self.gamma
 
-    def validate(self) -> list["ScheduleFinding"]:
-        return validate_schedules(self)
-
 
 @dataclass(frozen=True)
-class ScheduleFinding:
-    """One schedule check: stable id, severity, verdict, human message."""
+class Finding:
+    """One config check: stable id, severity, verdict, human message."""
 
     check: str
     severity: str  # "error" | "warning"
@@ -69,7 +68,7 @@ class ScheduleFinding:
     message: str
 
 
-def validate_schedules(s: Schedules) -> list[ScheduleFinding]:
+def validate_schedules(s: Schedules) -> list[Finding]:
     """Check the decaying-step conditions the convergence analysis needs.
 
     Errors are structural (non-positive coefficients or exponents).
@@ -77,7 +76,7 @@ def validate_schedules(s: Schedules) -> list[ScheduleFinding]:
     iterate timescale must be slower than the averaging one, and the two
     noise-to-radius ratios must be square-summable.
     """
-    findings: list[ScheduleFinding] = []
+    findings: list[Finding] = []
 
     structural_ok = (
         s.a0 > 0 and s.b0 > 0 and s.delta0 > 0
@@ -85,7 +84,7 @@ def validate_schedules(s: Schedules) -> list[ScheduleFinding]:
         and s.big_a >= 0 and s.big_b >= 0
     )
     findings.append(
-        ScheduleFinding(
+        Finding(
             check="positive_parameters",
             severity="error",
             ok=structural_ok,
@@ -99,7 +98,7 @@ def validate_schedules(s: Schedules) -> list[ScheduleFinding]:
         return findings
 
     findings.append(
-        ScheduleFinding(
+        Finding(
             check="a_sum_diverges",
             severity="warning",
             ok=s.alpha <= 1.0,
@@ -107,7 +106,7 @@ def validate_schedules(s: Schedules) -> list[ScheduleFinding]:
         )
     )
     findings.append(
-        ScheduleFinding(
+        Finding(
             check="b_sum_diverges",
             severity="warning",
             ok=s.beta <= 1.0,
@@ -115,7 +114,7 @@ def validate_schedules(s: Schedules) -> list[ScheduleFinding]:
         )
     )
     findings.append(
-        ScheduleFinding(
+        Finding(
             check="timescale_separation",
             severity="warning",
             ok=s.alpha > s.beta,
@@ -127,7 +126,7 @@ def validate_schedules(s: Schedules) -> list[ScheduleFinding]:
     )
     grad_margin = 2.0 * (s.alpha - s.gamma)
     findings.append(
-        ScheduleFinding(
+        Finding(
             check="a_delta_square_summable",
             severity="warning",
             ok=grad_margin > 1.0,
@@ -141,7 +140,7 @@ def validate_schedules(s: Schedules) -> list[ScheduleFinding]:
     )
     hess_margin = 2.0 * (s.beta - 2.0 * s.gamma)
     findings.append(
-        ScheduleFinding(
+        Finding(
             check="b_delta_square_summable",
             severity="warning",
             ok=hess_margin > 1.0,
@@ -280,14 +279,31 @@ def newton_step(
     return NewtonState(theta=theta, hbar=hbar, n=n + 1)
 
 
-def _spawn_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator, np.random.Generator]:
-    """Independent per-run streams: iterate init, directions, noise."""
-    init_ss, perturb_ss, noise_ss = np.random.SeedSequence(seed).spawn(3)
-    return (
-        np.random.default_rng(init_ss),
-        np.random.default_rng(perturb_ss),
-        np.random.default_rng(noise_ss),
-    )
+def gradient_step(
+    state: NewtonState,
+    oracle: BudgetedOracle,
+    cfg: NewtonConfig,
+    rng: np.random.Generator,
+) -> NewtonState:
+    """Advance one gradient-only iteration of ``k+1`` evaluations.
+
+    Same schedules and projection as :func:`newton_step`, with no Hessian:
+    the iterate moves against the gradient estimate and ``hbar`` is passed
+    through unchanged.
+    """
+    n = state.n
+    delta_n = cfg.schedules.delta(n)
+    direction = cfg.perturbation.sample(rng, state.theta.size)
+    values = probe(oracle, state.theta, direction[None, :], delta_n, cfg.k + 1)[0]
+    grad = gradient_samples(values, direction, delta_n, cfg.k, cfg.perturbation)
+    theta = cfg.box.clip(state.theta - cfg.schedules.a(n) * grad)
+    return NewtonState(theta=theta, hbar=state.hbar, n=n + 1)
+
+
+def _spawn_streams(seed: int, n: int) -> list[np.random.Generator]:
+    """Independent per-run streams: iterate init, directions, noise, then any
+    extra ones a solver needs."""
+    return [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(n)]
 
 
 def _initial_theta(cfg_theta0: np.ndarray | None, dim: int, init_rng: np.random.Generator) -> np.ndarray:
@@ -299,32 +315,32 @@ def _initial_theta(cfg_theta0: np.ndarray | None, dim: int, init_rng: np.random.
     return init_rng.uniform(INIT_RANGE[0], INIT_RANGE[1], dim)
 
 
-def run_newton(cfg: NewtonConfig) -> RunRecord:
-    """Run until the next iteration no longer fits in the budget."""
+def _run(
+    cfg: NewtonConfig, algorithm: str, step: Callable[..., NewtonState], cost: int
+) -> RunRecord:
+    """Apply ``step`` (``cost`` evaluations each) until the budget runs out."""
     start = time.perf_counter()
     if cfg.k < 1:
         raise ValueError(f"k must be >= 1, got {cfg.k}")
     if cfg.record_stride < 1:
         raise ValueError(f"record_stride must be >= 1, got {cfg.record_stride}")
-    cost = iteration_cost(cfg.k, cfg.reuse)
     if cfg.budget < cost:
         raise BudgetTooSmall(
             f"budget {cfg.budget} cannot afford one iteration ({cost} evaluations)"
         )
 
     dim = cfg.objective.dim
-    init_rng, perturb_rng, noise_rng = _spawn_streams(cfg.seed)
+    init_rng, perturb_rng, noise_rng = _spawn_streams(cfg.seed, 3)
     theta0 = _initial_theta(cfg.theta0, dim, init_rng)
     oracle = BudgetedOracle(cfg.objective, cfg.noise, cfg.budget, noise_rng)
 
     state = NewtonState(theta=theta0.copy(), hbar=np.eye(dim), n=1)
     snapshots = [theta0.copy()]
-    iterations = 0
     while oracle.remaining >= cost:
-        state = newton_step(state, oracle, cfg, perturb_rng)
-        iterations += 1
-        if iterations % cfg.record_stride == 0:
+        state = step(state, oracle, cfg, perturb_rng)
+        if (state.n - 1) % cfg.record_stride == 0:
             snapshots.append(state.theta.copy())
+    iterations = state.n - 1
     if iterations % cfg.record_stride != 0:
         snapshots.append(state.theta.copy())
 
@@ -332,7 +348,7 @@ def run_newton(cfg: NewtonConfig) -> RunRecord:
     if cfg.objective.optimum is not None:
         error = parameter_error(state.theta, theta0, cfg.objective.optimum)
     return RunRecord(
-        algorithm="newton",
+        algorithm=algorithm,
         seed=cfg.seed,
         k=cfg.k,
         dim=dim,
@@ -347,58 +363,14 @@ def run_newton(cfg: NewtonConfig) -> RunRecord:
     )
 
 
+def run_newton(cfg: NewtonConfig) -> RunRecord:
+    """Run until the next iteration no longer fits in the budget."""
+    return _run(cfg, "newton", newton_step, iteration_cost(cfg.k, cfg.reuse))
+
+
 def run_first_order(cfg: NewtonConfig) -> RunRecord:
     """Gradient-only baseline: same schedules and projection, no Hessian.
 
     Each iteration costs ``k+1`` evaluations.
     """
-    start = time.perf_counter()
-    if cfg.k < 1:
-        raise ValueError(f"k must be >= 1, got {cfg.k}")
-    if cfg.record_stride < 1:
-        raise ValueError(f"record_stride must be >= 1, got {cfg.record_stride}")
-    cost = cfg.k + 1
-    if cfg.budget < cost:
-        raise BudgetTooSmall(
-            f"budget {cfg.budget} cannot afford one iteration ({cost} evaluations)"
-        )
-
-    dim = cfg.objective.dim
-    init_rng, perturb_rng, noise_rng = _spawn_streams(cfg.seed)
-    theta0 = _initial_theta(cfg.theta0, dim, init_rng)
-    oracle = BudgetedOracle(cfg.objective, cfg.noise, cfg.budget, noise_rng)
-
-    theta = theta0.copy()
-    snapshots = [theta0.copy()]
-    iterations = 0
-    n = 1
-    while oracle.remaining >= cost:
-        direction = cfg.perturbation.sample(perturb_rng, dim)
-        grad = estimate_gradient(
-            oracle, theta, direction, cfg.schedules.delta(n), cfg.k, spec=cfg.perturbation
-        )
-        theta = cfg.box.clip(theta - cfg.schedules.a(n) * grad.value)
-        iterations += 1
-        n += 1
-        if iterations % cfg.record_stride == 0:
-            snapshots.append(theta.copy())
-    if iterations % cfg.record_stride != 0:
-        snapshots.append(theta.copy())
-
-    error = None
-    if cfg.objective.optimum is not None:
-        error = parameter_error(theta, theta0, cfg.objective.optimum)
-    return RunRecord(
-        algorithm="gradient_only",
-        seed=cfg.seed,
-        k=cfg.k,
-        dim=dim,
-        budget=cfg.budget,
-        iterations=iterations,
-        evals_used=oracle.evals_used,
-        theta_init=theta0,
-        theta_final=theta,
-        final_parameter_error=error,
-        trajectory=np.asarray(snapshots),
-        wall_time_s=time.perf_counter() - start,
-    )
+    return _run(cfg, "gradient_only", gradient_step, cfg.k + 1)

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from grdsa.cubic import run_crzon
-from grdsa.harness import build_cubic_config, run_table
+from grdsa.harness import build_cubic_config, build_newton_config, run_table
+from grdsa.newton import run_first_order, run_newton
 from grdsa.stencils import (
     MAX_ORDER,
     grad_stencil,
@@ -51,6 +52,51 @@ CRZON_GOLDEN = {
         84, 3, "a994d62fae5d3fbe1d8a8a0c183613d144239f470851f5c72db3d3825a14ff42"
     ),
 }
+
+#: (algorithm, reuse, record_stride) -> (iterations, evals_used,
+#: sha256 of trajectory bytes); rastrigin d=3, k=2, budget 200, sigma 0.01,
+#: seed 4.  No iteration count is a multiple of 7, so the final snapshot
+#: appended after the loop is pinned too.
+TRAJECTORY_GOLDEN = {
+    ("newton", True, 1): (
+        40, 200, "dcc1f0ddc917da68b5de22ec44688797ac5e3784d0fdf28f1b426ece313cc2f0"
+    ),
+    ("newton", True, 7): (
+        40, 200, "204b79101708ce8b7414e57c025a65d77a3df8c5c48b10f84c5abc0444990fe5"
+    ),
+    ("newton", False, 1): (
+        25, 200, "8c69dad7023b9abdde75715bfd283216976e341ac1421ecc4feee9dcc4dc278b"
+    ),
+    ("newton", False, 7): (
+        25, 200, "53311c23694be3e060eb52206a2ae5fb13083593babe776c3a5d4409380bc89e"
+    ),
+    ("gradient_only", True, 1): (
+        66, 198, "a2581f74b7683bb80eefc4f3e62b6e185e0700a670722d4064162b3e25906236"
+    ),
+    ("gradient_only", True, 7): (
+        66, 198, "27e656916186d02c5838abee84557bdc3acf2decef9fb43e1b0d883a8a1684af"
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(TRAJECTORY_GOLDEN), ids=str)
+def test_trajectory_bits(key):
+    algorithm, reuse, stride = key
+    cfg = build_newton_config(
+        {
+            "objective": "rastrigin",
+            "dim": 3,
+            "budget": 200,
+            "noise": {"sigma": 0.01},
+            "estimator": {"k": 2, "reuse": reuse},
+            "record_stride": stride,
+        },
+        seed=4,
+    )
+    rec = (run_newton if algorithm == "newton" else run_first_order)(cfg)
+    digest = hashlib.sha256(rec.trajectory.tobytes()).hexdigest()
+    assert rec.algorithm == algorithm
+    assert (rec.iterations, rec.evals_used, digest) == TRAJECTORY_GOLDEN[key]
 
 
 @pytest.mark.parametrize("reuse", [True, False])

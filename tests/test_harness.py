@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,9 @@ from grdsa.harness import (
     write_summary_csv,
     write_table_csv,
 )
+from grdsa.cubic import run_crzon
 from grdsa.newton import RunRecord, run_newton
+from grdsa.oracle import BudgetTooSmall
 
 
 def read_csv(path):
@@ -202,6 +205,14 @@ class TestRunTable:
         )
         seeds = [row.seed for row in run_table(config).rows]
         assert seeds == [40, 41]
+
+    def test_null_sections_run_as_absent(self):
+        config = dict(QUAD_CONFIG, methods=["G2SF-3", "GSF-2"], budgets=[30])
+        null = dict(config, estimator=None, perturb=None)
+        rows = run_table(null).rows
+        assert all(row.status == "ok" for row in rows)
+        errors = [row.final_parameter_error for row in run_table(config).rows]
+        assert [row.final_parameter_error for row in rows] == errors
 
 
 class TestAggregateRows:
@@ -377,6 +388,44 @@ class TestValidateConfig:
         findings = validate_config(config)
         assert next(f for f in findings if f.check == "noise.sigma_nonnegative").ok
         assert not has_errors(findings)
+
+    @pytest.mark.parametrize("key", ["estimator", "box", "perturb", "schedules", "crzon"])
+    def test_null_section_is_absent(self, key):
+        base = {"budget": 100}
+        null = dict(base, **{key: None})
+        assert validate_config(null) == validate_config(base)
+        for build in (build_newton_config, build_cubic_config):
+            assert replace(build(null), objective=None) == replace(build(base), objective=None)
+
+    def test_null_quadratic_section_is_absent(self):
+        base = {"objective": "quadratic", "dim": 3}
+        null = dict(base, quadratic=None)
+        assert np.array_equal(
+            make_objective(null).hessian(np.zeros(3)), make_objective(base).hessian(np.zeros(3))
+        )
+
+    @pytest.mark.parametrize("reuse,cost", [(False, 1600), (True, 1200)])
+    def test_crzon_budget_covers_one_step(self, reuse, cost):
+        # the budget is checked against the CRZON outer step, not a Newton
+        # iteration: m(k+1) + b(2k+1) evaluations, or b(2k+1) with reuse
+        config = {
+            "objective": "quartic",
+            "dim": 4,
+            "crzon": {"k": 1, "N": 1, "m": 200, "b": 400, "delta": 0.1, "alpha": 2.0},
+            "estimator": {"reuse": reuse},
+        }
+        short = dict(config, budget=cost - 1)
+        findings = validate_config(short)
+        finding = next(f for f in findings if f.check == "budget.covers_one_iteration")
+        assert not finding.ok
+        assert f"cost {cost}" in finding.message
+        assert has_errors(findings)
+        with pytest.raises(BudgetTooSmall):
+            run_crzon(build_cubic_config(short))
+
+        exact = dict(config, budget=cost)
+        assert not has_errors(validate_config(exact))
+        assert run_crzon(build_cubic_config(exact)).evals_used == cost
 
     def test_schedule_findings_prefixed(self):
         findings = validate_config({"schedules": {"a0": -1.0}})

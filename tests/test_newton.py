@@ -15,6 +15,7 @@ from grdsa.newton import (
     NewtonState,
     Schedules,
     clamped_newton_direction,
+    gradient_step,
     iteration_cost,
     newton_step,
     run_first_order,
@@ -41,10 +42,6 @@ class TestSchedules:
         for seq in (s.a, s.b, s.delta):
             vals = np.array([seq(int(n)) for n in ns])
             assert np.all(np.diff(vals) < 0)
-
-    def test_validate_delegates(self):
-        s = Schedules()
-        assert s.validate() == validate_schedules(s)
 
 
 class TestValidateSchedules:
@@ -185,34 +182,36 @@ class TestIterationCost:
         assert iteration_cost(2, reuse=False) == 8
 
 
+@pytest.fixture
+def patched(monkeypatch):
+    """Replace both reductions with deterministic stubs; record probes."""
+    htilde = np.array([[5.0, 1.0], [0.0, 2.0]])  # deliberately asymmetric
+    g0 = np.array([0.6, -0.3])
+    calls = {"probes": []}
+    real_probe = newton_mod.probe
+
+    def spy_probe(oracle, theta, directions, delta, n_shifts):
+        values = real_probe(oracle, theta, directions, delta, n_shifts)
+        calls["probes"].append((n_shifts, values))
+        return values
+
+    def fake_hessian(values, directions, delta, k1, k2, spec,
+                     paper_literal_scaling=False):
+        calls["hess_delta"] = delta
+        return htilde.copy()
+
+    def fake_gradient(values, directions, delta, k, spec):
+        calls["grad_values"] = values
+        calls["grad_delta"] = delta
+        return g0.copy()
+
+    monkeypatch.setattr(newton_mod, "probe", spy_probe)
+    monkeypatch.setattr(newton_mod, "hessian_samples", fake_hessian)
+    monkeypatch.setattr(newton_mod, "gradient_samples", fake_gradient)
+    return htilde, g0, calls
+
+
 class TestNewtonStep:
-    @pytest.fixture
-    def patched(self, monkeypatch):
-        """Replace both reductions with deterministic stubs; record probes."""
-        htilde = np.array([[5.0, 1.0], [0.0, 2.0]])  # deliberately asymmetric
-        g0 = np.array([0.6, -0.3])
-        calls = {"probes": []}
-        real_probe = newton_mod.probe
-
-        def spy_probe(oracle, theta, directions, delta, n_shifts):
-            values = real_probe(oracle, theta, directions, delta, n_shifts)
-            calls["probes"].append((n_shifts, values))
-            return values
-
-        def fake_hessian(values, directions, delta, k1, k2, spec,
-                         paper_literal_scaling=False):
-            calls["hess_delta"] = delta
-            return htilde.copy()
-
-        def fake_gradient(values, directions, delta, k, spec):
-            calls["grad_values"] = values
-            return g0.copy()
-
-        monkeypatch.setattr(newton_mod, "probe", spy_probe)
-        monkeypatch.setattr(newton_mod, "hessian_samples", fake_hessian)
-        monkeypatch.setattr(newton_mod, "gradient_samples", fake_gradient)
-        return htilde, g0, calls
-
     def test_average_update_and_move(self, patched):
         htilde, g0, calls = patched
         cfg = NewtonConfig(objective=QUAD, budget=100, k=1, seed=0)
@@ -264,6 +263,30 @@ class TestNewtonStep:
         assert [n for n, _ in calls["probes"]] == [5, 3]
         assert np.array_equal(calls["grad_values"], calls["probes"][1][1][0])
         assert oracle.evals_used == 8
+
+
+class TestGradientStep:
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_one_probe_and_clipped_gradient_move(self, patched, k):
+        _, g0, calls = patched
+        cfg = NewtonConfig(objective=QUAD, budget=100, k=k, seed=0, box=Box(0.5, 2.0))
+        theta0 = np.array([1.0, 1.99])
+        hbar = np.array([[3.0, 0.5], [0.5, 1.0]])
+        state = NewtonState(theta=theta0.copy(), hbar=hbar, n=1)
+        oracle = BudgetedOracle(QUAD)
+        out = gradient_step(state, oracle, cfg, np.random.default_rng(0))
+
+        assert [n for n, _ in calls["probes"]] == [k + 1]
+        assert np.array_equal(calls["grad_values"], calls["probes"][0][1][0])
+        assert calls["grad_delta"] == cfg.schedules.delta(1)
+        expected = cfg.box.clip(theta0 - cfg.schedules.a(1) * g0)
+        assert np.array_equal(out.theta, expected)
+        assert expected[1] == 2.0  # the clip is exercised
+        assert out.hbar is hbar
+        assert np.array_equal(hbar, [[3.0, 0.5], [0.5, 1.0]])
+        assert out.n == 2
+        assert oracle.evals_used == k + 1
+        assert "hess_delta" not in calls
 
 
 class TestRunNewton:
