@@ -31,7 +31,7 @@ from .oracle import (
     LinearGaussianNoise,
     Objective,
 )
-from .perturb import PerturbationSpec, gaussian
+from .perturb import PerturbationSpec, gaussian, scaling_matrices
 
 #: regularizer floor used when the objective has a vanishing third derivative
 ALPHA_FLOOR = 1e-3
@@ -277,8 +277,9 @@ def _batched_estimates(theta, oracle, cfg, rng):
 
     hess = HessianEstimate(
         value=hessian_samples(
-            values, directions, cfg.delta, cfg.k, cfg.k, cfg.perturbation,
-            cfg.paper_literal_scaling,
+            values,
+            scaling_matrices(cfg.perturbation, directions, cfg.paper_literal_scaling),
+            cfg.delta, cfg.k, cfg.k,
         ).mean(axis=0),
         measurements_used=cfg.b * (2 * cfg.k + 1),
         k1=cfg.k,

@@ -59,6 +59,23 @@ def _check_inputs(theta: np.ndarray, direction: np.ndarray, delta: float) -> tup
     return theta, direction
 
 
+def ray_offsets(directions: np.ndarray, delta, n_shifts: int) -> np.ndarray:
+    """Offsets ``(delta*s)*directions[i]`` for ``s = 0..n_shifts-1``, shape ``(n, n_shifts, d)``.
+
+    ``delta`` is one radius for every row or an ``(n,)`` array of per-row radii.
+    """
+    steps = np.reshape(delta, (-1, 1)) * np.arange(n_shifts, dtype=float)
+    return steps[:, :, None] * directions[:, None, :]
+
+
+def measure(oracle: BudgetedOracle, points: np.ndarray) -> np.ndarray:
+    """Evaluate the ``(n, d)`` points in one oracle call; every value must be finite."""
+    values = oracle.evaluate_many(points)
+    if not np.isfinite(values).all():
+        raise NonFiniteEvaluation("oracle returned a non-finite value")
+    return values
+
+
 def probe(
     oracle: BudgetedOracle,
     theta: np.ndarray,
@@ -73,12 +90,8 @@ def probe(
     evaluated in one call, draw-major, and every value must be finite.
     """
     n = directions.shape[0]
-    shifts = np.arange(n_shifts, dtype=float)
-    points = theta[None, None, :] + delta * shifts[None, :, None] * directions[:, None, :]
-    flat = oracle.evaluate_many(points.reshape(n * n_shifts, -1))
-    if not np.all(np.isfinite(flat)):
-        raise NonFiniteEvaluation("oracle returned a non-finite value")
-    return flat.reshape(n, n_shifts)
+    points = theta + ray_offsets(directions, delta, n_shifts)
+    return measure(oracle, points.reshape(n * n_shifts, -1)).reshape(n, n_shifts)
 
 
 def gradient_samples(
@@ -104,24 +117,20 @@ def _quads(values: np.ndarray, delta: float, k1: int, k2: int | None) -> np.ndar
 
 def hessian_samples(
     values: np.ndarray,
-    directions: np.ndarray,
+    scalers: np.ndarray,
     delta: float,
     k1: int,
     k2: int | None,
-    spec: PerturbationSpec,
-    paper_literal_scaling: bool = False,
 ) -> np.ndarray:
     """One-draw Hessian estimates from the ``k1+k2+1`` probe columns.
 
-    Shapes follow :func:`gradient_samples`: one row gives a ``(d, d)``
-    estimate, a matrix of ``n`` rows gives ``(n, d, d)``.  Each estimate is
-    symmetric by construction (quadratic-form scalar times the symmetric
-    scaling matrix).
+    Each estimate is the draw's scaling matrix ``M(Delta)`` (from
+    :func:`~grdsa.perturb.scaling_matrix` or ``scaling_matrices``) times
+    its quadratic form.  One probe row with a ``(d, d)`` scaling gives a
+    ``(d, d)`` estimate, ``n`` rows with ``(n, d, d)`` give ``(n, d, d)``.
+    Each estimate is symmetric because its scaling matrix is.
     """
-    quads = _quads(values, delta, k1, k2)
-    if directions.ndim == 1:
-        return scaling_matrix(spec, directions, paper_literal_scaling) * quads
-    return scaling_matrices(spec, directions, paper_literal_scaling) * quads[:, None, None]
+    return scalers * _quads(values, delta, k1, k2)[..., None, None]
 
 
 def estimate_gradient(
@@ -161,7 +170,8 @@ def estimate_hessian(
         raise ValueError("a PerturbationSpec is required to unbias the estimate")
     n_shifts = hess_weights(k1, k2).size
     values = probe(oracle, theta, direction[None, :], delta, n_shifts)[0]
-    value = hessian_samples(values, direction, delta, k1, k2, spec, paper_literal_scaling)
+    scaler = scaling_matrix(spec, direction, paper_literal_scaling)
+    value = hessian_samples(values, scaler, delta, k1, k2)
     return HessianEstimate(
         value=value,
         measurements_used=n_shifts,
@@ -228,7 +238,8 @@ def batch_hessian(
 
     d = theta.size
     if return_samples:
-        samples = hessian_samples(values, directions, delta, k, k, spec, paper_literal_scaling)
+        scalers = scaling_matrices(spec, directions, paper_literal_scaling)
+        samples = hessian_samples(values, scalers, delta, k, k)
         mean = samples.mean(axis=0)
     else:
         samples = None
@@ -316,7 +327,7 @@ def hessian_deviation(
     n_shifts = hess_weights(k1, k2).size
     values = probe(BudgetedOracle(objective), theta, directions, delta, n_shifts)
     scalers = scaling_matrices(spec, directions, paper_literal_scaling)
-    estimates = scalers * _quads(values, delta, k1, k2)[:, None, None]
+    estimates = hessian_samples(values, scalers, delta, k1, k2)
 
     hess = np.asarray(objective.hessian(theta), dtype=float)
     if mode == "residual":

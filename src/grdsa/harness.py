@@ -87,26 +87,31 @@ def config_fingerprint(config: dict) -> str:
 
 # --- config assembly ------------------------------------------------------
 
+def _quadratic_objective(config: dict, dim: int) -> Objective:
+    spec = config.get("quadratic") or {}
+    if "matrix" in spec:
+        a = np.asarray(spec["matrix"], dtype=float)
+    else:
+        a = np.diag(np.asarray(spec.get("diag", np.ones(dim)), dtype=float))
+    b = np.asarray(spec["b"], dtype=float) if "b" in spec else None
+    return quadratic(a, b)
+
+
+#: objective name -> factory(config, dim)
+_OBJECTIVES = {
+    "rastrigin": lambda config, dim: rastrigin(dim),
+    "quadratic": _quadratic_objective,
+    "saddle": lambda config, dim: saddle_quartic(),
+    "quartic": lambda config, dim: quartic(dim),
+    "exp_sin": lambda config, dim: exp_sin(),
+}
+
+
 def make_objective(config: dict) -> Objective:
     name = config.get("objective", "rastrigin")
-    dim = int(config.get("dim", 2))
-    if name == "rastrigin":
-        return rastrigin(dim)
-    if name == "quadratic":
-        spec = config.get("quadratic") or {}
-        if "matrix" in spec:
-            a = np.asarray(spec["matrix"], dtype=float)
-        else:
-            a = np.diag(np.asarray(spec.get("diag", np.ones(dim)), dtype=float))
-        b = np.asarray(spec["b"], dtype=float) if "b" in spec else None
-        return quadratic(a, b)
-    if name == "saddle":
-        return saddle_quartic()
-    if name == "quartic":
-        return quartic(dim)
-    if name == "exp_sin":
-        return exp_sin()
-    raise ValueError(f"unknown objective {name!r}")
+    if name not in _OBJECTIVES:
+        raise ValueError(f"unknown objective {name!r}")
+    return _OBJECTIVES[name](config, int(config.get("dim", 2)))
 
 
 def make_noise(config: dict) -> LinearGaussianNoise | None:
@@ -407,14 +412,25 @@ def validate_config(config: dict) -> list[Finding]:
     """Schedule compliance, budget feasibility, and estimator-order checks.
 
     A null section counts as absent.  With a ``crzon`` section the order is
-    ``crzon.k`` and the budget must cover one CRZON outer step; otherwise
-    the order is ``estimator.k`` and the budget must cover one Newton
-    iteration.
+    ``crzon.k`` and the budget must cover one CRZON outer step (priced only
+    for a known objective); otherwise the order is ``estimator.k`` and the
+    budget must cover one Newton iteration.
     """
     findings = [
         replace(f, check=f"schedules.{f.check}")
         for f in validate_schedules(make_schedules(config))
     ]
+
+    name = config.get("objective", "rastrigin")
+    objective_known = name in _OBJECTIVES
+    findings.append(
+        Finding(
+            "objective.known",
+            "error",
+            objective_known,
+            f"objective must be one of {', '.join(_OBJECTIVES)}, got {name!r}",
+        )
+    )
 
     estimator = config.get("estimator") or {}
     crzon = config.get("crzon")
@@ -451,7 +467,7 @@ def validate_config(config: dict) -> list[Finding]:
     )
 
     budget = config.get("budget")
-    if budget is not None and 1 <= k <= MAX_ORDER:
+    if budget is not None and 1 <= k <= MAX_ORDER and (crzon is None or objective_known):
         if crzon is not None:
             cost = build_cubic_config(config).step_cost()
         else:

@@ -5,18 +5,22 @@ points along it, updates a running Hessian average on the faster timescale,
 and moves the iterate against the clamped-Newton direction on the slower
 one.  The gradient estimate reuses the first ``k+1`` Hessian measurements,
 so an iteration costs exactly ``2k+1`` evaluations.  The gradient-only
-baseline runs through the same driver with :func:`gradient_step`.
+baseline runs through the same driver without the Hessian.
+
+The driver draws what an iteration needs that does not depend on the
+iterate (directions, radii, probe offsets, scaling matrices) for a block
+of iterations at once; :func:`newton_step` and :func:`gradient_step` are
+the one-draw form of the same iteration.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import gradient_samples, hessian_samples, probe
+from .estimators import gradient_samples, hessian_samples, measure, ray_offsets
 from .oracle import (
     BudgetedOracle,
     BudgetTooSmall,
@@ -24,10 +28,13 @@ from .oracle import (
     Objective,
     parameter_error,
 )
-from .perturb import PerturbationSpec, gaussian
+from .perturb import PerturbationSpec, gaussian, scaling_matrices
 
 #: iterates start uniform in this coordinate range unless overridden
 INIT_RANGE = (2.0, 3.0)
+
+#: iterations whose iterate-independent inputs are drawn together
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -167,7 +174,9 @@ class Box:
             raise ValueError(f"empty box: [{self.lower}, {self.upper}]")
 
     def clip(self, theta: np.ndarray) -> np.ndarray:
-        return np.clip(theta, self.lower, self.upper)
+        # np.clip's values at half its call overhead; the bits match too
+        # unless a bound is zero, where a -0.0 iterate becomes +0.0
+        return np.minimum(np.maximum(theta, self.lower), self.upper)
 
 
 def theta_operator(h: np.ndarray, eps_pd: float = 0.1) -> np.ndarray:
@@ -191,10 +200,13 @@ def clamped_newton_direction(h: np.ndarray, g: np.ndarray, eps_pd: float = 0.1) 
     if not eps_pd > 0:
         raise ValueError(f"eps_pd must be > 0, got {eps_pd}")
     h = np.asarray(h, dtype=float)
-    sym = 0.5 * (h + h.T)
+    return _lifted_solve(0.5 * (h + h.T), g, eps_pd)
+
+
+def _lifted_solve(sym: np.ndarray, g: np.ndarray, eps_pd: float) -> np.ndarray:
+    """``V @ ((V.T @ g) / max(w, eps_pd))`` for the eigenpairs ``(w, V)`` of ``sym``."""
     eigval, eigvec = np.linalg.eigh(sym)
-    lifted = np.maximum(eigval, eps_pd)
-    return eigvec @ ((eigvec.T @ g) / lifted)
+    return eigvec @ ((eigvec.T @ g) / np.maximum(eigval, eps_pd))
 
 
 @dataclass
@@ -246,37 +258,123 @@ def iteration_cost(k: int, reuse: bool = True) -> int:
     return 2 * k + 1 if reuse else (2 * k + 1) + (k + 1)
 
 
+@dataclass(frozen=True)
+class _Draws:
+    """Iterate-independent inputs of consecutive iterations, one row each.
+
+    The direction stream feeds nothing else, so a block of iterations can
+    draw its directions, probe offsets and scaling matrices at once; the
+    iterations then only measure, reduce and move.
+    """
+
+    directions: np.ndarray  # (count, d)
+    offsets: np.ndarray  # (count, n_shifts, d): (delta(n)*s) * Delta_n
+    scalers: np.ndarray | None  # (count, d, d): M(Delta_n); Newton only
+    delta: list[float]
+    a: list[float]
+    b: list[float]
+
+
+def _draw(
+    cfg: NewtonConfig,
+    rng: np.random.Generator,
+    n: int,
+    count: int,
+    dim: int,
+    hessian: bool,
+) -> _Draws:
+    """Inputs of iterations ``n .. n+count-1``.
+
+    One bulk draw of ``count`` directions equals ``count`` successive
+    one-direction draws bit for bit, so the block size cannot change a run.
+    """
+    if hessian and not cfg.eps_pd > 0:
+        raise ValueError(f"eps_pd must be > 0, got {cfg.eps_pd}")
+    s = cfg.schedules
+    ns = range(n, n + count)
+    delta = [s.delta(i) for i in ns]
+    directions = cfg.perturbation.sample(rng, (count, dim))
+    n_shifts = 2 * cfg.k + 1 if hessian else cfg.k + 1
+    return _Draws(
+        directions=directions,
+        offsets=ray_offsets(directions, np.array(delta), n_shifts),
+        scalers=(
+            scaling_matrices(cfg.perturbation, directions, cfg.paper_literal_scaling)
+            if hessian
+            else None
+        ),
+        delta=delta,
+        a=[s.a(i) for i in ns],
+        b=[s.b(i) for i in ns] if hessian else [],
+    )
+
+
+def _newton_update(
+    theta: np.ndarray,
+    hbar: np.ndarray,
+    oracle: BudgetedOracle,
+    cfg: NewtonConfig,
+    draws: _Draws,
+    i: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Iteration ``i`` of ``draws``: the Hessian average moves first (fast
+    timescale), then the iterate moves against the clamped-Newton direction
+    (slow timescale) and is projected back into the box."""
+    k, delta = cfg.k, draws.delta[i]
+    values = measure(oracle, theta + draws.offsets[i])
+    hess = hessian_samples(values, draws.scalers[i], delta, k, k)
+    if not cfg.reuse:
+        values = measure(oracle, theta + draws.offsets[i, : k + 1])
+    grad = gradient_samples(values, draws.directions[i], delta, k, cfg.perturbation)
+
+    hbar = hbar + draws.b[i] * (hess - hbar)
+    hbar = 0.5 * (hbar + hbar.T)
+    # hbar is exactly symmetric, so it is its own symmetric part
+    step = _lifted_solve(hbar, grad, cfg.eps_pd)
+    return cfg.box.clip(theta - draws.a[i] * step), hbar
+
+
+def _gradient_update(
+    theta: np.ndarray,
+    hbar: np.ndarray,
+    oracle: BudgetedOracle,
+    cfg: NewtonConfig,
+    draws: _Draws,
+    i: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient-only iteration ``i`` of ``draws``; ``hbar`` passes through."""
+    values = measure(oracle, theta + draws.offsets[i])
+    grad = gradient_samples(values, draws.directions[i], draws.delta[i], cfg.k, cfg.perturbation)
+    return cfg.box.clip(theta - draws.a[i] * grad), hbar
+
+
+def _step(
+    state: NewtonState,
+    oracle: BudgetedOracle,
+    cfg: NewtonConfig,
+    rng: np.random.Generator,
+    hessian: bool,
+) -> NewtonState:
+    draws = _draw(cfg, rng, state.n, 1, state.theta.size, hessian)
+    update = _newton_update if hessian else _gradient_update
+    theta, hbar = update(state.theta, state.hbar, oracle, cfg, draws, 0)
+    return NewtonState(theta=theta, hbar=hbar, n=state.n + 1)
+
+
 def newton_step(
     state: NewtonState,
     oracle: BudgetedOracle,
     cfg: NewtonConfig,
     rng: np.random.Generator,
 ) -> NewtonState:
-    """Advance one iteration; on budget exhaustion the state is unchanged.
+    """Advance one Newton iteration of ``iteration_cost(k, reuse)`` evaluations.
 
-    The Hessian average moves first (fast timescale), then the iterate moves
-    against the clamped-Newton direction (slow timescale) and is projected
-    back into the box.
+    One probe of ``2k+1`` shifts feeds the Hessian and, with reuse, the
+    gradient (its first ``k+1`` shifts); without reuse the gradient reads a
+    second probe of ``k+1``.  This is the one-draw form of the iteration
+    :func:`run_newton` repeats.
     """
-    n = state.n
-    k = cfg.k
-    delta_n = cfg.schedules.delta(n)
-    direction = cfg.perturbation.sample(rng, state.theta.size)
-    rays = direction[None, :]
-
-    values = probe(oracle, state.theta, rays, delta_n, 2 * k + 1)[0]
-    hess = hessian_samples(
-        values, direction, delta_n, k, k, cfg.perturbation, cfg.paper_literal_scaling
-    )
-    if not cfg.reuse:
-        values = probe(oracle, state.theta, rays, delta_n, k + 1)[0]
-    grad = gradient_samples(values, direction, delta_n, k, cfg.perturbation)
-
-    hbar = state.hbar + cfg.schedules.b(n) * (hess - state.hbar)
-    hbar = 0.5 * (hbar + hbar.T)
-    step = clamped_newton_direction(hbar, grad, cfg.eps_pd)
-    theta = cfg.box.clip(state.theta - cfg.schedules.a(n) * step)
-    return NewtonState(theta=theta, hbar=hbar, n=n + 1)
+    return _step(state, oracle, cfg, rng, hessian=True)
 
 
 def gradient_step(
@@ -291,13 +389,7 @@ def gradient_step(
     the iterate moves against the gradient estimate and ``hbar`` is passed
     through unchanged.
     """
-    n = state.n
-    delta_n = cfg.schedules.delta(n)
-    direction = cfg.perturbation.sample(rng, state.theta.size)
-    values = probe(oracle, state.theta, direction[None, :], delta_n, cfg.k + 1)[0]
-    grad = gradient_samples(values, direction, delta_n, cfg.k, cfg.perturbation)
-    theta = cfg.box.clip(state.theta - cfg.schedules.a(n) * grad)
-    return NewtonState(theta=theta, hbar=state.hbar, n=n + 1)
+    return _step(state, oracle, cfg, rng, hessian=False)
 
 
 def _spawn_streams(seed: int, n: int) -> list[np.random.Generator]:
@@ -315,15 +407,14 @@ def _initial_theta(cfg_theta0: np.ndarray | None, dim: int, init_rng: np.random.
     return init_rng.uniform(INIT_RANGE[0], INIT_RANGE[1], dim)
 
 
-def _run(
-    cfg: NewtonConfig, algorithm: str, step: Callable[..., NewtonState], cost: int
-) -> RunRecord:
-    """Apply ``step`` (``cost`` evaluations each) until the budget runs out."""
+def _run(cfg: NewtonConfig, hessian: bool) -> RunRecord:
+    """Run ``budget // cost`` iterations, drawing their inputs ``_BLOCK`` at a time."""
     start = time.perf_counter()
     if cfg.k < 1:
         raise ValueError(f"k must be >= 1, got {cfg.k}")
     if cfg.record_stride < 1:
         raise ValueError(f"record_stride must be >= 1, got {cfg.record_stride}")
+    cost = iteration_cost(cfg.k, cfg.reuse) if hessian else cfg.k + 1
     if cfg.budget < cost:
         raise BudgetTooSmall(
             f"budget {cfg.budget} cannot afford one iteration ({cost} evaluations)"
@@ -333,22 +424,32 @@ def _run(
     init_rng, perturb_rng, noise_rng = _spawn_streams(cfg.seed, 3)
     theta0 = _initial_theta(cfg.theta0, dim, init_rng)
     oracle = BudgetedOracle(cfg.objective, cfg.noise, cfg.budget, noise_rng)
+    update = _newton_update if hessian else _gradient_update
 
-    state = NewtonState(theta=theta0.copy(), hbar=np.eye(dim), n=1)
-    snapshots = [theta0.copy()]
-    while oracle.remaining >= cost:
-        state = step(state, oracle, cfg, perturb_rng)
-        if (state.n - 1) % cfg.record_stride == 0:
-            snapshots.append(state.theta.copy())
-    iterations = state.n - 1
-    if iterations % cfg.record_stride != 0:
-        snapshots.append(state.theta.copy())
+    # every iteration costs exactly `cost`, so the count is known up front;
+    # snapshots: the start, every stride-th iterate, and an unaligned last one
+    iterations = cfg.budget // cost
+    stride = cfg.record_stride
+    trajectory = np.empty((1 + -(-iterations // stride), dim))
+    trajectory[0] = theta0
+    row = 1
+    theta, hbar = theta0, np.eye(dim)
+    for n in range(1, iterations + 1, _BLOCK):
+        count = min(_BLOCK, iterations + 1 - n)
+        draws = _draw(cfg, perturb_rng, n, count, dim, hessian)
+        for i in range(count):
+            theta, hbar = update(theta, hbar, oracle, cfg, draws, i)
+            if (n + i) % stride == 0:
+                trajectory[row] = theta
+                row += 1
+    if iterations % stride != 0:
+        trajectory[row] = theta
 
     error = None
     if cfg.objective.optimum is not None:
-        error = parameter_error(state.theta, theta0, cfg.objective.optimum)
+        error = parameter_error(theta, theta0, cfg.objective.optimum)
     return RunRecord(
-        algorithm=algorithm,
+        algorithm="newton" if hessian else "gradient_only",
         seed=cfg.seed,
         k=cfg.k,
         dim=dim,
@@ -356,16 +457,16 @@ def _run(
         iterations=iterations,
         evals_used=oracle.evals_used,
         theta_init=theta0,
-        theta_final=state.theta.copy(),
+        theta_final=theta.copy(),
         final_parameter_error=error,
-        trajectory=np.asarray(snapshots),
+        trajectory=trajectory,
         wall_time_s=time.perf_counter() - start,
     )
 
 
 def run_newton(cfg: NewtonConfig) -> RunRecord:
     """Run until the next iteration no longer fits in the budget."""
-    return _run(cfg, "newton", newton_step, iteration_cost(cfg.k, cfg.reuse))
+    return _run(cfg, hessian=True)
 
 
 def run_first_order(cfg: NewtonConfig) -> RunRecord:
@@ -373,4 +474,4 @@ def run_first_order(cfg: NewtonConfig) -> RunRecord:
 
     Each iteration costs ``k+1`` evaluations.
     """
-    return _run(cfg, "gradient_only", gradient_step, cfg.k + 1)
+    return _run(cfg, hessian=False)

@@ -37,6 +37,19 @@ TABLE_GOLDEN = {
     (False, "G2R-3"): ("0x1.a615e55e865f5p+1", 600),
 }
 
+#: (method, dim) -> (final_parameter_error.hex(), evals_used); the
+#: benchmark's newton-table cells (rastrigin, budget 5000), seed 0.  Late in
+#: these runs the dynamics are chaotic, so a last-bit change anywhere in an
+#: iteration moves the final error by O(10) and shows here.
+BENCHMARK_TABLE_GOLDEN = {
+    ("GSF-5", 5): ("0x1.bba027a9791f1p+0", 5000),
+    ("GSF-5", 10): ("0x1.07ae460daf6f2p+1", 5000),
+    ("G2SF-3", 5): ("0x1.4125831fb8826p+0", 4998),
+    ("G2SF-3", 10): ("0x1.42d850f8a773bp-1", 4998),
+    ("G2SF-9", 5): ("0x1.234e5928ef7afp+1", 4995),
+    ("G2SF-9", 10): ("0x1.cea0521444d23p+0", 4995),
+}
+
 #: (m, b, k, seed, reuse) -> (evals_used, r_index, sha256 of theta_r bytes)
 CRZON_GOLDEN = {
     (6, 4, 2, 1, True): (
@@ -117,6 +130,24 @@ def test_table_bits(reuse):
         for row in result.rows
     }
     assert got == {key: val for key, val in TABLE_GOLDEN.items() if key[0] == reuse}
+
+
+def test_benchmark_table_bits():
+    result = run_table(
+        {
+            "objective": "rastrigin",
+            "methods": ["GSF-5", "G2SF-3", "G2SF-9"],
+            "dims": [5, 10],
+            "budgets": [5000],
+            "seeds": 1,
+            "seed_base": 0,
+        }
+    )
+    got = {
+        (row.method, row.dim): (row.final_parameter_error.hex(), row.evals_used)
+        for row in result.rows
+    }
+    assert got == BENCHMARK_TABLE_GOLDEN
 
 
 @pytest.mark.parametrize("key", sorted(CRZON_GOLDEN), ids=str)

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import grdsa.harness as harness_mod
 from grdsa.harness import (
     TableRow,
     aggregate_rows,
@@ -214,6 +215,36 @@ class TestRunTable:
         errors = [row.final_parameter_error for row in run_table(config).rows]
         assert [row.final_parameter_error for row in rows] == errors
 
+    def test_nonfinite_seed_is_an_error_row(self, monkeypatch):
+        # NaN beyond x0 = 4.5: some runs probe there, others never do
+        config = dict(QUAD_CONFIG, methods=["G2SF-3", "GSF-2"], budgets=[90], seeds=8)
+        clean = {(r.method, r.seed): r for r in run_table(config).rows}
+        real = harness_mod.make_objective
+
+        def holed(cfg):
+            objective = real(cfg)
+
+            def value(x):
+                x = np.asarray(x, dtype=float)
+                return np.where(x[..., 0] > 4.5, np.nan, objective.value(x))
+
+            return replace(objective, value=value)
+
+        monkeypatch.setattr(harness_mod, "make_objective", holed)
+        rows = run_table(config).rows
+        assert len(rows) == 16
+        for method in ("G2SF-3", "GSF-2"):
+            statuses = {r.status for r in rows if r.method == method}
+            assert statuses == {"ok", "error"}
+        for row in rows:
+            if row.status == "error":
+                assert row.message.startswith("NonFiniteEvaluation:")
+                assert row.final_parameter_error is None and row.evals_used == 0
+            else:
+                ref = clean[(row.method, row.seed)]
+                assert row.final_parameter_error.hex() == ref.final_parameter_error.hex()
+                assert (row.iterations, row.evals_used) == (ref.iterations, ref.evals_used)
+
 
 class TestAggregateRows:
     @staticmethod
@@ -337,7 +368,7 @@ class TestRunBiasSweep:
 class TestValidateConfig:
     def test_default_config_passes_with_one_warning(self):
         findings = validate_config({})
-        assert len(findings) == 10
+        assert len(findings) == 11
         assert not has_errors(findings)
         warned = failed_warnings(findings)
         assert [f.check for f in warned] == ["schedules.b_delta_square_summable"]
@@ -426,6 +457,28 @@ class TestValidateConfig:
         exact = dict(config, budget=cost)
         assert not has_errors(validate_config(exact))
         assert run_crzon(build_cubic_config(exact)).evals_used == cost
+
+    @pytest.mark.parametrize("crzon", [None, {"k": 1}], ids=["newton", "crzon"])
+    def test_unknown_objective_is_an_error(self, crzon):
+        config = {"objective": "rosenbrock", "budget": 100}
+        if crzon is not None:
+            config["crzon"] = crzon
+        findings = validate_config(config)
+        finding = next(f for f in findings if f.check == "objective.known")
+        assert not finding.ok and finding.severity == "error"
+        assert "'rosenbrock'" in finding.message
+        assert has_errors(findings)
+        # a Newton iteration is priced without the objective; a CRZON step is not
+        priced = any(f.check == "budget.covers_one_iteration" for f in findings)
+        assert priced == (crzon is None)
+        with pytest.raises(ValueError, match="unknown objective"):
+            build_newton_config(config)
+
+    def test_known_objectives_pass(self):
+        for name in ("rastrigin", "quadratic", "saddle", "quartic", "exp_sin"):
+            findings = validate_config({"objective": name, "budget": 100})
+            assert next(f for f in findings if f.check == "objective.known").ok
+            make_objective({"objective": name})
 
     def test_schedule_findings_prefixed(self):
         findings = validate_config({"schedules": {"a0": -1.0}})

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grdsa.newton as newton_mod
+from grdsa.estimators import NonFiniteEvaluation
 from grdsa.newton import (
+    _BLOCK,
     INIT_RANGE,
     Box,
     NewtonConfig,
@@ -23,7 +27,15 @@ from grdsa.newton import (
     theta_operator,
     validate_schedules,
 )
-from grdsa.oracle import BudgetedOracle, BudgetTooSmall, exp_sin, quadratic
+from grdsa.oracle import (
+    BudgetedOracle,
+    BudgetTooSmall,
+    LinearGaussianNoise,
+    exp_sin,
+    quadratic,
+    rastrigin,
+)
+from grdsa.perturb import gaussian, uniform
 
 QUAD = quadratic(np.diag([2.0, 4.0]))
 
@@ -184,19 +196,18 @@ class TestIterationCost:
 
 @pytest.fixture
 def patched(monkeypatch):
-    """Replace both reductions with deterministic stubs; record probes."""
+    """Replace both reductions with deterministic stubs; record measurements."""
     htilde = np.array([[5.0, 1.0], [0.0, 2.0]])  # deliberately asymmetric
     g0 = np.array([0.6, -0.3])
     calls = {"probes": []}
-    real_probe = newton_mod.probe
+    real_measure = newton_mod.measure
 
-    def spy_probe(oracle, theta, directions, delta, n_shifts):
-        values = real_probe(oracle, theta, directions, delta, n_shifts)
-        calls["probes"].append((n_shifts, values))
+    def spy_measure(oracle, points):
+        values = real_measure(oracle, points)
+        calls["probes"].append((len(points), values))
         return values
 
-    def fake_hessian(values, directions, delta, k1, k2, spec,
-                     paper_literal_scaling=False):
+    def fake_hessian(values, scalers, delta, k1, k2):
         calls["hess_delta"] = delta
         return htilde.copy()
 
@@ -205,7 +216,7 @@ def patched(monkeypatch):
         calls["grad_delta"] = delta
         return g0.copy()
 
-    monkeypatch.setattr(newton_mod, "probe", spy_probe)
+    monkeypatch.setattr(newton_mod, "measure", spy_measure)
     monkeypatch.setattr(newton_mod, "hessian_samples", fake_hessian)
     monkeypatch.setattr(newton_mod, "gradient_samples", fake_gradient)
     return htilde, g0, calls
@@ -243,14 +254,14 @@ class TestNewtonStep:
         assert state.n == 3
 
     def test_reuse_passes_gradient_shift_prefix(self, patched):
-        # one probe of 2k+1 shifts; the gradient reads its row
+        # one probe of 2k+1 shifts; the gradient reads its values
         _, _, calls = patched
         cfg = NewtonConfig(objective=QUAD, budget=100, k=2, seed=0, reuse=True)
         state = NewtonState(theta=np.zeros(2), hbar=np.eye(2), n=1)
         oracle = BudgetedOracle(QUAD)
         newton_step(state, oracle, cfg, np.random.default_rng(0))
         assert [n for n, _ in calls["probes"]] == [5]
-        assert np.array_equal(calls["grad_values"], calls["probes"][0][1][0])
+        assert np.array_equal(calls["grad_values"], calls["probes"][0][1])
         assert oracle.evals_used == 5
 
     def test_no_reuse_passes_nothing(self, patched):
@@ -261,7 +272,7 @@ class TestNewtonStep:
         oracle = BudgetedOracle(QUAD)
         newton_step(state, oracle, cfg, np.random.default_rng(0))
         assert [n for n, _ in calls["probes"]] == [5, 3]
-        assert np.array_equal(calls["grad_values"], calls["probes"][1][1][0])
+        assert np.array_equal(calls["grad_values"], calls["probes"][1][1])
         assert oracle.evals_used == 8
 
 
@@ -277,7 +288,7 @@ class TestGradientStep:
         out = gradient_step(state, oracle, cfg, np.random.default_rng(0))
 
         assert [n for n, _ in calls["probes"]] == [k + 1]
-        assert np.array_equal(calls["grad_values"], calls["probes"][0][1][0])
+        assert np.array_equal(calls["grad_values"], calls["probes"][0][1])
         assert calls["grad_delta"] == cfg.schedules.delta(1)
         expected = cfg.box.clip(theta0 - cfg.schedules.a(1) * g0)
         assert np.array_equal(out.theta, expected)
@@ -287,6 +298,73 @@ class TestGradientStep:
         assert out.n == 2
         assert oracle.evals_used == k + 1
         assert "hess_delta" not in calls
+
+
+class TestDriverIsTheStepLoop:
+    """``run_newton`` / ``run_first_order`` draw their inputs a block at a
+    time; a hand loop of the one-draw steps must give the same bits."""
+
+    @pytest.mark.parametrize("iterations", [5, _BLOCK, _BLOCK + 7])
+    @pytest.mark.parametrize("sigma", [0.0, 0.01])
+    @pytest.mark.parametrize("spec", [gaussian(), uniform(1.0)], ids=["gaussian", "uniform"])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "hessian,reuse", [(True, True), (True, False), (False, True)],
+        ids=["newton-reuse", "newton-fresh", "gradient"],
+    )
+    def test_same_trajectory_bits(self, hessian, reuse, k, spec, sigma, iterations):
+        cost = iteration_cost(k, reuse) if hessian else k + 1
+        cfg = NewtonConfig(
+            objective=rastrigin(3),
+            budget=iterations * cost + cost - 1,
+            k=k,
+            noise=LinearGaussianNoise(sigma),
+            perturbation=spec,
+            reuse=reuse,
+            seed=7,
+        )
+        rec = (run_newton if hessian else run_first_order)(cfg)
+
+        init_rng, perturb_rng, noise_rng = newton_mod._spawn_streams(cfg.seed, 3)
+        theta0 = init_rng.uniform(INIT_RANGE[0], INIT_RANGE[1], 3)
+        oracle = BudgetedOracle(cfg.objective, cfg.noise, cfg.budget, noise_rng)
+        state = NewtonState(theta=theta0.copy(), hbar=np.eye(3), n=1)
+        snapshots = [theta0.copy()]
+        step = newton_step if hessian else gradient_step
+        while oracle.remaining >= cost:
+            state = step(state, oracle, cfg, perturb_rng)
+            snapshots.append(state.theta.copy())
+
+        assert rec.iterations == state.n - 1 == iterations
+        assert rec.evals_used == oracle.evals_used == iterations * cost
+        assert rec.trajectory.tobytes() == np.asarray(snapshots).tobytes()
+        assert rec.theta_final.tobytes() == state.theta.tobytes()
+
+
+class TestNonFiniteMidBlock:
+    def test_raises_at_the_failing_call(self, monkeypatch):
+        # the objective turns NaN on one call in the middle of the second block
+        bad_call = _BLOCK + _BLOCK // 2
+        seen = {"calls": 0}
+
+        def value(x):
+            seen["calls"] += 1
+            out = QUAD.value(x)
+            return out * np.nan if seen["calls"] == bad_call else out
+
+        oracles = []
+
+        class RecordingOracle(BudgetedOracle):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                oracles.append(self)
+
+        monkeypatch.setattr(newton_mod, "BudgetedOracle", RecordingOracle)
+        objective = replace(QUAD, value=value)
+        with pytest.raises(NonFiniteEvaluation):
+            run_newton(NewtonConfig(objective=objective, budget=3000, k=1, seed=0))
+        assert seen["calls"] == bad_call
+        assert oracles[0].evals_used == bad_call * iteration_cost(1)
 
 
 class TestRunNewton:
@@ -366,6 +444,8 @@ class TestRunNewton:
             run_newton(NewtonConfig(objective=QUAD, budget=30, k=1, record_stride=0))
         with pytest.raises(ValueError, match="record_stride"):
             run_first_order(NewtonConfig(objective=QUAD, budget=30, k=1, record_stride=0))
+        with pytest.raises(ValueError, match="eps_pd"):
+            run_newton(NewtonConfig(objective=QUAD, budget=30, k=1, eps_pd=0.0))
 
     def test_error_none_without_known_optimum(self):
         rec = run_newton(NewtonConfig(objective=exp_sin(), budget=9, k=1, seed=0))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from grdsa.newton import _BLOCK
 from grdsa.perturb import (
     GAUSSIAN,
     UNIFORM,
@@ -53,6 +54,17 @@ class TestSpec:
         rng = np.random.default_rng(0)
         assert gaussian().sample(rng, 5).shape == (5,)
         assert uniform(1.0).sample(rng, (3, 4)).shape == (3, 4)
+
+    @pytest.mark.parametrize("spec", [gaussian(), uniform(0.7)], ids=["gaussian", "uniform"])
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 5])
+    def test_block_draw_equals_successive_draws(self, spec, n):
+        # the Newton driver draws a block of directions at once; a run must
+        # not depend on the block size
+        d = 5
+        block = spec.sample(np.random.default_rng(11), (n, d))
+        rng = np.random.default_rng(11)
+        rows = np.array([spec.sample(rng, d) for _ in range(n)])
+        assert block.tobytes() == rows.tobytes()
 
     def test_uniform_support(self):
         x = uniform(0.7).sample(np.random.default_rng(1), 10000)
