@@ -10,7 +10,6 @@ import numpy as np
 
 from . import harness
 from .cubic import run_crzon
-from .newton import run_first_order, run_newton
 from .stencils import (
     MAX_ORDER,
     all_identities_pass,
@@ -88,12 +87,12 @@ def _cmd_stencil_verify(args: argparse.Namespace) -> int:
 
 def _cmd_newton_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    base = int(config.get("seed_base", 0))
-    records = []
-    for seed in range(base, base + args.seeds):
-        cfg = harness.build_newton_config(config, seed=seed)
-        runner = run_first_order if config.get("algorithm") == "gradient_only" else run_newton
-        records.append(runner(cfg))
+    run = harness.runner(harness.setting(config, "algorithm"))
+    base = harness.setting(config, "seed_base")
+    records = [
+        run(harness.build_newton_config(config, seed=seed))
+        for seed in range(base, base + args.seeds)
+    ]
     harness.write_newton_csv(args.out, records)
     errors = [r.final_parameter_error for r in records if r.final_parameter_error is not None]
     if errors:
@@ -108,11 +107,11 @@ def _cmd_newton_run(args: argparse.Namespace) -> int:
 
 def _cmd_crzon_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    base = int(config.get("seed_base", 0))
-    reports = []
-    for seed in range(base, base + args.seeds):
-        cfg = harness.build_cubic_config(config, seed=seed)
-        reports.append(run_crzon(cfg))
+    base = harness.setting(config, "seed_base")
+    reports = [
+        run_crzon(harness.build_cubic_config(config, seed=seed))
+        for seed in range(base, base + args.seeds)
+    ]
     harness.write_crzon_csv(args.out, reports)
     lam = [r.lambda_min_at_r for r in reports]
     print(

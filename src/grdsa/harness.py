@@ -9,11 +9,15 @@ wall-time column aside.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
+import inspect
+import itertools
 import json
 import re
 import time
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Iterator, Mapping
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -85,16 +89,171 @@ def config_fingerprint(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+# --- config schema --------------------------------------------------------
+
+_array = functools.partial(np.asarray, dtype=float)
+
+
+def _list_of(kind: Callable) -> Callable:
+    return lambda values: [kind(v) for v in values]
+
+
+@dataclass(frozen=True)
+class Key:
+    """One known config key: how its value is read and what it sets.
+
+    A key with ``targets`` sets their parameter ``field`` (the key's last
+    part unless named) and takes its default from the first target.  Only
+    a key with no target carries a ``default`` of its own.
+    """
+
+    kind: Callable
+    targets: tuple = ()
+    field: str = ""
+    default: object = None
+
+
+#: the parameters of one run, Newton or CRZON (``from_epsilon`` passes them on)
+_RUN = (NewtonConfig, cubic_mod.CubicConfig, cubic_mod.from_epsilon)
+
+#: every known config key, by dotted path
+KEYS = {
+    path: replace(key, field=key.field or path.rpartition(".")[2])
+    for path, key in {
+        # the problem
+        "objective": Key(str, default="rastrigin"),
+        "dim": Key(int, default=2),
+        "quadratic.diag": Key(_array),
+        "quadratic.matrix": Key(_array),
+        "quadratic.b": Key(_array),
+        "noise.sigma": Key(float, default=0.0),
+        "perturb.family": Key(str, default="gaussian"),
+        "perturb.eta": Key(float, (uniform,)),
+        # one run
+        "budget": Key(int, _RUN),
+        "seed": Key(int, _RUN),
+        "theta0": Key(_array, _RUN),
+        "estimator.reuse": Key(bool, _RUN),
+        "estimator.paper_literal_scaling": Key(bool, _RUN),
+        "estimator.k": Key(int, (NewtonConfig,)),
+        "eps_pd": Key(float, (NewtonConfig,)),
+        "record_stride": Key(int, (NewtonConfig,)),
+        "algorithm": Key(str, default="newton"),
+        "schedules.a0": Key(float, (Schedules,)),
+        "schedules.A": Key(float, (Schedules,), "big_a"),
+        "schedules.alpha": Key(float, (Schedules,)),
+        "schedules.b0": Key(float, (Schedules,)),
+        "schedules.B": Key(float, (Schedules,), "big_b"),
+        "schedules.beta": Key(float, (Schedules,)),
+        "schedules.delta0": Key(float, (Schedules,)),
+        "schedules.gamma": Key(float, (Schedules,)),
+        "box.lower": Key(float, (Box,)),
+        "box.upper": Key(float, (Box,)),
+        "crzon.k": Key(int, (cubic_mod.CubicConfig, cubic_mod.from_epsilon)),
+        "crzon.N": Key(int, (cubic_mod.CubicConfig,), "n_steps"),
+        "crzon.m": Key(int, (cubic_mod.CubicConfig,)),
+        "crzon.b": Key(int, (cubic_mod.CubicConfig,)),
+        "crzon.delta": Key(float, (cubic_mod.CubicConfig,)),
+        "crzon.alpha": Key(float, (cubic_mod.CubicConfig,)),
+        "crzon.epsilon": Key(float, (cubic_mod.from_epsilon,)),
+        "crzon.n_prefactor": Key(float, (cubic_mod.from_epsilon,)),
+        "crzon.m_prefactor": Key(float, (cubic_mod.from_epsilon,)),
+        "crzon.b_prefactor": Key(float, (cubic_mod.from_epsilon,)),
+        "crzon.delta_prefactor": Key(float, (cubic_mod.from_epsilon,)),
+        # run_table; dims and budgets default to [dim] and [budget]
+        "methods": Key(list, default=("G2SF-3",)),
+        "dims": Key(_list_of(int)),
+        "budgets": Key(_list_of(int)),
+        "seeds": Key(int, default=1),
+        "seed_base": Key(int, default=0),
+        # run_bias_sweep; k overrides k1, and k2 defaults to k1
+        "estimator_kind": Key(str, default="hessian"),
+        "k": Key(int),
+        "k1": Key(int, default=1),
+        "k2": Key(int),
+        "mode": Key(str, default="residual"),
+        "theta": Key(_array),
+        "deltas": Key(_list_of(float), default=(0.4, 0.2, 0.1, 0.05)),
+        "samples": Key(int, default=100_000),
+    }.items()
+}
+
+_SECTIONS = {path.rpartition(".")[0] for path in KEYS} - {""}
+
+
+@functools.cache
+def _parameters(target) -> Mapping[str, inspect.Parameter]:
+    return inspect.signature(target).parameters
+
+
+def _lookup(config: dict, path: str):
+    """The raw value at dotted ``path``; a null section or value is None."""
+    node = config
+    for name in path.split("."):
+        node = (node or {}).get(name)
+    return node
+
+
+def setting(config: dict, path: str, default=None):
+    """The known key ``path`` of ``config``, converted to its type.
+
+    An absent key gives ``default`` if one is passed, else the key's own
+    default: the table's, or that of the parameter it sets in its first
+    target (None for a required parameter).
+    """
+    key = KEYS[path]
+    value = _lookup(config, path)
+    if value is None:
+        value = _default(key) if default is None else default
+    return None if value is None else key.kind(value)
+
+
+def _default(key: Key):
+    if not key.targets:
+        return key.default
+    param = _parameters(key.targets[0])[key.field]
+    return None if param.default is param.empty else param.default
+
+
+def _arguments(config: dict, target, **given) -> dict:
+    """Keyword arguments for ``target``: the keys ``config`` sets, then ``given``.
+
+    Absent keys are left out, so ``target`` applies its own defaults; an
+    absent key for a required parameter raises ``KeyError``.  A ``given``
+    value of None is skipped.
+    """
+    params = _parameters(target)
+    kwargs = {}
+    for path, key in KEYS.items():
+        if target not in key.targets:
+            continue
+        value = _lookup(config, path)
+        if value is not None:
+            kwargs[key.field] = key.kind(value)
+        elif key.field in params and params[key.field].default is inspect.Parameter.empty:
+            raise KeyError(path)
+    kwargs.update((name, value) for name, value in given.items() if value is not None)
+    return kwargs
+
+
+def _unknown_keys(config: dict, prefix: str = "") -> Iterator[str]:
+    """Dotted paths of ``config`` that are not in :data:`KEYS`."""
+    for name, value in config.items():
+        path = prefix + name
+        if path in _SECTIONS:
+            if isinstance(value, dict):
+                yield from _unknown_keys(value, path + ".")
+        elif path not in KEYS:
+            yield path
+
+
 # --- config assembly ------------------------------------------------------
 
 def _quadratic_objective(config: dict, dim: int) -> Objective:
-    spec = config.get("quadratic") or {}
-    if "matrix" in spec:
-        a = np.asarray(spec["matrix"], dtype=float)
-    else:
-        a = np.diag(np.asarray(spec.get("diag", np.ones(dim)), dtype=float))
-    b = np.asarray(spec["b"], dtype=float) if "b" in spec else None
-    return quadratic(a, b)
+    a = setting(config, "quadratic.matrix")
+    if a is None:
+        a = np.diag(setting(config, "quadratic.diag", np.ones(dim)))
+    return quadratic(a, setting(config, "quadratic.b"))
 
 
 #: objective name -> factory(config, dim)
@@ -108,106 +267,64 @@ _OBJECTIVES = {
 
 
 def make_objective(config: dict) -> Objective:
-    name = config.get("objective", "rastrigin")
+    name = setting(config, "objective")
     if name not in _OBJECTIVES:
-        raise ValueError(f"unknown objective {name!r}")
-    return _OBJECTIVES[name](config, int(config.get("dim", 2)))
+        raise ValueError(f"unknown objective {name!r} (one of {', '.join(_OBJECTIVES)})")
+    return _OBJECTIVES[name](config, setting(config, "dim"))
 
 
 def make_noise(config: dict) -> LinearGaussianNoise | None:
-    noise = config.get("noise")
-    if noise is None:
-        return None
-    sigma = float(noise.get("sigma", 0.0))
-    if sigma == 0.0:
-        return None
-    return LinearGaussianNoise(sigma)
+    sigma = setting(config, "noise.sigma")
+    return None if sigma == 0.0 else LinearGaussianNoise(sigma)
 
 
 def make_perturbation(config: dict) -> PerturbationSpec:
-    spec = config.get("perturb") or {}
-    family = spec.get("family", "gaussian")
+    family = setting(config, "perturb.family")
     if family == "gaussian":
         return gaussian()
     if family == "uniform":
-        return uniform(float(spec.get("eta", 1.0)))
+        return uniform(**_arguments(config, uniform))
     raise ValueError(f"unknown perturbation family {family!r}")
 
 
 def make_schedules(config: dict) -> Schedules:
-    sched = config.get("schedules") or {}
-    return Schedules(
-        a0=float(sched.get("a0", 0.9)),
-        big_a=float(sched.get("A", 20.0)),
-        alpha=float(sched.get("alpha", 0.9)),
-        b0=float(sched.get("b0", 0.9)),
-        big_b=float(sched.get("B", 10.0)),
-        beta=float(sched.get("beta", 0.56)),
-        delta0=float(sched.get("delta0", 0.9)),
-        gamma=float(sched.get("gamma", 0.16667)),
-    )
+    return Schedules(**_arguments(config, Schedules))
 
 
 def make_box(config: dict) -> Box:
-    box = config.get("box") or {}
-    return Box(lower=float(box.get("lower", -5.12)), upper=float(box.get("upper", 5.12)))
+    return Box(**_arguments(config, Box))
 
 
 def build_newton_config(config: dict, seed: int | None = None) -> NewtonConfig:
-    estimator = config.get("estimator") or {}
-    theta0 = config.get("theta0")
     return NewtonConfig(
         objective=make_objective(config),
-        budget=int(config["budget"]),
-        k=int(estimator.get("k", 1)),
         noise=make_noise(config),
         perturbation=make_perturbation(config),
         schedules=make_schedules(config),
         box=make_box(config),
-        eps_pd=float(config.get("eps_pd", 0.1)),
-        reuse=bool(estimator.get("reuse", True)),
-        paper_literal_scaling=bool(estimator.get("paper_literal_scaling", False)),
-        seed=int(config.get("seed", 0)) if seed is None else seed,
-        theta0=None if theta0 is None else np.asarray(theta0, dtype=float),
-        record_stride=int(config.get("record_stride", 1)),
+        **_arguments(config, NewtonConfig, seed=seed),
     )
 
 
 def build_cubic_config(config: dict, seed: int | None = None) -> cubic_mod.CubicConfig:
-    objective = make_objective(config)
-    section = config.get("crzon") or {}
-    estimator = config.get("estimator") or {}
-    theta0 = config.get("theta0")
-    common = dict(
+    """A :class:`CubicConfig`, sized by ``from_epsilon`` when ``crzon.epsilon`` is set."""
+    build = cubic_mod.CubicConfig
+    if setting(config, "crzon.epsilon") is not None:
+        build = cubic_mod.from_epsilon
+    return build(
+        objective=make_objective(config),
         noise=make_noise(config),
         perturbation=make_perturbation(config),
-        seed=int(config.get("seed", 0)) if seed is None else seed,
-        theta0=None if theta0 is None else np.asarray(theta0, dtype=float),
-        budget=config.get("budget"),
-        reuse=bool(estimator.get("reuse", False)),
-        paper_literal_scaling=bool(estimator.get("paper_literal_scaling", False)),
+        **_arguments(config, build, seed=seed),
     )
-    if section.get("epsilon") is not None:
-        return cubic_mod.from_epsilon(
-            objective,
-            float(section["epsilon"]),
-            k=int(section.get("k", 1)),
-            n_prefactor=float(section.get("n_prefactor", 1.0)),
-            m_prefactor=float(section.get("m_prefactor", 1.0)),
-            b_prefactor=float(section.get("b_prefactor", 1.0)),
-            delta_prefactor=float(section.get("delta_prefactor", 1.0)),
-            **common,
-        )
-    return cubic_mod.CubicConfig(
-        objective=objective,
-        k=int(section.get("k", 1)),
-        n_steps=int(section.get("N", 30)),
-        m=int(section.get("m", 200)),
-        b=int(section.get("b", 400)),
-        delta=float(section.get("delta", 0.1)),
-        alpha=section.get("alpha"),
-        **common,
-    )
+
+
+def runner(algorithm: str) -> Callable[[NewtonConfig], RunRecord]:
+    """The run an ``algorithm`` value selects."""
+    runners = {"newton": run_newton, "gradient_only": run_first_order}
+    if algorithm not in runners:
+        raise ValueError(f"algorithm must be one of {', '.join(runners)}, got {algorithm!r}")
+    return runners[algorithm]
 
 
 # --- benchmark table ------------------------------------------------------
@@ -248,86 +365,50 @@ class TableResult:
 def run_table(config: dict) -> TableResult:
     """Run every method x dim x budget x seed cell; failures don't abort."""
     fingerprint = config_fingerprint(config)
-    methods = [method_spec(name) for name in config.get("methods", ["G2SF-3"])]
-    dims = [int(d) for d in config.get("dims", [config.get("dim", 2)])]
-    budgets = [int(b) for b in config.get("budgets", [config.get("budget", 1000)])]
-    n_seeds = int(config.get("seeds", 1))
-    seed_base = int(config.get("seed_base", 0))
+    methods = [method_spec(name) for name in setting(config, "methods")]
+    dims = setting(config, "dims", [setting(config, "dim")])
+    budgets = setting(config, "budgets", [setting(config, "budget", 1000)])
+    seed_base = setting(config, "seed_base")
+    seeds = range(seed_base, seed_base + setting(config, "seeds"))
 
     rows: list[TableRow] = []
-    for method in methods:
-        for dim in dims:
-            for budget in budgets:
-                for seed in range(seed_base, seed_base + n_seeds):
-                    sub = dict(config)
-                    sub["dim"] = dim
-                    sub["budget"] = budget
-                    sub["estimator"] = dict(config.get("estimator") or {}, k=method.k)
-                    sub["perturb"] = dict(
-                        config.get("perturb") or {}, family=method.family
-                    )
-                    start = time.perf_counter()
-                    try:
-                        cfg = build_newton_config(sub, seed=seed)
-                        runner = run_newton if method.algorithm == "newton" else run_first_order
-                        record = runner(cfg)
-                        rows.append(
-                            TableRow(
-                                fingerprint=fingerprint,
-                                method=method.name,
-                                dim=dim,
-                                budget=budget,
-                                seed=seed,
-                                k=method.k,
-                                iterations=record.iterations,
-                                final_parameter_error=record.final_parameter_error,
-                                evals_used=record.evals_used,
-                                status="ok",
-                                message="",
-                                wall_time_s=record.wall_time_s,
-                            )
-                        )
-                    except Exception as exc:  # mark the cell, keep sweeping
-                        rows.append(
-                            TableRow(
-                                fingerprint=fingerprint,
-                                method=method.name,
-                                dim=dim,
-                                budget=budget,
-                                seed=seed,
-                                k=method.k,
-                                iterations=0,
-                                final_parameter_error=None,
-                                evals_used=0,
-                                status="error",
-                                message=f"{type(exc).__name__}: {exc}",
-                                wall_time_s=time.perf_counter() - start,
-                            )
-                        )
+    for method, dim, budget, seed in itertools.product(methods, dims, budgets, seeds):
+        sub = dict(config, dim=dim, budget=budget)
+        sub["estimator"] = dict(_lookup(config, "estimator") or {}, k=method.k)
+        sub["perturb"] = dict(_lookup(config, "perturb") or {}, family=method.family)
+        start = time.perf_counter()
+        try:
+            record = runner(method.algorithm)(build_newton_config(sub, seed=seed))
+            outcome = dict(
+                iterations=record.iterations,
+                final_parameter_error=record.final_parameter_error,
+                evals_used=record.evals_used,
+                status="ok",
+                message="",
+                wall_time_s=record.wall_time_s,
+            )
+        except Exception as exc:  # mark the cell, keep sweeping
+            outcome = dict(
+                iterations=0,
+                final_parameter_error=None,
+                evals_used=0,
+                status="error",
+                message=f"{type(exc).__name__}: {exc}",
+                wall_time_s=time.perf_counter() - start,
+            )
+        rows.append(TableRow(fingerprint, method.name, dim, budget, seed, method.k, **outcome))
     return TableResult(rows=rows, cells=aggregate_rows(rows))
 
 
 def aggregate_rows(rows: list[TableRow]) -> list[TableCell]:
     """Mean and sample standard deviation (ddof=1) per table cell."""
-    cells: list[TableCell] = []
-    seen: list[tuple[str, int, int]] = []
+    groups: dict[tuple[str, int, int], list[TableRow]] = {}
     for row in rows:
-        key = (row.method, row.dim, row.budget)
-        if key not in seen:
-            seen.append(key)
-    for method, dim, budget in seen:
-        errs = [
-            r.final_parameter_error
-            for r in rows
-            if (r.method, r.dim, r.budget) == (method, dim, budget)
-            and r.status == "ok"
-            and r.final_parameter_error is not None
-        ]
-        evals = [
-            r.evals_used
-            for r in rows
-            if (r.method, r.dim, r.budget) == (method, dim, budget) and r.status == "ok"
-        ]
+        groups.setdefault((row.method, row.dim, row.budget), []).append(row)
+    cells: list[TableCell] = []
+    for (method, dim, budget), group in groups.items():
+        ok = [r for r in group if r.status == "ok"]
+        errs = [r.final_parameter_error for r in ok if r.final_parameter_error is not None]
         if errs:
             arr = np.asarray(errs)
             mean = float(arr.mean())
@@ -343,7 +424,7 @@ def aggregate_rows(rows: list[TableRow]) -> list[TableCell]:
                 n_ok=len(errs),
                 mean_error=mean,
                 sd_error=sd,
-                mean_evals=float(np.mean(evals)) if evals else float("nan"),
+                mean_evals=float(np.mean([r.evals_used for r in ok])) if ok else float("nan"),
             )
         )
     return cells
@@ -371,14 +452,14 @@ def run_bias_sweep(config: dict) -> BiasSweepResult:
     """
     objective = make_objective(config)
     spec = make_perturbation(config)
-    estimator = config.get("estimator_kind", "hessian")
-    k1 = int(config.get("k", config.get("k1", 1)))
-    k2 = int(config["k2"]) if "k2" in config else None
-    mode = config.get("mode", "residual")
-    theta = np.asarray(config.get("theta", np.ones(objective.dim)), dtype=float)
-    deltas = [float(d) for d in config.get("deltas", [0.4, 0.2, 0.1, 0.05])]
-    samples = int(config.get("samples", 100_000))
-    seed = int(config.get("seed", 0))
+    estimator = setting(config, "estimator_kind")
+    k1 = setting(config, "k", setting(config, "k1"))
+    k2 = setting(config, "k2")
+    mode = setting(config, "mode")
+    theta = setting(config, "theta", np.ones(objective.dim))
+    deltas = setting(config, "deltas")
+    samples = setting(config, "samples")
+    seed = setting(config, "seed")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     directions = spec.sample(rng, (samples, objective.dim))
@@ -409,87 +490,66 @@ def run_bias_sweep(config: dict) -> BiasSweepResult:
 # --- config validation ----------------------------------------------------
 
 def validate_config(config: dict) -> list[Finding]:
-    """Schedule compliance, budget feasibility, and estimator-order checks.
+    """Schedule compliance, budget feasibility, estimator order, unknown keys.
 
-    A null section counts as absent.  With a ``crzon`` section the order is
-    ``crzon.k`` and the budget must cover one CRZON outer step (priced only
-    for a known objective); otherwise the order is ``estimator.k`` and the
-    budget must cover one Newton iteration.
+    With a ``crzon`` section the order is ``crzon.k`` and the budget must
+    cover one CRZON outer step (priced only if the objective can be built);
+    otherwise the order is ``estimator.k`` and the budget must cover one
+    Newton iteration.  Each key not in :data:`KEYS` adds one warning.
     """
     findings = [
         replace(f, check=f"schedules.{f.check}")
         for f in validate_schedules(make_schedules(config))
     ]
 
-    name = config.get("objective", "rastrigin")
-    objective_known = name in _OBJECTIVES
-    findings.append(
-        Finding(
-            "objective.known",
-            "error",
-            objective_known,
-            f"objective must be one of {', '.join(_OBJECTIVES)}, got {name!r}",
-        )
+    def error(check: str, ok: bool, message: str) -> None:
+        findings.append(Finding(check, "error", ok, message))
+
+    try:
+        make_objective(config)
+        problem = ""
+    except ValueError as exc:
+        problem = str(exc)
+    name = setting(config, "objective")
+    error("objective.known", not problem, problem or f"objective {name!r} can be built")
+
+    crzon = _lookup(config, "crzon") is not None
+    k = setting(config, "crzon.k" if crzon else "estimator.k")
+    error(
+        "estimator.order_supported",
+        1 <= k <= MAX_ORDER,
+        f"truncation order k must be in 1..{MAX_ORDER}, got {k}",
     )
 
-    estimator = config.get("estimator") or {}
-    crzon = config.get("crzon")
-    k = int(crzon.get("k", 1) if crzon is not None else estimator.get("k", 1))
-    findings.append(
-        Finding(
-            "estimator.order_supported",
-            "error",
-            1 <= k <= MAX_ORDER,
-            f"truncation order k must be in 1..{MAX_ORDER}, got {k}",
-        )
+    lower, upper = setting(config, "box.lower"), setting(config, "box.upper")
+    error("box.nonempty", lower < upper, f"projection box [{lower}, {upper}] must be nonempty")
+
+    family = setting(config, "perturb.family")
+    error(
+        "perturb.family_known",
+        family in ("gaussian", "uniform"),
+        f"perturbation family must be gaussian or uniform, got {family!r}",
     )
 
-    box = config.get("box") or {}
-    lower = float(box.get("lower", -5.12))
-    upper = float(box.get("upper", 5.12))
-    findings.append(
-        Finding(
-            "box.nonempty",
-            "error",
-            lower < upper,
-            f"projection box [{lower}, {upper}] must be nonempty",
-        )
-    )
+    budget = setting(config, "budget")
+    if budget is not None and 1 <= k <= MAX_ORDER and not (crzon and problem):
+        try:
+            if crzon:
+                cost = build_cubic_config(config).step_cost()
+            else:
+                cost = iteration_cost(k, setting(config, "estimator.reuse"))
+            ok, message = budget >= cost, f"budget {budget} vs per-iteration cost {cost}"
+        except (ValueError, ArithmeticError) as exc:
+            ok, message = False, f"one CRZON step cannot be sized: {exc}"
+        error("budget.covers_one_iteration", ok, message)
 
-    family = (config.get("perturb") or {}).get("family", "gaussian")
-    findings.append(
-        Finding(
-            "perturb.family_known",
-            "error",
-            family in ("gaussian", "uniform"),
-            f"perturbation family must be gaussian or uniform, got {family!r}",
-        )
-    )
+    sigma = setting(config, "noise.sigma")
+    error("noise.sigma_nonnegative", sigma >= 0.0, f"noise sigma must be >= 0, got {sigma}")
 
-    budget = config.get("budget")
-    if budget is not None and 1 <= k <= MAX_ORDER and (crzon is None or objective_known):
-        if crzon is not None:
-            cost = build_cubic_config(config).step_cost()
-        else:
-            cost = iteration_cost(k, bool(estimator.get("reuse", True)))
+    for path in _unknown_keys(config):
         findings.append(
-            Finding(
-                "budget.covers_one_iteration",
-                "error",
-                int(budget) >= cost,
-                f"budget {budget} vs per-iteration cost {cost}",
-            )
+            Finding("config.unknown_key", "warning", False, f"unknown key {path!r} is ignored")
         )
-
-    sigma = (config.get("noise") or {}).get("sigma", 0.0)
-    findings.append(
-        Finding(
-            "noise.sigma_nonnegative",
-            "error",
-            float(sigma) >= 0.0,
-            f"noise sigma must be >= 0, got {sigma}",
-        )
-    )
     return findings
 
 
@@ -511,117 +571,56 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_newton_csv(path: str, records: list[RunRecord]) -> None:
-    """One row per run: seed, k, budget, iterations, error, evals."""
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """``header``, then one line per row of values, formatted by :func:`_fmt`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["seed", "k", "budget", "iterations", "final_parameter_error", "evals_used"]
-        )
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.seed,
-                    rec.k,
-                    rec.budget,
-                    rec.iterations,
-                    _fmt(rec.final_parameter_error),
-                    rec.evals_used,
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
+
+
+def _columns(items, names: list[str]):
+    """Rows of the attributes ``names`` of each item."""
+    return ([getattr(item, name) for name in names] for item in items)
+
+
+def write_newton_csv(path: str, records: list[RunRecord]) -> None:
+    """One row per run: seed, k, budget, iterations, error, evals."""
+    names = ["seed", "k", "budget", "iterations", "final_parameter_error", "evals_used"]
+    _write_csv(path, names, _columns(records, names))
 
 
 def write_crzon_csv(path: str, reports: list[cubic_mod.SospReport]) -> None:
     """One row per run with the random-iterate diagnostics."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "seed", "k", "epsilon", "N", "m", "b", "delta",
-                "evals_used", "grad_norm_at_R", "lambda_min_at_R",
-            ]
-        )
-        for rep in reports:
-            writer.writerow(
-                [
-                    rep.seed,
-                    rep.k,
-                    _fmt(rep.epsilon),
-                    rep.n_steps,
-                    rep.m,
-                    rep.b,
-                    _fmt(rep.delta),
-                    rep.evals_used,
-                    _fmt(rep.grad_norm_at_r),
-                    _fmt(rep.lambda_min_at_r),
-                ]
-            )
+    header = [
+        "seed", "k", "epsilon", "N", "m", "b", "delta",
+        "evals_used", "grad_norm_at_R", "lambda_min_at_R",
+    ]
+    names = [
+        "seed", "k", "epsilon", "n_steps", "m", "b", "delta",
+        "evals_used", "grad_norm_at_r", "lambda_min_at_r",
+    ]
+    _write_csv(path, header, _columns(reports, names))
 
 
 def write_table_csv(path: str, result: TableResult) -> None:
     """Per-run rows; wall-time sits in the last column so byte comparisons
     can strip it."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "fingerprint", "method", "dim", "budget", "seed", "k",
-                "iterations", "final_parameter_error", "evals_used",
-                "status", "message", "wall_time_s",
-            ]
-        )
-        for row in result.rows:
-            writer.writerow(
-                [
-                    row.fingerprint,
-                    row.method,
-                    row.dim,
-                    row.budget,
-                    row.seed,
-                    row.k,
-                    row.iterations,
-                    _fmt(row.final_parameter_error),
-                    row.evals_used,
-                    row.status,
-                    row.message,
-                    _fmt(row.wall_time_s),
-                ]
-            )
+    names = [f.name for f in fields(TableRow)]
+    _write_csv(path, names, _columns(result.rows, names))
 
 
 def write_summary_csv(path: str, result: TableResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["method", "dim", "budget", "n_ok", "mean_error", "sd_error", "mean_evals"]
-        )
-        for cell in result.cells:
-            writer.writerow(
-                [
-                    cell.method,
-                    cell.dim,
-                    cell.budget,
-                    cell.n_ok,
-                    _fmt(cell.mean_error),
-                    _fmt(cell.sd_error),
-                    _fmt(cell.mean_evals),
-                ]
-            )
+    names = [f.name for f in fields(TableCell)]
+    _write_csv(path, names, _columns(result.cells, names))
 
 
 def write_bias_sweep_csv(path: str, result: BiasSweepResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["estimator", "k1", "k2", "mode", "delta", "deviation", "slope"])
-        for delta, dev in zip(result.deltas, result.deviations):
-            writer.writerow(
-                [
-                    result.estimator,
-                    result.k1,
-                    result.k2,
-                    result.mode,
-                    _fmt(delta),
-                    _fmt(dev),
-                    _fmt(result.slope),
-                ]
-            )
+    _write_csv(
+        path,
+        ["estimator", "k1", "k2", "mode", "delta", "deviation", "slope"],
+        (
+            [result.estimator, result.k1, result.k2, result.mode, delta, dev, result.slope]
+            for delta, dev in zip(result.deltas, result.deviations)
+        ),
+    )

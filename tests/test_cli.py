@@ -92,6 +92,13 @@ class TestNewtonRun:
         rows = read_csv(out)
         assert rows[1][3] == "30"  # 2 evals per iteration instead of 3
 
+    def test_unknown_algorithm_raises(self, tmp_path):
+        config = write_config(tmp_path, dict(QUAD, algorithm="gradient-only"))
+        out = tmp_path / "runs.csv"
+        with pytest.raises(ValueError, match="newton, gradient_only.*'gradient-only'"):
+            main(["newton", "run", "--config", config, "--seeds", "1", "--out", str(out)])
+        assert not out.exists()
+
     def test_seed_base_respected(self, tmp_path, capsys):
         config = write_config(tmp_path, dict(QUAD, seed_base=10))
         out = tmp_path / "runs.csv"
@@ -208,3 +215,11 @@ class TestConfigValidate:
         assert main(["config", "validate", config]) == 0
         printed = capsys.readouterr().out
         assert printed.rstrip().endswith("config ok")
+
+    def test_misspelled_section_warns(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"budget": 100, "schedule": {"a0": -1.0}})
+        assert main(["config", "validate", config]) == 0
+        printed = capsys.readouterr().out
+        warned = [line for line in printed.splitlines() if line.startswith("[WARN ]")]
+        assert any("config.unknown_key" in line and "'schedule'" in line for line in warned)
+        assert "config ok (2 warnings)" in printed

@@ -474,6 +474,23 @@ class TestValidateConfig:
         with pytest.raises(ValueError, match="unknown objective"):
             build_newton_config(config)
 
+    @pytest.mark.parametrize("crzon", [None, {}], ids=["newton", "crzon"])
+    def test_objective_that_cannot_be_built_is_an_error(self, crzon):
+        # a known name, but every run of this config raises
+        config = {"objective": "rastrigin", "dim": 0, "budget": 100}
+        if crzon is not None:
+            config["crzon"] = crzon
+        findings = validate_config(config)
+        finding = next(f for f in findings if f.check == "objective.known")
+        assert not finding.ok and finding.message == "dim must be >= 1, got 0"
+        assert has_errors(findings)
+        # as for an unknown name, a CRZON step is not priced without the objective
+        priced = any(f.check == "budget.covers_one_iteration" for f in findings)
+        assert priced == (crzon is None)
+        assert len(findings) == (12 if crzon is None else 11)
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            build_newton_config(config)
+
     def test_known_objectives_pass(self):
         for name in ("rastrigin", "quadratic", "saddle", "quartic", "exp_sin"):
             findings = validate_config({"objective": name, "budget": 100})
