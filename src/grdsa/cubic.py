@@ -15,15 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import (
-    GradientEstimate,
-    HessianEstimate,
-    batch_gradient,
-    batch_hessian,
-    gradient_samples,
-    hessian_samples,
-    probe,
-)
+from .estimators import batch_gradient, batch_hessian, gradient_samples, hessian_mean, probe
 from .newton import _initial_theta, _spawn_streams
 from .oracle import (
     BudgetedOracle,
@@ -31,7 +23,7 @@ from .oracle import (
     LinearGaussianNoise,
     Objective,
 )
-from .perturb import PerturbationSpec, gaussian, scaling_matrices
+from .perturb import PerturbationSpec, gaussian
 
 #: regularizer floor used when the objective has a vanishing third derivative
 ALPHA_FLOOR = 1e-3
@@ -253,62 +245,29 @@ def crzon_step(
     """One outer step: batch estimates, exact model minimization, move."""
     theta = np.asarray(theta, dtype=float)
     hess, grad = _batched_estimates(theta, oracle, cfg, rng)
-    sol = solve_cubic_subproblem(grad.value, hess.value, cfg.alpha_value())
+    sol = solve_cubic_subproblem(grad, hess, cfg.alpha_value())
     return theta + sol.step, sol
 
 
 def _batched_estimates(theta, oracle, cfg, rng):
-    """Hessian batch, then gradient batch (shared draws when reusing)."""
+    """Hessian batch mean, then gradient batch mean (shared draws when reusing)."""
+    spec, k, delta = cfg.perturbation, cfg.k, cfg.delta
     if not cfg.reuse:
-        hess = batch_hessian(
-            oracle, theta, cfg.delta, cfg.k, cfg.b, cfg.perturbation, rng,
-            cfg.paper_literal_scaling,
-        )
-        grad = batch_gradient(
-            oracle, theta, cfg.delta, cfg.k, cfg.m, cfg.perturbation, rng
-        )
-        return hess, grad
+        hess = batch_hessian(oracle, theta, delta, k, cfg.b, spec, rng, cfg.paper_literal_scaling)
+        return hess.value, batch_gradient(oracle, theta, delta, k, cfg.m, spec, rng).value
 
     # Reuse: the first min(m, b) gradient draws read the Hessian batch's
     # shift-0..k measurements instead of buying their own.
-    shared = min(cfg.m, cfg.b)
-    directions = cfg.perturbation.sample(rng, (cfg.b, theta.size))
-    values = probe(oracle, theta, directions, cfg.delta, 2 * cfg.k + 1)
-
-    hess = HessianEstimate(
-        value=hessian_samples(
-            values,
-            scaling_matrices(cfg.perturbation, directions, cfg.paper_literal_scaling),
-            cfg.delta, cfg.k, cfg.k,
-        ).mean(axis=0),
-        measurements_used=cfg.b * (2 * cfg.k + 1),
-        k1=cfg.k,
-        k2=cfg.k,
-        delta=cfg.delta,
-    )
-
-    samples = [
-        gradient_samples(
-            values[:shared], directions[:shared], cfg.delta, cfg.k, cfg.perturbation
+    directions = spec.sample(rng, (cfg.b, theta.size))
+    values = probe(oracle, theta, directions, delta, 2 * k + 1)
+    hess = hessian_mean(values, directions, delta, k, k, spec, cfg.paper_literal_scaling)
+    samples = gradient_samples(values[: cfg.m], directions[: cfg.m], delta, k, spec)
+    if cfg.m > cfg.b:
+        _, fresh = batch_gradient(
+            oracle, theta, delta, k, cfg.m - cfg.b, spec, rng, return_samples=True
         )
-    ]
-    extra = cfg.m - shared
-    fresh_used = 0
-    if extra > 0:
-        fresh = batch_gradient(
-            oracle, theta, cfg.delta, cfg.k, extra, cfg.perturbation, rng,
-            return_samples=True,
-        )
-        samples.append(fresh[1])
-        fresh_used = fresh[0].measurements_used
-    stacked = np.concatenate(samples, axis=0)
-    grad = GradientEstimate(
-        value=stacked.mean(axis=0),
-        measurements_used=fresh_used,
-        k=cfg.k,
-        delta=cfg.delta,
-    )
-    return hess, grad
+        samples = np.concatenate([samples, fresh])
+    return hess, samples.mean(axis=0)
 
 
 @dataclass

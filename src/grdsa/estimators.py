@@ -17,9 +17,11 @@ import numpy as np
 from .oracle import BudgetedOracle, Objective
 from .perturb import (
     PerturbationSpec,
+    apply_scaling,
     gradient_unbias_factor,
     scaling_matrices,
     scaling_matrix,
+    scaling_norms,
 )
 from .stencils import grad_weights, hess_weights
 
@@ -133,6 +135,25 @@ def hessian_samples(
     return scalers * _quads(values, delta, k1, k2)[..., None, None]
 
 
+def hessian_mean(
+    values: np.ndarray,
+    directions: np.ndarray,
+    delta: float,
+    k1: int,
+    k2: int | None,
+    spec: PerturbationSpec,
+    paper_literal_scaling: bool = False,
+) -> np.ndarray:
+    """Mean of the one-draw Hessian estimates of a probe matrix in ``O(d**2)`` memory.
+
+    The mean of ``M(Delta_i) q_i`` is ``M`` applied to the quadratic-form
+    weighted outer-product mean, so no ``(n, d, d)`` stack is built.
+    """
+    quads = _quads(values, delta, k1, k2)
+    outer_mean = directions.T @ (directions * quads[:, None]) / len(directions)
+    return apply_scaling(spec, outer_mean, quads.mean(), paper_literal_scaling)
+
+
 def estimate_gradient(
     oracle: BudgetedOracle,
     theta: np.ndarray,
@@ -227,42 +248,24 @@ def batch_hessian(
 ) -> HessianEstimate | tuple[HessianEstimate, np.ndarray]:
     """Average of ``b`` independent one-draw Hessian estimates (order ``k``).
 
-    Without ``return_samples`` the average is formed in ``O(d**2)`` memory
-    instead of stacking ``b`` matrices.
+    The average is formed in ``O(d**2)`` memory; only ``return_samples``
+    stacks the ``b`` matrices.
     """
     theta = np.asarray(theta, dtype=float)
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
     directions = spec.sample(rng, (b, theta.size))
     values = probe(oracle, theta, directions, delta, 2 * k + 1)
-
-    d = theta.size
-    if return_samples:
-        scalers = scaling_matrices(spec, directions, paper_literal_scaling)
-        samples = hessian_samples(values, scalers, delta, k, k)
-        mean = samples.mean(axis=0)
-    else:
-        samples = None
-        quads = _quads(values, delta, k, k)
-        outer_mean = directions.T @ (directions * quads[:, None]) / b
-        quad_mean = quads.mean()
-        if paper_literal_scaling:
-            mean = outer_mean - quad_mean * np.eye(d)
-        else:
-            mu2, mu4 = spec.mu2, spec.mu4
-            mean = outer_mean / (2.0 * mu2**2)
-            idx = np.arange(d)
-            mean[idx, idx] = (np.diagonal(outer_mean) - mu2 * quad_mean) / (mu4 - mu2**2)
-
     estimate = HessianEstimate(
-        value=mean,
+        value=hessian_mean(values, directions, delta, k, k, spec, paper_literal_scaling),
         measurements_used=b * (2 * k + 1),
         k1=k,
         k2=k,
         delta=delta,
     )
     if return_samples:
-        return estimate, samples
+        scalers = scaling_matrices(spec, directions, paper_literal_scaling)
+        return estimate, hessian_samples(values, scalers, delta, k, k)
     return estimate
 
 
@@ -326,16 +329,16 @@ def hessian_deviation(
     directions = np.asarray(directions, dtype=float)
     n_shifts = hess_weights(k1, k2).size
     values = probe(BudgetedOracle(objective), theta, directions, delta, n_shifts)
-    scalers = scaling_matrices(spec, directions, paper_literal_scaling)
-    estimates = hessian_samples(values, scalers, delta, k1, k2)
 
     hess = np.asarray(objective.hessian(theta), dtype=float)
     if mode == "residual":
+        # |M(Delta) q - M(Delta) q*|_F = |q - q*| |M(Delta)|_F
         lead_quads = np.einsum("ni,ij,nj->n", directions, hess, directions)
-        leading = scalers * lead_quads[:, None, None]
-        return float(np.linalg.norm((estimates - leading).reshape(len(directions), -1), axis=1).mean())
+        gaps = np.abs(_quads(values, delta, k1, k2) - lead_quads)
+        return float((gaps * scaling_norms(spec, directions, paper_literal_scaling)).mean())
     if mode == "mean_bias":
-        return float(np.linalg.norm(estimates.mean(axis=0) - hess))
+        mean = hessian_mean(values, directions, delta, k1, k2, spec, paper_literal_scaling)
+        return float(np.linalg.norm(mean - hess))
     raise ValueError(f"unknown mode {mode!r}")
 
 

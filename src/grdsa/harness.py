@@ -490,7 +490,7 @@ def run_bias_sweep(config: dict) -> BiasSweepResult:
 # --- config validation ----------------------------------------------------
 
 def validate_config(config: dict) -> list[Finding]:
-    """Schedule compliance, budget feasibility, estimator order, unknown keys.
+    """Schedule compliance, known names, budget feasibility, estimator order, unknown keys.
 
     With a ``crzon`` section the order is ``crzon.k`` and the budget must
     cover one CRZON outer step (priced only if the objective can be built);
@@ -505,13 +505,25 @@ def validate_config(config: dict) -> list[Finding]:
     def error(check: str, ok: bool, message: str) -> None:
         findings.append(Finding(check, "error", ok, message))
 
-    try:
-        make_objective(config)
-        problem = ""
-    except ValueError as exc:
-        problem = str(exc)
-    name = setting(config, "objective")
-    error("objective.known", not problem, problem or f"objective {name!r} can be built")
+    def builds(check: str, build: Callable[[], object], message: str) -> str:
+        try:
+            build()
+            problem = ""
+        except (ValueError, TypeError) as exc:
+            problem = str(exc)
+        error(check, not problem, problem or message)
+        return problem
+
+    name, algorithm = setting(config, "objective"), setting(config, "algorithm")
+    problem = builds(
+        "objective.known", lambda: make_objective(config), f"objective {name!r} can be built"
+    )
+    builds("algorithm.known", lambda: runner(algorithm), f"algorithm {algorithm!r} is known")
+    builds(
+        "methods.known",
+        lambda: [method_spec(m) for m in setting(config, "methods")],
+        "every method name is known",
+    )
 
     crzon = _lookup(config, "crzon") is not None
     k = setting(config, "crzon.k" if crzon else "estimator.k")

@@ -62,35 +62,66 @@ def gradient_unbias_factor(spec: PerturbationSpec) -> float:
     return 1.0 / spec.mu2
 
 
+def _form(spec: PerturbationSpec, paper_literal_scaling: bool) -> tuple[float, float, float]:
+    """``(off, shift, diag)``: ``M(Delta)`` is ``Delta_i Delta_j / off`` off the
+    diagonal and ``(Delta_i**2 - shift) / diag`` on it.
+
+    The moment-matched form (``2 mu2**2, mu2, mu4 - mu2**2``) satisfies
+    ``E[M(Delta) (Delta^T H Delta)] = H`` for any symmetric ``H``; for the
+    standard Gaussian it is ``(Delta Delta^T - I) / 2``.  With
+    ``paper_literal_scaling`` it is the unhalved ``Delta Delta^T - I``,
+    whose expectation on a quadratic is twice the true Hessian, which the
+    switch exists to demonstrate.
+    """
+    if paper_literal_scaling:
+        return 1.0, 1.0, 1.0
+    mu2 = spec.mu2
+    return 2.0 * mu2**2, mu2, spec.mu4 - mu2**2
+
+
+def apply_scaling(
+    spec: PerturbationSpec,
+    outer_mean: np.ndarray,
+    weight_mean: float | np.ndarray,
+    paper_literal_scaling: bool = False,
+) -> np.ndarray:
+    """``sum_i w_i M(Delta_i) / n`` from ``outer_mean = sum_i w_i Delta_i Delta_i^T / n``
+    ``(..., d, d)`` and ``weight_mean = sum_i w_i / n`` ``(...)``, over any
+    leading axes; one draw with ``w = 1`` gives ``M(Delta)`` itself.
+    """
+    off, shift, diag = _form(spec, paper_literal_scaling)
+    m = outer_mean / off
+    idx = np.arange(m.shape[-1])
+    weight = np.asarray(weight_mean)[..., None]
+    m[..., idx, idx] = (outer_mean[..., idx, idx] - shift * weight) / diag
+    return m
+
+
+def scaling_norms(
+    spec: PerturbationSpec,
+    directions: np.ndarray,
+    paper_literal_scaling: bool = False,
+) -> np.ndarray:
+    """``|M(Delta)|_F`` per ``(..., d)`` direction in ``O(d)``: the entries off the
+    diagonal square-sum to ``(sum Delta_i**2)**2 - sum Delta_i**4`` over
+    ``off**2``, those on it to ``sum (Delta_i**2 - shift)**2`` over ``diag**2``.
+    """
+    off, shift, diag = _form(spec, paper_literal_scaling)
+    squares = directions**2
+    cross = squares.sum(axis=-1) ** 2 - (squares**2).sum(axis=-1)
+    return np.sqrt(cross / off**2 + ((squares - shift) ** 2).sum(axis=-1) / diag**2)
+
+
 def scaling_matrix(
     spec: PerturbationSpec,
     direction: np.ndarray,
     paper_literal_scaling: bool = False,
 ) -> np.ndarray:
-    """Matrix ``M(Delta)`` multiplying the second-difference quadratic form.
-
-    The moment-matched form satisfies ``E[M(Delta) (Delta^T H Delta)] = H``
-    for any symmetric ``H``:
-
-    - off-diagonal: ``Delta_i Delta_j / (2 mu2**2)``
-    - diagonal:     ``(Delta_i**2 - mu2) / (mu4 - mu2**2)``
-
-    For the standard Gaussian this reduces to ``(Delta Delta^T - I) / 2``.
-    With ``paper_literal_scaling`` the unhalved ``Delta Delta^T - I`` is
-    returned instead; on a quadratic its expectation is twice the true
-    Hessian, which the switch exists to demonstrate.
-    """
+    """Matrix ``M(Delta)`` multiplying the second-difference quadratic form."""
     direction = np.asarray(direction, dtype=float)
     if direction.ndim != 1:
         raise ValueError(f"direction must be 1-D, got shape {direction.shape}")
-    outer = np.outer(direction, direction)
-    if paper_literal_scaling:
-        return outer - np.eye(direction.size)
-    mu2, mu4 = spec.mu2, spec.mu4
-    m = outer / (2.0 * mu2**2)
-    idx = np.arange(direction.size)
-    m[idx, idx] = (direction**2 - mu2) / (mu4 - mu2**2)
-    return m
+    return apply_scaling(spec, np.outer(direction, direction), 1.0, paper_literal_scaling)
 
 
 def scaling_matrices(
@@ -102,12 +133,5 @@ def scaling_matrices(
     directions = np.asarray(directions, dtype=float)
     if directions.ndim != 2:
         raise ValueError(f"directions must be 2-D, got shape {directions.shape}")
-    n, d = directions.shape
     outer = directions[:, :, None] * directions[:, None, :]
-    if paper_literal_scaling:
-        return outer - np.eye(d)[None, :, :]
-    mu2, mu4 = spec.mu2, spec.mu4
-    m = outer / (2.0 * mu2**2)
-    idx = np.arange(d)
-    m[:, idx, idx] = (directions**2 - mu2) / (mu4 - mu2**2)
-    return m
+    return apply_scaling(spec, outer, 1.0, paper_literal_scaling)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,21 +11,24 @@ import pytest
 from grdsa.cubic import (
     ALPHA_FLOOR,
     CubicConfig,
+    _batched_estimates,
     crzon_step,
     cubic_model_value,
     from_epsilon,
     run_crzon,
     solve_cubic_subproblem,
 )
-from grdsa.estimators import NonFiniteEvaluation
+from grdsa.estimators import NonFiniteEvaluation, batch_hessian
 from grdsa.oracle import (
     BudgetedOracle,
     BudgetTooSmall,
     Objective,
     quadratic,
     quartic,
+    rastrigin,
     saddle_quartic,
 )
+from grdsa.perturb import gaussian, uniform
 
 A = np.array([[2.0, 0.5], [0.5, 4.0]])
 B = np.array([0.3, -0.2])
@@ -212,6 +216,38 @@ class TestCrzonStep:
             assert sol.stationarity <= 1e-6
         d0 = np.linalg.norm(np.array([2.0, 2.0]) - opt)
         assert np.linalg.norm(theta - opt) < d0 / 4.0
+
+    @pytest.mark.parametrize("literal", [False, True], ids=["matched", "literal"])
+    @pytest.mark.parametrize("spec", [gaussian(), uniform(1.5)], ids=["gaussian", "uniform"])
+    def test_reuse_hessian_is_batch_hessian(self, spec, literal):
+        # the reuse path averages its Hessian draws through the same call
+        cfg = CubicConfig(
+            objective=quartic(3), k=2, m=40, b=32, delta=0.1, alpha=2.0,
+            perturbation=spec, reuse=True, paper_literal_scaling=literal,
+        )
+        theta = np.array([0.5, -0.3, 0.8])
+        hess, _ = _batched_estimates(
+            theta, BudgetedOracle(cfg.objective), cfg, np.random.default_rng(3)
+        )
+        expected = batch_hessian(
+            BudgetedOracle(cfg.objective), theta, cfg.delta, cfg.k, cfg.b, spec,
+            np.random.default_rng(3), literal,
+        )
+        assert np.array_equal(hess, expected.value)
+
+    def test_reuse_step_builds_no_scaling_stack(self):
+        d, b = 50, 1024
+        cfg = CubicConfig(
+            objective=rastrigin(d), k=1, m=b, b=b, delta=0.1, alpha=2.0, reuse=True
+        )
+        oracle, rng = BudgetedOracle(cfg.objective), np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            crzon_step(np.full(d, 0.5), oracle, cfg, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < b * d * d * 8  # one (b, d, d) float64 array
 
 
 class TestRunCrzon:

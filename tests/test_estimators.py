@@ -15,10 +15,12 @@ from grdsa.estimators import (
     gradient_deviation,
     gradient_samples,
     hessian_deviation,
+    hessian_samples,
     probe,
 )
 from grdsa.oracle import BudgetedOracle, BudgetExhausted, Objective, quadratic, quartic
-from grdsa.perturb import gaussian, scaling_matrix, uniform
+from grdsa.perturb import gaussian, scaling_matrices, scaling_matrix, uniform
+from grdsa.stencils import hess_weights
 
 A = np.array([[2.0, 0.5], [0.5, 4.0]])
 B = np.array([0.3, -0.2])
@@ -326,6 +328,29 @@ class TestDeviations:
         ]
         slope = fit_loglog_slope(self.DELTAS, np.array(devs))
         assert slope < 1.5
+
+    @pytest.mark.parametrize("literal", [False, True], ids=["matched", "literal"])
+    @pytest.mark.parametrize("spec", [gaussian(), uniform(1.5)], ids=["gaussian", "uniform"])
+    def test_hessian_deviation_matches_stacked_reference(self, spec, literal):
+        # the sweep builds no M(Delta) per draw; the reference stacks them
+        obj = quartic(3)
+        theta = np.array([0.9, -1.1, 0.4])
+        dirs = spec.sample(np.random.default_rng(21), (500, 3))
+        k1, k2, delta = 2, 1, 0.3
+        values = probe(BudgetedOracle(obj), theta, dirs, delta, hess_weights(k1, k2).size)
+        scalers = scaling_matrices(spec, dirs, literal)
+        estimates = hessian_samples(values, scalers, delta, k1, k2)
+        hess = obj.hessian(theta)
+        leading = scalers * np.einsum("ni,ij,nj->n", dirs, hess, dirs)[:, None, None]
+        expected = [
+            np.linalg.norm(estimates - leading, axis=(1, 2)).mean(),
+            np.linalg.norm(estimates.mean(axis=0) - hess),
+        ]
+        got = [
+            hessian_deviation(obj, theta, delta, k1, k2, spec, dirs, mode, literal)
+            for mode in ("residual", "mean_bias")
+        ]
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_gradient_slope_k2(self, directions):
         obj = quartic(2)

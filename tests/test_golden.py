@@ -53,13 +53,13 @@ BENCHMARK_TABLE_GOLDEN = {
 #: (m, b, k, seed, reuse) -> (evals_used, r_index, sha256 of theta_r bytes)
 CRZON_GOLDEN = {
     (6, 4, 2, 1, True): (
-        104, 1, "dae8eb5a5318da2095a1b4ed0ed6b02ed09338dcba11dbe7a769a527e88fa8ed"
+        104, 1, "a0985e8ed9faab73584d94e65bfda4eee617abf7852441f8486d4c191ef5f7db"
     ),
     (6, 4, 2, 1, False): (
         152, 1, "ba9e2c43a759870cc1cd3b2ddd92d4a721bc192ef0cfb613dbdf544690462913"
     ),
     (3, 5, 1, 2, True): (
-        60, 3, "5a0dd51f25a4c99447370a42781d91ec36d944711d538fe90036434f6eeca3b3"
+        60, 3, "8a52c8c261a4913998137831e755757eaba973b4798d5205dcdda941bb0bbe71"
     ),
     (3, 5, 1, 2, False): (
         84, 3, "a994d62fae5d3fbe1d8a8a0c183613d144239f470851f5c72db3d3825a14ff42"

@@ -368,7 +368,7 @@ class TestRunBiasSweep:
 class TestValidateConfig:
     def test_default_config_passes_with_one_warning(self):
         findings = validate_config({})
-        assert len(findings) == 11
+        assert len(findings) == 13
         assert not has_errors(findings)
         warned = failed_warnings(findings)
         assert [f.check for f in warned] == ["schedules.b_delta_square_summable"]
@@ -487,7 +487,7 @@ class TestValidateConfig:
         # as for an unknown name, a CRZON step is not priced without the objective
         priced = any(f.check == "budget.covers_one_iteration" for f in findings)
         assert priced == (crzon is None)
-        assert len(findings) == (12 if crzon is None else 11)
+        assert len(findings) == (14 if crzon is None else 13)
         with pytest.raises(ValueError, match="dim must be >= 1"):
             build_newton_config(config)
 
@@ -496,6 +496,32 @@ class TestValidateConfig:
             findings = validate_config({"objective": name, "budget": 100})
             assert next(f for f in findings if f.check == "objective.known").ok
             make_objective({"objective": name})
+
+    @pytest.mark.parametrize(
+        "config, check, cause",
+        [
+            ({"algorithm": "gradient-only"}, "algorithm.known", "'gradient-only'"),
+            ({"methods": ["G2SF-3", "G2SF-4"]}, "methods.known", "odd measurement count"),
+            ({"methods": ["GSF-5", "XSF-3"]}, "methods.known", "unrecognized method name"),
+        ],
+        ids=["algorithm", "methods-even", "methods-name"],
+    )
+    def test_unknown_name_is_an_error(self, config, check, cause):
+        # every run of these configs raises; the validator says why instead
+        findings = validate_config(dict(config, budget=100))
+        bad = [f for f in findings if not f.ok]
+        assert [f.check for f in bad if f.severity == "error"] == [check]
+        assert cause in next(f for f in bad if f.check == check).message
+        with pytest.raises(ValueError, match=cause):
+            if check == "algorithm.known":
+                harness_mod.runner(config["algorithm"])
+            else:
+                run_table(dict(config, budget=100, dim=2))
+
+    def test_known_names_pass(self):
+        for algorithm in ("newton", "gradient_only"):
+            findings = validate_config({"algorithm": algorithm, "methods": ["GSF-5", "G2R-9"]})
+            assert all(f.ok for f in findings if f.check in ("algorithm.known", "methods.known"))
 
     def test_schedule_findings_prefixed(self):
         findings = validate_config({"schedules": {"a0": -1.0}})
