@@ -23,7 +23,7 @@ from .oracle import (
     LinearGaussianNoise,
     Objective,
 )
-from .perturb import PerturbationSpec, gaussian
+from .perturb import PerturbationSpec, gaussian, gradient_unbias_factor
 
 #: regularizer floor used when the objective has a vanishing third derivative
 ALPHA_FLOOR = 1e-3
@@ -261,7 +261,9 @@ def _batched_estimates(theta, oracle, cfg, rng):
     directions = spec.sample(rng, (cfg.b, theta.size))
     values = probe(oracle, theta, directions, delta, 2 * k + 1)
     hess = hessian_mean(values, directions, delta, k, k, spec, cfg.paper_literal_scaling)
-    samples = gradient_samples(values[: cfg.m], directions[: cfg.m], delta, k, spec)
+    samples = gradient_samples(
+        values[: cfg.m], gradient_unbias_factor(spec) * directions[: cfg.m], delta, k
+    )
     if cfg.m > cfg.b:
         _, fresh = batch_gradient(
             oracle, theta, delta, k, cfg.m - cfg.b, spec, rng, return_samples=True

@@ -73,7 +73,7 @@ def ray_offsets(directions: np.ndarray, delta, n_shifts: int) -> np.ndarray:
 def measure(oracle: BudgetedOracle, points: np.ndarray) -> np.ndarray:
     """Evaluate the ``(n, d)`` points in one oracle call; every value must be finite."""
     values = oracle.evaluate_many(points)
-    if not np.isfinite(values).all():
+    if not np.logical_and.reduce(np.isfinite(values), axis=None):
         raise NonFiniteEvaluation("oracle returned a non-finite value")
     return values
 
@@ -101,15 +101,17 @@ def gradient_samples(
     directions: np.ndarray,
     delta: float,
     k: int,
-    spec: PerturbationSpec,
 ) -> np.ndarray:
     """One-draw gradient estimates from the first ``k+1`` probe columns.
 
-    ``values`` is one probe row with a ``(d,)`` direction, giving a ``(d,)``
-    estimate, or a probe matrix with ``(n, d)`` directions, giving ``(n, d)``.
+    ``directions`` come already scaled by the unbiasing factor:
+    ``gradient_unbias_factor(spec) * Delta``, so each estimate is that row
+    times its directional slope.  ``values`` is one probe row with a
+    ``(d,)`` direction, giving a ``(d,)`` estimate, or a probe matrix with
+    ``(n, d)`` directions, giving ``(n, d)``.
     """
     slopes = values[..., : k + 1] @ grad_weights(k) / delta
-    return gradient_unbias_factor(spec) * directions * slopes[..., None]
+    return directions * (slopes[:, None] if slopes.ndim else slopes)
 
 
 def _quads(values: np.ndarray, delta: float, k1: int, k2: int | None) -> np.ndarray:
@@ -132,7 +134,8 @@ def hessian_samples(
     ``(d, d)`` estimate, ``n`` rows with ``(n, d, d)`` give ``(n, d, d)``.
     Each estimate is symmetric because its scaling matrix is.
     """
-    return scalers * _quads(values, delta, k1, k2)[..., None, None]
+    quads = values @ hess_weights(k1, k2) / delta**2  # _quads, one call fewer per iteration
+    return scalers * (quads[:, None, None] if quads.ndim else quads)
 
 
 def hessian_mean(
@@ -168,7 +171,7 @@ def estimate_gradient(
     """
     theta, direction = _check_inputs(theta, direction, delta)
     values = probe(oracle, theta, direction[None, :], delta, k + 1)[0]
-    value = gradient_samples(values, direction, delta, k, spec)
+    value = gradient_samples(values, gradient_unbias_factor(spec) * direction, delta, k)
     return GradientEstimate(value=value, measurements_used=k + 1, k=k, delta=delta)
 
 
@@ -223,7 +226,7 @@ def batch_gradient(
         raise ValueError(f"m must be >= 1, got {m}")
     directions = spec.sample(rng, (m, theta.size))
     values = probe(oracle, theta, directions, delta, k + 1)
-    samples = gradient_samples(values, directions, delta, k, spec)
+    samples = gradient_samples(values, gradient_unbias_factor(spec) * directions, delta, k)
     estimate = GradientEstimate(
         value=samples.mean(axis=0),
         measurements_used=m * (k + 1),
@@ -294,12 +297,12 @@ def gradient_deviation(
     theta = np.asarray(theta, dtype=float)
     directions = np.asarray(directions, dtype=float)
     values = probe(BudgetedOracle(objective), theta, directions, delta, k + 1)
-    estimates = gradient_samples(values, directions, delta, k, spec)
-    factor = gradient_unbias_factor(spec)
+    scaled = gradient_unbias_factor(spec) * directions
+    estimates = gradient_samples(values, scaled, delta, k)
 
     grad = np.asarray(objective.gradient(theta), dtype=float)
     if mode == "residual":
-        leading = factor * directions * (directions @ grad)[:, None]
+        leading = scaled * (directions @ grad)[:, None]
         return float(np.linalg.norm(estimates - leading, axis=1).mean())
     if mode == "mean_bias":
         return float(np.linalg.norm(estimates.mean(axis=0) - grad))

@@ -460,6 +460,7 @@ def run_bias_sweep(config: dict) -> BiasSweepResult:
     deltas = setting(config, "deltas")
     samples = setting(config, "samples")
     seed = setting(config, "seed")
+    literal = setting(config, "estimator.paper_literal_scaling")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     directions = spec.sample(rng, (samples, objective.dim))
@@ -470,7 +471,7 @@ def run_bias_sweep(config: dict) -> BiasSweepResult:
             dev = gradient_deviation(objective, theta, delta, k1, spec, directions, mode)
         elif estimator == "hessian":
             dev = hessian_deviation(
-                objective, theta, delta, k1, k2, spec, directions, mode
+                objective, theta, delta, k1, k2, spec, directions, mode, literal
             )
         else:
             raise ValueError(f"unknown estimator kind {estimator!r}")

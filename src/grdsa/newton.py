@@ -19,6 +19,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import eigh_lo
 
 from .estimators import gradient_samples, hessian_samples, measure, ray_offsets
 from .oracle import (
@@ -28,7 +30,7 @@ from .oracle import (
     Objective,
     parameter_error,
 )
-from .perturb import PerturbationSpec, gaussian, scaling_matrices
+from .perturb import PerturbationSpec, gaussian, gradient_unbias_factor, scaling_matrices
 
 #: iterates start uniform in this coordinate range unless overridden
 INIT_RANGE = (2.0, 3.0)
@@ -204,8 +206,17 @@ def clamped_newton_direction(h: np.ndarray, g: np.ndarray, eps_pd: float = 0.1) 
 
 
 def _lifted_solve(sym: np.ndarray, g: np.ndarray, eps_pd: float) -> np.ndarray:
-    """``V @ ((V.T @ g) / max(w, eps_pd))`` for the eigenpairs ``(w, V)`` of ``sym``."""
-    eigval, eigvec = np.linalg.eigh(sym)
+    """``V @ ((V.T @ g) / max(w, eps_pd))`` for the eigenpairs ``(w, V)`` of ``sym``.
+
+    Calls the LAPACK gufunc behind ``np.linalg.eigh`` directly, with the same
+    bits and without its per-call checks.  When LAPACK fails, the gufunc
+    fills every output with NaN, so a NaN eigenvalue raises eigh's own
+    error here.  Unlike eigh, this also raises when a non-finite ``sym``
+    gives NaN eigenvalues.
+    """
+    eigval, eigvec = eigh_lo(sym, signature="d->dd")
+    if eigval[0] != eigval[0]:
+        raise LinAlgError("Eigenvalues did not converge")
     return eigvec @ ((eigvec.T @ g) / np.maximum(eigval, eps_pd))
 
 
@@ -267,7 +278,7 @@ class _Draws:
     iterations then only measure, reduce and move.
     """
 
-    directions: np.ndarray  # (count, d)
+    directions: np.ndarray  # (count, d): gradient_unbias_factor * Delta_n
     offsets: np.ndarray  # (count, n_shifts, d): (delta(n)*s) * Delta_n
     scalers: np.ndarray | None  # (count, d, d): M(Delta_n); Newton only
     delta: list[float]
@@ -287,6 +298,8 @@ def _draw(
 
     One bulk draw of ``count`` directions equals ``count`` successive
     one-direction draws bit for bit, so the block size cannot change a run.
+    Once the offsets and scaling matrices have read the directions, they are
+    scaled in place by the gradient's unbiasing factor, once per block.
     """
     if hessian and not cfg.eps_pd > 0:
         raise ValueError(f"eps_pd must be > 0, got {cfg.eps_pd}")
@@ -295,14 +308,17 @@ def _draw(
     delta = [s.delta(i) for i in ns]
     directions = cfg.perturbation.sample(rng, (count, dim))
     n_shifts = 2 * cfg.k + 1 if hessian else cfg.k + 1
+    offsets = ray_offsets(directions, np.array(delta), n_shifts)
+    scalers = (
+        scaling_matrices(cfg.perturbation, directions, cfg.paper_literal_scaling)
+        if hessian
+        else None
+    )
+    directions *= gradient_unbias_factor(cfg.perturbation)
     return _Draws(
         directions=directions,
-        offsets=ray_offsets(directions, np.array(delta), n_shifts),
-        scalers=(
-            scaling_matrices(cfg.perturbation, directions, cfg.paper_literal_scaling)
-            if hessian
-            else None
-        ),
+        offsets=offsets,
+        scalers=scalers,
         delta=delta,
         a=[s.a(i) for i in ns],
         b=[s.b(i) for i in ns] if hessian else [],
@@ -325,7 +341,7 @@ def _newton_update(
     hess = hessian_samples(values, draws.scalers[i], delta, k, k)
     if not cfg.reuse:
         values = measure(oracle, theta + draws.offsets[i, : k + 1])
-    grad = gradient_samples(values, draws.directions[i], delta, k, cfg.perturbation)
+    grad = gradient_samples(values, draws.directions[i], delta, k)
 
     hbar = hbar + draws.b[i] * (hess - hbar)
     hbar = 0.5 * (hbar + hbar.T)
@@ -344,7 +360,7 @@ def _gradient_update(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient-only iteration ``i`` of ``draws``; ``hbar`` passes through."""
     values = measure(oracle, theta + draws.offsets[i])
-    grad = gradient_samples(values, draws.directions[i], draws.delta[i], cfg.k, cfg.perturbation)
+    grad = gradient_samples(values, draws.directions[i], draws.delta[i], cfg.k)
     return cfg.box.clip(theta - draws.a[i] * grad), hbar
 
 

@@ -42,7 +42,8 @@ def rastrigin(dim: int) -> Objective:
 
     def value(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return 10.0 * dim + np.sum(x**2 - 10.0 * np.cos(2.0 * np.pi * x), axis=-1)
+        # np.sum's own reduction, without its Python wrapper
+        return 10.0 * dim + np.add.reduce(x**2 - 10.0 * np.cos(2.0 * np.pi * x), axis=-1)
 
     def gradient(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -117,7 +118,7 @@ def quartic(dim: int) -> Objective:
 
     def value(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return np.sum(x**4, axis=-1)
+        return np.add.reduce(x**4, axis=-1)  # np.sum without its wrapper
 
     def gradient(x: np.ndarray) -> np.ndarray:
         return 4.0 * np.asarray(x, dtype=float) ** 3

@@ -16,11 +16,18 @@ from grdsa.estimators import (
     gradient_samples,
     hessian_deviation,
     hessian_samples,
+    measure,
     probe,
 )
 from grdsa.oracle import BudgetedOracle, BudgetExhausted, Objective, quadratic, quartic
-from grdsa.perturb import gaussian, scaling_matrices, scaling_matrix, uniform
-from grdsa.stencils import hess_weights
+from grdsa.perturb import (
+    gaussian,
+    gradient_unbias_factor,
+    scaling_matrices,
+    scaling_matrix,
+    uniform,
+)
+from grdsa.stencils import grad_weights, hess_weights
 
 A = np.array([[2.0, 0.5], [0.5, 4.0]])
 B = np.array([0.3, -0.2])
@@ -107,7 +114,7 @@ class TestEstimateGradient:
         d = np.array([0.8, -0.6])
         orc = fresh_oracle()
         values = probe(orc, THETA, d[None, :], 0.1, 5)[0]
-        reused = gradient_samples(values, d, 0.1, 2, SPEC)
+        reused = gradient_samples(values, gradient_unbias_factor(SPEC) * d, 0.1, 2)
         assert orc.evals_used == 5
         standalone = estimate_gradient(fresh_oracle(), THETA, d, 0.1, 2, SPEC)
         assert np.array_equal(reused, standalone.value)
@@ -153,6 +160,69 @@ class TestProbe:
         )
         with pytest.raises(NonFiniteEvaluation):
             probe(BudgetedOracle(obj), THETA, np.ones((2, 2)), 0.1, 3)
+
+
+class TestMeasure:
+    def test_finite_values_pass_through(self):
+        points = np.array([[0.1, 0.2], [0.3, -0.4]])
+        values = measure(fresh_oracle(), points)
+        assert np.array_equal(values, quadratic(A, B).value(points))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [1, 3, 9])
+    def test_nonfinite_value_at_any_position_raises(self, bad, n):
+        for pos in range(n):
+            values = np.zeros(n)
+            values[pos] = bad
+            obj = Objective(name="bad", dim=2, value=lambda x, v=values: v)
+            with pytest.raises(NonFiniteEvaluation):
+                measure(BudgetedOracle(obj), np.zeros((n, 2)))
+
+
+def _previous_gradient_samples(values, directions, delta, k, spec):
+    slopes = values[..., : k + 1] @ grad_weights(k) / delta
+    return gradient_unbias_factor(spec) * directions * slopes[..., None]
+
+
+def _previous_hessian_samples(values, scalers, delta, k1, k2):
+    return scalers * (values @ hess_weights(k1, k2) / delta**2)[..., None, None]
+
+
+class TestSampleReductions:
+    """The one-draw reductions equal their earlier formulas bit for bit."""
+
+    @pytest.mark.parametrize("spec", [gaussian(), uniform(0.7)])
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_gradient_samples_bitwise(self, spec, n):
+        rng = np.random.default_rng(n)
+        factor = gradient_unbias_factor(spec)
+        for k in (1, 2, 4):
+            values = rng.normal(size=(n, 2 * k + 1))
+            dirs = spec.sample(rng, (n, 3))
+            got = gradient_samples(values, factor * dirs, 0.13, k)
+            want = _previous_gradient_samples(values, dirs, 0.13, k, spec)
+            assert got.shape == (n, 3)
+            assert got.tobytes() == want.tobytes()
+            row = gradient_samples(values[0], factor * dirs[0], 0.13, k)
+            want = _previous_gradient_samples(values[0], dirs[0], 0.13, k, spec)
+            assert row.shape == (3,)
+            assert row.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec", [gaussian(), uniform(0.7)])
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_hessian_samples_bitwise(self, spec, n):
+        rng = np.random.default_rng(n)
+        for k1, k2 in ((1, 1), (2, 2), (1, 3)):
+            values = rng.normal(size=(n, k1 + k2 + 1))
+            scalers = scaling_matrices(spec, spec.sample(rng, (n, 3)))
+            got = hessian_samples(values, scalers, 0.13, k1, k2)
+            want = _previous_hessian_samples(values, scalers, 0.13, k1, k2)
+            assert got.shape == (n, 3, 3)
+            assert got.tobytes() == want.tobytes()
+            one = hessian_samples(values[0], scalers[0], 0.13, k1, k2)
+            want = _previous_hessian_samples(values[0], scalers[0], 0.13, k1, k2)
+            assert one.shape == (3, 3)
+            assert one.tobytes() == want.tobytes()
 
 
 class TestEstimateHessian:

@@ -364,6 +364,22 @@ class TestRunBiasSweep:
         with pytest.raises(ValueError):
             run_bias_sweep({"estimator_kind": "jacobian"})
 
+    def test_paper_literal_scaling_reaches_the_sweep(self):
+        # the literal scaling's mean is 2H, so its bias is about |H|_F; the
+        # moment-matched mean is H, leaving only the sampling error
+        config = {
+            "objective": "quadratic",
+            "quadratic": {"diag": [1.0, 2.0]},
+            "dim": 2,
+            "mode": "mean_bias",
+            "samples": 2000,
+        }
+        norm_h = np.sqrt(5.0)
+        matched = run_bias_sweep(config)
+        literal = run_bias_sweep({**config, "estimator": {"paper_literal_scaling": True}})
+        assert all(dev < 0.25 * norm_h for dev in matched.deviations)
+        assert all(0.6 * norm_h < dev < 1.4 * norm_h for dev in literal.deviations)
+
 
 class TestValidateConfig:
     def test_default_config_passes_with_one_warning(self):

@@ -18,6 +18,7 @@ from grdsa.newton import (
     NewtonConfig,
     NewtonState,
     Schedules,
+    _lifted_solve,
     clamped_newton_direction,
     gradient_step,
     iteration_cost,
@@ -186,6 +187,52 @@ class TestClampedNewtonDirection:
         assert out[0] == pytest.approx(10.0)
 
 
+def _eigh_solve(sym, g, eps_pd):
+    """The solve through the public ``np.linalg.eigh``."""
+    w, v = np.linalg.eigh(sym)
+    return v @ ((v.T @ g) / np.maximum(w, eps_pd))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestLiftedSolve:
+    @pytest.mark.parametrize("d", range(1, 13))
+    @pytest.mark.parametrize("scale", [1e-150, 1e-8, 1.0, 1e8, 1e150])
+    def test_matches_public_eigh_bitwise(self, d, scale):
+        rng = np.random.default_rng(d)
+        for _ in range(5):
+            h = rng.normal(size=(d, d)) * scale
+            sym = 0.5 * (h + h.T)
+            g = rng.normal(size=d)
+            for eps_pd in (0.1, 1e-3 * scale):
+                got = _lifted_solve(sym, g, eps_pd)
+                assert got.tobytes() == _eigh_solve(sym, g, eps_pd).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 12])
+    def test_degenerate_matrices_bitwise(self, d):
+        g = np.random.default_rng(0).normal(size=d)
+        for sym in (np.zeros((d, d)), np.eye(d), np.ones((d, d)), 1e-300 * np.eye(d)):
+            assert _lifted_solve(sym, g, 0.1).tobytes() == _eigh_solve(sym, g, 0.1).tobytes()
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        # a failed LAPACK call comes back filled with NaN
+        def failed(sym, signature):
+            d = sym.shape[-1]
+            return np.full(d, np.nan), np.full((d, d), np.nan)
+
+        monkeypatch.setattr(newton_mod, "eigh_lo", failed)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            _lifted_solve(np.eye(3), np.ones(3), 0.1)
+        with pytest.raises(np.linalg.LinAlgError):
+            clamped_newton_direction(np.eye(3), np.ones(3))
+
+    def test_infinite_matrix_raises(self):
+        # eigh returns NaN eigenvalues here; the solve refuses them
+        h = np.array([[np.inf, 1.0], [1.0, 2.0]])
+        assert np.isnan(np.linalg.eigh(h)[0]).all()
+        with pytest.raises(np.linalg.LinAlgError):
+            clamped_newton_direction(h, np.ones(2))
+
+
 class TestIterationCost:
     def test_values(self):
         assert iteration_cost(1) == 3
@@ -211,7 +258,7 @@ def patched(monkeypatch):
         calls["hess_delta"] = delta
         return htilde.copy()
 
-    def fake_gradient(values, directions, delta, k, spec):
+    def fake_gradient(values, directions, delta, k):
         calls["grad_values"] = values
         calls["grad_delta"] = delta
         return g0.copy()

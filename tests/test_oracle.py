@@ -71,6 +71,27 @@ class TestRastrigin:
             rastrigin(0)
 
 
+@pytest.mark.parametrize(
+    "objective, np_sum_form",
+    [
+        (
+            rastrigin,
+            lambda x, d: 10.0 * d + np.sum(x**2 - 10.0 * np.cos(2.0 * np.pi * x), axis=-1),
+        ),
+        (quartic, lambda x, d: np.sum(x**4, axis=-1)),
+    ],
+)
+def test_values_equal_the_np_sum_form_bitwise(objective, np_sum_form):
+    rng = np.random.default_rng(0)
+    for d in (1, 2, 5, 10, 257):
+        obj = objective(d)
+        for x in (rng.uniform(-5.12, 5.12, d), rng.uniform(-5.12, 5.12, (7, d))):
+            value = np.asarray(obj.value(x))
+            expected = np.asarray(np_sum_form(x, d))
+            assert value.shape == x.shape[:-1]
+            assert value.tobytes() == expected.tobytes()
+
+
 class TestQuadratic:
     def test_value_gradient_hessian(self):
         a = np.array([[2.0, 0.5], [0.5, 4.0]])
