@@ -13,7 +13,7 @@ import numpy as np
 
 from grdsa.estimators import batch_hessian
 from grdsa.oracle import BudgetedOracle, quadratic
-from grdsa.perturb import gaussian, uniform
+from grdsa.perturb import PerturbationSpec, gaussian, uniform
 
 
 def show(label: str, value: np.ndarray, target: np.ndarray, se: np.ndarray) -> None:
@@ -41,8 +41,9 @@ def main() -> None:
         show("  mean estimate", est.value, a, se)
 
     est, samples = batch_hessian(
-        BudgetedOracle(obj), theta, 1e-3, 1, n, gaussian(),
-        np.random.default_rng(7), paper_literal_scaling=True, return_samples=True,
+        BudgetedOracle(obj), theta, 1e-3, 1, n,
+        PerturbationSpec("gaussian", paper_literal_scaling=True),
+        np.random.default_rng(7), return_samples=True,
     )
     se = samples.std(axis=0, ddof=1) / np.sqrt(n)
     print("\ngaussian directions, plain outer-product scaling (converges to 2H)")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import batch_gradient, batch_hessian, gradient_samples, hessian_mean, probe
+from .estimators import batch_gradient, gradient_samples, hessian_mean, probe
 from .newton import _initial_theta, _spawn_streams
 from .oracle import (
     BudgetedOracle,
@@ -47,7 +47,6 @@ class CubicConfig:
     theta0: np.ndarray | None = None
     budget: int | None = None
     reuse: bool = False
-    paper_literal_scaling: bool = False
 
     def alpha_value(self) -> float:
         if self.alpha is not None:
@@ -63,11 +62,8 @@ class CubicConfig:
 
     def step_cost(self) -> int:
         """Measurements one outer step consumes."""
-        grad_points = self.k + 1
-        hess_points = 2 * self.k + 1
-        if self.reuse:
-            return self.b * hess_points + max(0, self.m - self.b) * grad_points
-        return self.m * grad_points + self.b * hess_points
+        shared = min(self.m, self.b) if self.reuse else 0
+        return self.b * (2 * self.k + 1) + (self.m - shared) * (self.k + 1)
 
 
 def from_epsilon(
@@ -250,23 +246,22 @@ def crzon_step(
 
 
 def _batched_estimates(theta, oracle, cfg, rng):
-    """Hessian batch mean, then gradient batch mean (shared draws when reusing)."""
-    spec, k, delta = cfg.perturbation, cfg.k, cfg.delta
-    if not cfg.reuse:
-        hess = batch_hessian(oracle, theta, delta, k, cfg.b, spec, rng, cfg.paper_literal_scaling)
-        return hess.value, batch_gradient(oracle, theta, delta, k, cfg.m, spec, rng).value
+    """Hessian batch mean, then gradient batch mean.
 
-    # Reuse: the first min(m, b) gradient draws read the Hessian batch's
-    # shift-0..k measurements instead of buying their own.
+    With reuse, the first ``min(m, b)`` gradient draws read the Hessian
+    batch's shift-0..k measurements instead of buying their own.
+    """
+    spec, k, delta = cfg.perturbation, cfg.k, cfg.delta
     directions = spec.sample(rng, (cfg.b, theta.size))
     values = probe(oracle, theta, directions, delta, 2 * k + 1)
-    hess = hessian_mean(values, directions, delta, k, k, spec, cfg.paper_literal_scaling)
+    hess = hessian_mean(values, directions, delta, k, k, spec)
+    shared = min(cfg.m, cfg.b) if cfg.reuse else 0
     samples = gradient_samples(
-        values[: cfg.m], gradient_unbias_factor(spec) * directions[: cfg.m], delta, k
+        values[:shared], gradient_unbias_factor(spec) * directions[:shared], delta, k
     )
-    if cfg.m > cfg.b:
+    if cfg.m > shared:
         _, fresh = batch_gradient(
-            oracle, theta, delta, k, cfg.m - cfg.b, spec, rng, return_samples=True
+            oracle, theta, delta, k, cfg.m - shared, spec, rng, return_samples=True
         )
         samples = np.concatenate([samples, fresh])
     return hess, samples.mean(axis=0)
@@ -304,10 +299,9 @@ def run_crzon(cfg: CubicConfig) -> SospReport:
     before consuming anything.
     """
     start = time.perf_counter()
-    if cfg.k < 1:
-        raise ValueError(f"k must be >= 1, got {cfg.k}")
-    if cfg.n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {cfg.n_steps}")
+    for name in ("k", "n_steps", "m", "b"):
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
     cost = cfg.step_cost()
     if cfg.budget is not None and cfg.budget < cost:
         raise BudgetTooSmall(

@@ -145,7 +145,6 @@ def hessian_mean(
     k1: int,
     k2: int | None,
     spec: PerturbationSpec,
-    paper_literal_scaling: bool = False,
 ) -> np.ndarray:
     """Mean of the one-draw Hessian estimates of a probe matrix in ``O(d**2)`` memory.
 
@@ -154,7 +153,7 @@ def hessian_mean(
     """
     quads = _quads(values, delta, k1, k2)
     outer_mean = directions.T @ (directions * quads[:, None]) / len(directions)
-    return apply_scaling(spec, outer_mean, quads.mean(), paper_literal_scaling)
+    return apply_scaling(spec, outer_mean, quads.mean())
 
 
 def estimate_gradient(
@@ -183,7 +182,6 @@ def estimate_hessian(
     k1: int,
     k2: int | None = None,
     spec: PerturbationSpec | None = None,
-    paper_literal_scaling: bool = False,
 ) -> HessianEstimate:
     """One-draw Hessian estimate of orders ``(k1, k2)`` along ``direction``.
 
@@ -194,7 +192,7 @@ def estimate_hessian(
         raise ValueError("a PerturbationSpec is required to unbias the estimate")
     n_shifts = hess_weights(k1, k2).size
     values = probe(oracle, theta, direction[None, :], delta, n_shifts)[0]
-    scaler = scaling_matrix(spec, direction, paper_literal_scaling)
+    scaler = scaling_matrix(spec, direction)
     value = hessian_samples(values, scaler, delta, k1, k2)
     return HessianEstimate(
         value=value,
@@ -246,7 +244,6 @@ def batch_hessian(
     b: int,
     spec: PerturbationSpec,
     rng: np.random.Generator,
-    paper_literal_scaling: bool = False,
     return_samples: bool = False,
 ) -> HessianEstimate | tuple[HessianEstimate, np.ndarray]:
     """Average of ``b`` independent one-draw Hessian estimates (order ``k``).
@@ -260,14 +257,14 @@ def batch_hessian(
     directions = spec.sample(rng, (b, theta.size))
     values = probe(oracle, theta, directions, delta, 2 * k + 1)
     estimate = HessianEstimate(
-        value=hessian_mean(values, directions, delta, k, k, spec, paper_literal_scaling),
+        value=hessian_mean(values, directions, delta, k, k, spec),
         measurements_used=b * (2 * k + 1),
         k1=k,
         k2=k,
         delta=delta,
     )
     if return_samples:
-        scalers = scaling_matrices(spec, directions, paper_literal_scaling)
+        scalers = scaling_matrices(spec, directions)
         return estimate, hessian_samples(values, scalers, delta, k, k)
     return estimate
 
@@ -318,7 +315,6 @@ def hessian_deviation(
     spec: PerturbationSpec,
     directions: np.ndarray,
     mode: str = "residual",
-    paper_literal_scaling: bool = False,
 ) -> float:
     """Truncation-error summary of the noiseless Hessian estimator.
 
@@ -338,9 +334,9 @@ def hessian_deviation(
         # |M(Delta) q - M(Delta) q*|_F = |q - q*| |M(Delta)|_F
         lead_quads = np.einsum("ni,ij,nj->n", directions, hess, directions)
         gaps = np.abs(_quads(values, delta, k1, k2) - lead_quads)
-        return float((gaps * scaling_norms(spec, directions, paper_literal_scaling)).mean())
+        return float((gaps * scaling_norms(spec, directions)).mean())
     if mode == "mean_bias":
-        mean = hessian_mean(values, directions, delta, k1, k2, spec, paper_literal_scaling)
+        mean = hessian_mean(values, directions, delta, k1, k2, spec)
         return float(np.linalg.norm(mean - hess))
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -43,7 +43,7 @@ from .oracle import (
     rastrigin,
     saddle_quartic,
 )
-from .perturb import PerturbationSpec, gaussian, uniform
+from .perturb import PerturbationSpec
 from .stencils import MAX_ORDER
 
 _METHOD_RE = re.compile(r"^(G2|G)(SF|R)-(\d+)$")
@@ -128,13 +128,13 @@ KEYS = {
         "quadratic.b": Key(_array),
         "noise.sigma": Key(float, default=0.0),
         "perturb.family": Key(str, default="gaussian"),
-        "perturb.eta": Key(float, (uniform,)),
+        "perturb.eta": Key(float, (PerturbationSpec,)),
         # one run
         "budget": Key(int, _RUN),
         "seed": Key(int, _RUN),
         "theta0": Key(_array, _RUN),
         "estimator.reuse": Key(bool, _RUN),
-        "estimator.paper_literal_scaling": Key(bool, _RUN),
+        "estimator.paper_literal_scaling": Key(bool, (PerturbationSpec,)),
         "estimator.k": Key(int, (NewtonConfig,)),
         "eps_pd": Key(float, (NewtonConfig,)),
         "record_stride": Key(int, (NewtonConfig,)),
@@ -280,11 +280,7 @@ def make_noise(config: dict) -> LinearGaussianNoise | None:
 
 def make_perturbation(config: dict) -> PerturbationSpec:
     family = setting(config, "perturb.family")
-    if family == "gaussian":
-        return gaussian()
-    if family == "uniform":
-        return uniform(**_arguments(config, uniform))
-    raise ValueError(f"unknown perturbation family {family!r}")
+    return PerturbationSpec(family, **_arguments(config, PerturbationSpec))
 
 
 def make_schedules(config: dict) -> Schedules:
@@ -460,7 +456,6 @@ def run_bias_sweep(config: dict) -> BiasSweepResult:
     deltas = setting(config, "deltas")
     samples = setting(config, "samples")
     seed = setting(config, "seed")
-    literal = setting(config, "estimator.paper_literal_scaling")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     directions = spec.sample(rng, (samples, objective.dim))
@@ -470,9 +465,7 @@ def run_bias_sweep(config: dict) -> BiasSweepResult:
         if estimator == "gradient":
             dev = gradient_deviation(objective, theta, delta, k1, spec, directions, mode)
         elif estimator == "hessian":
-            dev = hessian_deviation(
-                objective, theta, delta, k1, k2, spec, directions, mode, literal
-            )
+            dev = hessian_deviation(objective, theta, delta, k1, k2, spec, directions, mode)
         else:
             raise ValueError(f"unknown estimator kind {estimator!r}")
         deviations.append(dev)

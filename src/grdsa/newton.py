@@ -233,7 +233,6 @@ class NewtonConfig:
     box: Box = field(default_factory=Box)
     eps_pd: float = 0.1
     reuse: bool = True
-    paper_literal_scaling: bool = False
     seed: int = 0
     theta0: np.ndarray | None = None
     record_stride: int = 1
@@ -309,11 +308,7 @@ def _draw(
     directions = cfg.perturbation.sample(rng, (count, dim))
     n_shifts = 2 * cfg.k + 1 if hessian else cfg.k + 1
     offsets = ray_offsets(directions, np.array(delta), n_shifts)
-    scalers = (
-        scaling_matrices(cfg.perturbation, directions, cfg.paper_literal_scaling)
-        if hessian
-        else None
-    )
+    scalers = scaling_matrices(cfg.perturbation, directions) if hessian else None
     directions *= gradient_unbias_factor(cfg.perturbation)
     return _Draws(
         directions=directions,

@@ -18,11 +18,14 @@ class PerturbationSpec:
     uniform on ``[-eta, eta]``.  ``mu2`` and ``mu4`` are the second and
     fourth moments used to unbias the gradient and Hessian estimators; the
     strict inequality ``mu4 > mu2**2`` (true for both families) keeps the
-    diagonal scaling well defined.
+    diagonal scaling well defined.  ``paper_literal_scaling`` selects the
+    unhalved Hessian scaling instead of the moment-matched one (see
+    :func:`_form`).
     """
 
     family: str
     eta: float = 1.0
+    paper_literal_scaling: bool = False
 
     def __post_init__(self) -> None:
         if self.family not in (GAUSSIAN, UNIFORM):
@@ -62,34 +65,31 @@ def gradient_unbias_factor(spec: PerturbationSpec) -> float:
     return 1.0 / spec.mu2
 
 
-def _form(spec: PerturbationSpec, paper_literal_scaling: bool) -> tuple[float, float, float]:
+def _form(spec: PerturbationSpec) -> tuple[float, float, float]:
     """``(off, shift, diag)``: ``M(Delta)`` is ``Delta_i Delta_j / off`` off the
     diagonal and ``(Delta_i**2 - shift) / diag`` on it.
 
     The moment-matched form (``2 mu2**2, mu2, mu4 - mu2**2``) satisfies
     ``E[M(Delta) (Delta^T H Delta)] = H`` for any symmetric ``H``; for the
     standard Gaussian it is ``(Delta Delta^T - I) / 2``.  With
-    ``paper_literal_scaling`` it is the unhalved ``Delta Delta^T - I``,
+    ``spec.paper_literal_scaling`` it is the unhalved ``Delta Delta^T - I``,
     whose expectation on a quadratic is twice the true Hessian, which the
     switch exists to demonstrate.
     """
-    if paper_literal_scaling:
+    if spec.paper_literal_scaling:
         return 1.0, 1.0, 1.0
     mu2 = spec.mu2
     return 2.0 * mu2**2, mu2, spec.mu4 - mu2**2
 
 
 def apply_scaling(
-    spec: PerturbationSpec,
-    outer_mean: np.ndarray,
-    weight_mean: float | np.ndarray,
-    paper_literal_scaling: bool = False,
+    spec: PerturbationSpec, outer_mean: np.ndarray, weight_mean: float | np.ndarray
 ) -> np.ndarray:
     """``sum_i w_i M(Delta_i) / n`` from ``outer_mean = sum_i w_i Delta_i Delta_i^T / n``
     ``(..., d, d)`` and ``weight_mean = sum_i w_i / n`` ``(...)``, over any
     leading axes; one draw with ``w = 1`` gives ``M(Delta)`` itself.
     """
-    off, shift, diag = _form(spec, paper_literal_scaling)
+    off, shift, diag = _form(spec)
     m = outer_mean / off
     idx = np.arange(m.shape[-1])
     weight = np.asarray(weight_mean)[..., None]
@@ -97,41 +97,29 @@ def apply_scaling(
     return m
 
 
-def scaling_norms(
-    spec: PerturbationSpec,
-    directions: np.ndarray,
-    paper_literal_scaling: bool = False,
-) -> np.ndarray:
+def scaling_norms(spec: PerturbationSpec, directions: np.ndarray) -> np.ndarray:
     """``|M(Delta)|_F`` per ``(..., d)`` direction in ``O(d)``: the entries off the
     diagonal square-sum to ``(sum Delta_i**2)**2 - sum Delta_i**4`` over
     ``off**2``, those on it to ``sum (Delta_i**2 - shift)**2`` over ``diag**2``.
     """
-    off, shift, diag = _form(spec, paper_literal_scaling)
+    off, shift, diag = _form(spec)
     squares = directions**2
     cross = squares.sum(axis=-1) ** 2 - (squares**2).sum(axis=-1)
     return np.sqrt(cross / off**2 + ((squares - shift) ** 2).sum(axis=-1) / diag**2)
 
 
-def scaling_matrix(
-    spec: PerturbationSpec,
-    direction: np.ndarray,
-    paper_literal_scaling: bool = False,
-) -> np.ndarray:
+def scaling_matrix(spec: PerturbationSpec, direction: np.ndarray) -> np.ndarray:
     """Matrix ``M(Delta)`` multiplying the second-difference quadratic form."""
     direction = np.asarray(direction, dtype=float)
     if direction.ndim != 1:
         raise ValueError(f"direction must be 1-D, got shape {direction.shape}")
-    return apply_scaling(spec, np.outer(direction, direction), 1.0, paper_literal_scaling)
+    return apply_scaling(spec, np.outer(direction, direction), 1.0)
 
 
-def scaling_matrices(
-    spec: PerturbationSpec,
-    directions: np.ndarray,
-    paper_literal_scaling: bool = False,
-) -> np.ndarray:
+def scaling_matrices(spec: PerturbationSpec, directions: np.ndarray) -> np.ndarray:
     """Vectorized ``scaling_matrix`` over a batch of directions ``(n, d)``."""
     directions = np.asarray(directions, dtype=float)
     if directions.ndim != 2:
         raise ValueError(f"directions must be 2-D, got shape {directions.shape}")
     outer = directions[:, :, None] * directions[:, None, :]
-    return apply_scaling(spec, outer, 1.0, paper_literal_scaling)
+    return apply_scaling(spec, outer, 1.0)

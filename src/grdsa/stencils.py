@@ -28,16 +28,16 @@ class OrderError(ValueError):
     """Raised for truncation orders outside the supported range."""
 
 
-def _check_order(k: int, name: str, max_order: int) -> None:
+def _check_order(k: int, name: str) -> None:
     if not isinstance(k, (int, np.integer)):
         raise OrderError(f"{name} must be an integer, got {k!r}")
     if k < 1:
         raise OrderError(f"{name} must be >= 1, got {k}")
-    if k > max_order:
-        raise OrderError(f"{name}={k} exceeds the supported cap {max_order}")
+    if k > MAX_ORDER:
+        raise OrderError(f"{name}={k} exceeds the supported cap {MAX_ORDER}")
 
 
-def coeff(k: int, l: int, max_order: int = MAX_ORDER) -> Fraction:
+def coeff(k: int, l: int) -> Fraction:
     """Series coefficient ``c_l`` of the order-``k`` derivative operator.
 
     ``c_0`` is the k-th harmonic number; for ``l >= 1`` the falling-factorial
@@ -46,11 +46,11 @@ def coeff(k: int, l: int, max_order: int = MAX_ORDER) -> Fraction:
     Parameters
     ----------
     k : int
-        Truncation order, ``1 <= k <= max_order``.
+        Truncation order, ``1 <= k <= MAX_ORDER``.
     l : int
         Shift index, ``0 <= l <= k``.
     """
-    _check_order(k, "k", max_order)
+    _check_order(k, "k")
     if not 0 <= l <= k:
         raise ValueError(f"l must satisfy 0 <= l <= k={k}, got {l}")
     if l == 0:
@@ -115,19 +115,19 @@ def _moment(weights: tuple[Fraction, ...], q: int) -> Fraction:
     return sum((w * s**q for s, w in enumerate(weights)), Fraction(0))
 
 
-def grad_stencil(k: int, max_order: int = MAX_ORDER) -> GradStencil:
+def grad_stencil(k: int) -> GradStencil:
     """Build the order-``k`` first-derivative stencil.
 
     The weight at shift ``l`` is ``(-1)**(l+1) * c_l / l!``.
     """
-    _check_order(k, "k", max_order)
+    _check_order(k, "k")
     weights = tuple(
         (-1) ** (l + 1) * coeff(k, l) / factorial(l) for l in range(k + 1)
     )
     return GradStencil(k=k, weights=weights)
 
 
-def hess_stencil(k1: int, k2: int | None = None, max_order: int = MAX_ORDER) -> HessStencil:
+def hess_stencil(k1: int, k2: int | None = None) -> HessStencil:
     """Build the composed second-derivative stencil of orders ``(k1, k2)``.
 
     The weight at shift ``s`` aggregates every split ``s = l + m`` with
@@ -139,8 +139,8 @@ def hess_stencil(k1: int, k2: int | None = None, max_order: int = MAX_ORDER) -> 
     """
     if k2 is None:
         k2 = k1
-    _check_order(k1, "k1", max_order)
-    _check_order(k2, "k2", max_order)
+    _check_order(k1, "k1")
+    _check_order(k2, "k2")
     c1 = [coeff(k1, l) for l in range(k1 + 1)]
     c2 = [coeff(k2, m) for m in range(k2 + 1)]
     weights = [Fraction(0)] * (k1 + k2 + 1)
@@ -209,7 +209,7 @@ def _check(identity: str, k: int, q: int | None, lhs: Fraction, rhs: Fraction) -
     return IdentityCheck(identity, k, q, lhs, rhs, lhs == rhs)
 
 
-def verify_identities(k_max: int, max_order: int = MAX_ORDER) -> list[IdentityCheck]:
+def verify_identities(k_max: int) -> list[IdentityCheck]:
     """Certify the combinatorial identities behind the stencils, exactly.
 
     For every ``k <= k_max`` this checks, in exact rational arithmetic:
@@ -222,7 +222,7 @@ def verify_identities(k_max: int, max_order: int = MAX_ORDER) -> list[IdentityCh
     stencil: constant and first-order moments 0, second-order moment / 2!
     equal to 1, and q-th moment / q! equal to 0 for 3 <= q <= k.
     """
-    _check_order(k_max, "k_max", max_order)
+    _check_order(k_max, "k_max")
     report: list[IdentityCheck] = []
     for k in range(1, k_max + 1):
         harmonic = sum((Fraction(1, j) for j in range(1, k + 1)), Fraction(0))
@@ -245,7 +245,7 @@ def verify_identities(k_max: int, max_order: int = MAX_ORDER) -> list[IdentityCh
             )
             report.append(_check("centered_power_sum", k, q, power_sum, Fraction(0)))
 
-        stencil = hess_stencil(k, k, max_order=max_order)
+        stencil = hess_stencil(k, k)
         report.append(_check("second_diff_constant", k, 0, stencil.moment(0), Fraction(0)))
         report.append(_check("second_diff_first", k, 1, stencil.moment(1), Fraction(0)))
         report.append(

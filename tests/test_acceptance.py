@@ -30,7 +30,7 @@ from grdsa.oracle import (
     quartic,
     saddle_quartic,
 )
-from grdsa.perturb import gaussian
+from grdsa.perturb import PerturbationSpec, gaussian
 from grdsa.stencils import hess_stencil, verify_identities
 
 
@@ -92,9 +92,9 @@ def test_03_scaled_hessian_is_unbiased(verdict):
     dev_corrected = float(np.max(np.abs(est.value - a) / se))
 
     est2, samples2 = batch_hessian(
-        BudgetedOracle(quadratic(a)), theta, 1e-3, 1, 1_000_000, spec,
-        np.random.default_rng(2024), paper_literal_scaling=True,
-        return_samples=True,
+        BudgetedOracle(quadratic(a)), theta, 1e-3, 1, 1_000_000,
+        PerturbationSpec("gaussian", paper_literal_scaling=True),
+        np.random.default_rng(2024), return_samples=True,
     )
     se2 = samples2.std(axis=0, ddof=1) / np.sqrt(len(samples2))
     dev_literal = float(np.max(np.abs(est2.value - 2.0 * a) / se2))

@@ -35,7 +35,7 @@ from grdsa.harness import (
     validate_config,
 )
 from grdsa.newton import Box, NewtonConfig, Schedules
-from grdsa.perturb import uniform
+from grdsa.perturb import PerturbationSpec
 from grdsa.stencils import MAX_ORDER
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,14 +47,14 @@ BUILDERS = {
     NewtonConfig: build_newton_config,
     cubic.CubicConfig: build_cubic_config,
     cubic.from_epsilon: build_cubic_config,
-    uniform: make_perturbation,
+    PerturbationSpec: make_perturbation,
 }
 
 #: target -> the config that makes its builder reach it
 BASES = {
     NewtonConfig: {"budget": 100},
     cubic.from_epsilon: {"crzon": {"epsilon": 0.5}},
-    uniform: {"perturb": {"family": "uniform"}},
+    PerturbationSpec: {"perturb": {"family": "uniform"}},
 }
 
 #: values the builders accept, where the key's type alone allows bad ones

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,15 +224,15 @@ class TestCrzonStep:
         # the reuse path averages its Hessian draws through the same call
         cfg = CubicConfig(
             objective=quartic(3), k=2, m=40, b=32, delta=0.1, alpha=2.0,
-            perturbation=spec, reuse=True, paper_literal_scaling=literal,
+            perturbation=replace(spec, paper_literal_scaling=literal), reuse=True,
         )
         theta = np.array([0.5, -0.3, 0.8])
         hess, _ = _batched_estimates(
             theta, BudgetedOracle(cfg.objective), cfg, np.random.default_rng(3)
         )
         expected = batch_hessian(
-            BudgetedOracle(cfg.objective), theta, cfg.delta, cfg.k, cfg.b, spec,
-            np.random.default_rng(3), literal,
+            BudgetedOracle(cfg.objective), theta, cfg.delta, cfg.k, cfg.b, cfg.perturbation,
+            np.random.default_rng(3),
         )
         assert np.array_equal(hess, expected.value)
 
@@ -332,6 +333,13 @@ class TestRunCrzon:
         start = np.array([0.2, -0.4])
         rep = run_crzon(CubicConfig(k=1, n_steps=1, theta0=start, **base))
         assert np.array_equal(rep.theta_init, start)
+
+    @pytest.mark.parametrize("reuse", [False, True])
+    @pytest.mark.parametrize("name", ["m", "b"])
+    def test_empty_batch_rejected(self, name, reuse):
+        base = dict(objective=quadratic(A, B), m=4, b=4, delta=0.05, alpha=1.0, reuse=reuse)
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
+            run_crzon(CubicConfig(**{**base, name: 0}))
 
     def test_diagnostics_nan_without_derivatives(self):
         obj = Objective(

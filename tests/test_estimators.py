@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from grdsa.estimators import (
 )
 from grdsa.oracle import BudgetedOracle, BudgetExhausted, Objective, quadratic, quartic
 from grdsa.perturb import (
+    PerturbationSpec,
     gaussian,
     gradient_unbias_factor,
     scaling_matrices,
@@ -33,6 +36,7 @@ A = np.array([[2.0, 0.5], [0.5, 4.0]])
 B = np.array([0.3, -0.2])
 THETA = np.array([0.7, -1.3])
 SPEC = gaussian()
+LITERAL = PerturbationSpec("gaussian", paper_literal_scaling=True)
 
 
 def fresh_oracle(objective=None, **kwargs):
@@ -244,9 +248,7 @@ class TestEstimateHessian:
 
     def test_literal_scaling_variant(self):
         d = np.array([0.9, -0.7])
-        est = estimate_hessian(
-            fresh_oracle(), THETA, d, 0.05, 1, spec=SPEC, paper_literal_scaling=True
-        )
+        est = estimate_hessian(fresh_oracle(), THETA, d, 0.05, 1, spec=LITERAL)
         expected = (np.outer(d, d) - np.eye(2)) * float(d @ A @ d)
         assert np.allclose(est.value, expected, atol=1e-9)
 
@@ -304,9 +306,7 @@ class TestBatchEstimators:
         assert plain.measurements_used == 64 * 3
 
     def test_hessian_literal_paths_agree(self):
-        kwargs = dict(
-            theta=THETA, delta=0.05, k=1, b=48, spec=SPEC, paper_literal_scaling=True
-        )
+        kwargs = dict(theta=THETA, delta=0.05, k=1, b=48, spec=LITERAL)
         plain = batch_hessian(fresh_oracle(), rng=np.random.default_rng(10), **kwargs)
         sampled, _ = batch_hessian(
             fresh_oracle(), rng=np.random.default_rng(10), return_samples=True, **kwargs
@@ -403,12 +403,13 @@ class TestDeviations:
     @pytest.mark.parametrize("spec", [gaussian(), uniform(1.5)], ids=["gaussian", "uniform"])
     def test_hessian_deviation_matches_stacked_reference(self, spec, literal):
         # the sweep builds no M(Delta) per draw; the reference stacks them
+        spec = replace(spec, paper_literal_scaling=literal)
         obj = quartic(3)
         theta = np.array([0.9, -1.1, 0.4])
         dirs = spec.sample(np.random.default_rng(21), (500, 3))
         k1, k2, delta = 2, 1, 0.3
         values = probe(BudgetedOracle(obj), theta, dirs, delta, hess_weights(k1, k2).size)
-        scalers = scaling_matrices(spec, dirs, literal)
+        scalers = scaling_matrices(spec, dirs)
         estimates = hessian_samples(values, scalers, delta, k1, k2)
         hess = obj.hessian(theta)
         leading = scalers * np.einsum("ni,ij,nj->n", dirs, hess, dirs)[:, None, None]
@@ -417,7 +418,7 @@ class TestDeviations:
             np.linalg.norm(estimates.mean(axis=0) - hess),
         ]
         got = [
-            hessian_deviation(obj, theta, delta, k1, k2, spec, dirs, mode, literal)
+            hessian_deviation(obj, theta, delta, k1, k2, spec, dirs, mode)
             for mode in ("residual", "mean_bias")
         ]
         np.testing.assert_allclose(got, expected, rtol=1e-12)

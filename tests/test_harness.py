@@ -138,7 +138,7 @@ class TestBuilders:
             seed=17,
         )
         assert cfg.budget == 90
-        assert cfg.k == 2 and not cfg.reuse and cfg.paper_literal_scaling
+        assert cfg.k == 2 and not cfg.reuse and cfg.perturbation.paper_literal_scaling
         assert cfg.schedules.a0 == 0.5
         assert (cfg.box.lower, cfg.box.upper) == (-2.0, 2.0)
         assert np.array_equal(cfg.theta0, [1.0, -1.0])

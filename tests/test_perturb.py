@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from grdsa.newton import _BLOCK
+from grdsa import harness
+from grdsa.cubic import CubicConfig, _batched_estimates
+from grdsa.estimators import batch_hessian, estimate_hessian, hessian_deviation
+from grdsa.newton import _BLOCK, NewtonConfig, _draw
+from grdsa.oracle import BudgetedOracle, quartic
 from grdsa.perturb import (
     GAUSSIAN,
     UNIFORM,
@@ -14,6 +20,7 @@ from grdsa.perturb import (
     gradient_unbias_factor,
     scaling_matrices,
     scaling_matrix,
+    scaling_norms,
     uniform,
 )
 
@@ -106,7 +113,7 @@ class TestScalingMatrix:
 
     def test_literal_variant(self):
         direction = np.array([1.0, 2.0])
-        m = scaling_matrix(gaussian(), direction, paper_literal_scaling=True)
+        m = scaling_matrix(PerturbationSpec("gaussian", paper_literal_scaling=True), direction)
         assert np.allclose(m, np.outer(direction, direction) - np.eye(2))
 
     def test_symmetric(self):
@@ -124,11 +131,10 @@ class TestScalingMatrix:
         batch = scaling_matrices(spec, dirs)
         for i in range(10):
             assert np.allclose(batch[i], scaling_matrix(spec, dirs[i]))
-        literal = scaling_matrices(spec, dirs, paper_literal_scaling=True)
+        spec = replace(spec, paper_literal_scaling=True)
+        literal = scaling_matrices(spec, dirs)
         for i in range(10):
-            assert np.allclose(
-                literal[i], scaling_matrix(spec, dirs[i], paper_literal_scaling=True)
-            )
+            assert np.allclose(literal[i], scaling_matrix(spec, dirs[i]))
 
     def test_batch_rejects_vector_input(self):
         with pytest.raises(ValueError):
@@ -152,8 +158,92 @@ class TestScalingMatrix:
         n = 200000
         dirs = gaussian().sample(np.random.default_rng(13), (n, 2))
         quads = np.einsum("ni,ij,nj->n", dirs, h, dirs)
-        prods = scaling_matrices(gaussian(), dirs, paper_literal_scaling=True)
+        prods = scaling_matrices(PerturbationSpec("gaussian", paper_literal_scaling=True), dirs)
         prods = prods * quads[:, None, None]
         mean = prods.mean(axis=0)
         se = prods.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(mean - 2 * h) < 5 * se)
+
+
+# --- the spec carries the scaling form to every Hessian path ---------------
+
+OBJECTIVE = quartic(3)
+THETA = np.array([0.5, -0.3, 0.8])
+DIRS = gaussian().sample(np.random.default_rng(17), (12, 3))
+
+
+def _batch_hessian(spec):
+    est, samples = batch_hessian(
+        BudgetedOracle(OBJECTIVE), THETA, 0.1, 2, 12, spec, np.random.default_rng(4),
+        return_samples=True,
+    )
+    return est.value, samples
+
+
+def _crzon_reuse_hessian(spec):
+    cfg = CubicConfig(
+        objective=OBJECTIVE, k=2, m=8, b=12, delta=0.1, alpha=1.0,
+        perturbation=spec, reuse=True,
+    )
+    return _batched_estimates(THETA, BudgetedOracle(OBJECTIVE), cfg, np.random.default_rng(5))[0]
+
+
+def _newton_scalers(spec):
+    cfg = NewtonConfig(objective=OBJECTIVE, budget=100, perturbation=spec)
+    return _draw(cfg, np.random.default_rng(6), 1, 8, 3, hessian=True).scalers
+
+
+#: Hessian path -> its outputs under one spec
+HESSIAN_PATHS = {
+    "scaling_matrix": lambda spec: scaling_matrix(spec, DIRS[0]),
+    "scaling_matrices": lambda spec: scaling_matrices(spec, DIRS),
+    "scaling_norms": lambda spec: scaling_norms(spec, DIRS),
+    "estimate_hessian": lambda spec: estimate_hessian(
+        BudgetedOracle(OBJECTIVE), THETA, DIRS[0], 0.1, 2, spec=spec
+    ).value,
+    "batch_hessian": lambda spec: _batch_hessian(spec)[0],
+    "batch_hessian_samples": lambda spec: _batch_hessian(spec)[1],
+    "hessian_deviation": lambda spec: hessian_deviation(
+        OBJECTIVE, THETA, 0.1, 2, 1, spec, DIRS, mode="residual"
+    ),
+    "crzon_reuse": _crzon_reuse_hessian,
+    "newton_draw": _newton_scalers,
+}
+
+
+class TestSpecCarriesTheScaling:
+    # Gaussian: the literal divisors (1, 1, 1) are the matched ones (2, 1, 2)
+    # with the off-diagonal and diagonal halvings undone, so exactly twice
+
+    @pytest.mark.parametrize("path", HESSIAN_PATHS)
+    def test_literal_spec_doubles_every_hessian_path(self, path):
+        matched = HESSIAN_PATHS[path](gaussian())
+        literal = HESSIAN_PATHS[path](PerturbationSpec(GAUSSIAN, paper_literal_scaling=True))
+        assert np.array_equal(2 * matched, literal)
+
+    @pytest.mark.parametrize(
+        "build, config",
+        [
+            (harness.build_newton_config, {"budget": 100}),
+            (harness.build_cubic_config, {}),
+            (harness.build_cubic_config, {"crzon": {"epsilon": 0.5}}),
+        ],
+        ids=["newton", "cubic", "from_epsilon"],
+    )
+    def test_builders_put_the_switch_in_the_spec(self, build, config):
+        cfg = build({**config, "estimator": {"paper_literal_scaling": True}})
+        assert cfg.perturbation == PerturbationSpec(GAUSSIAN, paper_literal_scaling=True)
+        assert not hasattr(cfg, "paper_literal_scaling")
+
+    def test_bias_sweep_passes_the_switch_in_its_spec(self, monkeypatch):
+        specs = []
+
+        def deviation(objective, theta, delta, k1, k2, spec, directions, mode):
+            specs.append(spec)
+            return 1.0
+
+        monkeypatch.setattr(harness, "hessian_deviation", deviation)
+        harness.run_bias_sweep(
+            {"samples": 10, "deltas": [0.2, 0.1], "estimator": {"paper_literal_scaling": True}}
+        )
+        assert specs == 2 * [PerturbationSpec(GAUSSIAN, paper_literal_scaling=True)]

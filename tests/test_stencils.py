@@ -128,7 +128,7 @@ class TestGradStencil:
             grad_stencil(0)
         with pytest.raises(OrderError):
             grad_stencil(MAX_ORDER + 1)
-        assert grad_stencil(MAX_ORDER, max_order=MAX_ORDER).k == MAX_ORDER
+        assert grad_stencil(MAX_ORDER).k == MAX_ORDER
 
     @settings(max_examples=60, deadline=None)
     @given(
