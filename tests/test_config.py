@@ -73,6 +73,11 @@ VALID_BY_KIND = {
 }
 
 TARGETED = [(path, target) for path, key in KEYS.items() for target in key.targets]
+#: run configs that take the spec's switch through their ``perturbation``
+THROUGH_SPEC = [
+    ("estimator.paper_literal_scaling", target)
+    for target in (NewtonConfig, cubic.CubicConfig, cubic.from_epsilon)
+]
 DATACLASS_TARGETED = [
     (path, target) for path, target in TARGETED if dataclasses.is_dataclass(target)
 ]
@@ -96,7 +101,7 @@ def with_key(config: dict, path: str, value) -> dict:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("case", TARGETED, ids=_id)
+    @pytest.mark.parametrize("case", TARGETED + THROUGH_SPEC, ids=_id)
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
     def test_value_reaches_its_field(self, case, data):
@@ -104,6 +109,8 @@ class TestRoundTrip:
         key = KEYS[path]
         value = data.draw(VALID[path] if path in VALID else VALID_BY_KIND[key.kind])
         built = BUILDERS[target](with_key(BASES.get(target, {}), path, value))
+        if (path, target) in THROUGH_SPEC:
+            built = built.perturbation
         if key.field.endswith("_prefactor"):
             # a prefactor is not kept; it sizes the run
             want = cubic.from_epsilon(built.objective, 0.5, **{key.field: value})
