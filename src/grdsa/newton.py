@@ -9,8 +9,9 @@ baseline runs through the same driver without the Hessian.
 
 The driver draws what an iteration needs that does not depend on the
 iterate (directions, radii, probe offsets, scaling matrices) for a block
-of iterations at once; :func:`newton_step` and :func:`gradient_step` are
-the one-draw form of the same iteration.
+of iterations at once, then runs them in one flat loop.
+:func:`newton_step` and :func:`gradient_step` are the one-draw form of the
+same iteration and the loop's bit-exact reference.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .oracle import (
     parameter_error,
 )
 from .perturb import PerturbationSpec, gaussian, gradient_unbias_factor, scaling_matrices
+from .stencils import grad_weights, hess_weights
 
 #: iterates start uniform in this coordinate range unless overridden
 INIT_RANGE = (2.0, 3.0)
@@ -217,7 +219,8 @@ def _lifted_solve(sym: np.ndarray, g: np.ndarray, eps_pd: float) -> np.ndarray:
     eigval, eigvec = eigh_lo(sym, signature="d->dd")
     if eigval[0] != eigval[0]:
         raise LinAlgError("Eigenvalues did not converge")
-    return eigvec @ ((eigvec.T @ g) / np.maximum(eigval, eps_pd))
+    # ndarray.dot: the same BLAS mat-vecs as ``@`` at a lower call overhead
+    return eigvec.dot(eigvec.T.dot(g) / np.maximum(eigval, eps_pd))
 
 
 @dataclass
@@ -236,6 +239,14 @@ class NewtonConfig:
     seed: int = 0
     theta0: np.ndarray | None = None
     record_stride: int = 1
+
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.record_stride < 1:
+            raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
+        if not self.eps_pd > 0:
+            raise ValueError(f"eps_pd must be > 0, got {self.eps_pd}")
 
 
 @dataclass
@@ -300,8 +311,6 @@ def _draw(
     Once the offsets and scaling matrices have read the directions, they are
     scaled in place by the gradient's unbiasing factor, once per block.
     """
-    if hessian and not cfg.eps_pd > 0:
-        raise ValueError(f"eps_pd must be > 0, got {cfg.eps_pd}")
     s = cfg.schedules
     ns = range(n, n + count)
     delta = [s.delta(i) for i in ns]
@@ -330,7 +339,10 @@ def _newton_update(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Iteration ``i`` of ``draws``: the Hessian average moves first (fast
     timescale), then the iterate moves against the clamped-Newton direction
-    (slow timescale) and is projected back into the box."""
+    (slow timescale) and is projected back into the box.
+
+    The reference form of :func:`_run`'s loop, through the estimator
+    reductions and :meth:`Box.clip`."""
     k, delta = cfg.k, draws.delta[i]
     values = measure(oracle, theta + draws.offsets[i])
     hess = hessian_samples(values, draws.scalers[i], delta, k, k)
@@ -419,13 +431,16 @@ def _initial_theta(cfg_theta0: np.ndarray | None, dim: int, init_rng: np.random.
 
 
 def _run(cfg: NewtonConfig, hessian: bool) -> RunRecord:
-    """Run ``budget // cost`` iterations, drawing their inputs ``_BLOCK`` at a time."""
+    """Run ``budget // cost`` iterations, drawing their inputs ``_BLOCK`` at a time.
+
+    The loop is :func:`_newton_update` / :func:`_gradient_update` written
+    out flat: the same floating-point operations on the same operands, so
+    the same bits, with the reductions and the projection inline and
+    everything the iteration reads bound once per run or per block.
+    """
     start = time.perf_counter()
-    if cfg.k < 1:
-        raise ValueError(f"k must be >= 1, got {cfg.k}")
-    if cfg.record_stride < 1:
-        raise ValueError(f"record_stride must be >= 1, got {cfg.record_stride}")
-    cost = iteration_cost(cfg.k, cfg.reuse) if hessian else cfg.k + 1
+    k, reuse = cfg.k, cfg.reuse
+    cost = iteration_cost(k, reuse) if hessian else k + 1
     if cfg.budget < cost:
         raise BudgetTooSmall(
             f"budget {cfg.budget} cannot afford one iteration ({cost} evaluations)"
@@ -435,7 +450,11 @@ def _run(cfg: NewtonConfig, hessian: bool) -> RunRecord:
     init_rng, perturb_rng, noise_rng = _spawn_streams(cfg.seed, 3)
     theta0 = _initial_theta(cfg.theta0, dim, init_rng)
     oracle = BudgetedOracle(cfg.objective, cfg.noise, cfg.budget, noise_rng)
-    update = _newton_update if hessian else _gradient_update
+    grad_w = grad_weights(k)
+    hess_w = hess_weights(k, k) if hessian else None
+    # 0-d arrays: a ufunc converts a Python float operand on every call
+    lower, upper = np.array(cfg.box.lower), np.array(cfg.box.upper)
+    eps_pd = np.array(cfg.eps_pd)
 
     # every iteration costs exactly `cost`, so the count is known up front;
     # snapshots: the start, every stride-th iterate, and an unaligned last one
@@ -448,8 +467,29 @@ def _run(cfg: NewtonConfig, hessian: bool) -> RunRecord:
     for n in range(1, iterations + 1, _BLOCK):
         count = min(_BLOCK, iterations + 1 - n)
         draws = _draw(cfg, perturb_rng, n, count, dim, hessian)
+        offsets, directions, scalers = draws.offsets, draws.directions, draws.scalers
+        deltas, a, b = draws.delta, draws.a, draws.b
         for i in range(count):
-            theta, hbar = update(theta, hbar, oracle, cfg, draws, i)
+            delta = deltas[i]
+            values = measure(oracle, theta + offsets[i])
+            if hessian:
+                hess = scalers[i] * (values.dot(hess_w) / delta**2)
+                if reuse:
+                    values = values[: k + 1]
+                else:
+                    values = measure(oracle, theta + offsets[i, : k + 1])
+                # hbar + b(n) (hess - hbar), then 0.5 (hbar + hbar.T) as in
+                # the reference, which symmetrizes whatever sample it is fed
+                hess -= hbar
+                hess *= b[i]
+                hess += hbar
+                hbar = hess + hess.T
+                hbar *= 0.5
+                step = _lifted_solve(hbar, directions[i] * (values.dot(grad_w) / delta), eps_pd)
+            else:
+                step = directions[i] * (values.dot(grad_w) / delta)
+            step *= a[i]
+            theta = np.minimum(np.maximum(theta - step, lower), upper)
             if (n + i) % stride == 0:
                 trajectory[row] = theta
                 row += 1

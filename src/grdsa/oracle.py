@@ -40,10 +40,17 @@ def rastrigin(dim: int) -> Objective:
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
 
+    # 0-d constants: a ufunc converts a Python float operand on every call
+    offset, ten, two_pi = np.array(10.0 * dim), np.array(10.0), np.array(2.0 * np.pi)
+
     def value(x: np.ndarray) -> np.ndarray:
+        # 10 d + sum(x**2 - 10 cos(2 pi x)), the cosine term formed in place
+        # in one temporary; np.add.reduce is np.sum without its Python wrapper
         x = np.asarray(x, dtype=float)
-        # np.sum's own reduction, without its Python wrapper
-        return 10.0 * dim + np.add.reduce(x**2 - 10.0 * np.cos(2.0 * np.pi * x), axis=-1)
+        t = x * two_pi
+        np.cos(t, out=t)
+        t *= ten
+        return offset + np.add.reduce(np.subtract(x**2, t, out=t), axis=-1)
 
     def gradient(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -34,6 +34,7 @@ from grdsa.oracle import (
     LinearGaussianNoise,
     exp_sin,
     quadratic,
+    quartic,
     rastrigin,
 )
 from grdsa.perturb import gaussian, uniform
@@ -347,22 +348,43 @@ class TestGradientStep:
         assert "hess_delta" not in calls
 
 
-class TestDriverIsTheStepLoop:
-    """``run_newton`` / ``run_first_order`` draw their inputs a block at a
-    time; a hand loop of the one-draw steps must give the same bits."""
+def _run_settings(test):
+    """Parametrize ``test`` over the run settings the driver is checked on."""
+    grid = [
+        pytest.mark.parametrize(
+            "hessian,reuse", [(True, True), (True, False), (False, True)],
+            ids=["newton-reuse", "newton-fresh", "gradient"],
+        ),
+        pytest.mark.parametrize("k", [1, 2, 4]),
+        pytest.mark.parametrize("spec", [gaussian(), uniform(1.0)], ids=["gaussian", "uniform"]),
+        pytest.mark.parametrize("sigma", [0.0, 0.01]),
+        pytest.mark.parametrize("iterations", [5, _BLOCK, _BLOCK + 7]),
+    ]
+    for mark in grid:
+        test = mark(test)
+    return test
 
-    @pytest.mark.parametrize("iterations", [5, _BLOCK, _BLOCK + 7])
-    @pytest.mark.parametrize("sigma", [0.0, 0.01])
-    @pytest.mark.parametrize("spec", [gaussian(), uniform(1.0)], ids=["gaussian", "uniform"])
-    @pytest.mark.parametrize("k", [1, 2, 4])
-    @pytest.mark.parametrize(
-        "hessian,reuse", [(True, True), (True, False), (False, True)],
-        ids=["newton-reuse", "newton-fresh", "gradient"],
-    )
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestDriverIsTheStepLoop:
+    """``run_newton`` / ``run_first_order`` run a flat loop over inputs drawn
+    a block at a time; a hand loop of the one-draw steps must give the same
+    bits."""
+
+    @_run_settings
     def test_same_trajectory_bits(self, hessian, reuse, k, spec, sigma, iterations):
+        self.check(rastrigin(3), hessian, reuse, k, spec, sigma, iterations)
+
+    @_run_settings
+    def test_same_trajectory_bits_on_quartic(self, hessian, reuse, k, spec, sigma, iterations):
+        # an objective whose value is written the plain way
+        self.check(quartic(3), hessian, reuse, k, spec, sigma, iterations)
+
+    @staticmethod
+    def check(objective, hessian, reuse, k, spec, sigma, iterations):
         cost = iteration_cost(k, reuse) if hessian else k + 1
         cfg = NewtonConfig(
-            objective=rastrigin(3),
+            objective=objective,
             budget=iterations * cost + cost - 1,
             k=k,
             noise=LinearGaussianNoise(sigma),
@@ -388,10 +410,18 @@ class TestDriverIsTheStepLoop:
         assert rec.theta_final.tobytes() == state.theta.tobytes()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNonFiniteMidBlock:
-    def test_raises_at_the_failing_call(self, monkeypatch):
-        # the objective turns NaN on one call in the middle of the second block
-        bad_call = _BLOCK + _BLOCK // 2
+    @pytest.mark.parametrize(
+        "hessian,reuse,calls_per_iteration",
+        [(True, True, 1), (True, False, 2), (False, True, 1)],
+        ids=["newton-reuse", "newton-fresh", "gradient"],
+    )
+    def test_raises_at_the_failing_call(self, monkeypatch, hessian, reuse, calls_per_iteration):
+        # the objective turns NaN on the last call of an iteration in the
+        # middle of the second block: without reuse, the gradient's own probe
+        iteration = _BLOCK + _BLOCK // 2
+        bad_call = iteration * calls_per_iteration
         seen = {"calls": 0}
 
         def value(x):
@@ -408,10 +438,23 @@ class TestNonFiniteMidBlock:
 
         monkeypatch.setattr(newton_mod, "BudgetedOracle", RecordingOracle)
         objective = replace(QUAD, value=value)
+        cfg = NewtonConfig(objective=objective, budget=3000, k=1, reuse=reuse, seed=0)
         with pytest.raises(NonFiniteEvaluation):
-            run_newton(NewtonConfig(objective=objective, budget=3000, k=1, seed=0))
+            (run_newton if hessian else run_first_order)(cfg)
         assert seen["calls"] == bad_call
-        assert oracles[0].evals_used == bad_call * iteration_cost(1)
+        cost = iteration_cost(1, reuse) if hessian else 2
+        assert oracles[0].evals_used == iteration * cost
+
+
+class TestNewtonConfig:
+    @pytest.mark.parametrize(
+        "name,value",
+        [("k", 0), ("record_stride", 0), ("eps_pd", 0.0), ("eps_pd", -1.0), ("eps_pd", np.nan)],
+    )
+    def test_invalid_values_raise_when_built(self, name, value):
+        # before any run, so gradient-only configs are checked the same way
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            NewtonConfig(objective=QUAD, budget=30, **{name: value})
 
 
 class TestRunNewton:
