@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import batch_gradient, gradient_samples, hessian_mean, probe
-from .newton import _initial_theta, _spawn_streams
+from .newton import _check_theta0, _initial_theta, _spawn_streams
 from .oracle import (
     BudgetedOracle,
     BudgetTooSmall,
@@ -24,6 +24,7 @@ from .oracle import (
     Objective,
 )
 from .perturb import PerturbationSpec, gaussian, gradient_unbias_factor
+from .stencils import _check_order
 
 #: regularizer floor used when the objective has a vanishing third derivative
 ALPHA_FLOOR = 1e-3
@@ -47,6 +48,13 @@ class CubicConfig:
     theta0: np.ndarray | None = None
     budget: int | None = None
     reuse: bool = False
+
+    def __post_init__(self) -> None:
+        _check_order(self.k, "k")
+        for name in ("n_steps", "m", "b"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        _check_theta0(self.theta0, self.objective)
 
     def alpha_value(self) -> float:
         if self.alpha is not None:
@@ -299,9 +307,6 @@ def run_crzon(cfg: CubicConfig) -> SospReport:
     before consuming anything.
     """
     start = time.perf_counter()
-    for name in ("k", "n_steps", "m", "b"):
-        if getattr(cfg, name) < 1:
-            raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
     cost = cfg.step_cost()
     if cfg.budget is not None and cfg.budget < cost:
         raise BudgetTooSmall(

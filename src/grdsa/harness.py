@@ -44,7 +44,6 @@ from .oracle import (
     saddle_quartic,
 )
 from .perturb import PerturbationSpec
-from .stencils import MAX_ORDER
 
 _METHOD_RE = re.compile(r"^(G2|G)(SF|R)-(\d+)$")
 
@@ -358,20 +357,27 @@ class TableResult:
     cells: list[TableCell]
 
 
-def run_table(config: dict) -> TableResult:
-    """Run every method x dim x budget x seed cell; failures don't abort."""
-    fingerprint = config_fingerprint(config)
+def table_cells(config: dict) -> Iterator[tuple[MethodSpec, dict]]:
+    """Each method x dim x budget cell of a table, with the config its runs build from."""
     methods = [method_spec(name) for name in setting(config, "methods")]
     dims = setting(config, "dims", [setting(config, "dim")])
     budgets = setting(config, "budgets", [setting(config, "budget", 1000)])
+    for method, dim, budget in itertools.product(methods, dims, budgets):
+        sub = dict(config, dim=dim, budget=budget)
+        sub["estimator"] = dict(_lookup(config, "estimator") or {}, k=method.k)
+        sub["perturb"] = dict(_lookup(config, "perturb") or {}, family=method.family)
+        yield method, sub
+
+
+def run_table(config: dict) -> TableResult:
+    """Run every method x dim x budget x seed cell; failures don't abort."""
+    fingerprint = config_fingerprint(config)
     seed_base = setting(config, "seed_base")
     seeds = range(seed_base, seed_base + setting(config, "seeds"))
 
     rows: list[TableRow] = []
-    for method, dim, budget, seed in itertools.product(methods, dims, budgets, seeds):
-        sub = dict(config, dim=dim, budget=budget)
-        sub["estimator"] = dict(_lookup(config, "estimator") or {}, k=method.k)
-        sub["perturb"] = dict(_lookup(config, "perturb") or {}, family=method.family)
+    for (method, sub), seed in itertools.product(table_cells(config), seeds):
+        dim, budget = sub["dim"], sub["budget"]
         start = time.perf_counter()
         try:
             record = runner(method.algorithm)(build_newton_config(sub, seed=seed))
@@ -483,74 +489,59 @@ def run_bias_sweep(config: dict) -> BiasSweepResult:
 
 # --- config validation ----------------------------------------------------
 
-def validate_config(config: dict) -> list[Finding]:
-    """Schedule compliance, known names, budget feasibility, estimator order, unknown keys.
+def _priced_runs(config: dict) -> list[tuple[int | None, int]]:
+    """``(budget, cost of one iteration)`` of every run of ``config``, each
+    built as its run builds it: the CRZON run; or the ``newton run`` config
+    (when ``budget`` is set), then every table cell."""
+    if _lookup(config, "crzon") is not None:
+        cfg = build_cubic_config(config)
+        cfg.alpha_value()
+        return [(cfg.budget, cfg.step_cost())]
+    runs = [(method.algorithm, cell) for method, cell in table_cells(config)]
+    if setting(config, "budget") is not None:
+        runs.insert(0, (setting(config, "algorithm"), config))
+    priced = []
+    for algorithm, cell in runs:
+        cfg = build_newton_config(cell)
+        priced.append((cfg.budget, iteration_cost(cfg.k, cfg.reuse, algorithm == "newton")))
+    return priced
 
-    With a ``crzon`` section the order is ``crzon.k`` and the budget must
-    cover one CRZON outer step (priced only if the objective can be built);
-    otherwise the order is ``estimator.k`` and the budget must cover one
-    Newton iteration.  Each key not in :data:`KEYS` adds one warning.
-    """
+
+def validate_config(config: dict) -> list[Finding]:
+    """Schedule compliance; each part of a run, then every run (``run.builds``,
+    see :func:`_priced_runs`), built by the runs' own builders and failing
+    with their messages; with ``budget`` or ``budgets`` set, that each run's
+    budget covers one of its iterations; one warning per unknown key."""
     findings = [
         replace(f, check=f"schedules.{f.check}")
         for f in validate_schedules(make_schedules(config))
     ]
 
-    def error(check: str, ok: bool, message: str) -> None:
-        findings.append(Finding(check, "error", ok, message))
-
-    def builds(check: str, build: Callable[[], object], message: str) -> str:
+    def builds(check: str, build: Callable[[], object]) -> bool:
         try:
             build()
             problem = ""
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ArithmeticError) as exc:
             problem = str(exc)
-        error(check, not problem, problem or message)
-        return problem
+        findings.append(Finding(check, "error", not problem, problem or "builds"))
+        return not problem
 
-    name, algorithm = setting(config, "objective"), setting(config, "algorithm")
-    problem = builds(
-        "objective.known", lambda: make_objective(config), f"objective {name!r} can be built"
-    )
-    builds("algorithm.known", lambda: runner(algorithm), f"algorithm {algorithm!r} is known")
-    builds(
-        "methods.known",
-        lambda: [method_spec(m) for m in setting(config, "methods")],
-        "every method name is known",
-    )
-
-    crzon = _lookup(config, "crzon") is not None
-    k = setting(config, "crzon.k" if crzon else "estimator.k")
-    error(
-        "estimator.order_supported",
-        1 <= k <= MAX_ORDER,
-        f"truncation order k must be in 1..{MAX_ORDER}, got {k}",
-    )
-
-    lower, upper = setting(config, "box.lower"), setting(config, "box.upper")
-    error("box.nonempty", lower < upper, f"projection box [{lower}, {upper}] must be nonempty")
-
-    family = setting(config, "perturb.family")
-    error(
-        "perturb.family_known",
-        family in ("gaussian", "uniform"),
-        f"perturbation family must be gaussian or uniform, got {family!r}",
-    )
-
-    budget = setting(config, "budget")
-    if budget is not None and 1 <= k <= MAX_ORDER and not (crzon and problem):
-        try:
-            if crzon:
-                cost = build_cubic_config(config).step_cost()
-            else:
-                cost = iteration_cost(k, setting(config, "estimator.reuse"))
-            ok, message = budget >= cost, f"budget {budget} vs per-iteration cost {cost}"
-        except (ValueError, ArithmeticError) as exc:
-            ok, message = False, f"one CRZON step cannot be sized: {exc}"
-        error("budget.covers_one_iteration", ok, message)
-
-    sigma = setting(config, "noise.sigma")
-    error("noise.sigma_nonnegative", sigma >= 0.0, f"noise sigma must be >= 0, got {sigma}")
+    parts = {
+        "objective.known": lambda: make_objective(config),
+        "algorithm.known": lambda: runner(setting(config, "algorithm")),
+        "methods.known": lambda: [method_spec(m) for m in setting(config, "methods")],
+        "box.nonempty": lambda: make_box(config),
+        "perturb.family_known": lambda: make_perturbation(config),
+        "noise.sigma_nonnegative": lambda: make_noise(config),
+    }
+    priced: list[tuple[int | None, int]] = []
+    if all([builds(check, build) for check, build in parts.items()]):  # every part is reported
+        builds("run.builds", lambda: priced.extend(_priced_runs(config)))
+    budgeted = [(budget, cost) for budget, cost in priced if budget is not None]
+    if budgeted and (setting(config, "budget"), setting(config, "budgets")) != (None, None):
+        budget, cost = min(budgeted, key=lambda run: run[0] - run[1])
+        message = f"budget {budget} vs per-iteration cost {cost}"
+        findings.append(Finding("budget.covers_one_iteration", "error", budget >= cost, message))
 
     for path in _unknown_keys(config):
         findings.append(

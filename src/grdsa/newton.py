@@ -32,7 +32,7 @@ from .oracle import (
     parameter_error,
 )
 from .perturb import PerturbationSpec, gaussian, gradient_unbias_factor, scaling_matrices
-from .stencils import grad_weights, hess_weights
+from .stencils import _check_order, grad_weights, hess_weights
 
 #: iterates start uniform in this coordinate range unless overridden
 INIT_RANGE = (2.0, 3.0)
@@ -241,12 +241,17 @@ class NewtonConfig:
     record_stride: int = 1
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        _check_order(self.k, "k")
         if self.record_stride < 1:
             raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
         if not self.eps_pd > 0:
             raise ValueError(f"eps_pd must be > 0, got {self.eps_pd}")
+        _check_theta0(self.theta0, self.objective)
+
+
+def _check_theta0(theta0: np.ndarray | None, objective: Objective) -> None:
+    if theta0 is not None and np.shape(theta0) != (objective.dim,):
+        raise ValueError(f"theta0 must have shape ({objective.dim},), got {np.shape(theta0)}")
 
 
 @dataclass
@@ -274,9 +279,10 @@ class RunRecord:
     wall_time_s: float
 
 
-def iteration_cost(k: int, reuse: bool = True) -> int:
-    """Measurements one Newton iteration consumes."""
-    return 2 * k + 1 if reuse else (2 * k + 1) + (k + 1)
+def iteration_cost(k: int, reuse: bool = True, hessian: bool = True) -> int:
+    """Measurements one iteration consumes: ``2k+1`` for Newton, ``k+1`` more
+    without reuse; ``k+1`` for the gradient-only baseline (no Hessian)."""
+    return (2 * k + 1 if reuse else 3 * k + 2) if hessian else k + 1
 
 
 @dataclass(frozen=True)
@@ -423,10 +429,7 @@ def _spawn_streams(seed: int, n: int) -> list[np.random.Generator]:
 
 def _initial_theta(cfg_theta0: np.ndarray | None, dim: int, init_rng: np.random.Generator) -> np.ndarray:
     if cfg_theta0 is not None:
-        theta0 = np.asarray(cfg_theta0, dtype=float)
-        if theta0.shape != (dim,):
-            raise ValueError(f"theta0 must have shape ({dim},), got {theta0.shape}")
-        return theta0.copy()
+        return np.array(cfg_theta0, dtype=float)
     return init_rng.uniform(INIT_RANGE[0], INIT_RANGE[1], dim)
 
 
@@ -440,7 +443,7 @@ def _run(cfg: NewtonConfig, hessian: bool) -> RunRecord:
     """
     start = time.perf_counter()
     k, reuse = cfg.k, cfg.reuse
-    cost = iteration_cost(k, reuse) if hessian else k + 1
+    cost = iteration_cost(k, reuse, hessian)
     if cfg.budget < cost:
         raise BudgetTooSmall(
             f"budget {cfg.budget} cannot afford one iteration ({cost} evaluations)"

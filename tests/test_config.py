@@ -3,8 +3,9 @@
 Every key of ``harness.KEYS`` that sets a dataclass field is checked both
 ways: a set value reaches the field unchanged, and an absent key (or a null
 section) leaves the dataclass default.  ``validate_config`` must report,
-never raise, on any config drawn from the table, and it must warn on keys
-the table does not know, but not on the configs this repository ships.
+never raise, on any config drawn from the table; every run of a config it
+passes must build; and it must warn on keys the table does not know, but
+not on the configs this repository ships.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from grdsa.harness import (
     make_perturbation,
     make_schedules,
     setting,
+    table_cells,
     validate_config,
 )
 from grdsa.newton import Box, NewtonConfig, Schedules
@@ -62,6 +64,7 @@ VALID = {
     "box.lower": st.floats(-100.0, 5.0),
     "box.upper": st.floats(-5.0, 100.0),
     "crzon.k": st.integers(1, MAX_ORDER),
+    "estimator.k": st.integers(1, MAX_ORDER),
     "crzon.epsilon": st.floats(0.05, 0.95),
     "perturb.eta": st.floats(0.01, 10.0),
     "theta0": st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2),
@@ -203,19 +206,41 @@ class TestValidateNeverRaises:
         findings = validate_config(config)
         assert not any(f.check == "config.unknown_key" for f in findings)
 
+    @settings(max_examples=300, deadline=None)
+    @given(config=drawn_configs())
+    def test_clean_configs_build(self, config):
+        # what the validator passes, the runs can build
+        if has_errors(validate_config(config)):
+            return
+        if config.get("crzon") is not None:
+            build_cubic_config(config)
+            return
+        for _, cell in table_cells(config):
+            build_newton_config(cell)
+        if setting(config, "budget") is not None:
+            build_newton_config(config)
+
     @pytest.mark.parametrize(
-        "config,cause",
+        "config,check,cause",
         [
-            ({"crzon": {"epsilon": 2.0}}, "epsilon must be in (0, 1)"),
-            ({"crzon": {"epsilon": 1e-300}}, "out of range"),
-            ({"crzon": {"epsilon": 0.5, "n_prefactor": 1e308}}, "infinity"),
-            ({"crzon": {}, "perturb": {"family": "levy"}}, "unknown perturbation family"),
-            ({"crzon": {}, "noise": {"sigma": -1.0}}, "sigma must be >= 0"),
+            ({"crzon": {"epsilon": 2.0}}, "run.builds", "epsilon must be in (0, 1)"),
+            ({"crzon": {"epsilon": 1e-300}}, "run.builds", "out of range"),
+            ({"crzon": {"epsilon": 0.5, "n_prefactor": 1e308}}, "run.builds", "infinity"),
+            (
+                {"crzon": {}, "perturb": {"family": "levy"}},
+                "perturb.family_known",
+                "unknown perturbation family",
+            ),
+            (
+                {"crzon": {}, "noise": {"sigma": -1.0}},
+                "noise.sigma_nonnegative",
+                "sigma must be >= 0",
+            ),
         ],
     )
-    def test_unsizable_crzon_step_is_an_error(self, config, cause):
+    def test_unsizable_crzon_step_is_an_error(self, config, check, cause):
         findings = validate_config(dict(config, budget=100))
-        finding = next(f for f in findings if f.check == "budget.covers_one_iteration")
+        finding = next(f for f in findings if f.check == check)
         assert not finding.ok and cause in finding.message
         assert has_errors(findings)
 

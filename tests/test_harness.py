@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +39,28 @@ from grdsa.oracle import BudgetTooSmall
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def run_failure(config):
+    """``(type name, message)`` of the first run of ``config`` that raises, or None.
+
+    A config with a ``crzon`` section makes one CRZON run; any other makes
+    the run of ``grdsa newton run`` when it sets ``budget``, then the table's.
+    """
+    try:
+        if config.get("crzon") is not None:
+            run_crzon(build_cubic_config(config))
+        elif "budget" in config:
+            harness_mod.runner(harness_mod.setting(config, "algorithm"))(
+                build_newton_config(config)
+            )
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    if config.get("crzon") is None:
+        for row in run_table(config).rows:
+            if row.status == "error":
+                return tuple(row.message.split(": ", 1))
+    return None
 
 
 QUAD_CONFIG = {
@@ -405,7 +428,7 @@ class TestValidateConfig:
     def test_unsupported_order(self):
         findings = validate_config({"budget": 1000, "estimator": {"k": 20}})
         assert not next(
-            f for f in findings if f.check == "estimator.order_supported"
+            f for f in findings if f.check == "run.builds"
         ).ok
         # the budget check is skipped when the order itself is invalid
         assert not any(f.check == "budget.covers_one_iteration" for f in findings)
@@ -413,7 +436,7 @@ class TestValidateConfig:
     def test_crzon_order_also_checked(self):
         findings = validate_config({"crzon": {"k": 0}})
         assert not next(
-            f for f in findings if f.check == "estimator.order_supported"
+            f for f in findings if f.check == "run.builds"
         ).ok
 
     def test_empty_box(self):
@@ -484,9 +507,9 @@ class TestValidateConfig:
         assert not finding.ok and finding.severity == "error"
         assert "'rosenbrock'" in finding.message
         assert has_errors(findings)
-        # a Newton iteration is priced without the objective; a CRZON step is not
+        # no run is priced without the objective
         priced = any(f.check == "budget.covers_one_iteration" for f in findings)
-        assert priced == (crzon is None)
+        assert not priced
         with pytest.raises(ValueError, match="unknown objective"):
             build_newton_config(config)
 
@@ -500,10 +523,10 @@ class TestValidateConfig:
         finding = next(f for f in findings if f.check == "objective.known")
         assert not finding.ok and finding.message == "dim must be >= 1, got 0"
         assert has_errors(findings)
-        # as for an unknown name, a CRZON step is not priced without the objective
+        # as for an unknown name, no run is priced without the objective
         priced = any(f.check == "budget.covers_one_iteration" for f in findings)
-        assert priced == (crzon is None)
-        assert len(findings) == (14 if crzon is None else 13)
+        assert not priced
+        assert len(findings) == 12
         with pytest.raises(ValueError, match="dim must be >= 1"):
             build_newton_config(config)
 
@@ -538,6 +561,38 @@ class TestValidateConfig:
         for algorithm in ("newton", "gradient_only"):
             findings = validate_config({"algorithm": algorithm, "methods": ["GSF-5", "G2R-9"]})
             assert all(f.ok for f in findings if f.check in ("algorithm.known", "methods.known"))
+
+    @pytest.mark.parametrize(
+        "config,cause",
+        [
+            ({"perturb": {"family": "uniform", "eta": -1.0}, "budget": 100}, "ValueError"),
+            ({"eps_pd": -1.0, "budget": 100}, "ValueError"),
+            ({"record_stride": 0, "budget": 100}, "ValueError"),
+            ({"estimator": {"k": 13}, "budget": 100}, "OrderError"),
+            ({"methods": ["G2SF-9"], "budget": 5}, "BudgetTooSmall"),
+            ({"dims": [0]}, "ValueError"),
+            ({"budgets": [2]}, "BudgetTooSmall"),
+            ({"crzon": {"m": 0}}, "ValueError"),
+            ({"crzon": {"N": 0}}, "ValueError"),
+            ({"crzon": {"alpha": -1.0}}, "ValueError"),
+            ({"objective": "quartic", "crzon": {}}, "ValueError"),
+            ({"theta0": [1.0, 2.0, 3.0], "budget": 100}, "ValueError"),
+            # priced at the gradient-only k+1 = 3, not the Newton 2k+1 = 5
+            ({"algorithm": "gradient_only", "budget": 3, "estimator": {"k": 2}}, None),
+        ],
+    )
+    def test_validator_agrees_with_the_run(self, config, cause):
+        errors = [f for f in validate_config(config) if not f.ok and f.severity == "error"]
+        failure = run_failure(config)
+        assert (failure or (None,))[0] == cause
+        if cause is None:
+            assert errors == []
+        elif cause == "BudgetTooSmall":
+            cost = re.search(r"\((\d+) evaluations\)", failure[1]).group(1)
+            assert [f.check for f in errors] == ["budget.covers_one_iteration"]
+            assert f"cost {cost}" in errors[0].message
+        else:
+            assert [f.message for f in errors] == [failure[1]]
 
     def test_schedule_findings_prefixed(self):
         findings = validate_config({"schedules": {"a0": -1.0}})
