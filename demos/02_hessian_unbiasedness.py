@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from grdsa.estimators import batch_hessian
+from grdsa.estimators import batch_hessian, hessian_samples, probe
 from grdsa.oracle import BudgetedOracle, quadratic
-from grdsa.perturb import PerturbationSpec, gaussian, uniform
+from grdsa.perturb import PerturbationSpec, gaussian, scaling_matrices, uniform
+
+DELTA = 1e-3
 
 
 def show(label: str, value: np.ndarray, target: np.ndarray, se: np.ndarray) -> None:
@@ -25,6 +27,15 @@ def show(label: str, value: np.ndarray, target: np.ndarray, se: np.ndarray) -> N
         print(f"  [{cells}]   ({devs} SE from target)")
 
 
+def estimate(obj, theta: np.ndarray, spec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of ``n`` one-draw estimates and its standard error, entry by entry."""
+    directions = spec.sample(np.random.default_rng(7), (n, theta.size))
+    mean = batch_hessian(BudgetedOracle(obj), theta, directions, DELTA, 1, 1, spec)
+    values = probe(BudgetedOracle(obj), theta, directions, DELTA, 3)
+    samples = hessian_samples(values, scaling_matrices(spec, directions), DELTA, 1, 1)
+    return mean, samples.std(axis=0, ddof=1) / np.sqrt(n)
+
+
 def main() -> None:
     a = np.array([[2.0, 0.7], [0.7, 4.0]])
     obj = quadratic(a)
@@ -32,22 +43,13 @@ def main() -> None:
     n = 200_000
 
     for spec, name in ((gaussian(), "gaussian"), (uniform(np.sqrt(3.0)), "uniform")):
-        est, samples = batch_hessian(
-            BudgetedOracle(obj), theta, 1e-3, 1, n, spec,
-            np.random.default_rng(7), return_samples=True,
-        )
-        se = samples.std(axis=0, ddof=1) / np.sqrt(n)
+        mean, se = estimate(obj, theta, spec, n)
         print(f"\n{name} directions, {n} draws, corrected scaling")
-        show("  mean estimate", est.value, a, se)
+        show("  mean estimate", mean, a, se)
 
-    est, samples = batch_hessian(
-        BudgetedOracle(obj), theta, 1e-3, 1, n,
-        PerturbationSpec("gaussian", paper_literal_scaling=True),
-        np.random.default_rng(7), return_samples=True,
-    )
-    se = samples.std(axis=0, ddof=1) / np.sqrt(n)
+    mean, se = estimate(obj, theta, PerturbationSpec("gaussian", paper_literal_scaling=True), n)
     print("\ngaussian directions, plain outer-product scaling (converges to 2H)")
-    show("  mean estimate", est.value, 2.0 * a, se)
+    show("  mean estimate", mean, 2.0 * a, se)
 
     print("\ntrue Hessian:")
     for row in a:

@@ -18,12 +18,8 @@ from .cubic import (
     solve_cubic_subproblem,
 )
 from .estimators import (
-    GradientEstimate,
-    HessianEstimate,
     batch_gradient,
     batch_hessian,
-    estimate_gradient,
-    estimate_hessian,
     fit_loglog_slope,
     gradient_deviation,
     hessian_deviation,

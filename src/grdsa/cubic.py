@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import batch_gradient, gradient_samples, hessian_mean, probe
-from .newton import _check_theta0, _initial_theta, _spawn_streams
+from .estimators import gradient_samples, hessian_mean, probe
+from .newton import _check_run, _initial_theta, _spawn_streams
 from .oracle import (
     BudgetedOracle,
     BudgetTooSmall,
@@ -54,7 +54,9 @@ class CubicConfig:
         for name in ("n_steps", "m", "b"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        _check_theta0(self.theta0, self.objective)
+        if not self.delta > 0:
+            raise ValueError(f"delta must be > 0, got {self.delta}")
+        _check_run(self.seed, self.theta0, self.objective)
 
     def alpha_value(self) -> float:
         if self.alpha is not None:
@@ -257,21 +259,21 @@ def _batched_estimates(theta, oracle, cfg, rng):
     """Hessian batch mean, then gradient batch mean.
 
     With reuse, the first ``min(m, b)`` gradient draws read the Hessian
-    batch's shift-0..k measurements instead of buying their own.
+    batch's shift-0..k measurements; the rest draw their own directions
+    and probe them at ``k+1`` shifts.
     """
     spec, k, delta = cfg.perturbation, cfg.k, cfg.delta
     directions = spec.sample(rng, (cfg.b, theta.size))
     values = probe(oracle, theta, directions, delta, 2 * k + 1)
     hess = hessian_mean(values, directions, delta, k, k, spec)
     shared = min(cfg.m, cfg.b) if cfg.reuse else 0
-    samples = gradient_samples(
-        values[:shared], gradient_unbias_factor(spec) * directions[:shared], delta, k
-    )
+    factor = gradient_unbias_factor(spec)
+    samples = gradient_samples(values[:shared], factor * directions[:shared], delta, k)
     if cfg.m > shared:
-        _, fresh = batch_gradient(
-            oracle, theta, delta, k, cfg.m - shared, spec, rng, return_samples=True
-        )
-        samples = np.concatenate([samples, fresh])
+        fresh = spec.sample(rng, (cfg.m - shared, theta.size))
+        fresh_values = probe(oracle, theta, fresh, delta, k + 1)
+        fresh_samples = gradient_samples(fresh_values, factor * fresh, delta, k)
+        samples = np.concatenate([samples, fresh_samples])
     return hess, samples.mean(axis=0)
 
 

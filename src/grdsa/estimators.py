@@ -4,13 +4,14 @@ Every estimator goes through one probe, :func:`probe`, which measures the
 objective at ``theta + (delta*s)*Delta`` for the shifts ``s = 0..n_shifts-1``
 of each drawn direction ``Delta``.  The Hessian reduction reads all ``2k+1``
 columns of that value matrix; the gradient reduction reads the first ``k+1``,
-which is what measurement reuse exploits.  A single-draw estimate is the
-one-row case; batch variants average independent single-draw estimates.
+which is what measurement reuse exploits.  :func:`batch_gradient` and
+:func:`batch_hessian` average the one-draw estimates along directions the
+caller has drawn; a single draw is the one-row call.  A caller that needs
+the draws themselves reduces a probe with :func:`gradient_samples` or
+:func:`hessian_samples`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +20,6 @@ from .perturb import (
     PerturbationSpec,
     apply_scaling,
     gradient_unbias_factor,
-    scaling_matrices,
-    scaling_matrix,
     scaling_norms,
 )
 from .stencils import grad_weights, hess_weights
@@ -30,35 +29,18 @@ class NonFiniteEvaluation(RuntimeError):
     """Raised when the oracle returns NaN or infinity."""
 
 
-@dataclass(frozen=True)
-class GradientEstimate:
-    value: np.ndarray
-    measurements_used: int
-    k: int
-    delta: float
-
-
-@dataclass(frozen=True)
-class HessianEstimate:
-    value: np.ndarray
-    measurements_used: int
-    k1: int
-    k2: int
-    delta: float
-
-
-def _check_inputs(theta: np.ndarray, direction: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+def _check_inputs(theta, directions, delta: float) -> tuple[np.ndarray, np.ndarray]:
     theta = np.asarray(theta, dtype=float)
-    direction = np.asarray(direction, dtype=float)
+    directions = np.asarray(directions, dtype=float)
     if theta.ndim != 1:
         raise ValueError(f"theta must be 1-D, got shape {theta.shape}")
-    if direction.shape != theta.shape:
+    if directions.ndim != 2 or len(directions) < 1 or directions.shape[1] != theta.size:
         raise ValueError(
-            f"direction shape {direction.shape} does not match theta shape {theta.shape}"
+            f"directions must have shape (n >= 1, {theta.size}), got {directions.shape}"
         )
     if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    return theta, direction
+    return theta, directions
 
 
 def ray_offsets(directions: np.ndarray, delta, n_shifts: int) -> np.ndarray:
@@ -135,7 +117,7 @@ def hessian_samples(
     ``(d, d)`` estimate, ``n`` rows with ``(n, d, d)`` give ``(n, d, d)``.
     Each estimate is symmetric because its scaling matrix is.
     """
-    quads = values @ hess_weights(k1, k2) / delta**2
+    quads = _quads(values, delta, k1, k2)
     return scalers * (quads[:, None, None] if quads.ndim else quads)
 
 
@@ -150,124 +132,51 @@ def hessian_mean(
     """Mean of the one-draw Hessian estimates of a probe matrix in ``O(d**2)`` memory.
 
     The mean of ``M(Delta_i) q_i`` is ``M`` applied to the quadratic-form
-    weighted outer-product mean, so no ``(n, d, d)`` stack is built.
+    weighted outer-product mean, so no ``(n, d, d)`` stack is built.  That
+    product rounds asymmetrically; the cubic solver's own ``(H + H^T) / 2``
+    makes the mean exactly symmetric, as each draw's estimate is.
     """
     quads = _quads(values, delta, k1, k2)
     outer_mean = directions.T @ (directions * quads[:, None]) / len(directions)
-    return apply_scaling(spec, outer_mean, quads.mean())
-
-
-def estimate_gradient(
-    oracle: BudgetedOracle,
-    theta: np.ndarray,
-    direction: np.ndarray,
-    delta: float,
-    k: int,
-    spec: PerturbationSpec,
-) -> GradientEstimate:
-    """One-draw gradient estimate of order ``k`` along ``direction``.
-
-    Consumes ``k + 1`` measurements.
-    """
-    theta, direction = _check_inputs(theta, direction, delta)
-    values = probe(oracle, theta, direction[None, :], delta, k + 1)[0]
-    value = gradient_samples(values, gradient_unbias_factor(spec) * direction, delta, k)
-    return GradientEstimate(value=value, measurements_used=k + 1, k=k, delta=delta)
-
-
-def estimate_hessian(
-    oracle: BudgetedOracle,
-    theta: np.ndarray,
-    direction: np.ndarray,
-    delta: float,
-    k1: int,
-    k2: int | None = None,
-    spec: PerturbationSpec | None = None,
-) -> HessianEstimate:
-    """One-draw Hessian estimate of orders ``(k1, k2)`` along ``direction``.
-
-    Consumes ``k1 + k2 + 1`` measurements (``k2`` defaults to ``k1``).
-    """
-    theta, direction = _check_inputs(theta, direction, delta)
-    if spec is None:
-        raise ValueError("a PerturbationSpec is required to unbias the estimate")
-    n_shifts = hess_weights(k1, k2).size
-    values = probe(oracle, theta, direction[None, :], delta, n_shifts)[0]
-    scaler = scaling_matrix(spec, direction)
-    value = hessian_samples(values, scaler, delta, k1, k2)
-    return HessianEstimate(
-        value=value,
-        measurements_used=n_shifts,
-        k1=k1,
-        k2=k1 if k2 is None else k2,
-        delta=delta,
-    )
+    mean = apply_scaling(spec, outer_mean, quads.mean())
+    return 0.5 * (mean + mean.T)
 
 
 def batch_gradient(
     oracle: BudgetedOracle,
     theta: np.ndarray,
+    directions: np.ndarray,
     delta: float,
     k: int,
-    m: int,
     spec: PerturbationSpec,
-    rng: np.random.Generator,
-    return_samples: bool = False,
-) -> GradientEstimate | tuple[GradientEstimate, np.ndarray]:
-    """Average of ``m`` independent one-draw gradient estimates.
+) -> np.ndarray:
+    """Mean of the order-``k`` one-draw gradient estimates along ``(n, d)`` directions.
 
-    Draws all directions first, then evaluates the ``m * (k+1)`` points;
-    with the same generator state this reproduces the sequential
-    single-estimate loop exactly.
+    Consumes ``n * (k + 1)`` measurements in one oracle call.
     """
-    theta = np.asarray(theta, dtype=float)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    directions = spec.sample(rng, (m, theta.size))
+    theta, directions = _check_inputs(theta, directions, delta)
     values = probe(oracle, theta, directions, delta, k + 1)
     samples = gradient_samples(values, gradient_unbias_factor(spec) * directions, delta, k)
-    estimate = GradientEstimate(
-        value=samples.mean(axis=0),
-        measurements_used=m * (k + 1),
-        k=k,
-        delta=delta,
-    )
-    if return_samples:
-        return estimate, samples
-    return estimate
+    return samples.mean(axis=0)
 
 
 def batch_hessian(
     oracle: BudgetedOracle,
     theta: np.ndarray,
+    directions: np.ndarray,
     delta: float,
-    k: int,
-    b: int,
+    k1: int,
+    k2: int | None,
     spec: PerturbationSpec,
-    rng: np.random.Generator,
-    return_samples: bool = False,
-) -> HessianEstimate | tuple[HessianEstimate, np.ndarray]:
-    """Average of ``b`` independent one-draw Hessian estimates (order ``k``).
+) -> np.ndarray:
+    """Mean of the order-``(k1, k2)`` one-draw Hessian estimates along ``(n, d)`` directions.
 
-    The average is formed in ``O(d**2)`` memory; only ``return_samples``
-    stacks the ``b`` matrices.
+    Consumes ``n * (k1 + k2 + 1)`` measurements in one oracle call (``k2``
+    None means ``k1``); the mean is :func:`hessian_mean`, in ``O(d**2)`` memory.
     """
-    theta = np.asarray(theta, dtype=float)
-    if b < 1:
-        raise ValueError(f"b must be >= 1, got {b}")
-    directions = spec.sample(rng, (b, theta.size))
-    values = probe(oracle, theta, directions, delta, 2 * k + 1)
-    estimate = HessianEstimate(
-        value=hessian_mean(values, directions, delta, k, k, spec),
-        measurements_used=b * (2 * k + 1),
-        k1=k,
-        k2=k,
-        delta=delta,
-    )
-    if return_samples:
-        scalers = scaling_matrices(spec, directions)
-        return estimate, hessian_samples(values, scalers, delta, k, k)
-    return estimate
+    theta, directions = _check_inputs(theta, directions, delta)
+    values = probe(oracle, theta, directions, delta, hess_weights(k1, k2).size)
+    return hessian_mean(values, directions, delta, k1, k2, spec)
 
 
 def gradient_deviation(
@@ -292,8 +201,7 @@ def gradient_deviation(
     """
     if objective.gradient is None:
         raise ValueError("objective must provide an analytic gradient")
-    theta = np.asarray(theta, dtype=float)
-    directions = np.asarray(directions, dtype=float)
+    theta, directions = _check_inputs(theta, directions, delta)
     values = probe(BudgetedOracle(objective), theta, directions, delta, k + 1)
     scaled = gradient_unbias_factor(spec) * directions
     estimates = gradient_samples(values, scaled, delta, k)
@@ -325,8 +233,7 @@ def hessian_deviation(
     """
     if objective.hessian is None:
         raise ValueError("objective must provide an analytic Hessian")
-    theta = np.asarray(theta, dtype=float)
-    directions = np.asarray(directions, dtype=float)
+    theta, directions = _check_inputs(theta, directions, delta)
     n_shifts = hess_weights(k1, k2).size
     values = probe(BudgetedOracle(objective), theta, directions, delta, n_shifts)
 

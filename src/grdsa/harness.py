@@ -492,17 +492,20 @@ def run_bias_sweep(config: dict) -> BiasSweepResult:
 def _priced_runs(config: dict) -> list[tuple[int | None, int]]:
     """``(budget, cost of one iteration)`` of every run of ``config``, each
     built as its run builds it: the CRZON run; or the ``newton run`` config
-    (when ``budget`` is set), then every table cell."""
+    (when ``budget`` is set), then every table cell; each at the config's
+    ``seed`` and at ``seed_base``, the first seed the runs use."""
+    seeds = (None, setting(config, "seed_base"))  # None: the config's ``seed``
     if _lookup(config, "crzon") is not None:
-        cfg = build_cubic_config(config)
+        for seed in seeds:
+            cfg = build_cubic_config(config, seed)
         cfg.alpha_value()
         return [(cfg.budget, cfg.step_cost())]
     runs = [(method.algorithm, cell) for method, cell in table_cells(config)]
     if setting(config, "budget") is not None:
         runs.insert(0, (setting(config, "algorithm"), config))
     priced = []
-    for algorithm, cell in runs:
-        cfg = build_newton_config(cell)
+    for (algorithm, cell), seed in itertools.product(runs, seeds):
+        cfg = build_newton_config(cell, seed)
         priced.append((cfg.budget, iteration_cost(cfg.k, cfg.reuse, algorithm == "newton")))
     return priced
 

@@ -246,10 +246,12 @@ class NewtonConfig:
             raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
         if not self.eps_pd > 0:
             raise ValueError(f"eps_pd must be > 0, got {self.eps_pd}")
-        _check_theta0(self.theta0, self.objective)
+        _check_run(self.seed, self.theta0, self.objective)
 
 
-def _check_theta0(theta0: np.ndarray | None, objective: Objective) -> None:
+def _check_run(seed: int, theta0: np.ndarray | None, objective: Objective) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if theta0 is not None and np.shape(theta0) != (objective.dim,):
         raise ValueError(f"theta0 must have shape ({objective.dim},), got {np.shape(theta0)}")
 

@@ -19,6 +19,8 @@ from grdsa.estimators import (
     fit_loglog_slope,
     gradient_deviation,
     hessian_deviation,
+    hessian_samples,
+    probe,
 )
 from grdsa.harness import run_table
 from grdsa.newton import NewtonConfig, Schedules, run_newton, validate_schedules
@@ -30,7 +32,7 @@ from grdsa.oracle import (
     quartic,
     saddle_quartic,
 )
-from grdsa.perturb import PerturbationSpec, gaussian
+from grdsa.perturb import PerturbationSpec, gaussian, scaling_matrices
 from grdsa.stencils import hess_stencil, verify_identities
 
 
@@ -82,22 +84,19 @@ def test_03_scaled_hessian_is_unbiased(verdict):
     """
     a = np.diag([2.0, 4.0])
     theta = np.array([0.5, -0.5])
-    spec = gaussian()
     t0 = time.perf_counter()
-    est, samples = batch_hessian(
-        BudgetedOracle(quadratic(a)), theta, 1e-3, 1, 1_000_000, spec,
-        np.random.default_rng(2024), return_samples=True,
-    )
-    se = samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
-    dev_corrected = float(np.max(np.abs(est.value - a) / se))
 
-    est2, samples2 = batch_hessian(
-        BudgetedOracle(quadratic(a)), theta, 1e-3, 1, 1_000_000,
-        PerturbationSpec("gaussian", paper_literal_scaling=True),
-        np.random.default_rng(2024), return_samples=True,
-    )
-    se2 = samples2.std(axis=0, ddof=1) / np.sqrt(len(samples2))
-    dev_literal = float(np.max(np.abs(est2.value - 2.0 * a) / se2))
+    def deviation(spec, target):
+        """Largest entry gap of the batch mean from ``target``, in standard errors."""
+        dirs = spec.sample(np.random.default_rng(2024), (1_000_000, 2))
+        est = batch_hessian(BudgetedOracle(quadratic(a)), theta, dirs, 1e-3, 1, 1, spec)
+        values = probe(BudgetedOracle(quadratic(a)), theta, dirs, 1e-3, 3)
+        samples = hessian_samples(values, scaling_matrices(spec, dirs), 1e-3, 1, 1)
+        se = samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
+        return float(np.max(np.abs(est - target) / se))
+
+    dev_corrected = deviation(gaussian(), a)
+    dev_literal = deviation(PerturbationSpec("gaussian", paper_literal_scaling=True), 2.0 * a)
     elapsed = time.perf_counter() - t0
 
     ok = dev_corrected <= 4.0 and dev_literal <= 4.0 and elapsed < 30.0
@@ -169,10 +168,9 @@ def test_05_variance_grows_as_delta_shrinks(verdict):
 
     def total_variance(delta: float, seed: int) -> float:
         oracle = BudgetedOracle(obj, noise, rng=np.random.default_rng(seed))
-        _, samples = batch_hessian(
-            oracle, theta, delta, 1, 4000, gaussian(),
-            np.random.default_rng(seed + 1), return_samples=True,
-        )
+        dirs = gaussian().sample(np.random.default_rng(seed + 1), (4000, 2))
+        values = probe(oracle, theta, dirs, delta, 3)
+        samples = hessian_samples(values, scaling_matrices(gaussian(), dirs), delta, 1, 1)
         return float(samples.var(axis=0, ddof=1).sum())
 
     ratio = total_variance(0.005, 2024) / total_variance(0.01, 2025)

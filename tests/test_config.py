@@ -302,9 +302,22 @@ def _config_literals(path: Path, function: str | None = None) -> list[dict]:
     return found
 
 
-def _readme_configs() -> list[dict]:
+def _readme_blocks(language: str) -> list[str]:
     text = (ROOT / "README.md").read_text()
-    return [json.loads(block) for block in re.findall(r"```json\n(.*?)```", text, re.S)]
+    return re.findall(rf"```{language}\n(.*?)```", text, re.S)
+
+
+def _readme_configs() -> list[dict]:
+    return [json.loads(block) for block in _readme_blocks("json")]
+
+
+def test_readme_python_blocks_run():
+    # the quick tour's blocks build on each other, so they share one namespace
+    blocks = _readme_blocks("python")
+    assert blocks
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
 
 
 REPO_CONFIGS = {

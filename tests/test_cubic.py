@@ -230,11 +230,12 @@ class TestCrzonStep:
         hess, _ = _batched_estimates(
             theta, BudgetedOracle(cfg.objective), cfg, np.random.default_rng(3)
         )
+        directions = cfg.perturbation.sample(np.random.default_rng(3), (cfg.b, theta.size))
         expected = batch_hessian(
-            BudgetedOracle(cfg.objective), theta, cfg.delta, cfg.k, cfg.b, cfg.perturbation,
-            np.random.default_rng(3),
+            BudgetedOracle(cfg.objective), theta, directions, cfg.delta, cfg.k, cfg.k,
+            cfg.perturbation,
         )
-        assert np.array_equal(hess, expected.value)
+        assert np.array_equal(hess, expected)
 
     def test_reuse_step_builds_no_scaling_stack(self):
         d, b = 50, 1024

@@ -1,4 +1,4 @@
-"""Single-draw and batch estimators: exactness, reuse, counting, deviations."""
+"""Batch estimators and their one-row calls: exactness, reuse, counting, deviations."""
 
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ from grdsa.estimators import (
     NonFiniteEvaluation,
     batch_gradient,
     batch_hessian,
-    estimate_gradient,
-    estimate_hessian,
     fit_loglog_slope,
     gradient_deviation,
     gradient_samples,
@@ -47,6 +45,12 @@ def linear_objective(c):
     return quadratic(np.zeros((c.size, c.size)), c)
 
 
+def hessian_draws(oracle, theta, dirs, delta, k, spec):
+    """The one-draw Hessian estimates of order ``k`` along ``dirs``, from one probe."""
+    values = probe(oracle, theta, dirs, delta, 2 * k + 1)
+    return hessian_samples(values, scaling_matrices(spec, dirs), delta, k, k)
+
+
 class TestEstimateGradient:
     def test_linear_objective_exact_per_draw(self):
         c = np.array([1.5, -2.0])
@@ -54,17 +58,18 @@ class TestEstimateGradient:
         rng = np.random.default_rng(0)
         for k in (1, 2, 3, 4):
             d = SPEC.sample(rng, 2)
-            est = estimate_gradient(fresh_oracle(obj), THETA, d, 0.1, k, SPEC)
-            assert np.allclose(est.value, d * (d @ c), atol=1e-12)
-            assert est.k == k and est.delta == 0.1
+            orc = fresh_oracle(obj)
+            est = batch_gradient(orc, THETA, d[None, :], 0.1, k, SPEC)
+            assert np.allclose(est, d * (d @ c), atol=1e-12)
+            assert orc.evals_used == k + 1
 
     def test_constant_objective_gives_zero(self):
         obj = Objective(
             name="const", dim=2, value=lambda x: np.full(np.shape(x)[:-1], 3.0)
         )
         d = SPEC.sample(np.random.default_rng(1), 2)
-        est = estimate_gradient(BudgetedOracle(obj), THETA, d, 0.2, 2, SPEC)
-        assert np.array_equal(est.value, np.zeros(2))
+        est = batch_gradient(BudgetedOracle(obj), THETA, d[None, :], 0.2, 2, SPEC)
+        assert np.array_equal(est, np.zeros(2))
 
     def test_quadratic_truncation_identity_k1(self):
         # a single order-1 draw carries the exact bias delta (d.A.d)/2 along d
@@ -73,9 +78,9 @@ class TestEstimateGradient:
         for _ in range(5):
             d = SPEC.sample(rng, 2)
             delta = 0.07
-            est = estimate_gradient(fresh_oracle(), THETA, d, delta, 1, SPEC)
+            est = batch_gradient(fresh_oracle(), THETA, d[None, :], delta, 1, SPEC)
             slope = obj.gradient(THETA) @ d + delta * float(d @ A @ d) / 2.0
-            assert np.allclose(est.value, d * slope, atol=1e-10)
+            assert np.allclose(est, d * slope, atol=1e-10)
 
     def test_quadratic_exact_for_k_at_least_two(self):
         obj = quadratic(A, B)
@@ -83,8 +88,8 @@ class TestEstimateGradient:
         g = obj.gradient(THETA)
         for k in (2, 3, 4):
             d = SPEC.sample(rng, 2)
-            est = estimate_gradient(fresh_oracle(), THETA, d, 0.07, k, SPEC)
-            assert np.allclose(est.value, d * (g @ d), atol=1e-8)
+            est = batch_gradient(fresh_oracle(), THETA, d[None, :], 0.07, k, SPEC)
+            assert np.allclose(est, d * (g @ d), atol=1e-8)
 
     def test_uniform_family_unbiasing(self):
         # the 1/mu2 factor makes the mean estimate match the gradient even
@@ -93,23 +98,16 @@ class TestEstimateGradient:
         obj = linear_objective(c)
         spec = uniform(1.0)
         n = 200000
-        est, samples = batch_gradient(
-            BudgetedOracle(obj),
-            THETA,
-            0.1,
-            1,
-            n,
-            spec,
-            np.random.default_rng(4),
-            return_samples=True,
-        )
+        dirs = spec.sample(np.random.default_rng(4), (n, 2))
+        est = batch_gradient(BudgetedOracle(obj), THETA, dirs, 0.1, 1, spec)
+        values = probe(BudgetedOracle(obj), THETA, dirs, 0.1, 2)
+        samples = gradient_samples(values, gradient_unbias_factor(spec) * dirs, 0.1, 1)
         se = samples.std(axis=0, ddof=1) / np.sqrt(n)
-        assert np.all(np.abs(est.value - c) < 5 * se)
+        assert np.all(np.abs(est - c) < 5 * se)
 
     def test_measurement_count(self):
         orc = fresh_oracle()
-        est = estimate_gradient(orc, THETA, np.array([1.0, 0.0]), 0.1, 3, SPEC)
-        assert est.measurements_used == 4
+        batch_gradient(orc, THETA, np.array([[1.0, 0.0]]), 0.1, 3, SPEC)
         assert orc.evals_used == 4
 
     def test_shared_evaluations_cost_nothing(self):
@@ -120,23 +118,25 @@ class TestEstimateGradient:
         values = probe(orc, THETA, d[None, :], 0.1, 5)[0]
         reused = gradient_samples(values, gradient_unbias_factor(SPEC) * d, 0.1, 2)
         assert orc.evals_used == 5
-        standalone = estimate_gradient(fresh_oracle(), THETA, d, 0.1, 2, SPEC)
-        assert np.array_equal(reused, standalone.value)
+        standalone = batch_gradient(fresh_oracle(), THETA, d[None, :], 0.1, 2, SPEC)
+        assert np.array_equal(reused, standalone)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            estimate_gradient(fresh_oracle(), np.ones((2, 2)), np.ones(2), 0.1, 1, SPEC)
+            batch_gradient(fresh_oracle(), np.ones((2, 2)), np.ones((1, 2)), 0.1, 1, SPEC)
         with pytest.raises(ValueError):
-            estimate_gradient(fresh_oracle(), THETA, np.ones(3), 0.1, 1, SPEC)
+            batch_gradient(fresh_oracle(), THETA, np.ones((1, 3)), 0.1, 1, SPEC)
         with pytest.raises(ValueError):
-            estimate_gradient(fresh_oracle(), THETA, np.ones(2), 0.0, 1, SPEC)
+            batch_gradient(fresh_oracle(), THETA, np.ones(2), 0.1, 1, SPEC)
+        with pytest.raises(ValueError):
+            batch_gradient(fresh_oracle(), THETA, np.ones((1, 2)), 0.0, 1, SPEC)
 
     def test_nonfinite_value_raises(self):
         obj = Objective(
             name="bad", dim=2, value=lambda x: np.full(np.shape(x)[:-1], np.nan)
         )
         with pytest.raises(NonFiniteEvaluation):
-            estimate_gradient(BudgetedOracle(obj), THETA, np.ones(2), 0.1, 1, SPEC)
+            batch_gradient(BudgetedOracle(obj), THETA, np.ones((1, 2)), 0.1, 1, SPEC)
 
 
 class TestProbe:
@@ -235,109 +235,88 @@ class TestEstimateHessian:
         rng = np.random.default_rng(5)
         for k in (1, 2, 3):
             d = SPEC.sample(rng, 2)
-            est = estimate_hessian(fresh_oracle(), THETA, d, 0.07, k, spec=SPEC)
+            orc = fresh_oracle()
+            est = batch_hessian(orc, THETA, d[None, :], 0.07, k, k, SPEC)
             expected = scaling_matrix(SPEC, d) * float(d @ A @ d)
-            assert np.allclose(est.value, expected, atol=1e-9)
-            assert (est.k1, est.k2) == (k, k)
+            assert np.allclose(est, expected, atol=1e-9)
+            assert orc.evals_used == 2 * k + 1
 
     def test_unequal_orders(self):
         d = np.array([1.1, 0.4])
-        est = estimate_hessian(fresh_oracle(), THETA, d, 0.05, 1, 3, spec=SPEC)
-        assert (est.k1, est.k2) == (1, 3)
-        assert est.measurements_used == 5
+        orc = fresh_oracle()
+        batch_hessian(orc, THETA, d[None, :], 0.05, 1, 3, SPEC)
+        assert orc.evals_used == 5
 
     def test_literal_scaling_variant(self):
         d = np.array([0.9, -0.7])
-        est = estimate_hessian(fresh_oracle(), THETA, d, 0.05, 1, spec=LITERAL)
+        est = batch_hessian(fresh_oracle(), THETA, d[None, :], 0.05, 1, 1, LITERAL)
         expected = (np.outer(d, d) - np.eye(2)) * float(d @ A @ d)
-        assert np.allclose(est.value, expected, atol=1e-9)
+        assert np.allclose(est, expected, atol=1e-9)
 
     def test_symmetric_output(self):
         d = SPEC.sample(np.random.default_rng(6), 2)
-        est = estimate_hessian(fresh_oracle(), THETA, d, 0.1, 2, spec=SPEC)
-        assert np.array_equal(est.value, est.value.T)
-
-    def test_spec_required(self):
-        with pytest.raises(ValueError):
-            estimate_hessian(fresh_oracle(), THETA, np.ones(2), 0.1, 1)
+        est = batch_hessian(fresh_oracle(), THETA, d[None, :], 0.1, 2, 2, SPEC)
+        assert np.array_equal(est, est.T)
 
     def test_measurement_count(self):
         orc = fresh_oracle()
-        estimate_hessian(orc, THETA, np.ones(2), 0.1, 3, spec=SPEC)
+        batch_hessian(orc, THETA, np.ones((1, 2)), 0.1, 3, None, SPEC)
         assert orc.evals_used == 7
 
 
 class TestBatchEstimators:
-    def test_batch_of_one_matches_single_draw(self):
-        est_b = batch_gradient(
-            fresh_oracle(), THETA, 0.05, 2, 1, SPEC, np.random.default_rng(5)
-        )
-        d = SPEC.sample(np.random.default_rng(5), (1, 2))[0]
-        est_s = estimate_gradient(fresh_oracle(), THETA, d, 0.05, 2, SPEC)
-        assert np.array_equal(est_b.value, est_s.value)
+    def test_one_row_call_is_the_probe_row_reduction(self):
+        d = SPEC.sample(np.random.default_rng(5), (1, 2))
+        est = batch_gradient(fresh_oracle(), THETA, d, 0.05, 2, SPEC)
+        values = probe(fresh_oracle(), THETA, d, 0.05, 3)[0]
+        row = gradient_samples(values, gradient_unbias_factor(SPEC) * d[0], 0.05, 2)
+        assert np.array_equal(est, row)
 
     def test_gradient_mean_of_samples(self):
-        est, samples = batch_gradient(
-            fresh_oracle(),
-            THETA,
-            0.05,
-            1,
-            32,
-            SPEC,
-            np.random.default_rng(6),
-            return_samples=True,
-        )
+        dirs = SPEC.sample(np.random.default_rng(6), (32, 2))
+        orc = fresh_oracle()
+        est = batch_gradient(orc, THETA, dirs, 0.05, 1, SPEC)
+        values = probe(fresh_oracle(), THETA, dirs, 0.05, 2)
+        samples = gradient_samples(values, gradient_unbias_factor(SPEC) * dirs, 0.05, 1)
         assert samples.shape == (32, 2)
-        assert np.allclose(est.value, samples.mean(axis=0))
-        assert est.measurements_used == 32 * 2
+        assert np.allclose(est, samples.mean(axis=0))
+        assert orc.evals_used == 32 * 2
 
     def test_hessian_paths_agree(self):
         # the memory-light mean path and the per-sample path are the same
         # estimator up to summation order
-        kwargs = dict(theta=THETA, delta=0.05, k=1, b=64, spec=SPEC)
-        plain = batch_hessian(
-            fresh_oracle(), rng=np.random.default_rng(9), **kwargs
-        )
-        sampled, samples = batch_hessian(
-            fresh_oracle(), rng=np.random.default_rng(9), return_samples=True, **kwargs
-        )
-        assert np.allclose(plain.value, sampled.value, atol=1e-12)
-        assert np.allclose(sampled.value, samples.mean(axis=0), atol=1e-12)
-        assert plain.measurements_used == 64 * 3
+        dirs = SPEC.sample(np.random.default_rng(9), (64, 2))
+        orc = fresh_oracle()
+        plain = batch_hessian(orc, THETA, dirs, 0.05, 1, 1, SPEC)
+        samples = hessian_draws(fresh_oracle(), THETA, dirs, 0.05, 1, SPEC)
+        assert np.allclose(plain, samples.mean(axis=0), atol=1e-12)
+        assert orc.evals_used == 64 * 3
 
     def test_hessian_literal_paths_agree(self):
-        kwargs = dict(theta=THETA, delta=0.05, k=1, b=48, spec=LITERAL)
-        plain = batch_hessian(fresh_oracle(), rng=np.random.default_rng(10), **kwargs)
-        sampled, _ = batch_hessian(
-            fresh_oracle(), rng=np.random.default_rng(10), return_samples=True, **kwargs
-        )
-        assert np.allclose(plain.value, sampled.value, atol=1e-12)
+        dirs = LITERAL.sample(np.random.default_rng(10), (48, 2))
+        plain = batch_hessian(fresh_oracle(), THETA, dirs, 0.05, 1, 1, LITERAL)
+        samples = hessian_draws(fresh_oracle(), THETA, dirs, 0.05, 1, LITERAL)
+        assert np.allclose(plain, samples.mean(axis=0), atol=1e-12)
 
     def test_batch_size_validated(self):
         with pytest.raises(ValueError):
-            batch_gradient(fresh_oracle(), THETA, 0.1, 1, 0, SPEC, np.random.default_rng(0))
+            batch_gradient(fresh_oracle(), THETA, np.empty((0, 2)), 0.1, 1, SPEC)
         with pytest.raises(ValueError):
-            batch_hessian(fresh_oracle(), THETA, 0.1, 1, 0, SPEC, np.random.default_rng(0))
+            batch_hessian(fresh_oracle(), THETA, np.empty((0, 2)), 0.1, 1, 1, SPEC)
 
     def test_budget_failure_consumes_nothing(self):
         orc = fresh_oracle(budget=5)
+        dirs = SPEC.sample(np.random.default_rng(1), (4, 2))
         with pytest.raises(BudgetExhausted):
-            batch_gradient(orc, THETA, 0.1, 1, 4, SPEC, np.random.default_rng(1))
+            batch_gradient(orc, THETA, dirs, 0.1, 1, SPEC)
         assert orc.evals_used == 0
 
     def test_mc_mean_approaches_hessian(self):
-        est, samples = batch_hessian(
-            fresh_oracle(),
-            THETA,
-            1e-3,
-            1,
-            200000,
-            SPEC,
-            np.random.default_rng(12),
-            return_samples=True,
-        )
+        dirs = SPEC.sample(np.random.default_rng(12), (200000, 2))
+        est = batch_hessian(fresh_oracle(), THETA, dirs, 1e-3, 1, 1, SPEC)
+        samples = hessian_draws(fresh_oracle(), THETA, dirs, 1e-3, 1, SPEC)
         se = samples.std(axis=0, ddof=1) / np.sqrt(samples.shape[0])
-        assert np.all(np.abs(est.value - A) < 5 * se)
+        assert np.all(np.abs(est - A) < 5 * se)
 
 
 @pytest.fixture(scope="module")

@@ -579,6 +579,10 @@ class TestValidateConfig:
             ({"theta0": [1.0, 2.0, 3.0], "budget": 100}, "ValueError"),
             # priced at the gradient-only k+1 = 3, not the Newton 2k+1 = 5
             ({"algorithm": "gradient_only", "budget": 3, "estimator": {"k": 2}}, None),
+            ({"crzon": {"delta": 0.0, "N": 2, "m": 10, "b": 10}}, "ValueError"),
+            # the config's own seed, then seed_base, where run_table starts
+            ({"seed": -1, "budget": 30}, "ValueError"),
+            ({"seed_base": -1, "budget": 30}, "ValueError"),
         ],
     )
     def test_validator_agrees_with_the_run(self, config, cause):

@@ -9,7 +9,7 @@ import pytest
 
 from grdsa import harness
 from grdsa.cubic import CubicConfig, _batched_estimates
-from grdsa.estimators import batch_hessian, estimate_hessian, hessian_deviation
+from grdsa.estimators import batch_hessian, hessian_deviation, hessian_samples, probe
 from grdsa.newton import _BLOCK, NewtonConfig, _draw
 from grdsa.oracle import BudgetedOracle, quartic
 from grdsa.perturb import (
@@ -172,14 +172,6 @@ THETA = np.array([0.5, -0.3, 0.8])
 DIRS = gaussian().sample(np.random.default_rng(17), (12, 3))
 
 
-def _batch_hessian(spec):
-    est, samples = batch_hessian(
-        BudgetedOracle(OBJECTIVE), THETA, 0.1, 2, 12, spec, np.random.default_rng(4),
-        return_samples=True,
-    )
-    return est.value, samples
-
-
 def _crzon_reuse_hessian(spec):
     cfg = CubicConfig(
         objective=OBJECTIVE, k=2, m=8, b=12, delta=0.1, alpha=1.0,
@@ -198,11 +190,16 @@ HESSIAN_PATHS = {
     "scaling_matrix": lambda spec: scaling_matrix(spec, DIRS[0]),
     "scaling_matrices": lambda spec: scaling_matrices(spec, DIRS),
     "scaling_norms": lambda spec: scaling_norms(spec, DIRS),
-    "estimate_hessian": lambda spec: estimate_hessian(
-        BudgetedOracle(OBJECTIVE), THETA, DIRS[0], 0.1, 2, spec=spec
-    ).value,
-    "batch_hessian": lambda spec: _batch_hessian(spec)[0],
-    "batch_hessian_samples": lambda spec: _batch_hessian(spec)[1],
+    "batch_hessian_one_row": lambda spec: batch_hessian(
+        BudgetedOracle(OBJECTIVE), THETA, DIRS[:1], 0.1, 2, 2, spec
+    ),
+    "batch_hessian": lambda spec: batch_hessian(
+        BudgetedOracle(OBJECTIVE), THETA, DIRS, 0.1, 2, 2, spec
+    ),
+    "batch_hessian_samples": lambda spec: hessian_samples(
+        probe(BudgetedOracle(OBJECTIVE), THETA, DIRS, 0.1, 5),
+        scaling_matrices(spec, DIRS), 0.1, 2, 2,
+    ),
     "hessian_deviation": lambda spec: hessian_deviation(
         OBJECTIVE, THETA, 0.1, 2, 1, spec, DIRS, mode="residual"
     ),
