@@ -88,10 +88,9 @@ def _cmd_stencil_verify(args: argparse.Namespace) -> int:
 def _cmd_newton_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     run = harness.runner(harness.setting(config, "algorithm"))
-    base = harness.setting(config, "seed_base")
     records = [
         run(harness.build_newton_config(config, seed=seed))
-        for seed in range(base, base + args.seeds)
+        for seed in harness.seed_range(config, args.seeds)
     ]
     harness.write_newton_csv(args.out, records)
     errors = [r.final_parameter_error for r in records if r.final_parameter_error is not None]
@@ -107,10 +106,9 @@ def _cmd_newton_run(args: argparse.Namespace) -> int:
 
 def _cmd_crzon_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    base = harness.setting(config, "seed_base")
     reports = [
         run_crzon(harness.build_cubic_config(config, seed=seed))
-        for seed in range(base, base + args.seeds)
+        for seed in harness.seed_range(config, args.seeds)
     ]
     harness.write_crzon_csv(args.out, reports)
     lam = [r.lambda_min_at_r for r in reports]

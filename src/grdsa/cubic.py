@@ -98,8 +98,7 @@ def from_epsilon(
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_order(k, "k")
     return CubicConfig(
         objective=objective,
         k=k,

@@ -130,7 +130,7 @@ KEYS = {
         "perturb.eta": Key(float, (PerturbationSpec,)),
         # one run
         "budget": Key(int, _RUN),
-        "seed": Key(int, _RUN),
+        "seed_base": Key(int, _RUN, "seed"),
         "theta0": Key(_array, _RUN),
         "estimator.reuse": Key(bool, _RUN),
         "estimator.paper_literal_scaling": Key(bool, (PerturbationSpec,)),
@@ -164,7 +164,6 @@ KEYS = {
         "dims": Key(_list_of(int)),
         "budgets": Key(_list_of(int)),
         "seeds": Key(int, default=1),
-        "seed_base": Key(int, default=0),
         # run_bias_sweep; k overrides k1, and k2 defaults to k1
         "estimator_kind": Key(str, default="hessian"),
         "k": Key(int),
@@ -217,20 +216,15 @@ def _default(key: Key):
 def _arguments(config: dict, target, **given) -> dict:
     """Keyword arguments for ``target``: the keys ``config`` sets, then ``given``.
 
-    Absent keys are left out, so ``target`` applies its own defaults; an
-    absent key for a required parameter raises ``KeyError``.  A ``given``
-    value of None is skipped.
+    Absent keys are left out, so ``target`` applies its own defaults.  A
+    ``given`` value of None is skipped.
     """
-    params = _parameters(target)
     kwargs = {}
     for path, key in KEYS.items():
-        if target not in key.targets:
-            continue
-        value = _lookup(config, path)
-        if value is not None:
-            kwargs[key.field] = key.kind(value)
-        elif key.field in params and params[key.field].default is inspect.Parameter.empty:
-            raise KeyError(path)
+        if target in key.targets:
+            value = _lookup(config, path)
+            if value is not None:
+                kwargs[key.field] = key.kind(value)
     kwargs.update((name, value) for name, value in given.items() if value is not None)
     return kwargs
 
@@ -314,6 +308,12 @@ def build_cubic_config(config: dict, seed: int | None = None) -> cubic_mod.Cubic
     )
 
 
+def seed_range(config: dict, count: int) -> range:
+    """The seeds of ``count`` runs, from ``seed_base``."""
+    start = setting(config, "seed_base")
+    return range(start, start + count)
+
+
 def runner(algorithm: str) -> Callable[[NewtonConfig], RunRecord]:
     """The run an ``algorithm`` value selects."""
     runners = {"newton": run_newton, "gradient_only": run_first_order}
@@ -361,7 +361,7 @@ def table_cells(config: dict) -> Iterator[tuple[MethodSpec, dict]]:
     """Each method x dim x budget cell of a table, with the config its runs build from."""
     methods = [method_spec(name) for name in setting(config, "methods")]
     dims = setting(config, "dims", [setting(config, "dim")])
-    budgets = setting(config, "budgets", [setting(config, "budget", 1000)])
+    budgets = setting(config, "budgets", [setting(config, "budget")])
     for method, dim, budget in itertools.product(methods, dims, budgets):
         sub = dict(config, dim=dim, budget=budget)
         sub["estimator"] = dict(_lookup(config, "estimator") or {}, k=method.k)
@@ -372,9 +372,7 @@ def table_cells(config: dict) -> Iterator[tuple[MethodSpec, dict]]:
 def run_table(config: dict) -> TableResult:
     """Run every method x dim x budget x seed cell; failures don't abort."""
     fingerprint = config_fingerprint(config)
-    seed_base = setting(config, "seed_base")
-    seeds = range(seed_base, seed_base + setting(config, "seeds"))
-
+    seeds = seed_range(config, setting(config, "seeds"))
     rows: list[TableRow] = []
     for (method, sub), seed in itertools.product(table_cells(config), seeds):
         dim, budget = sub["dim"], sub["budget"]
@@ -461,7 +459,7 @@ def run_bias_sweep(config: dict) -> BiasSweepResult:
     theta = setting(config, "theta", np.ones(objective.dim))
     deltas = setting(config, "deltas")
     samples = setting(config, "samples")
-    seed = setting(config, "seed")
+    seed = setting(config, "seed_base")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     directions = spec.sample(rng, (samples, objective.dim))
@@ -491,34 +489,28 @@ def run_bias_sweep(config: dict) -> BiasSweepResult:
 
 def _priced_runs(config: dict) -> list[tuple[int | None, int]]:
     """``(budget, cost of one iteration)`` of every run of ``config``, each
-    built as its run builds it: the CRZON run; or the ``newton run`` config
-    (when ``budget`` is set), then every table cell; each at the config's
-    ``seed`` and at ``seed_base``, the first seed the runs use."""
-    seeds = (None, setting(config, "seed_base"))  # None: the config's ``seed``
+    built once, as its run builds it: the CRZON run; or the ``newton run``
+    config, then every table cell."""
     if _lookup(config, "crzon") is not None:
-        for seed in seeds:
-            cfg = build_cubic_config(config, seed)
+        cfg = build_cubic_config(config)
         cfg.alpha_value()
         return [(cfg.budget, cfg.step_cost())]
-    runs = [(method.algorithm, cell) for method, cell in table_cells(config)]
-    if setting(config, "budget") is not None:
-        runs.insert(0, (setting(config, "algorithm"), config))
+    runs = [(setting(config, "algorithm"), config)]
+    runs += [(method.algorithm, cell) for method, cell in table_cells(config)]
     priced = []
-    for (algorithm, cell), seed in itertools.product(runs, seeds):
-        cfg = build_newton_config(cell, seed)
+    for algorithm, cell in runs:
+        cfg = build_newton_config(cell)
         priced.append((cfg.budget, iteration_cost(cfg.k, cfg.reuse, algorithm == "newton")))
     return priced
 
 
 def validate_config(config: dict) -> list[Finding]:
-    """Schedule compliance; each part of a run, then every run (``run.builds``,
-    see :func:`_priced_runs`), built by the runs' own builders and failing
-    with their messages; with ``budget`` or ``budgets`` set, that each run's
-    budget covers one of its iterations; one warning per unknown key."""
-    findings = [
-        replace(f, check=f"schedules.{f.check}")
-        for f in validate_schedules(make_schedules(config))
-    ]
+    """The schedules and their asymptotic warnings; each other part of a run,
+    then every run (``run.builds``, see :func:`_priced_runs`), built by the
+    runs' own builders and failing with their messages; with ``budget`` or
+    ``budgets`` set, that each run's budget covers one of its iterations;
+    one warning per unknown key."""
+    findings: list[Finding] = []
 
     def builds(check: str, build: Callable[[], object]) -> bool:
         try:
@@ -529,6 +521,12 @@ def validate_config(config: dict) -> list[Finding]:
         findings.append(Finding(check, "error", not problem, problem or "builds"))
         return not problem
 
+    schedules_built = builds("schedules.positive_parameters", lambda: make_schedules(config))
+    if schedules_built:
+        findings += [
+            replace(f, check=f"schedules.{f.check}")
+            for f in validate_schedules(make_schedules(config))
+        ]
     parts = {
         "objective.known": lambda: make_objective(config),
         "algorithm.known": lambda: runner(setting(config, "algorithm")),
@@ -538,10 +536,13 @@ def validate_config(config: dict) -> list[Finding]:
         "noise.sigma_nonnegative": lambda: make_noise(config),
     }
     priced: list[tuple[int | None, int]] = []
-    if all([builds(check, build) for check, build in parts.items()]):  # every part is reported
+    # every part is reported, then the runs are built if all of them build
+    if all([builds(check, build) for check, build in parts.items()]) and schedules_built:
         builds("run.builds", lambda: priced.extend(_priced_runs(config)))
+    # the default budget (1000) covers any one Newton iteration, so only a
+    # budget the config sets is checked
     budgeted = [(budget, cost) for budget, cost in priced if budget is not None]
-    if budgeted and (setting(config, "budget"), setting(config, "budgets")) != (None, None):
+    if budgeted and (_lookup(config, "budget"), _lookup(config, "budgets")) != (None, None):
         budget, cost = min(budgeted, key=lambda run: run[0] - run[1])
         message = f"budget {budget} vs per-iteration cost {cost}"
         findings.append(Finding("budget.covers_one_iteration", "error", budget >= cost, message))

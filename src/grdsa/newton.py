@@ -47,7 +47,9 @@ class Schedules:
 
     ``a(n) = a0 / (n + A)**alpha`` drives the iterate, ``b(n) = b0 /
     (n + B)**beta`` drives the Hessian average, and ``delta(n) = delta0 /
-    n**gamma`` shrinks the probing radius; ``n`` counts from 1.
+    n**gamma`` shrinks the probing radius; ``n`` counts from 1.  The
+    coefficients and exponents must be positive and the offsets
+    nonnegative.
     """
 
     a0: float = 0.9
@@ -58,6 +60,14 @@ class Schedules:
     beta: float = 0.56
     delta0: float = 0.9
     gamma: float = 0.16667
+
+    def __post_init__(self) -> None:
+        for name in ("a0", "alpha", "b0", "beta", "delta0", "gamma"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("big_a", "big_b"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def a(self, n: int) -> float:
         return self.a0 / (n + self.big_a) ** self.alpha
@@ -80,34 +90,14 @@ class Finding:
 
 
 def validate_schedules(s: Schedules) -> list[Finding]:
-    """Check the decaying-step conditions the convergence analysis needs.
+    """Check the asymptotic conditions the convergence analysis needs.
 
-    Errors are structural (non-positive coefficients or exponents).
-    Warnings flag asymptotic conditions: both step sums must diverge, the
-    iterate timescale must be slower than the averaging one, and the two
-    noise-to-radius ratios must be square-summable.
+    Both step sums must diverge, the iterate timescale must be slower than
+    the averaging one, and the two noise-to-radius ratios must be
+    square-summable.  Each is a warning; the signs are checked when
+    :class:`Schedules` is built.
     """
     findings: list[Finding] = []
-
-    structural_ok = (
-        s.a0 > 0 and s.b0 > 0 and s.delta0 > 0
-        and s.alpha > 0 and s.beta > 0 and s.gamma > 0
-        and s.big_a >= 0 and s.big_b >= 0
-    )
-    findings.append(
-        Finding(
-            check="positive_parameters",
-            severity="error",
-            ok=structural_ok,
-            message=(
-                "coefficients a0, b0, delta0 and exponents alpha, beta, gamma must be "
-                "positive; offsets A, B must be nonnegative"
-            ),
-        )
-    )
-    if not structural_ok:
-        return findings
-
     findings.append(
         Finding(
             check="a_sum_diverges",
@@ -228,7 +218,7 @@ class NewtonConfig:
     """Everything one run needs; ``seed`` determines all randomness."""
 
     objective: Objective
-    budget: int
+    budget: int = 1000
     k: int = 1
     noise: LinearGaussianNoise | None = None
     perturbation: PerturbationSpec = field(default_factory=gaussian)

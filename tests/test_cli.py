@@ -99,6 +99,20 @@ class TestNewtonRun:
             main(["newton", "run", "--config", config, "--seeds", "1", "--out", str(out)])
         assert not out.exists()
 
+    def test_budget_defaults_to_the_tables(self, tmp_path):
+        config = write_config(tmp_path, {})
+        out = tmp_path / "runs.csv"
+        assert main(["newton", "run", "--config", config, "--seeds", "1", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 2
+        assert rows[1][2] == "1000"
+
+    def test_seed_key_is_ignored(self, tmp_path):
+        config = write_config(tmp_path, dict(QUAD, seed=7))
+        out = tmp_path / "runs.csv"
+        main(["newton", "run", "--config", config, "--seeds", "1", "--out", str(out)])
+        assert read_csv(out)[1][0] == "0"
+
     def test_seed_base_respected(self, tmp_path, capsys):
         config = write_config(tmp_path, dict(QUAD, seed_base=10))
         out = tmp_path / "runs.csv"

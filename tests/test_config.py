@@ -54,7 +54,6 @@ BUILDERS = {
 
 #: target -> the config that makes its builder reach it
 BASES = {
-    NewtonConfig: {"budget": 100},
     cubic.from_epsilon: {"crzon": {"epsilon": 0.5}},
     PerturbationSpec: {"perturb": {"family": "uniform"}},
 }
@@ -134,11 +133,7 @@ class TestRoundTrip:
         if section:
             absent.append(dict(base, **{section: None}))
         for config in absent:
-            if default is dataclasses.MISSING:
-                with pytest.raises(KeyError, match=path):
-                    BUILDERS[target](config)
-            else:
-                assert getattr(BUILDERS[target](config), key.field) == default
+            assert getattr(BUILDERS[target](config), key.field) == default
 
     def test_reuse_keeps_its_two_defaults(self):
         assert build_newton_config({"budget": 100}).reuse is True
@@ -215,10 +210,9 @@ class TestValidateNeverRaises:
         if config.get("crzon") is not None:
             build_cubic_config(config)
             return
+        build_newton_config(config)
         for _, cell in table_cells(config):
             build_newton_config(cell)
-        if setting(config, "budget") is not None:
-            build_newton_config(config)
 
     @pytest.mark.parametrize(
         "config,check,cause",
@@ -256,6 +250,7 @@ class TestUnknownKeys:
             ({"crzon": {"n": 3}}, "crzon.n"),
             ({"noise": {"sigma": 0.1, "mu": 1}}, "noise.mu"),
             ({"Budget": 100}, "Budget"),
+            ({"seed": 3}, "seed"),
         ],
     )
     def test_warned_by_path(self, config, path):

@@ -30,6 +30,7 @@ from grdsa.oracle import (
     saddle_quartic,
 )
 from grdsa.perturb import gaussian, uniform
+from grdsa.stencils import OrderError
 
 A = np.array([[2.0, 0.5], [0.5, 4.0]])
 B = np.array([0.3, -0.2])
@@ -197,6 +198,16 @@ class TestFromEpsilon:
                 from_epsilon(saddle_quartic(), eps)
         with pytest.raises(ValueError):
             from_epsilon(saddle_quartic(), 0.5, k=0)
+
+    @pytest.mark.parametrize(
+        "k,message", [(1.5, "k must be an integer"), (13, "exceeds the supported cap")]
+    )
+    def test_order_checked_before_sizing(self, k, message):
+        # at this epsilon the sizes overflow, so only an early check names k
+        with pytest.raises(OrderError, match=message):
+            from_epsilon(saddle_quartic(), 1e-300, k=k)
+        with pytest.raises(OrderError, match=message):
+            CubicConfig(objective=saddle_quartic(), k=k)
 
     def test_kwargs_forwarded(self):
         cfg = from_epsilon(saddle_quartic(), 0.5, seed=9, reuse=True)

@@ -25,10 +25,6 @@ from grdsa.stencils import (
     hess_weights,
 )
 
-# without numpy's eigh wrapper, a floating-point flag raised inside LAPACK
-# would surface here as a warning
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 #: (reuse, method) -> (final_parameter_error.hex(), evals_used)
 TABLE_GOLDEN = {
     (True, "GSF-5"): ("0x1.099d368192c9ap+1", 600),

@@ -45,12 +45,12 @@ def run_failure(config):
     """``(type name, message)`` of the first run of ``config`` that raises, or None.
 
     A config with a ``crzon`` section makes one CRZON run; any other makes
-    the run of ``grdsa newton run`` when it sets ``budget``, then the table's.
+    the run of ``grdsa newton run``, then the table's.
     """
     try:
         if config.get("crzon") is not None:
             run_crzon(build_cubic_config(config))
-        elif "budget" in config:
+        else:
             harness_mod.runner(harness_mod.setting(config, "algorithm"))(
                 build_newton_config(config)
             )
@@ -168,9 +168,14 @@ class TestBuilders:
         assert cfg.seed == 17
         assert cfg.record_stride == 4
 
-    def test_newton_config_requires_budget(self):
-        with pytest.raises(KeyError):
-            build_newton_config(dict(QUAD_CONFIG))
+    def test_newton_run_and_tables_share_the_budget_default(self):
+        assert build_newton_config(dict(QUAD_CONFIG)).budget == 1000
+        assert [row.budget for row in run_table(dict(QUAD_CONFIG)).rows] == [1000]
+
+    def test_seed_base_is_the_one_seed_key(self):
+        for build in (build_newton_config, build_cubic_config):
+            assert build(dict(QUAD_CONFIG, seed_base=7)).seed == 7
+            assert build(dict(QUAD_CONFIG, seed=7)).seed == 0
 
     def test_cubic_config_direct(self):
         cfg = build_cubic_config(
@@ -329,7 +334,7 @@ class TestRunBiasSweep:
                 "k": 2,
                 "theta": [0.9, -1.1],
                 "samples": 4000,
-                "seed": 3,
+                "seed_base": 3,
             }
         )
         assert result.estimator == "gradient"
@@ -362,7 +367,7 @@ class TestRunBiasSweep:
                 "mode": "mean_bias",
                 "theta": [0.9, -1.1],
                 "samples": 20000,
-                "seed": 1,
+                "seed_base": 1,
             }
         )
         assert result.mode == "mean_bias"
@@ -580,9 +585,15 @@ class TestValidateConfig:
             # priced at the gradient-only k+1 = 3, not the Newton 2k+1 = 5
             ({"algorithm": "gradient_only", "budget": 3, "estimator": {"k": 2}}, None),
             ({"crzon": {"delta": 0.0, "N": 2, "m": 10, "b": 10}}, "ValueError"),
-            # the config's own seed, then seed_base, where run_table starts
-            ({"seed": -1, "budget": 30}, "ValueError"),
+            # "seed" is an unknown key, which the runs ignore and the
+            # validator only warns about; seed_base is where every run starts
+            ({"seed": -1, "budget": 30}, None),
             ({"seed_base": -1, "budget": 30}, "ValueError"),
+            # the schedules' signs, checked when they are built
+            ({"schedules": {"a0": -1.0}}, "ValueError"),
+            ({"schedules": {"B": -1.0}}, "ValueError"),
+            ({"schedules": {"gamma": 0.0}}, "ValueError"),
+            ({"schedules": {"delta0": 0.0}}, "ValueError"),
         ],
     )
     def test_validator_agrees_with_the_run(self, config, cause):
@@ -598,12 +609,16 @@ class TestValidateConfig:
         else:
             assert [f.message for f in errors] == [failure[1]]
 
-    def test_schedule_findings_prefixed(self):
-        findings = validate_config({"schedules": {"a0": -1.0}})
-        assert any(
-            f.check == "schedules.positive_parameters" and not f.ok for f in findings
-        )
-        assert has_errors(findings)
+    def test_bad_schedule_fails_every_run(self):
+        config = {"schedules": {"a0": -1.0}, "budget": 30}
+        message = "a0 must be > 0, got -1.0"
+        errors = [f for f in validate_config(config) if not f.ok]
+        assert [(f.check, f.message) for f in errors] == [
+            ("schedules.positive_parameters", message)
+        ]
+        rows = run_table(config).rows
+        assert rows and all(row.status == "error" for row in rows)
+        assert {row.message for row in rows} == {f"ValueError: {message}"}
 
 
 class TestCsvWriters:

@@ -201,6 +201,24 @@ class TestLinearGaussianNoise:
         assert len(np.unique(smp)) == 3
 
 
+@pytest.mark.parametrize(
+    "objective",
+    [rastrigin(1), rastrigin(5), rastrigin(50), quartic(3), saddle_quartic(), exp_sin()],
+    ids=lambda obj: f"{obj.name}-{obj.dim}",
+)
+def test_batch_rows_equal_one_row_calls(objective):
+    # batched evaluation may share work across rows only if every row keeps
+    # the bits of its own call.  quadratic is left out: its 3-operand einsum
+    # and its ``x @ b`` change last bits with the batch size (at d = 2, a
+    # full A and a nonzero b, about a third of 780 rows differ)
+    rng = np.random.default_rng(11)
+    for n in range(1, 41):
+        points = 3.0 * rng.normal(size=(n, objective.dim))
+        values = objective.value(points)
+        for i in range(n):
+            assert values[i].tobytes() == objective.value(points[i : i + 1])[0].tobytes()
+
+
 class TestBudgetedOracle:
     def test_counts_every_scalar_evaluation(self):
         orc = BudgetedOracle(quadratic(np.eye(2)))
