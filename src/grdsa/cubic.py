@@ -268,11 +268,12 @@ def _batched_estimates(theta, oracle, cfg, rng):
     shared = min(cfg.m, cfg.b) if cfg.reuse else 0
     factor = gradient_unbias_factor(spec)
     samples = gradient_samples(values[:shared], factor * directions[:shared], delta, k)
+    del directions, values  # the Hessian batch is spent; free it before the fresh probe
     if cfg.m > shared:
         fresh = spec.sample(rng, (cfg.m - shared, theta.size))
         fresh_values = probe(oracle, theta, fresh, delta, k + 1)
         fresh_samples = gradient_samples(fresh_values, factor * fresh, delta, k)
-        samples = np.concatenate([samples, fresh_samples])
+        samples = np.concatenate([samples, fresh_samples]) if shared else fresh_samples
     return hess, samples.mean(axis=0)
 
 

@@ -2,7 +2,8 @@
 
 Every estimator goes through one probe, :func:`probe`, which measures the
 objective at ``theta + (delta*s)*Delta`` for the shifts ``s = 0..n_shifts-1``
-of each drawn direction ``Delta``.  The Hessian reduction reads all ``2k+1``
+of each drawn direction ``Delta``, streaming the points through the oracle
+in blocks of directions.  The Hessian reduction reads all ``2k+1``
 columns of that value matrix; the gradient reduction reads the first ``k+1``,
 which is what measurement reuse exploits.  :func:`batch_gradient` and
 :func:`batch_hessian` average the one-draw estimates along directions the
@@ -61,6 +62,10 @@ def measure(oracle: BudgetedOracle, points: np.ndarray) -> np.ndarray:
     return values
 
 
+#: floats of probe points one oracle call is given (2**14, about 128 KB)
+BLOCK_FLOATS = 2**14
+
+
 def probe(
     oracle: BudgetedOracle,
     theta: np.ndarray,
@@ -71,12 +76,26 @@ def probe(
     """Measure ``n_shifts`` points along each of the ``(n, d)`` directions.
 
     Returns the ``(n, n_shifts)`` matrix whose entry ``(i, s)`` is the
-    oracle's value at ``theta + (delta*s)*directions[i]``.  The points are
-    evaluated in one call, draw-major, and every value must be finite.
+    oracle's value at ``theta + (delta*s)*directions[i]``, and every value
+    must be finite.  The points go to the oracle in blocks of consecutive
+    directions, about :data:`BLOCK_FLOATS` floats each, so a probe holds
+    its values plus one block, not all ``n * n_shifts * d`` points.  The
+    whole cost is checked against the budget before the first block, so a
+    probe is all-or-nothing on budget (a non-finite value raises after its
+    block is charged).  Noise is drawn row by row, so for an objective
+    whose rows keep the bits of their own calls, as every objective in
+    :mod:`grdsa.oracle` does, the values equal one draw-major call's.
     """
-    n = directions.shape[0]
-    points = theta + ray_offsets(directions, delta, n_shifts)
-    return measure(oracle, points.reshape(n * n_shifts, -1)).reshape(n, n_shifts)
+    n, d = directions.shape
+    oracle.check_affords(n * n_shifts)
+    rows = max(1, BLOCK_FLOATS // (n_shifts * d))
+    values = np.empty((n, n_shifts))
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        points = ray_offsets(directions[block], delta, n_shifts)
+        points += theta
+        values[block] = measure(oracle, points.reshape(-1, d)).reshape(-1, n_shifts)
+    return values
 
 
 def gradient_samples(
@@ -152,7 +171,7 @@ def batch_gradient(
 ) -> np.ndarray:
     """Mean of the order-``k`` one-draw gradient estimates along ``(n, d)`` directions.
 
-    Consumes ``n * (k + 1)`` measurements in one oracle call.
+    Consumes ``n * (k + 1)`` measurements, streamed by :func:`probe`.
     """
     theta, directions = _check_inputs(theta, directions, delta)
     values = probe(oracle, theta, directions, delta, k + 1)
@@ -171,8 +190,9 @@ def batch_hessian(
 ) -> np.ndarray:
     """Mean of the order-``(k1, k2)`` one-draw Hessian estimates along ``(n, d)`` directions.
 
-    Consumes ``n * (k1 + k2 + 1)`` measurements in one oracle call (``k2``
-    None means ``k1``); the mean is :func:`hessian_mean`, in ``O(d**2)`` memory.
+    Consumes ``n * (k1 + k2 + 1)`` measurements, streamed by :func:`probe`
+    (``k2`` None means ``k1``); the mean is :func:`hessian_mean`, in
+    ``O(d**2)`` memory beyond the directions.
     """
     theta, directions = _check_inputs(theta, directions, delta)
     values = probe(oracle, theta, directions, delta, hess_weights(k1, k2).size)

@@ -86,8 +86,11 @@ def quadratic(a: np.ndarray, b: np.ndarray | None = None) -> Objective:
         raise ValueError(f"b must have shape ({dim},), got {b.shape}")
 
     def value(x: np.ndarray) -> np.ndarray:
+        # plain reductions per row, so every row keeps the bits of its own
+        # call whatever the batch size (einsum and matmul do not)
         x = np.asarray(x, dtype=float)
-        return 0.5 * np.einsum("...i,ij,...j->...", x, a, x) + x @ b
+        quad = np.add.reduce(x[..., :, None] * a * x[..., None, :], axis=(-2, -1))
+        return 0.5 * quad + np.add.reduce(x * b, axis=-1)
 
     def gradient(x: np.ndarray) -> np.ndarray:
         return a @ np.asarray(x, dtype=float) + b
@@ -252,6 +255,14 @@ class BudgetedOracle:
             return None
         return self.budget - self._used
 
+    def check_affords(self, n: int) -> None:
+        """Raise :class:`BudgetExhausted` unless ``n`` more evaluations fit the budget."""
+        if self.budget is not None and self._used + n > self.budget:
+            raise BudgetExhausted(
+                f"{n} evaluations requested with {self.budget - self._used} "
+                f"of {self.budget} remaining"
+            )
+
     def evaluate_many(self, thetas: np.ndarray) -> np.ndarray:
         """Evaluate a batch of points, one budget unit per row."""
         thetas = np.asarray(thetas, dtype=float)
@@ -260,11 +271,7 @@ class BudgetedOracle:
                 f"expected shape (n, {self.objective.dim}), got {thetas.shape}"
             )
         n = thetas.shape[0]
-        if self.budget is not None and self._used + n > self.budget:
-            raise BudgetExhausted(
-                f"{n} evaluations requested with {self.budget - self._used} "
-                f"of {self.budget} remaining"
-            )
+        self.check_affords(n)
         values = np.asarray(self.objective.value(thetas), dtype=float)
         if self.noise is not None and self.noise.sigma > 0:
             values = values + self.noise.sample(self.rng, thetas)

@@ -248,10 +248,13 @@ class TestCrzonStep:
         )
         assert np.array_equal(hess, expected)
 
-    def test_reuse_step_builds_no_scaling_stack(self):
+    @pytest.mark.parametrize("reuse", [True, False])
+    def test_step_memory_is_a_few_direction_batches(self, reuse):
+        # no (b, d, d) scaling stack and no (b, 2k+1, d) point array: the
+        # probe streams its points, so a step holds O(b * d) floats
         d, b = 50, 1024
         cfg = CubicConfig(
-            objective=rastrigin(d), k=1, m=b, b=b, delta=0.1, alpha=2.0, reuse=True
+            objective=rastrigin(d), k=1, m=b, b=b, delta=0.1, alpha=2.0, reuse=reuse
         )
         oracle, rng = BudgetedOracle(cfg.objective), np.random.default_rng(0)
         tracemalloc.start()
@@ -260,7 +263,7 @@ class TestCrzonStep:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < b * d * d * 8  # one (b, d, d) float64 array
+        assert peak < 4 * b * d * 8  # four (b, d) float64 arrays
 
 
 class TestRunCrzon:

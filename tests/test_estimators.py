@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from grdsa.estimators import (
+    BLOCK_FLOATS,
     NonFiniteEvaluation,
     batch_gradient,
     batch_hessian,
@@ -18,8 +19,17 @@ from grdsa.estimators import (
     hessian_samples,
     measure,
     probe,
+    ray_offsets,
 )
-from grdsa.oracle import BudgetedOracle, BudgetExhausted, Objective, quadratic, quartic
+from grdsa.oracle import (
+    BudgetedOracle,
+    BudgetExhausted,
+    LinearGaussianNoise,
+    Objective,
+    quadratic,
+    quartic,
+    rastrigin,
+)
 from grdsa.perturb import (
     PerturbationSpec,
     gaussian,
@@ -164,6 +174,67 @@ class TestProbe:
         )
         with pytest.raises(NonFiniteEvaluation):
             probe(BudgetedOracle(obj), THETA, np.ones((2, 2)), 0.1, 3)
+
+
+def block_rows(n_shifts, d):
+    return max(1, BLOCK_FLOATS // (n_shifts * d))
+
+
+class TestProbeBlocks:
+    """A probe longer than one block of points streams it through the oracle."""
+
+    # quadratic(A, B) has a full A and a nonzero b; its last one-row block
+    # keeps the bits of the long call only if its value is row-stable
+    @pytest.mark.parametrize(
+        "objective", [rastrigin(5), quadratic(A, B)], ids=lambda obj: obj.name
+    )
+    @pytest.mark.parametrize("n_shifts", [2, 3])
+    def test_equals_the_one_call_form(self, objective, n_shifts):
+        d, delta = objective.dim, 0.1
+        n = 2 * block_rows(n_shifts, d) + 1  # three blocks, the last one row
+        theta = np.linspace(-0.8, 0.9, d)
+        dirs = SPEC.sample(np.random.default_rng(5), (n, d))
+
+        def oracle():
+            noise = LinearGaussianNoise(0.01)
+            return BudgetedOracle(objective, noise, rng=np.random.default_rng(6))
+
+        streamed = oracle()
+        values = probe(streamed, theta, dirs, delta, n_shifts)
+        whole = oracle()
+        points = theta + ray_offsets(dirs, delta, n_shifts)
+        expected = whole.evaluate_many(points.reshape(n * n_shifts, d)).reshape(n, n_shifts)
+        assert values.tobytes() == expected.tobytes()
+        assert streamed.evals_used == whole.evals_used == n * n_shifts
+
+    def test_budget_short_of_the_whole_probe_consumes_nothing(self):
+        d, n_shifts = 5, 3
+        n = 3 * block_rows(n_shifts, d)
+        orc = BudgetedOracle(rastrigin(d), budget=n * n_shifts - 1)
+        orc.evaluate_many(np.zeros((2, d)))
+        dirs = SPEC.sample(np.random.default_rng(7), (n, d))
+        with pytest.raises(BudgetExhausted, match=f"{n * n_shifts} evaluations requested"):
+            probe(orc, np.zeros(d), dirs, 0.1, n_shifts)
+        assert orc.evals_used == 2
+
+    def test_nonfinite_value_in_a_later_block_raises(self):
+        d, n_shifts = 5, 3
+        rows = block_rows(n_shifts, d)
+        calls = []
+
+        def value(x):
+            calls.append(len(x))
+            out = rastrigin(d).value(x)
+            if len(calls) == 2:
+                out[-1] = np.nan
+            return out
+
+        orc = BudgetedOracle(Objective(name="nan-later", dim=d, value=value))
+        dirs = SPEC.sample(np.random.default_rng(8), (3 * rows, d))
+        with pytest.raises(NonFiniteEvaluation):
+            probe(orc, np.zeros(d), dirs, 0.1, n_shifts)
+        assert calls == [rows * n_shifts] * 2
+        assert orc.evals_used == 2 * rows * n_shifts
 
 
 class TestMeasure:

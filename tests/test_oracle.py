@@ -201,16 +201,24 @@ class TestLinearGaussianNoise:
         assert len(np.unique(smp)) == 3
 
 
+def _full_quadratic(d: int):
+    """A quadratic with a full symmetric ``A`` and a nonzero ``b``."""
+    rng = np.random.default_rng(d)
+    m = rng.normal(size=(d, d))
+    return quadratic(m + m.T, rng.normal(size=d))
+
+
 @pytest.mark.parametrize(
     "objective",
-    [rastrigin(1), rastrigin(5), rastrigin(50), quartic(3), saddle_quartic(), exp_sin()],
+    [
+        rastrigin(1), rastrigin(5), rastrigin(50), quartic(3), saddle_quartic(), exp_sin(),
+        _full_quadratic(2), _full_quadratic(5),
+    ],
     ids=lambda obj: f"{obj.name}-{obj.dim}",
 )
 def test_batch_rows_equal_one_row_calls(objective):
-    # batched evaluation may share work across rows only if every row keeps
-    # the bits of its own call.  quadratic is left out: its 3-operand einsum
-    # and its ``x @ b`` change last bits with the batch size (at d = 2, a
-    # full A and a nonzero b, about a third of 780 rows differ)
+    # batched evaluation may share work across rows, and a probe may split
+    # its points into blocks, only if every row keeps the bits of its own call
     rng = np.random.default_rng(11)
     for n in range(1, 41):
         points = 3.0 * rng.normal(size=(n, objective.dim))
