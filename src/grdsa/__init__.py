@@ -60,8 +60,7 @@ from .perturb import (
 )
 from .stencils import (
     MAX_ORDER,
-    GradStencil,
-    HessStencil,
+    Stencil,
     coeff,
     grad_stencil,
     hess_stencil,

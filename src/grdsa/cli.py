@@ -26,36 +26,32 @@ def _load_config(path: str) -> dict:
 
 def _cmd_stencil_print(args: argparse.Namespace) -> int:
     k2 = args.k2 if args.k2 is not None else args.k1
-    grad = grad_stencil(args.k1)
-    hess = hess_stencil(args.k1, k2)
+    tables = [
+        ("gradient", grad_stencil(args.k1), ("k",), "delta"),
+        ("hessian", hess_stencil(args.k1, k2), ("k1", "k2"), "delta^2"),
+    ]
     if args.json:
         payload = {
-            "gradient": {
-                "k": grad.k,
-                "weights": [str(w) for w in grad.weights],
-                "decimals": [float(w) for w in grad.weights],
-            },
-            "hessian": {
-                "k1": hess.k1,
-                "k2": hess.k2,
-                "weights": [str(w) for w in hess.weights],
-                "decimals": [float(w) for w in hess.weights],
-            },
+            kind: {
+                **dict(zip(names, stencil.orders)),
+                "weights": [str(w) for w in stencil.weights],
+                "decimals": [float(w) for w in stencil.weights],
+            }
+            for kind, stencil, names, _ in tables
         }
         print(json.dumps(payload, indent=2))
         return 0
-    print(f"gradient stencil, k={grad.k} (combine values at shifts 0..{grad.k}, divide by delta)")
-    print(f"{'shift':>6}  {'weight':>18}  {'decimal':>22}")
-    for s, w in enumerate(grad.weights):
-        print(f"{s:>6}  {str(w):>18}  {float(w):>22.16g}")
-    print()
-    print(
-        f"hessian stencil, k1={hess.k1}, k2={hess.k2} "
-        f"(combine values at shifts 0..{hess.k1 + hess.k2}, divide by delta^2)"
-    )
-    print(f"{'shift':>6}  {'weight':>18}  {'decimal':>22}")
-    for s, w in enumerate(hess.weights):
-        print(f"{s:>6}  {str(w):>18}  {float(w):>22.16g}")
+    for i, (kind, stencil, names, divisor) in enumerate(tables):
+        if i:
+            print()
+        orders = ", ".join(f"{n}={k}" for n, k in zip(names, stencil.orders))
+        print(
+            f"{kind} stencil, {orders} "
+            f"(combine values at shifts 0..{len(stencil.weights) - 1}, divide by {divisor})"
+        )
+        print(f"{'shift':>6}  {'weight':>18}  {'decimal':>22}")
+        for s, w in enumerate(stencil.weights):
+            print(f"{s:>6}  {str(w):>18}  {float(w):>22.16g}")
     return 0
 
 

@@ -214,10 +214,13 @@ def gradient_deviation(
     the norm of the difference between each one-draw estimate and its
     direction-conditional leading term ``factor * Delta (Delta . grad F)``;
     the average scales like ``delta**k``.  With ``mode="mean_bias"`` it
-    returns the norm of (mean estimate - true gradient), which for symmetric
-    direction laws decays at least one order faster because odd moments
-    vanish.  Common random numbers across ``delta`` come from passing the
-    same ``directions`` array.
+    returns the norm of (mean estimate - true gradient).  For symmetric
+    direction laws the odd moments vanish, so the bias of the mean decays
+    like ``delta**(2*ceil(k/2))``: one order faster than the residual for
+    odd ``k``, none for even ``k`` (k = 1 and k = 2 share order 2).  That
+    norm also carries the Monte Carlo error of the directions' mean, which
+    floors it at a finite sample size.  Common random numbers across
+    ``delta`` come from passing the same ``directions`` array.
     """
     if objective.gradient is None:
         raise ValueError("objective must provide an analytic gradient")

@@ -16,6 +16,7 @@ import itertools
 import json
 import re
 import time
+import typing
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, fields, replace
 
@@ -93,8 +94,20 @@ def config_fingerprint(config: dict) -> str:
 _array = functools.partial(np.asarray, dtype=float)
 
 
-def _list_of(kind: Callable) -> Callable:
-    return lambda values: [kind(v) for v in values]
+def _convert(path: str, kind: Callable, value):
+    """``value`` of the key ``path`` as ``kind``, neither rounded (an int takes
+    ``1e4`` but not 2.7) nor read for its truth (a bool takes only a boolean);
+    ``list[kind]`` converts each item.  A value that does not fit names ``path``."""
+    if typing.get_origin(kind) is list:
+        return [_convert(f"{path}[{i}]", typing.get_args(kind)[0], v) for i, v in enumerate(value)]
+    integral = isinstance(value, (int, np.integer)) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if kind is int and (isinstance(value, bool) or not integral):
+        raise ValueError(f"{path} must be an integer, got {value!r}")
+    if kind is bool and not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{path} must be true or false, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -161,8 +174,8 @@ KEYS = {
         "crzon.delta_prefactor": Key(float, (cubic_mod.from_epsilon,)),
         # run_table; dims and budgets default to [dim] and [budget]
         "methods": Key(list, default=("G2SF-3",)),
-        "dims": Key(_list_of(int)),
-        "budgets": Key(_list_of(int)),
+        "dims": Key(list[int]),
+        "budgets": Key(list[int]),
         "seeds": Key(int, default=1),
         # run_bias_sweep; k overrides k1, and k2 defaults to k1
         "estimator_kind": Key(str, default="hessian"),
@@ -171,7 +184,7 @@ KEYS = {
         "k2": Key(int),
         "mode": Key(str, default="residual"),
         "theta": Key(_array),
-        "deltas": Key(_list_of(float), default=(0.4, 0.2, 0.1, 0.05)),
+        "deltas": Key(list[float], default=(0.4, 0.2, 0.1, 0.05)),
         "samples": Key(int, default=100_000),
     }.items()
 }
@@ -203,7 +216,7 @@ def setting(config: dict, path: str, default=None):
     value = _lookup(config, path)
     if value is None:
         value = _default(key) if default is None else default
-    return None if value is None else key.kind(value)
+    return None if value is None else _convert(path, key.kind, value)
 
 
 def _default(key: Key):
@@ -224,7 +237,7 @@ def _arguments(config: dict, target, **given) -> dict:
         if target in key.targets:
             value = _lookup(config, path)
             if value is not None:
-                kwargs[key.field] = key.kind(value)
+                kwargs[key.field] = _convert(path, key.kind, value)
     kwargs.update((name, value) for name, value in given.items() if value is not None)
     return kwargs
 
@@ -296,7 +309,8 @@ def build_newton_config(config: dict, seed: int | None = None) -> NewtonConfig:
 
 
 def build_cubic_config(config: dict, seed: int | None = None) -> cubic_mod.CubicConfig:
-    """A :class:`CubicConfig`, sized by ``from_epsilon`` when ``crzon.epsilon`` is set."""
+    """A :class:`~grdsa.cubic.CubicConfig`, sized by ``from_epsilon`` when
+    ``crzon.epsilon`` is set."""
     build = cubic_mod.CubicConfig
     if setting(config, "crzon.epsilon") is not None:
         build = cubic_mod.from_epsilon

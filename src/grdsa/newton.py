@@ -97,63 +97,25 @@ def validate_schedules(s: Schedules) -> list[Finding]:
     square-summable.  Each is a warning; the signs are checked when
     :class:`Schedules` is built.
     """
-    findings: list[Finding] = []
-    findings.append(
-        Finding(
-            check="a_sum_diverges",
-            severity="warning",
-            ok=s.alpha <= 1.0,
-            message=f"sum a(n) requires alpha <= 1 (alpha = {s.alpha:.2f})",
-        )
-    )
-    findings.append(
-        Finding(
-            check="b_sum_diverges",
-            severity="warning",
-            ok=s.beta <= 1.0,
-            message=f"sum b(n) requires beta <= 1 (beta = {s.beta:.2f})",
-        )
-    )
-    findings.append(
-        Finding(
-            check="timescale_separation",
-            severity="warning",
-            ok=s.alpha > s.beta,
-            message=(
-                f"a(n)/b(n) -> 0 requires alpha > beta "
-                f"(alpha = {s.alpha:.2f}, beta = {s.beta:.2f})"
-            ),
-        )
-    )
     grad_margin = 2.0 * (s.alpha - s.gamma)
-    findings.append(
-        Finding(
-            check="a_delta_square_summable",
-            severity="warning",
-            ok=grad_margin > 1.0,
-            message=(
-                f"sum (a(n)/delta(n))^2 diverges "
-                f"(2(alpha - gamma) = {grad_margin:.2f} <= 1)"
-                if grad_margin <= 1.0
-                else f"sum (a(n)/delta(n))^2 converges (2(alpha - gamma) = {grad_margin:.2f} > 1)"
-            ),
-        )
-    )
     hess_margin = 2.0 * (s.beta - 2.0 * s.gamma)
-    findings.append(
-        Finding(
-            check="b_delta_square_summable",
-            severity="warning",
-            ok=hess_margin > 1.0,
-            message=(
-                f"sum (b(n)/delta(n)^2)^2 diverges "
-                f"(2(beta - 2 gamma) = {hess_margin:.2f} <= 1)"
-                if hess_margin <= 1.0
-                else f"sum (b(n)/delta(n)^2)^2 converges (2(beta - 2 gamma) = {hess_margin:.2f} > 1)"
-            ),
-        )
-    )
-    return findings
+    grad_sum, grad_cmp = ("converges", ">") if grad_margin > 1.0 else ("diverges", "<=")
+    hess_sum, hess_cmp = ("converges", ">") if hess_margin > 1.0 else ("diverges", "<=")
+    rules = [
+        ("a_sum_diverges", s.alpha <= 1.0,
+         f"sum a(n) requires alpha <= 1 (alpha = {s.alpha:.2f})"),
+        ("b_sum_diverges", s.beta <= 1.0,
+         f"sum b(n) requires beta <= 1 (beta = {s.beta:.2f})"),
+        ("timescale_separation", s.alpha > s.beta,
+         f"a(n)/b(n) -> 0 requires alpha > beta (alpha = {s.alpha:.2f}, beta = {s.beta:.2f})"),
+        ("a_delta_square_summable", grad_margin > 1.0,
+         f"sum (a(n)/delta(n))^2 {grad_sum} "
+         f"(2(alpha - gamma) = {grad_margin:.2f} {grad_cmp} 1)"),
+        ("b_delta_square_summable", hess_margin > 1.0,
+         f"sum (b(n)/delta(n)^2)^2 {hess_sum} "
+         f"(2(beta - 2 gamma) = {hess_margin:.2f} {hess_cmp} 1)"),
+    ]
+    return [Finding(check, "warning", ok, message) for check, ok, message in rules]
 
 
 @dataclass(frozen=True)

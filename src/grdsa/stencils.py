@@ -62,15 +62,15 @@ def coeff(k: int, l: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class GradStencil:
-    """First-derivative stencil on the shifts ``0..k``.
+class Stencil:
+    """Derivative stencil: ``weights[s]`` multiplies the value at shift ``s``.
 
-    ``weights[s]`` multiplies the function value at ``theta + s*delta*Delta``;
-    the weighted sum divided by ``delta`` estimates the directional
-    derivative.
+    ``orders == (k,)``: the first derivative, the weighted sum over ``delta``.
+    ``orders == (k1, k2)``: the second derivative, two first-derivative
+    stencils composed along one ray, the weighted sum over ``delta**2``.
     """
 
-    k: int
+    orders: tuple[int, ...]
     weights: tuple[Fraction, ...]
 
     @property
@@ -82,74 +82,38 @@ class GradStencil:
 
     def moment(self, q: int) -> Fraction:
         """Exact weighted power sum ``sum_s weights[s] * s**q``."""
-        return _moment(self.weights, q)
+        if q < 0:
+            raise ValueError(f"moment order must be >= 0, got {q}")
+        return sum((w * s**q for s, w in enumerate(self.weights)), Fraction(0))
 
 
-@dataclass(frozen=True)
-class HessStencil:
-    """Second-derivative stencil on the shifts ``0..k1+k2``.
-
-    Obtained by composing the order-``k1`` and order-``k2`` first-derivative
-    operators along the same direction; the weighted sum divided by
-    ``delta**2`` estimates the second directional derivative.
-    """
-
-    k1: int
-    k2: int
-    weights: tuple[Fraction, ...]
-
-    @property
-    def shifts(self) -> np.ndarray:
-        return np.arange(len(self.weights))
-
-    def to_float(self) -> np.ndarray:
-        return np.array([float(w) for w in self.weights])
-
-    def moment(self, q: int) -> Fraction:
-        return _moment(self.weights, q)
-
-
-def _moment(weights: tuple[Fraction, ...], q: int) -> Fraction:
-    if q < 0:
-        raise ValueError(f"moment order must be >= 0, got {q}")
-    return sum((w * s**q for s, w in enumerate(weights)), Fraction(0))
-
-
-def grad_stencil(k: int) -> GradStencil:
+def grad_stencil(k: int) -> Stencil:
     """Build the order-``k`` first-derivative stencil.
 
     The weight at shift ``l`` is ``(-1)**(l+1) * c_l / l!``.
     """
     _check_order(k, "k")
-    weights = tuple(
-        (-1) ** (l + 1) * coeff(k, l) / factorial(l) for l in range(k + 1)
-    )
-    return GradStencil(k=k, weights=weights)
+    weights = tuple((-1) ** (l + 1) * coeff(k, l) / factorial(l) for l in range(k + 1))
+    return Stencil(orders=(k,), weights=weights)
 
 
-def hess_stencil(k1: int, k2: int | None = None) -> HessStencil:
-    """Build the composed second-derivative stencil of orders ``(k1, k2)``.
+def hess_stencil(k1: int, k2: int | None = None) -> Stencil:
+    """Compose the order-``k1`` and order-``k2`` first-derivative stencils.
 
-    The weight at shift ``s`` aggregates every split ``s = l + m`` with
-    ``0 <= l <= k1`` and ``0 <= m <= k2``:
-
-        W_s = sum (-1)**(l+m) * c_l(k1) * c_m(k2) / (l! m!)
-
-    ``k2`` defaults to ``k1`` (equal truncation).
+    Applying one to the other along the same ray convolves their weights:
+    ``W_s = sum_{l+m=s} (-1)**(l+m) c_l(k1) c_m(k2) / (l! m!)``.  ``k2``
+    defaults to ``k1`` (equal truncation).
     """
     if k2 is None:
         k2 = k1
     _check_order(k1, "k1")
     _check_order(k2, "k2")
-    c1 = [coeff(k1, l) for l in range(k1 + 1)]
-    c2 = [coeff(k2, m) for m in range(k2 + 1)]
+    w1, w2 = grad_stencil(k1).weights, grad_stencil(k2).weights
     weights = [Fraction(0)] * (k1 + k2 + 1)
-    for l in range(k1 + 1):
-        for m in range(k2 + 1):
-            weights[l + m] += (-1) ** (l + m) * c1[l] * c2[m] / (
-                factorial(l) * factorial(m)
-            )
-    return HessStencil(k1=k1, k2=k2, weights=tuple(weights))
+    for l, a in enumerate(w1):
+        for m, b in enumerate(w2):
+            weights[l + m] += a * b
+    return Stencil(orders=(k1, k2), weights=tuple(weights))
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -59,6 +59,49 @@ class TestStencilCommands:
         assert payload["hessian"]["k1"] == 2
         assert payload["gradient"]["decimals"][1] == 2.0
 
+    def test_print_unequal_orders_in_full(self, capsys):
+        assert main(["stencil", "print", "--k1", "2", "--k2", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "gradient stencil, k=2 (combine values at shifts 0..2, divide by delta)\n"
+            " shift              weight                 decimal\n"
+            "     0                -3/2                    -1.5\n"
+            "     1                   2                       2\n"
+            "     2                -1/2                    -0.5\n"
+            "\n"
+            "hessian stencil, k1=2, k2=3 (combine values at shifts 0..5, divide by delta^2)\n"
+            " shift              weight                 decimal\n"
+            "     0                11/4                    2.75\n"
+            "     1               -49/6      -8.166666666666666\n"
+            "     2                55/6       9.166666666666666\n"
+            "     3                  -5                      -5\n"
+            "     4               17/12       1.416666666666667\n"
+            "     5                -1/6     -0.1666666666666667\n"
+        )
+
+    def test_print_unequal_orders_json_in_full(self, capsys):
+        assert main(["stencil", "print", "--k1", "2", "--k2", "3", "--json"]) == 0
+        expected = {
+            "gradient": {
+                "k": 2,
+                "weights": ["-3/2", "2", "-1/2"],
+                "decimals": [-1.5, 2.0, -0.5],
+            },
+            "hessian": {
+                "k1": 2,
+                "k2": 3,
+                "weights": ["11/4", "-49/6", "55/6", "-5", "17/12", "-1/6"],
+                "decimals": [
+                    2.75,
+                    -8.166666666666666,
+                    9.166666666666666,
+                    -5.0,
+                    1.4166666666666667,
+                    -0.16666666666666666,
+                ],
+            },
+        }
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
     def test_verify_passes(self, capsys):
         assert main(["stencil", "verify", "--kmax", "12"]) == 0
         out = capsys.readouterr().out

@@ -139,6 +139,26 @@ class TestRoundTrip:
         assert build_newton_config({"budget": 100}).reuse is True
         assert build_cubic_config({}).reuse is False
 
+    def test_integral_floats_read_as_ints(self):
+        # JSON writes 1e4 as a float; it is still the integer 10000
+        assert build_newton_config({"budget": 1e4}).budget == 10000
+        assert setting({"dims": [5.0]}, "dims") == [5]
+
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            ("budget", 999.9, "budget must be an integer, got 999.9"),
+            ("budget", True, "budget must be an integer, got True"),
+            ("estimator.k", "2", "estimator.k must be an integer, got '2'"),
+            ("estimator.reuse", "false", "estimator.reuse must be true or false, got 'false'"),
+            ("estimator.reuse", 0, "estimator.reuse must be true or false, got 0"),
+            ("dims", [2, 5.9], r"dims\[1\] must be an integer, got 5.9"),
+        ],
+    )
+    def test_mistyped_value_names_its_key(self, path, value, message):
+        with pytest.raises(ValueError, match=message):
+            setting(with_key({}, path, value), path)
+
     def test_table_is_consistent(self):
         # a key with a target takes its default from it, so carries none;
         # every target takes the key's field, directly or (from_epsilon)

@@ -45,21 +45,22 @@ def run_failure(config):
     """``(type name, message)`` of the first run of ``config`` that raises, or None.
 
     A config with a ``crzon`` section makes one CRZON run; any other makes
-    the run of ``grdsa newton run``, then the table's.
+    the run of ``grdsa newton run``, then the table's, whose cells fail one by
+    one unless the table cannot be laid out at all.
     """
     try:
         if config.get("crzon") is not None:
             run_crzon(build_cubic_config(config))
-        else:
-            harness_mod.runner(harness_mod.setting(config, "algorithm"))(
-                build_newton_config(config)
-            )
+            return None
+        harness_mod.runner(harness_mod.setting(config, "algorithm"))(
+            build_newton_config(config)
+        )
+        rows = run_table(config).rows
     except Exception as exc:
         return type(exc).__name__, str(exc)
-    if config.get("crzon") is None:
-        for row in run_table(config).rows:
-            if row.status == "error":
-                return tuple(row.message.split(": ", 1))
+    for row in rows:
+        if row.status == "error":
+            return tuple(row.message.split(": ", 1))
     return None
 
 
@@ -594,6 +595,13 @@ class TestValidateConfig:
             ({"schedules": {"B": -1.0}}, "ValueError"),
             ({"schedules": {"gamma": 0.0}}, "ValueError"),
             ({"schedules": {"delta0": 0.0}}, "ValueError"),
+            # values that do not fit their key's type are not rounded or
+            # read for their truth
+            ({"budget": 999.9}, "ValueError"),
+            ({"estimator": {"k": 2.7}, "budget": 100}, "ValueError"),
+            ({"estimator": {"reuse": "false"}, "budget": 100}, "ValueError"),
+            ({"crzon": {"b": 10.5}}, "ValueError"),
+            ({"dims": [5.9]}, "ValueError"),
         ],
     )
     def test_validator_agrees_with_the_run(self, config, cause):
