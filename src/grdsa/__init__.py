@@ -33,7 +33,6 @@ from .newton import (
     gradient_step,
     iteration_cost,
     newton_step,
-    run_first_order,
     run_newton,
     theta_operator,
     validate_schedules,

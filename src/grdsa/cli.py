@@ -10,6 +10,7 @@ import numpy as np
 
 from . import harness
 from .cubic import run_crzon
+from .newton import run_newton
 from .stencils import (
     MAX_ORDER,
     all_identities_pass,
@@ -83,9 +84,8 @@ def _cmd_stencil_verify(args: argparse.Namespace) -> int:
 
 def _cmd_newton_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    run = harness.runner(harness.setting(config, "algorithm"))
     records = [
-        run(harness.build_newton_config(config, seed=seed))
+        run_newton(harness.build_newton_config(config, seed=seed))
         for seed in harness.seed_range(config, args.seeds)
     ]
     harness.write_newton_csv(args.out, records)

@@ -30,9 +30,11 @@ from .stencils import _check_order
 ALPHA_FLOOR = 1e-3
 
 
-@dataclass
+@dataclass(frozen=True)
 class CubicConfig:
-    """One cubic-regularized run: batch sizes, radius, regularizer, seed."""
+    """One cubic-regularized run: batch sizes, radius, regularizer, seed.
+
+    Frozen, so the checks made when it is built hold for every run of it."""
 
     objective: Objective
     k: int = 1
@@ -57,6 +59,11 @@ class CubicConfig:
         if not self.delta > 0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
         _check_run(self.seed, self.theta0, self.objective)
+        cost = self.step_cost()
+        if self.budget is not None and self.budget < cost:
+            raise BudgetTooSmall(
+                f"budget {self.budget} cannot afford one step ({cost} evaluations)"
+            )
 
     def alpha_value(self) -> float:
         if self.alpha is not None:
@@ -305,15 +312,11 @@ def run_crzon(cfg: CubicConfig) -> SospReport:
     """Run ``n_steps`` outer steps (or to budget) and report a random iterate.
 
     The report index ``R`` is drawn once from the run's seed, uniform over
-    the completed iterates; a budget too small for a single step raises
-    before consuming anything.
+    the completed iterates; the config has already checked that the budget
+    covers one step.
     """
     start = time.perf_counter()
     cost = cfg.step_cost()
-    if cfg.budget is not None and cfg.budget < cost:
-        raise BudgetTooSmall(
-            f"budget {cfg.budget} cannot afford one step ({cost} evaluations)"
-        )
     alpha = cfg.alpha_value()
 
     init_rng, perturb_rng, noise_rng, select_rng = _spawn_streams(cfg.seed, 4)

@@ -30,8 +30,6 @@ from .newton import (
     NewtonConfig,
     RunRecord,
     Schedules,
-    iteration_cost,
-    run_first_order,
     run_newton,
     validate_schedules,
 )
@@ -96,17 +94,26 @@ _array = functools.partial(np.asarray, dtype=float)
 
 def _convert(path: str, kind: Callable, value):
     """``value`` of the key ``path`` as ``kind``, neither rounded (an int takes
-    ``1e4`` but not 2.7) nor read for its truth (a bool takes only a boolean);
-    ``list[kind]`` converts each item.  A value that does not fit names ``path``."""
+    ``1e4`` but not 2.7), read for its truth (a bool takes only a boolean) nor
+    parsed (a float takes only a number, a str only a string); ``list[kind]``
+    takes only a list and converts each item.  A value that does not fit
+    names ``path``."""
     if typing.get_origin(kind) is list:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{path} must be a list, got {value!r}")
         return [_convert(f"{path}[{i}]", typing.get_args(kind)[0], v) for i, v in enumerate(value)]
     integral = isinstance(value, (int, np.integer)) or (
         isinstance(value, float) and value.is_integer()
     )
     if kind is int and (isinstance(value, bool) or not integral):
         raise ValueError(f"{path} must be an integer, got {value!r}")
+    number = isinstance(value, (int, float, np.integer, np.floating))
+    if kind is float and (isinstance(value, bool) or not number):
+        raise ValueError(f"{path} must be a number, got {value!r}")
     if kind is bool and not isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{path} must be true or false, got {value!r}")
+    if kind is str and not isinstance(value, str):
+        raise ValueError(f"{path} must be a string, got {value!r}")
     return kind(value)
 
 
@@ -150,7 +157,7 @@ KEYS = {
         "estimator.k": Key(int, (NewtonConfig,)),
         "eps_pd": Key(float, (NewtonConfig,)),
         "record_stride": Key(int, (NewtonConfig,)),
-        "algorithm": Key(str, default="newton"),
+        "algorithm": Key(str, (NewtonConfig,)),
         "schedules.a0": Key(float, (Schedules,)),
         "schedules.A": Key(float, (Schedules,), "big_a"),
         "schedules.alpha": Key(float, (Schedules,)),
@@ -173,7 +180,7 @@ KEYS = {
         "crzon.b_prefactor": Key(float, (cubic_mod.from_epsilon,)),
         "crzon.delta_prefactor": Key(float, (cubic_mod.from_epsilon,)),
         # run_table; dims and budgets default to [dim] and [budget]
-        "methods": Key(list, default=("G2SF-3",)),
+        "methods": Key(list[str], default=("G2SF-3",)),
         "dims": Key(list[int]),
         "budgets": Key(list[int]),
         "seeds": Key(int, default=1),
@@ -328,14 +335,6 @@ def seed_range(config: dict, count: int) -> range:
     return range(start, start + count)
 
 
-def runner(algorithm: str) -> Callable[[NewtonConfig], RunRecord]:
-    """The run an ``algorithm`` value selects."""
-    runners = {"newton": run_newton, "gradient_only": run_first_order}
-    if algorithm not in runners:
-        raise ValueError(f"algorithm must be one of {', '.join(runners)}, got {algorithm!r}")
-    return runners[algorithm]
-
-
 # --- benchmark table ------------------------------------------------------
 
 @dataclass
@@ -377,7 +376,7 @@ def table_cells(config: dict) -> Iterator[tuple[MethodSpec, dict]]:
     dims = setting(config, "dims", [setting(config, "dim")])
     budgets = setting(config, "budgets", [setting(config, "budget")])
     for method, dim, budget in itertools.product(methods, dims, budgets):
-        sub = dict(config, dim=dim, budget=budget)
+        sub = dict(config, dim=dim, budget=budget, algorithm=method.algorithm)
         sub["estimator"] = dict(_lookup(config, "estimator") or {}, k=method.k)
         sub["perturb"] = dict(_lookup(config, "perturb") or {}, family=method.family)
         yield method, sub
@@ -392,7 +391,7 @@ def run_table(config: dict) -> TableResult:
         dim, budget = sub["dim"], sub["budget"]
         start = time.perf_counter()
         try:
-            record = runner(method.algorithm)(build_newton_config(sub, seed=seed))
+            record = run_newton(build_newton_config(sub, seed=seed))
             outcome = dict(
                 iterations=record.iterations,
                 final_parameter_error=record.final_parameter_error,
@@ -501,29 +500,22 @@ def run_bias_sweep(config: dict) -> BiasSweepResult:
 
 # --- config validation ----------------------------------------------------
 
-def _priced_runs(config: dict) -> list[tuple[int | None, int]]:
-    """``(budget, cost of one iteration)`` of every run of ``config``, each
-    built once, as its run builds it: the CRZON run; or the ``newton run``
-    config, then every table cell."""
+def _build_runs(config: dict) -> None:
+    """Build every run of ``config`` as its run builds it: the CRZON run, with
+    its regularizer; or the ``newton run`` config, then every table cell."""
     if _lookup(config, "crzon") is not None:
-        cfg = build_cubic_config(config)
-        cfg.alpha_value()
-        return [(cfg.budget, cfg.step_cost())]
-    runs = [(setting(config, "algorithm"), config)]
-    runs += [(method.algorithm, cell) for method, cell in table_cells(config)]
-    priced = []
-    for algorithm, cell in runs:
-        cfg = build_newton_config(cell)
-        priced.append((cfg.budget, iteration_cost(cfg.k, cfg.reuse, algorithm == "newton")))
-    return priced
+        build_cubic_config(config).alpha_value()
+        return
+    build_newton_config(config)
+    for _, cell in table_cells(config):
+        build_newton_config(cell)
 
 
 def validate_config(config: dict) -> list[Finding]:
     """The schedules and their asymptotic warnings; each other part of a run,
-    then every run (``run.builds``, see :func:`_priced_runs`), built by the
-    runs' own builders and failing with their messages; with ``budget`` or
-    ``budgets`` set, that each run's budget covers one of its iterations;
-    one warning per unknown key."""
+    then every run (``run.builds``, see :func:`_build_runs`), built by the
+    runs' own builders and failing with their messages, a budget too small
+    for one iteration included; one warning per unknown key."""
     findings: list[Finding] = []
 
     def builds(check: str, build: Callable[[], object]) -> bool:
@@ -543,23 +535,14 @@ def validate_config(config: dict) -> list[Finding]:
         ]
     parts = {
         "objective.known": lambda: make_objective(config),
-        "algorithm.known": lambda: runner(setting(config, "algorithm")),
         "methods.known": lambda: [method_spec(m) for m in setting(config, "methods")],
         "box.nonempty": lambda: make_box(config),
         "perturb.family_known": lambda: make_perturbation(config),
         "noise.sigma_nonnegative": lambda: make_noise(config),
     }
-    priced: list[tuple[int | None, int]] = []
     # every part is reported, then the runs are built if all of them build
     if all([builds(check, build) for check, build in parts.items()]) and schedules_built:
-        builds("run.builds", lambda: priced.extend(_priced_runs(config)))
-    # the default budget (1000) covers any one Newton iteration, so only a
-    # budget the config sets is checked
-    budgeted = [(budget, cost) for budget, cost in priced if budget is not None]
-    if budgeted and (_lookup(config, "budget"), _lookup(config, "budgets")) != (None, None):
-        budget, cost = min(budgeted, key=lambda run: run[0] - run[1])
-        message = f"budget {budget} vs per-iteration cost {cost}"
-        findings.append(Finding("budget.covers_one_iteration", "error", budget >= cost, message))
+        builds("run.builds", lambda: _build_runs(config))
 
     for path in _unknown_keys(config):
         findings.append(

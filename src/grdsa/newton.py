@@ -175,9 +175,11 @@ def _lifted_solve(sym: np.ndarray, g: np.ndarray, eps_pd: float) -> np.ndarray:
     return eigvec.dot(eigvec.T.dot(g) / np.maximum(eigval, eps_pd))
 
 
-@dataclass
+@dataclass(frozen=True)
 class NewtonConfig:
-    """Everything one run needs; ``seed`` determines all randomness."""
+    """Everything one run needs; ``seed`` determines all randomness.
+
+    Frozen, so the checks made when it is built hold for every run of it."""
 
     objective: Objective
     budget: int = 1000
@@ -191,6 +193,7 @@ class NewtonConfig:
     seed: int = 0
     theta0: np.ndarray | None = None
     record_stride: int = 1
+    algorithm: str = "newton"  # or "gradient_only": no Hessian, k+1 evaluations
 
     def __post_init__(self) -> None:
         _check_order(self.k, "k")
@@ -199,6 +202,15 @@ class NewtonConfig:
         if not self.eps_pd > 0:
             raise ValueError(f"eps_pd must be > 0, got {self.eps_pd}")
         _check_run(self.seed, self.theta0, self.objective)
+        if self.algorithm not in ("newton", "gradient_only"):
+            raise ValueError(
+                f"algorithm must be one of newton, gradient_only, got {self.algorithm!r}"
+            )
+        cost = iteration_cost(self.k, self.reuse, self.algorithm == "newton")
+        if self.budget < cost:
+            raise BudgetTooSmall(
+                f"budget {self.budget} cannot afford one iteration ({cost} evaluations)"
+            )
 
 
 def _check_run(seed: int, theta0: np.ndarray | None, objective: Objective) -> None:
@@ -301,7 +313,7 @@ def _newton_update(
     timescale), then the iterate moves against the clamped-Newton direction
     (slow timescale) and is projected back into the box.
 
-    The reference form of :func:`_run`'s loop, through the estimator
+    The reference form of :func:`run_newton`'s loop, through the estimator
     reductions and :meth:`Box.clip`."""
     k, delta = cfg.k, draws.delta[i]
     values = measure(oracle, theta + draws.offsets[i])
@@ -387,8 +399,9 @@ def _initial_theta(cfg_theta0: np.ndarray | None, dim: int, init_rng: np.random.
     return init_rng.uniform(INIT_RANGE[0], INIT_RANGE[1], dim)
 
 
-def _run(cfg: NewtonConfig, hessian: bool) -> RunRecord:
-    """Run ``budget // cost`` iterations, drawing their inputs ``_BLOCK`` at a time.
+def run_newton(cfg: NewtonConfig) -> RunRecord:
+    """Run ``cfg.algorithm`` for ``budget // cost`` iterations, drawing their
+    inputs ``_BLOCK`` at a time.
 
     The loop is :func:`_newton_update` / :func:`_gradient_update` written
     out flat: the same floating-point operations on the same operands, so
@@ -397,11 +410,8 @@ def _run(cfg: NewtonConfig, hessian: bool) -> RunRecord:
     """
     start = time.perf_counter()
     k, reuse = cfg.k, cfg.reuse
+    hessian = cfg.algorithm == "newton"
     cost = iteration_cost(k, reuse, hessian)
-    if cfg.budget < cost:
-        raise BudgetTooSmall(
-            f"budget {cfg.budget} cannot afford one iteration ({cost} evaluations)"
-        )
 
     dim = cfg.objective.dim
     init_rng, perturb_rng, noise_rng = _spawn_streams(cfg.seed, 3)
@@ -457,7 +467,7 @@ def _run(cfg: NewtonConfig, hessian: bool) -> RunRecord:
     if cfg.objective.optimum is not None:
         error = parameter_error(theta, theta0, cfg.objective.optimum)
     return RunRecord(
-        algorithm="newton" if hessian else "gradient_only",
+        algorithm=cfg.algorithm,
         seed=cfg.seed,
         k=cfg.k,
         dim=dim,
@@ -470,16 +480,3 @@ def _run(cfg: NewtonConfig, hessian: bool) -> RunRecord:
         trajectory=trajectory,
         wall_time_s=time.perf_counter() - start,
     )
-
-
-def run_newton(cfg: NewtonConfig) -> RunRecord:
-    """Run until the next iteration no longer fits in the budget."""
-    return _run(cfg, hessian=True)
-
-
-def run_first_order(cfg: NewtonConfig) -> RunRecord:
-    """Gradient-only baseline: same schedules and projection, no Hessian.
-
-    Each iteration costs ``k+1`` evaluations.
-    """
-    return _run(cfg, hessian=False)

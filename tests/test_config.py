@@ -60,6 +60,8 @@ BASES = {
 
 #: values the builders accept, where the key's type alone allows bad ones
 VALID = {
+    "algorithm": st.sampled_from(["newton", "gradient_only"]),
+    "budget": st.integers(1600, 10_000),  # one default CRZON step costs 1600
     "box.lower": st.floats(-100.0, 5.0),
     "box.upper": st.floats(-5.0, 100.0),
     "crzon.k": st.integers(1, MAX_ORDER),
@@ -153,6 +155,7 @@ class TestRoundTrip:
             ("estimator.reuse", "false", "estimator.reuse must be true or false, got 'false'"),
             ("estimator.reuse", 0, "estimator.reuse must be true or false, got 0"),
             ("dims", [2, 5.9], r"dims\[1\] must be an integer, got 5.9"),
+            ("methods", "G2SF-3", "methods must be a list, got 'G2SF-3'"),
         ],
     )
     def test_mistyped_value_names_its_key(self, path, value, message):

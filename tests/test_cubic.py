@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -310,12 +310,14 @@ class TestRunCrzon:
         assert 1 <= rep.r_index <= 2
 
     def test_budget_too_small_raises_before_consuming(self):
-        cfg = CubicConfig(
-            objective=quadratic(A, B), k=1, n_steps=2, m=4, b=4, delta=0.05,
-            alpha=1.0, budget=10,
-        )
         with pytest.raises(BudgetTooSmall):
-            run_crzon(cfg)
+            CubicConfig(
+                objective=quadratic(A, B), k=1, n_steps=2, m=4, b=4, delta=0.05,
+                alpha=1.0, budget=10,
+            )
+        cfg = CubicConfig(objective=quadratic(A, B), m=4, b=4, alpha=1.0, budget=20)
+        with pytest.raises(FrozenInstanceError):
+            cfg.budget = 10  # a built config stays checked
 
     @pytest.mark.parametrize("reuse", [False, True])
     def test_nonfinite_objective_raises(self, reuse):

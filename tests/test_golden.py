@@ -16,7 +16,7 @@ import pytest
 
 from grdsa.cubic import run_crzon
 from grdsa.harness import build_cubic_config, build_newton_config, run_table
-from grdsa.newton import run_first_order, run_newton
+from grdsa.newton import run_newton
 from grdsa.stencils import (
     MAX_ORDER,
     grad_stencil,
@@ -103,10 +103,11 @@ def test_trajectory_bits(key):
             "noise": {"sigma": 0.01},
             "estimator": {"k": 2, "reuse": reuse},
             "record_stride": stride,
+            "algorithm": algorithm,
         },
         seed=4,
     )
-    rec = (run_newton if algorithm == "newton" else run_first_order)(cfg)
+    rec = run_newton(cfg)
     digest = hashlib.sha256(rec.trajectory.tobytes()).hexdigest()
     assert rec.algorithm == algorithm
     assert (rec.iterations, rec.evals_used, digest) == TRAJECTORY_GOLDEN[key]

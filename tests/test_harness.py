@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -52,9 +51,7 @@ def run_failure(config):
         if config.get("crzon") is not None:
             run_crzon(build_cubic_config(config))
             return None
-        harness_mod.runner(harness_mod.setting(config, "algorithm"))(
-            build_newton_config(config)
-        )
+        run_newton(build_newton_config(config))
         rows = run_table(config).rows
     except Exception as exc:
         return type(exc).__name__, str(exc)
@@ -413,14 +410,14 @@ class TestRunBiasSweep:
 class TestValidateConfig:
     def test_default_config_passes_with_one_warning(self):
         findings = validate_config({})
-        assert len(findings) == 13
+        assert len(findings) == 12
         assert not has_errors(findings)
         warned = failed_warnings(findings)
         assert [f.check for f in warned] == ["schedules.b_delta_square_summable"]
 
     def test_budget_feasibility(self):
         findings = validate_config({"budget": 2})
-        finding = next(f for f in findings if f.check == "budget.covers_one_iteration")
+        finding = next(f for f in findings if f.check == "run.builds")
         assert not finding.ok
         assert has_errors(findings)
         ok = validate_config({"budget": 3})
@@ -428,7 +425,7 @@ class TestValidateConfig:
 
     def test_no_reuse_raises_cost(self):
         findings = validate_config({"budget": 4, "estimator": {"reuse": False}})
-        finding = next(f for f in findings if f.check == "budget.covers_one_iteration")
+        finding = next(f for f in findings if f.check == "run.builds")
         assert not finding.ok
 
     def test_unsupported_order(self):
@@ -436,8 +433,6 @@ class TestValidateConfig:
         assert not next(
             f for f in findings if f.check == "run.builds"
         ).ok
-        # the budget check is skipped when the order itself is invalid
-        assert not any(f.check == "budget.covers_one_iteration" for f in findings)
 
     def test_crzon_order_also_checked(self):
         findings = validate_config({"crzon": {"k": 0}})
@@ -467,7 +462,7 @@ class TestValidateConfig:
 
     @pytest.mark.parametrize("key", ["estimator", "box", "perturb", "schedules", "crzon"])
     def test_null_section_is_absent(self, key):
-        base = {"budget": 100}
+        base = {"budget": 2000}
         null = dict(base, **{key: None})
         assert validate_config(null) == validate_config(base)
         for build in (build_newton_config, build_cubic_config):
@@ -492,9 +487,9 @@ class TestValidateConfig:
         }
         short = dict(config, budget=cost - 1)
         findings = validate_config(short)
-        finding = next(f for f in findings if f.check == "budget.covers_one_iteration")
+        finding = next(f for f in findings if f.check == "run.builds")
         assert not finding.ok
-        assert f"cost {cost}" in finding.message
+        assert f"({cost} evaluations)" in finding.message
         assert has_errors(findings)
         with pytest.raises(BudgetTooSmall):
             run_crzon(build_cubic_config(short))
@@ -513,9 +508,8 @@ class TestValidateConfig:
         assert not finding.ok and finding.severity == "error"
         assert "'rosenbrock'" in finding.message
         assert has_errors(findings)
-        # no run is priced without the objective
-        priced = any(f.check == "budget.covers_one_iteration" for f in findings)
-        assert not priced
+        # no run is built without the objective
+        assert not any(f.check == "run.builds" for f in findings)
         with pytest.raises(ValueError, match="unknown objective"):
             build_newton_config(config)
 
@@ -529,10 +523,9 @@ class TestValidateConfig:
         finding = next(f for f in findings if f.check == "objective.known")
         assert not finding.ok and finding.message == "dim must be >= 1, got 0"
         assert has_errors(findings)
-        # as for an unknown name, no run is priced without the objective
-        priced = any(f.check == "budget.covers_one_iteration" for f in findings)
-        assert not priced
-        assert len(findings) == 12
+        # as for an unknown name, no run is built without the objective
+        assert not any(f.check == "run.builds" for f in findings)
+        assert len(findings) == 11
         with pytest.raises(ValueError, match="dim must be >= 1"):
             build_newton_config(config)
 
@@ -545,7 +538,7 @@ class TestValidateConfig:
     @pytest.mark.parametrize(
         "config, check, cause",
         [
-            ({"algorithm": "gradient-only"}, "algorithm.known", "'gradient-only'"),
+            ({"algorithm": "gradient-only"}, "run.builds", "'gradient-only'"),
             ({"methods": ["G2SF-3", "G2SF-4"]}, "methods.known", "odd measurement count"),
             ({"methods": ["GSF-5", "XSF-3"]}, "methods.known", "unrecognized method name"),
         ],
@@ -557,16 +550,13 @@ class TestValidateConfig:
         bad = [f for f in findings if not f.ok]
         assert [f.check for f in bad if f.severity == "error"] == [check]
         assert cause in next(f for f in bad if f.check == check).message
-        with pytest.raises(ValueError, match=cause):
-            if check == "algorithm.known":
-                harness_mod.runner(config["algorithm"])
-            else:
-                run_table(dict(config, budget=100, dim=2))
+        failure = run_failure(dict(config, budget=100))
+        assert failure[0] == "ValueError" and cause in failure[1]
 
     def test_known_names_pass(self):
         for algorithm in ("newton", "gradient_only"):
             findings = validate_config({"algorithm": algorithm, "methods": ["GSF-5", "G2R-9"]})
-            assert all(f.ok for f in findings if f.check in ("algorithm.known", "methods.known"))
+            assert all(f.ok for f in findings if f.check in ("run.builds", "methods.known"))
 
     @pytest.mark.parametrize(
         "config,cause",
@@ -602,6 +592,19 @@ class TestValidateConfig:
             ({"estimator": {"reuse": "false"}, "budget": 100}, "ValueError"),
             ({"crzon": {"b": 10.5}}, "ValueError"),
             ({"dims": [5.9]}, "ValueError"),
+            ({"dims": 5}, "ValueError"),
+            ({"schedules": {"alpha": True}}, "ValueError"),
+            ({"noise": {"sigma": "0.1"}}, "ValueError"),
+            ({"crzon": {"k": 1, "N": 1, "m": 4, "b": 4, "alpha": 1.0}, "budget": 19},
+             "BudgetTooSmall"),
+            # a CRZON run reads no algorithm
+            (
+                {
+                    "objective": "quartic", "dim": 2, "algorithm": "bogus",
+                    "crzon": {"k": 1, "N": 1, "m": 4, "b": 4, "alpha": 1.0},
+                },
+                None,
+            ),
         ],
     )
     def test_validator_agrees_with_the_run(self, config, cause):
@@ -610,10 +613,6 @@ class TestValidateConfig:
         assert (failure or (None,))[0] == cause
         if cause is None:
             assert errors == []
-        elif cause == "BudgetTooSmall":
-            cost = re.search(r"\((\d+) evaluations\)", failure[1]).group(1)
-            assert [f.check for f in errors] == ["budget.covers_one_iteration"]
-            assert f"cost {cost}" in errors[0].message
         else:
             assert [f.message for f in errors] == [failure[1]]
 

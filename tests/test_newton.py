@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -23,7 +23,6 @@ from grdsa.newton import (
     gradient_step,
     iteration_cost,
     newton_step,
-    run_first_order,
     run_newton,
     theta_operator,
     validate_schedules,
@@ -371,7 +370,7 @@ def _run_settings(test):
 
 
 class TestDriverIsTheStepLoop:
-    """``run_newton`` / ``run_first_order`` run a flat loop over inputs drawn
+    """``run_newton`` runs either algorithm as a flat loop over inputs drawn
     a block at a time; a hand loop of the one-draw steps must give the same
     bits."""
 
@@ -395,8 +394,9 @@ class TestDriverIsTheStepLoop:
             perturbation=spec,
             reuse=reuse,
             seed=7,
+            algorithm="newton" if hessian else "gradient_only",
         )
-        rec = (run_newton if hessian else run_first_order)(cfg)
+        rec = run_newton(cfg)
 
         init_rng, perturb_rng, noise_rng = newton_mod._spawn_streams(cfg.seed, 3)
         theta0 = init_rng.uniform(INIT_RANGE[0], INIT_RANGE[1], 3)
@@ -441,9 +441,12 @@ class TestNonFiniteMidBlock:
 
         monkeypatch.setattr(newton_mod, "BudgetedOracle", RecordingOracle)
         objective = replace(QUAD, value=value)
-        cfg = NewtonConfig(objective=objective, budget=3000, k=1, reuse=reuse, seed=0)
+        cfg = NewtonConfig(
+            objective=objective, budget=3000, k=1, reuse=reuse, seed=0,
+            algorithm="newton" if hessian else "gradient_only",
+        )
         with pytest.raises(NonFiniteEvaluation):
-            (run_newton if hessian else run_first_order)(cfg)
+            run_newton(cfg)
         assert seen["calls"] == bad_call
         cost = iteration_cost(1, reuse) if hessian else 2
         assert oracles[0].evals_used == iteration * cost
@@ -452,12 +455,24 @@ class TestNonFiniteMidBlock:
 class TestNewtonConfig:
     @pytest.mark.parametrize(
         "name,value",
-        [("k", 0), ("record_stride", 0), ("eps_pd", 0.0), ("eps_pd", -1.0), ("eps_pd", np.nan)],
+        [
+            ("k", 0), ("record_stride", 0), ("eps_pd", 0.0), ("eps_pd", -1.0), ("eps_pd", np.nan),
+            ("algorithm", "gradient-only"),
+        ],
     )
     def test_invalid_values_raise_when_built(self, name, value):
         # before any run, so gradient-only configs are checked the same way
         with pytest.raises(ValueError, match=f"^{name} must be"):
             NewtonConfig(objective=QUAD, budget=30, **{name: value})
+
+    def test_budget_is_checked_against_its_algorithm_when_built(self):
+        # one Newton iteration at k = 1 costs 3 evaluations, a gradient-only one 2
+        with pytest.raises(BudgetTooSmall, match=r"^budget 2 .* \(3 evaluations\)$"):
+            NewtonConfig(objective=QUAD, budget=2)
+        cfg = NewtonConfig(objective=QUAD, budget=2, algorithm="gradient_only")
+        assert cfg.budget == 2
+        with pytest.raises(FrozenInstanceError):
+            cfg.budget = 1  # a built config stays checked
 
 
 class TestRunNewton:
@@ -536,7 +551,9 @@ class TestRunNewton:
         with pytest.raises(ValueError, match="record_stride"):
             run_newton(NewtonConfig(objective=QUAD, budget=30, k=1, record_stride=0))
         with pytest.raises(ValueError, match="record_stride"):
-            run_first_order(NewtonConfig(objective=QUAD, budget=30, k=1, record_stride=0))
+            NewtonConfig(
+                objective=QUAD, budget=30, k=1, record_stride=0, algorithm="gradient_only"
+            )
         with pytest.raises(ValueError, match="eps_pd"):
             run_newton(NewtonConfig(objective=QUAD, budget=30, k=1, eps_pd=0.0))
 
@@ -554,27 +571,29 @@ class TestRunNewton:
         assert np.all(rec.trajectory[1:] <= 0.5)
 
 
-class TestRunFirstOrder:
+def run_gradient_only(**kwargs):
+    return run_newton(NewtonConfig(objective=QUAD, k=1, algorithm="gradient_only", **kwargs))
+
+
+class TestGradientOnlyRun:
     def test_budget_accounting(self):
-        rec = run_first_order(NewtonConfig(objective=QUAD, budget=10, k=1, seed=0))
+        rec = run_gradient_only(budget=10, seed=0)
         assert rec.algorithm == "gradient_only"
         assert rec.iterations == 5
         assert rec.evals_used == 10
 
     def test_converges_on_quadratic(self):
         errors = [
-            run_first_order(
-                NewtonConfig(objective=QUAD, budget=3000, k=1, seed=seed)
-            ).final_parameter_error
+            run_gradient_only(budget=3000, seed=seed).final_parameter_error
             for seed in range(10)
         ]
         assert all(err < 1e-2 for err in errors)
 
     def test_budget_too_small(self):
         with pytest.raises(BudgetTooSmall):
-            run_first_order(NewtonConfig(objective=QUAD, budget=1, k=1))
+            run_gradient_only(budget=1)
 
     def test_same_seed_same_start_as_newton(self):
         a = run_newton(NewtonConfig(objective=QUAD, budget=9, k=1, seed=3))
-        b = run_first_order(NewtonConfig(objective=QUAD, budget=9, k=1, seed=3))
+        b = run_gradient_only(budget=9, seed=3)
         assert np.array_equal(a.theta_init, b.theta_init)
