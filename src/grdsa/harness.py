@@ -96,11 +96,13 @@ def _convert(path: str, kind: Callable, value):
     """``value`` of the key ``path`` as ``kind``, neither rounded (an int takes
     ``1e4`` but not 2.7), read for its truth (a bool takes only a boolean) nor
     parsed (a float takes only a number, a str only a string); ``list[kind]``
-    takes only a list and converts each item.  A value that does not fit
-    names ``path``."""
+    takes only a non-empty list and converts each item.  A value that does
+    not fit names ``path``."""
     if typing.get_origin(kind) is list:
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{path} must be a list, got {value!r}")
+        if not value:
+            raise ValueError(f"{path} must not be empty")
         return [_convert(f"{path}[{i}]", typing.get_args(kind)[0], v) for i, v in enumerate(value)]
     integral = isinstance(value, (int, np.integer)) or (
         isinstance(value, float) and value.is_integer()
@@ -331,6 +333,8 @@ def build_cubic_config(config: dict, seed: int | None = None) -> cubic_mod.Cubic
 
 def seed_range(config: dict, count: int) -> range:
     """The seeds of ``count`` runs, from ``seed_base``."""
+    if count < 1:
+        raise ValueError(f"seeds must be >= 1, got {count}")
     start = setting(config, "seed_base")
     return range(start, start + count)
 
@@ -500,50 +504,33 @@ def run_bias_sweep(config: dict) -> BiasSweepResult:
 
 # --- config validation ----------------------------------------------------
 
-def _build_runs(config: dict) -> None:
-    """Build every run of ``config`` as its run builds it: the CRZON run, with
-    its regularizer; or the ``newton run`` config, then every table cell."""
+def _build_runs(config: dict) -> list:
+    """The configs of every run of ``config``, built as its runs build them:
+    the CRZON config, its regularizer included; or the ``newton run`` config,
+    then, after the table's seeds are laid out, every table cell's."""
     if _lookup(config, "crzon") is not None:
-        build_cubic_config(config).alpha_value()
-        return
-    build_newton_config(config)
-    for _, cell in table_cells(config):
-        build_newton_config(cell)
+        run = build_cubic_config(config)
+        run.alpha_value()
+        return [run]
+    runs = [build_newton_config(config)]
+    seed_range(config, setting(config, "seeds"))
+    return runs + [build_newton_config(cell) for _, cell in table_cells(config)]
 
 
 def validate_config(config: dict) -> list[Finding]:
-    """The schedules and their asymptotic warnings; each other part of a run,
-    then every run (``run.builds``, see :func:`_build_runs`), built by the
-    runs' own builders and failing with their messages, a budget too small
-    for one iteration included; one warning per unknown key."""
-    findings: list[Finding] = []
-
-    def builds(check: str, build: Callable[[], object]) -> bool:
-        try:
-            build()
-            problem = ""
-        except (ValueError, TypeError, ArithmeticError) as exc:
-            problem = str(exc)
-        findings.append(Finding(check, "error", not problem, problem or "builds"))
-        return not problem
-
-    schedules_built = builds("schedules.positive_parameters", lambda: make_schedules(config))
-    if schedules_built:
+    """One ``run.builds`` finding, failing with the first message
+    :func:`_build_runs` raises (a budget too small for one iteration
+    included); when Newton runs build, the asymptotic warnings on their
+    schedules; one warning per unknown key."""
+    try:
+        runs, problem = _build_runs(config), ""
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        runs, problem = [], str(exc)
+    findings = [Finding("run.builds", "error", not problem, problem or "builds")]
+    if runs and isinstance(runs[0], NewtonConfig):
         findings += [
-            replace(f, check=f"schedules.{f.check}")
-            for f in validate_schedules(make_schedules(config))
+            replace(f, check=f"schedules.{f.check}") for f in validate_schedules(runs[0].schedules)
         ]
-    parts = {
-        "objective.known": lambda: make_objective(config),
-        "methods.known": lambda: [method_spec(m) for m in setting(config, "methods")],
-        "box.nonempty": lambda: make_box(config),
-        "perturb.family_known": lambda: make_perturbation(config),
-        "noise.sigma_nonnegative": lambda: make_noise(config),
-    }
-    # every part is reported, then the runs are built if all of them build
-    if all([builds(check, build) for check, build in parts.items()]) and schedules_built:
-        builds("run.builds", lambda: _build_runs(config))
-
     for path in _unknown_keys(config):
         findings.append(
             Finding("config.unknown_key", "warning", False, f"unknown key {path!r} is ignored")

@@ -265,6 +265,20 @@ class TestConfigValidate:
         assert "[ERROR]" in printed
         assert "config invalid" in printed
 
+    def test_crzon_config_is_not_checked_for_a_box(self, tmp_path, capsys):
+        # a CRZON run reads no box, so an empty one is no error
+        config = write_config(
+            tmp_path,
+            {
+                "objective": "quartic",
+                "dim": 2,
+                "crzon": {"k": 1, "N": 2, "m": 4, "b": 4, "alpha": 1.0},
+                "box": {"lower": 1, "upper": 0},
+            },
+        )
+        assert main(["config", "validate", config]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("config ok")
+
     def test_clean_config_reports_no_warnings(self, tmp_path, capsys):
         config = write_config(
             tmp_path, {"schedules": {"beta": 0.8, "gamma": 0.1}}

@@ -32,6 +32,7 @@ from grdsa.harness import (
     make_box,
     make_perturbation,
     make_schedules,
+    seed_range,
     setting,
     table_cells,
     validate_config,
@@ -227,37 +228,33 @@ class TestValidateNeverRaises:
     @settings(max_examples=300, deadline=None)
     @given(config=drawn_configs())
     def test_clean_configs_build(self, config):
-        # what the validator passes, the runs can build
-        if has_errors(validate_config(config)):
-            return
-        if config.get("crzon") is not None:
-            build_cubic_config(config)
-            return
-        build_newton_config(config)
-        for _, cell in table_cells(config):
-            build_newton_config(cell)
+        # the validator errs exactly when a run of the config cannot be built
+        try:
+            if config.get("crzon") is not None:
+                build_cubic_config(config).alpha_value()
+            else:
+                build_newton_config(config)
+                seed_range(config, setting(config, "seeds"))
+                for _, cell in table_cells(config):
+                    build_newton_config(cell)
+            raised = False
+        except Exception:
+            raised = True
+        assert has_errors(validate_config(config)) == raised
 
     @pytest.mark.parametrize(
-        "config,check,cause",
+        "config,cause",
         [
-            ({"crzon": {"epsilon": 2.0}}, "run.builds", "epsilon must be in (0, 1)"),
-            ({"crzon": {"epsilon": 1e-300}}, "run.builds", "out of range"),
-            ({"crzon": {"epsilon": 0.5, "n_prefactor": 1e308}}, "run.builds", "infinity"),
-            (
-                {"crzon": {}, "perturb": {"family": "levy"}},
-                "perturb.family_known",
-                "unknown perturbation family",
-            ),
-            (
-                {"crzon": {}, "noise": {"sigma": -1.0}},
-                "noise.sigma_nonnegative",
-                "sigma must be >= 0",
-            ),
+            ({"crzon": {"epsilon": 2.0}}, "epsilon must be in (0, 1)"),
+            ({"crzon": {"epsilon": 1e-300}}, "out of range"),
+            ({"crzon": {"epsilon": 0.5, "n_prefactor": 1e308}}, "infinity"),
+            ({"crzon": {}, "perturb": {"family": "levy"}}, "unknown perturbation family"),
+            ({"crzon": {}, "noise": {"sigma": -1.0}}, "sigma must be >= 0"),
         ],
     )
-    def test_unsizable_crzon_step_is_an_error(self, config, check, cause):
+    def test_unsizable_crzon_step_is_an_error(self, config, cause):
         findings = validate_config(dict(config, budget=100))
-        finding = next(f for f in findings if f.check == check)
+        finding = next(f for f in findings if f.check == "run.builds")
         assert not finding.ok and cause in finding.message
         assert has_errors(findings)
 
@@ -283,7 +280,8 @@ class TestUnknownKeys:
         assert unknown[0].severity == "warning" and not unknown[0].ok
         assert repr(path) in unknown[0].message
         assert not has_errors(findings)
-        assert len(findings) == len(validate_config({})) + 1
+        base = {"crzon": {}} if "crzon" in config else {}
+        assert len(findings) == len(validate_config(base)) + 1
 
     def test_null_section_is_known(self):
         config = {section: None for section in SECTIONS}

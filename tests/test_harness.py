@@ -67,6 +67,13 @@ QUAD_CONFIG = {
     "dim": 2,
 }
 
+#: a small CRZON run that completes
+CRZON_CONFIG = {
+    "objective": "quartic",
+    "dim": 2,
+    "crzon": {"k": 1, "N": 2, "m": 4, "b": 4, "alpha": 1.0},
+}
+
 
 class TestMethodSpec:
     @pytest.mark.parametrize(
@@ -410,7 +417,7 @@ class TestRunBiasSweep:
 class TestValidateConfig:
     def test_default_config_passes_with_one_warning(self):
         findings = validate_config({})
-        assert len(findings) == 12
+        assert len(findings) == 6
         assert not has_errors(findings)
         warned = failed_warnings(findings)
         assert [f.check for f in warned] == ["schedules.b_delta_square_summable"]
@@ -442,22 +449,22 @@ class TestValidateConfig:
 
     def test_empty_box(self):
         findings = validate_config({"box": {"lower": 2.0, "upper": -2.0}})
-        assert not next(f for f in findings if f.check == "box.nonempty").ok
+        assert not next(f for f in findings if f.check == "run.builds").ok
 
     def test_unknown_family(self):
         findings = validate_config({"perturb": {"family": "levy"}})
-        assert not next(f for f in findings if f.check == "perturb.family_known").ok
+        assert not next(f for f in findings if f.check == "run.builds").ok
 
     def test_negative_sigma(self):
         findings = validate_config({"noise": {"sigma": -0.5}})
-        assert not next(f for f in findings if f.check == "noise.sigma_nonnegative").ok
+        assert not next(f for f in findings if f.check == "run.builds").ok
 
     def test_null_noise_is_no_noise(self):
         # make_noise reads "noise": null as no noise; the validator agrees
         config = {"noise": None}
         assert make_noise(config) is None
         findings = validate_config(config)
-        assert next(f for f in findings if f.check == "noise.sigma_nonnegative").ok
+        assert next(f for f in findings if f.check == "run.builds").ok
         assert not has_errors(findings)
 
     @pytest.mark.parametrize("key", ["estimator", "box", "perturb", "schedules", "crzon"])
@@ -504,12 +511,10 @@ class TestValidateConfig:
         if crzon is not None:
             config["crzon"] = crzon
         findings = validate_config(config)
-        finding = next(f for f in findings if f.check == "objective.known")
+        finding = next(f for f in findings if f.check == "run.builds")
         assert not finding.ok and finding.severity == "error"
         assert "'rosenbrock'" in finding.message
         assert has_errors(findings)
-        # no run is built without the objective
-        assert not any(f.check == "run.builds" for f in findings)
         with pytest.raises(ValueError, match="unknown objective"):
             build_newton_config(config)
 
@@ -520,43 +525,41 @@ class TestValidateConfig:
         if crzon is not None:
             config["crzon"] = crzon
         findings = validate_config(config)
-        finding = next(f for f in findings if f.check == "objective.known")
+        finding = next(f for f in findings if f.check == "run.builds")
         assert not finding.ok and finding.message == "dim must be >= 1, got 0"
-        assert has_errors(findings)
-        # as for an unknown name, no run is built without the objective
-        assert not any(f.check == "run.builds" for f in findings)
-        assert len(findings) == 11
+        # no schedule warnings without a run
+        assert findings == [finding]
         with pytest.raises(ValueError, match="dim must be >= 1"):
             build_newton_config(config)
 
     def test_known_objectives_pass(self):
         for name in ("rastrigin", "quadratic", "saddle", "quartic", "exp_sin"):
             findings = validate_config({"objective": name, "budget": 100})
-            assert next(f for f in findings if f.check == "objective.known").ok
+            assert next(f for f in findings if f.check == "run.builds").ok
             make_objective({"objective": name})
 
     @pytest.mark.parametrize(
-        "config, check, cause",
+        "config, cause",
         [
-            ({"algorithm": "gradient-only"}, "run.builds", "'gradient-only'"),
-            ({"methods": ["G2SF-3", "G2SF-4"]}, "methods.known", "odd measurement count"),
-            ({"methods": ["GSF-5", "XSF-3"]}, "methods.known", "unrecognized method name"),
+            ({"algorithm": "gradient-only"}, "'gradient-only'"),
+            ({"methods": ["G2SF-3", "G2SF-4"]}, "odd measurement count"),
+            ({"methods": ["GSF-5", "XSF-3"]}, "unrecognized method name"),
         ],
         ids=["algorithm", "methods-even", "methods-name"],
     )
-    def test_unknown_name_is_an_error(self, config, check, cause):
+    def test_unknown_name_is_an_error(self, config, cause):
         # every run of these configs raises; the validator says why instead
         findings = validate_config(dict(config, budget=100))
-        bad = [f for f in findings if not f.ok]
-        assert [f.check for f in bad if f.severity == "error"] == [check]
-        assert cause in next(f for f in bad if f.check == check).message
+        errors = [f for f in findings if not f.ok and f.severity == "error"]
+        assert [f.check for f in errors] == ["run.builds"]
+        assert cause in errors[0].message
         failure = run_failure(dict(config, budget=100))
         assert failure[0] == "ValueError" and cause in failure[1]
 
     def test_known_names_pass(self):
         for algorithm in ("newton", "gradient_only"):
             findings = validate_config({"algorithm": algorithm, "methods": ["GSF-5", "G2R-9"]})
-            assert all(f.ok for f in findings if f.check in ("run.builds", "methods.known"))
+            assert next(f for f in findings if f.check == "run.builds").ok
 
     @pytest.mark.parametrize(
         "config,cause",
@@ -597,7 +600,7 @@ class TestValidateConfig:
             ({"noise": {"sigma": "0.1"}}, "ValueError"),
             ({"crzon": {"k": 1, "N": 1, "m": 4, "b": 4, "alpha": 1.0}, "budget": 19},
              "BudgetTooSmall"),
-            # a CRZON run reads no algorithm
+            # a CRZON run reads no algorithm, box, methods or schedules
             (
                 {
                     "objective": "quartic", "dim": 2, "algorithm": "bogus",
@@ -605,6 +608,16 @@ class TestValidateConfig:
                 },
                 None,
             ),
+            (dict(CRZON_CONFIG, box={"lower": 1, "upper": 0}), None),
+            (dict(CRZON_CONFIG, methods=["G2SF-4"]), None),
+            (dict(CRZON_CONFIG, schedules={"a0": -1}), None),
+            # a table laid out with no seeds, methods, dims or budgets fails,
+            # not gives no rows
+            ({"seeds": 0}, "ValueError"),
+            ({"seeds": -2}, "ValueError"),
+            ({"methods": []}, "ValueError"),
+            ({"dims": []}, "ValueError"),
+            ({"budgets": []}, "ValueError"),
         ],
     )
     def test_validator_agrees_with_the_run(self, config, cause):
@@ -616,13 +629,18 @@ class TestValidateConfig:
         else:
             assert [f.message for f in errors] == [failure[1]]
 
+    def test_crzon_config_gets_no_schedule_findings(self):
+        # CRZON runs never read the schedules, so their warnings do not apply
+        for config in (CRZON_CONFIG, dict(CRZON_CONFIG, schedules={"beta": 2.0})):
+            findings = validate_config(config)
+            assert not any(f.check.startswith("schedules.") for f in findings)
+            assert not has_errors(findings)
+
     def test_bad_schedule_fails_every_run(self):
         config = {"schedules": {"a0": -1.0}, "budget": 30}
         message = "a0 must be > 0, got -1.0"
         errors = [f for f in validate_config(config) if not f.ok]
-        assert [(f.check, f.message) for f in errors] == [
-            ("schedules.positive_parameters", message)
-        ]
+        assert [(f.check, f.message) for f in errors] == [("run.builds", message)]
         rows = run_table(config).rows
         assert rows and all(row.status == "error" for row in rows)
         assert {row.message for row in rows} == {f"ValueError: {message}"}
