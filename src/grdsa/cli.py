@@ -130,7 +130,8 @@ def _cmd_bench_table(args: argparse.Namespace) -> int:
         )
     failed = [r for r in result.rows if r.status != "ok"]
     if failed:
-        print(f"{len(failed)} failed cells (see status column)")
+        print(f"{len(failed)} failed runs (see status column)")
+        return 1
     return 0
 
 
@@ -220,8 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; a config its builders reject exits 2 with their message."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

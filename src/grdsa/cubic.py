@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import gradient_samples, hessian_mean, probe
+from .estimators import gradient_slopes, hessian_mean, probe
 from .newton import _check_run, _initial_theta, _spawn_streams
 from .oracle import (
     BudgetedOracle,
@@ -266,22 +266,35 @@ def _batched_estimates(theta, oracle, cfg, rng):
 
     With reuse, the first ``min(m, b)`` gradient draws read the Hessian
     batch's shift-0..k measurements; the rest draw their own directions
-    and probe them at ``k+1`` shifts.
+    and probe them at ``k+1`` shifts.  Each gradient draw is formed in
+    place in its direction row, so a step holds about two ``(max(m, b), d)``
+    arrays; the Hessian batch's rows are overwritten only after
+    :func:`~grdsa.estimators.hessian_mean` has read them.
     """
     spec, k, delta = cfg.perturbation, cfg.k, cfg.delta
+    factor = gradient_unbias_factor(spec)
     directions = spec.sample(rng, (cfg.b, theta.size))
     values = probe(oracle, theta, directions, delta, 2 * k + 1)
     hess = hessian_mean(values, directions, delta, k, k, spec)
     shared = min(cfg.m, cfg.b) if cfg.reuse else 0
-    factor = gradient_unbias_factor(spec)
-    samples = gradient_samples(values[:shared], factor * directions[:shared], delta, k)
-    del directions, values  # the Hessian batch is spent; free it before the fresh probe
+    parts = []
+    if shared:  # even an empty view would keep the spent batch alive
+        parts.append(_gradient_draws(directions[:shared], values[:shared], factor, delta, k))
+    del directions, values  # free the spent batch before the fresh probe
     if cfg.m > shared:
         fresh = spec.sample(rng, (cfg.m - shared, theta.size))
         fresh_values = probe(oracle, theta, fresh, delta, k + 1)
-        fresh_samples = gradient_samples(fresh_values, factor * fresh, delta, k)
-        samples = np.concatenate([samples, fresh_samples]) if shared else fresh_samples
+        parts.append(_gradient_draws(fresh, fresh_values, factor, delta, k))
+    samples = np.concatenate(parts) if len(parts) > 1 else parts[0]
     return hess, samples.mean(axis=0)
+
+
+def _gradient_draws(directions, values, factor, delta, k):
+    """``gradient_samples(values, factor * directions, delta, k)``, written over
+    ``directions``: the same two roundings, ``(factor * Delta) * slope``."""
+    directions *= factor
+    directions *= gradient_slopes(values, delta, k)[:, None]
+    return directions
 
 
 @dataclass

@@ -98,6 +98,11 @@ def probe(
     return values
 
 
+def gradient_slopes(values: np.ndarray, delta: float, k: int) -> np.ndarray:
+    """Directional slope per draw, from the first ``k+1`` probe columns."""
+    return values[..., : k + 1] @ grad_weights(k) / delta
+
+
 def gradient_samples(
     values: np.ndarray,
     directions: np.ndarray,
@@ -110,9 +115,9 @@ def gradient_samples(
     ``gradient_unbias_factor(spec) * Delta``, so each estimate is that row
     times its directional slope.  ``values`` is one probe row with a
     ``(d,)`` direction, giving a ``(d,)`` estimate, or a probe matrix with
-    ``(n, d)`` directions, giving ``(n, d)``.
+    ``(n, d)`` directions, giving ``(n, d)``.  The inputs are not modified.
     """
-    slopes = values[..., : k + 1] @ grad_weights(k) / delta
+    slopes = gradient_slopes(values, delta, k)
     return directions * (slopes[:, None] if slopes.ndim else slopes)
 
 

@@ -43,6 +43,7 @@ from .oracle import (
     saddle_quartic,
 )
 from .perturb import PerturbationSpec
+from .stencils import _check_order
 
 _METHOD_RE = re.compile(r"^(G2|G)(SF|R)-(\d+)$")
 
@@ -460,6 +461,41 @@ class BiasSweepResult:
     slope: float
 
 
+class BiasSweep(typing.NamedTuple):
+    """The settings :func:`run_bias_sweep` reads, checked."""
+
+    estimator: str
+    k1: int
+    k2: int
+    mode: str
+    deltas: list[float]
+    samples: int
+
+
+def bias_sweep_settings(config: dict) -> BiasSweep:
+    """The bias sweep's settings: a known ``estimator_kind`` and ``mode``,
+    supported orders (``k`` overrides ``k1``, ``k2`` defaults to it),
+    positive ``deltas`` and at least one sample."""
+    estimator = setting(config, "estimator_kind")
+    if estimator not in ("gradient", "hessian"):
+        raise ValueError(f"estimator_kind must be one of gradient, hessian, got {estimator!r}")
+    mode = setting(config, "mode")
+    if mode not in ("residual", "mean_bias"):
+        raise ValueError(f"mode must be one of residual, mean_bias, got {mode!r}")
+    order = "k" if _lookup(config, "k") is not None else "k1"
+    k1 = setting(config, order)
+    _check_order(k1, order)
+    k2 = setting(config, "k2", k1)
+    _check_order(k2, "k2")
+    deltas = setting(config, "deltas")
+    if not all(delta > 0 for delta in deltas):
+        raise ValueError(f"deltas must be > 0, got {deltas}")
+    samples = setting(config, "samples")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    return BiasSweep(estimator, k1, k2, mode, deltas, samples)
+
+
 def run_bias_sweep(config: dict) -> BiasSweepResult:
     """Deviation-vs-radius sweep with common random directions.
 
@@ -467,15 +503,10 @@ def run_bias_sweep(config: dict) -> BiasSweepResult:
     radius grid, so the fitted log-log slope reflects the truncation order
     rather than sampling noise.
     """
+    estimator, k1, k2, mode, deltas, samples = bias_sweep_settings(config)
     objective = make_objective(config)
     spec = make_perturbation(config)
-    estimator = setting(config, "estimator_kind")
-    k1 = setting(config, "k", setting(config, "k1"))
-    k2 = setting(config, "k2")
-    mode = setting(config, "mode")
     theta = setting(config, "theta", np.ones(objective.dim))
-    deltas = setting(config, "deltas")
-    samples = setting(config, "samples")
     seed = setting(config, "seed_base")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -485,16 +516,14 @@ def run_bias_sweep(config: dict) -> BiasSweepResult:
     for delta in deltas:
         if estimator == "gradient":
             dev = gradient_deviation(objective, theta, delta, k1, spec, directions, mode)
-        elif estimator == "hessian":
-            dev = hessian_deviation(objective, theta, delta, k1, k2, spec, directions, mode)
         else:
-            raise ValueError(f"unknown estimator kind {estimator!r}")
+            dev = hessian_deviation(objective, theta, delta, k1, k2, spec, directions, mode)
         deviations.append(dev)
 
     return BiasSweepResult(
         estimator=estimator,
         k1=k1,
-        k2=k1 if k2 is None else k2,
+        k2=k2,
         mode=mode,
         deltas=deltas,
         deviations=deviations,
@@ -507,7 +536,9 @@ def run_bias_sweep(config: dict) -> BiasSweepResult:
 def _build_runs(config: dict) -> list:
     """The configs of every run of ``config``, built as its runs build them:
     the CRZON config, its regularizer included; or the ``newton run`` config,
-    then, after the table's seeds are laid out, every table cell's."""
+    then, after the table's seeds are laid out, every table cell's.  The
+    bias sweep's settings are checked first."""
+    bias_sweep_settings(config)
     if _lookup(config, "crzon") is not None:
         run = build_cubic_config(config)
         run.alpha_value()

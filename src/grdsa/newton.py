@@ -406,7 +406,13 @@ def run_newton(cfg: NewtonConfig) -> RunRecord:
     The loop is :func:`_newton_update` / :func:`_gradient_update` written
     out flat: the same floating-point operations on the same operands, so
     the same bits, with the reductions and the projection inline and
-    everything the iteration reads bound once per run or per block.
+    everything the iteration reads bound once per run or per block.  It
+    leaves out the reference's ``0.5 * (hbar + hbar.T)``: ``hbar`` starts
+    at the identity and every sample ``M(Delta) q`` is exactly symmetric,
+    so every average is too, and its symmetric part is itself bit for bit.
+    The one exception is an entry above about 8.9e307: there ``hbar +
+    hbar.T`` overflows to infinity and the reference's solve raises
+    ``LinAlgError``, while the loop solves with the finite entry.
     """
     start = time.perf_counter()
     k, reuse = cfg.k, cfg.reuse
@@ -445,18 +451,20 @@ def run_newton(cfg: NewtonConfig) -> RunRecord:
                     values = values[: k + 1]
                 else:
                     values = measure(oracle, theta + offsets[i, : k + 1])
-                # hbar + b(n) (hess - hbar), then 0.5 (hbar + hbar.T) as in
-                # the reference, which symmetrizes whatever sample it is fed
+                # hbar + b(n) (hess - hbar), already exactly symmetric, so
+                # the reference's 0.5 (hbar + hbar.T) is left out (see above)
                 hess -= hbar
                 hess *= b[i]
                 hess += hbar
-                hbar = hess + hess.T
-                hbar *= 0.5
+                hbar = hess
                 step = _lifted_solve(hbar, directions[i] * (values.dot(grad_w) / delta), eps_pd)
             else:
                 step = directions[i] * (values.dot(grad_w) / delta)
+            # step is a fresh array each iteration: project into it
             step *= a[i]
-            theta = np.minimum(np.maximum(theta - step, lower), upper)
+            np.subtract(theta, step, out=step)
+            np.maximum(step, lower, out=step)
+            theta = np.minimum(step, upper, out=step)
             if (n + i) % stride == 0:
                 trajectory[row] = theta
                 row += 1

@@ -244,6 +244,7 @@ class BudgetedOracle:
         self.budget = budget
         self.rng = rng
         self._used = 0
+        self._noisy = noise is not None and noise.sigma > 0
 
     @property
     def evals_used(self) -> int:
@@ -271,9 +272,10 @@ class BudgetedOracle:
                 f"expected shape (n, {self.objective.dim}), got {thetas.shape}"
             )
         n = thetas.shape[0]
-        self.check_affords(n)
+        if self.budget is not None and self._used + n > self.budget:
+            self.check_affords(n)  # raises, with its message
         values = np.asarray(self.objective.value(thetas), dtype=float)
-        if self.noise is not None and self.noise.sigma > 0:
+        if self._noisy:
             values = values + self.noise.sample(self.rng, thetas)
         self._used += n
         return values

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -135,11 +136,14 @@ class TestNewtonRun:
         rows = read_csv(out)
         assert rows[1][3] == "30"  # 2 evals per iteration instead of 3
 
-    def test_unknown_algorithm_raises(self, tmp_path):
+    def test_unknown_algorithm_raises(self, tmp_path, capsys):
         config = write_config(tmp_path, dict(QUAD, algorithm="gradient-only"))
         out = tmp_path / "runs.csv"
-        with pytest.raises(ValueError, match="newton, gradient_only.*'gradient-only'"):
-            main(["newton", "run", "--config", config, "--seeds", "1", "--out", str(out)])
+        code = main(["newton", "run", "--config", config, "--seeds", "1", "--out", str(out)])
+        assert code == 2
+        assert re.fullmatch(
+            r"error: .*newton, gradient_only.*'gradient-only'\n", capsys.readouterr().err
+        )
         assert not out.exists()
 
     def test_budget_defaults_to_the_tables(self, tmp_path):
@@ -180,6 +184,13 @@ class TestCrzonRun:
         rows = read_csv(out)
         assert len(rows) == 3
         assert rows[1][7] == str(2 * (4 * 2 + 4 * 3))
+
+    def test_no_seeds_is_a_one_line_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"objective": "saddle", "crzon": {"N": 2, "m": 4, "b": 4}})
+        out = tmp_path / "crzon.csv"
+        assert main(["crzon", "run", "--config", config, "--seeds", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seeds must be >= 1, got 0\n"
+        assert not out.exists()
 
 
 class TestBenchCommands:
@@ -227,8 +238,21 @@ class TestBenchCommands:
                 "seeds": 1,
             },
         )
-        assert main(["bench", "table", "--config", config]) == 0
-        assert "1 failed cells" in capsys.readouterr().out
+        assert main(["bench", "table", "--config", config]) == 1
+        assert "1 failed runs" in capsys.readouterr().out
+
+    def test_failed_runs_exit_1_and_still_write(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"schedules": {"a0": -1.0}, "budget": 30})
+        rows_out, summary_out = tmp_path / "rows.csv", tmp_path / "cells.csv"
+        code = main(
+            ["bench", "table", "--config", config,
+             "--out", str(rows_out), "--summary-out", str(summary_out)]
+        )
+        assert code == 1
+        assert "1 failed runs" in capsys.readouterr().out
+        rows = read_csv(rows_out)
+        assert len(rows) == 2 and rows[1][rows[0].index("status")] == "error"
+        assert len(read_csv(summary_out)) == 2
 
     def test_bias_sweep(self, tmp_path, capsys):
         config = write_config(

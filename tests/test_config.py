@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from grdsa import cubic
 from grdsa.harness import (
     KEYS,
+    bias_sweep_settings,
     build_cubic_config,
     build_newton_config,
     has_errors,
@@ -229,7 +230,9 @@ class TestValidateNeverRaises:
     @given(config=drawn_configs())
     def test_clean_configs_build(self, config):
         # the validator errs exactly when a run of the config cannot be built
+        # or its bias-sweep settings are rejected
         try:
+            bias_sweep_settings(config)
             if config.get("crzon") is not None:
                 build_cubic_config(config).alpha_value()
             else:

@@ -19,17 +19,24 @@ from grdsa.cubic import (
     run_crzon,
     solve_cubic_subproblem,
 )
-from grdsa.estimators import NonFiniteEvaluation, batch_hessian
+from grdsa.estimators import (
+    NonFiniteEvaluation,
+    batch_hessian,
+    gradient_samples,
+    hessian_mean,
+    probe,
+)
 from grdsa.oracle import (
     BudgetedOracle,
     BudgetTooSmall,
+    LinearGaussianNoise,
     Objective,
     quadratic,
     quartic,
     rastrigin,
     saddle_quartic,
 )
-from grdsa.perturb import gaussian, uniform
+from grdsa.perturb import gaussian, gradient_unbias_factor, uniform
 from grdsa.stencils import OrderError
 
 A = np.array([[2.0, 0.5], [0.5, 4.0]])
@@ -248,13 +255,52 @@ class TestCrzonStep:
         )
         assert np.array_equal(hess, expected)
 
+    @pytest.mark.parametrize("spec", [gaussian(), uniform(0.7)], ids=["gaussian", "uniform"])
     @pytest.mark.parametrize("reuse", [True, False])
-    def test_step_memory_is_a_few_direction_batches(self, reuse):
-        # no (b, d, d) scaling stack and no (b, 2k+1, d) point array: the
-        # probe streams its points, so a step holds O(b * d) floats
-        d, b = 50, 1024
+    @pytest.mark.parametrize("m", [16, 32, 128])
+    def test_in_place_gradient_draws_keep_the_bits(self, spec, reuse, m):
+        # forming the draws over their direction rows rounds as
+        # gradient_samples(values, factor * directions, ...) does
         cfg = CubicConfig(
-            objective=rastrigin(d), k=1, m=b, b=b, delta=0.1, alpha=2.0, reuse=reuse
+            objective=rastrigin(4), k=2, m=m, b=32, delta=0.1, alpha=2.0,
+            noise=LinearGaussianNoise(0.01), perturbation=spec, reuse=reuse,
+        )
+        theta = np.array([0.5, -0.3, 0.8, 0.1])
+        got = _batched_estimates(theta, self._oracle(cfg), cfg, np.random.default_rng(3))
+        want = self._out_of_place(theta, self._oracle(cfg), cfg, np.random.default_rng(3))
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    @staticmethod
+    def _oracle(cfg):
+        return BudgetedOracle(cfg.objective, cfg.noise, None, np.random.default_rng(8))
+
+    @staticmethod
+    def _out_of_place(theta, oracle, cfg, rng):
+        spec, k, delta = cfg.perturbation, cfg.k, cfg.delta
+        factor = gradient_unbias_factor(spec)
+        dirs = spec.sample(rng, (cfg.b, theta.size))
+        values = probe(oracle, theta, dirs, delta, 2 * k + 1)
+        hess = hessian_mean(values, dirs, delta, k, k, spec)
+        shared = min(cfg.m, cfg.b) if cfg.reuse else 0
+        samples = gradient_samples(values[:shared], factor * dirs[:shared], delta, k)
+        if cfg.m > shared:
+            fresh = spec.sample(rng, (cfg.m - shared, theta.size))
+            fresh_values = probe(oracle, theta, fresh, delta, k + 1)
+            samples = np.concatenate(
+                [samples, gradient_samples(fresh_values, factor * fresh, delta, k)]
+            )
+        return hess, samples.mean(axis=0)
+
+    @pytest.mark.parametrize("reuse", [True, False])
+    @pytest.mark.parametrize("m,b", [(1024, 1024), (4096, 1024)])
+    def test_step_memory_is_a_few_direction_batches(self, m, b, reuse):
+        # no (b, d, d) scaling stack and no (b, 2k+1, d) point array: the
+        # probe streams its points, and the gradient draws are formed in
+        # their direction rows, so a step holds two (max(m, b), d) arrays
+        d = 50
+        cfg = CubicConfig(
+            objective=rastrigin(d), k=1, m=m, b=b, delta=0.1, alpha=2.0, reuse=reuse
         )
         oracle, rng = BudgetedOracle(cfg.objective), np.random.default_rng(0)
         tracemalloc.start()
@@ -263,7 +309,7 @@ class TestCrzonStep:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * b * d * 8  # four (b, d) float64 arrays
+        assert peak < 2.5 * max(m, b) * d * 8
 
 
 class TestRunCrzon:

@@ -636,6 +636,28 @@ class TestValidateConfig:
             assert not any(f.check.startswith("schedules.") for f in findings)
             assert not has_errors(findings)
 
+    @pytest.mark.parametrize(
+        "keys,message",
+        [
+            ({"estimator_kind": "jacobian"},
+             "estimator_kind must be one of gradient, hessian, got 'jacobian'"),
+            ({"mode": "meanbias"}, "mode must be one of residual, mean_bias, got 'meanbias'"),
+            ({"k": 13}, "k=13 exceeds the supported cap 12"),
+            ({"k1": 0}, "k1 must be >= 1, got 0"),
+            ({"k2": 13}, "k2=13 exceeds the supported cap 12"),
+            ({"deltas": [0.1, 0.0]}, "deltas must be > 0, got [0.1, 0.0]"),
+            ({"samples": 0}, "samples must be >= 1, got 0"),
+        ],
+    )
+    def test_bias_sweep_keys_are_checked(self, keys, message):
+        # the validator and the sweep reject them with one message
+        config = dict(QUAD_CONFIG, budget=30, **keys)
+        errors = [f for f in validate_config(config) if not f.ok]
+        assert [(f.check, f.message) for f in errors] == [("run.builds", message)]
+        with pytest.raises(ValueError) as exc:
+            run_bias_sweep(config)
+        assert str(exc.value) == message
+
     def test_bad_schedule_fails_every_run(self):
         config = {"schedules": {"a0": -1.0}, "budget": 30}
         message = "a0 must be > 0, got -1.0"

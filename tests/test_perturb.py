@@ -16,6 +16,7 @@ from grdsa.perturb import (
     GAUSSIAN,
     UNIFORM,
     PerturbationSpec,
+    apply_scaling,
     gaussian,
     gradient_unbias_factor,
     scaling_matrices,
@@ -120,6 +121,26 @@ class TestScalingMatrix:
         direction = np.random.default_rng(5).normal(size=6)
         m = scaling_matrix(gaussian(), direction)
         assert np.allclose(m, m.T)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [gaussian(), uniform(0.7), PerturbationSpec(GAUSSIAN, paper_literal_scaling=True)],
+        ids=["gaussian", "uniform", "literal"],
+    )
+    @pytest.mark.parametrize("scale", [1e-150, 1e-20, 1.0, 1e20, 1e150])
+    def test_bitwise_symmetric(self, spec, scale):
+        # the Newton loop skips the reference's 0.5 (H + H^T), which needs
+        # every M(Delta) and every M applied to a symmetric mean exactly symmetric
+        rng = np.random.default_rng(11)
+        for d in range(1, 13):
+            dirs = scale * spec.sample(rng, (8, d))
+            stack = scaling_matrices(spec, dirs)
+            assert np.array_equal(stack, stack.transpose(0, 2, 1))
+            single = scaling_matrix(spec, dirs[0])
+            assert np.array_equal(single, single.T)
+            half = scale**2 * rng.normal(size=(d, d))
+            applied = apply_scaling(spec, half + half.T, 1.0)
+            assert np.array_equal(applied, applied.T)
 
     def test_rejects_matrix_input(self):
         with pytest.raises(ValueError):
