@@ -30,7 +30,6 @@ from .newton import (
     RunRecord,
     Schedules,
     clamped_newton_direction,
-    gradient_step,
     iteration_cost,
     newton_step,
     run_newton,

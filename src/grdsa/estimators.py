@@ -58,7 +58,10 @@ def measure(oracle: BudgetedOracle, points: np.ndarray) -> np.ndarray:
     values = oracle.evaluate_many(points)
     # an exact scan: a bool array's bytes hold a zero exactly where isfinite failed
     if b"\x00" in np.isfinite(values).tobytes():
-        raise NonFiniteEvaluation("oracle returned a non-finite value")
+        bad = np.flatnonzero(~np.isfinite(values))[0]
+        raise NonFiniteEvaluation(
+            f"oracle returned a non-finite value ({values[bad]}) at {points[bad].tolist()}"
+        )
     return values
 
 
@@ -157,8 +160,8 @@ def hessian_mean(
 
     The mean of ``M(Delta_i) q_i`` is ``M`` applied to the quadratic-form
     weighted outer-product mean, so no ``(n, d, d)`` stack is built.  That
-    product rounds asymmetrically; the cubic solver's own ``(H + H^T) / 2``
-    makes the mean exactly symmetric, as each draw's estimate is.
+    product rounds asymmetrically, so the mean is returned as its symmetric
+    part ``(H + H^T) / 2``: exactly symmetric, as each draw's estimate is.
     """
     quads = _quads(values, delta, k1, k2)
     outer_mean = directions.T @ (directions * quads[:, None]) / len(directions)

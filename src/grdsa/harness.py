@@ -176,7 +176,7 @@ KEYS = {
         "crzon.m": Key(int, (cubic_mod.CubicConfig,)),
         "crzon.b": Key(int, (cubic_mod.CubicConfig,)),
         "crzon.delta": Key(float, (cubic_mod.CubicConfig,)),
-        "crzon.alpha": Key(float, (cubic_mod.CubicConfig,)),
+        "crzon.alpha": Key(float, (cubic_mod.CubicConfig, cubic_mod.from_epsilon)),
         "crzon.epsilon": Key(float, (cubic_mod.from_epsilon,)),
         "crzon.n_prefactor": Key(float, (cubic_mod.from_epsilon,)),
         "crzon.m_prefactor": Key(float, (cubic_mod.from_epsilon,)),
@@ -320,10 +320,13 @@ def build_newton_config(config: dict, seed: int | None = None) -> NewtonConfig:
 
 def build_cubic_config(config: dict, seed: int | None = None) -> cubic_mod.CubicConfig:
     """A :class:`~grdsa.cubic.CubicConfig`, sized by ``from_epsilon`` when
-    ``crzon.epsilon`` is set."""
+    ``crzon.epsilon`` is set; then the sizes it sets cannot be set too."""
     build = cubic_mod.CubicConfig
     if setting(config, "crzon.epsilon") is not None:
         build = cubic_mod.from_epsilon
+        for path in ("crzon.N", "crzon.m", "crzon.b", "crzon.delta"):
+            if _lookup(config, path) is not None:
+                raise ValueError(f"{path} cannot be set with crzon.epsilon, which sizes the run")
     return build(
         objective=make_objective(config),
         noise=make_noise(config),

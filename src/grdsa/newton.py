@@ -5,13 +5,14 @@ points along it, updates a running Hessian average on the faster timescale,
 and moves the iterate against the clamped-Newton direction on the slower
 one.  The gradient estimate reuses the first ``k+1`` Hessian measurements,
 so an iteration costs exactly ``2k+1`` evaluations.  The gradient-only
-baseline runs through the same driver without the Hessian.
+baseline runs through the same driver and step without the Hessian, at
+``k+1`` evaluations.
 
 The driver draws what an iteration needs that does not depend on the
 iterate (directions, radii, probe offsets, scaling matrices) for a block
 of iterations at once, then runs them in one flat loop.
-:func:`newton_step` and :func:`gradient_step` are the one-draw form of the
-same iteration and the loop's bit-exact reference.
+:func:`newton_step` is the one-draw form of the same iteration, for
+whichever algorithm the config names, and the loop's bit-exact reference.
 """
 
 from __future__ import annotations
@@ -218,6 +219,8 @@ def _check_run(seed: int, theta0: np.ndarray | None, objective: Objective) -> No
         raise ValueError(f"seed must be >= 0, got {seed}")
     if theta0 is not None and np.shape(theta0) != (objective.dim,):
         raise ValueError(f"theta0 must have shape ({objective.dim},), got {np.shape(theta0)}")
+    if theta0 is not None and not np.isfinite(theta0).all():
+        raise ValueError(f"theta0 must be finite, got {np.asarray(theta0).tolist()}")
 
 
 @dataclass
@@ -274,9 +277,8 @@ def _draw(
     n: int,
     count: int,
     dim: int,
-    hessian: bool,
 ) -> _Draws:
-    """Inputs of iterations ``n .. n+count-1``.
+    """Inputs of iterations ``n .. n+count-1`` of ``cfg.algorithm``.
 
     One bulk draw of ``count`` directions equals ``count`` successive
     one-direction draws bit for bit, so the block size cannot change a run.
@@ -284,6 +286,7 @@ def _draw(
     scaled in place by the gradient's unbiasing factor, once per block.
     """
     s = cfg.schedules
+    hessian = cfg.algorithm == "newton"
     ns = range(n, n + count)
     delta = [s.delta(i) for i in ns]
     directions = cfg.perturbation.sample(rng, (count, dim))
@@ -301,7 +304,7 @@ def _draw(
     )
 
 
-def _newton_update(
+def _update(
     theta: np.ndarray,
     hbar: np.ndarray,
     oracle: BudgetedOracle,
@@ -309,51 +312,28 @@ def _newton_update(
     draws: _Draws,
     i: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Iteration ``i`` of ``draws``: the Hessian average moves first (fast
-    timescale), then the iterate moves against the clamped-Newton direction
-    (slow timescale) and is projected back into the box.
+    """Iteration ``i`` of ``draws``, through the estimator reductions and
+    :meth:`Box.clip`: the reference form of :func:`run_newton`'s loop.
 
-    The reference form of :func:`run_newton`'s loop, through the estimator
-    reductions and :meth:`Box.clip`."""
+    With scaling matrices (Newton), the Hessian average moves first (fast
+    timescale), then the iterate moves against the clamped-Newton direction
+    (slow timescale); without them (gradient-only), the iterate moves
+    against the gradient estimate and ``hbar`` passes through.  Either way
+    the iterate is projected back into the box."""
     k, delta = cfg.k, draws.delta[i]
     values = measure(oracle, theta + draws.offsets[i])
-    hess = hessian_samples(values, draws.scalers[i], delta, k, k)
-    if not cfg.reuse:
-        values = measure(oracle, theta + draws.offsets[i, : k + 1])
-    grad = gradient_samples(values, draws.directions[i], delta, k)
-
-    hbar = hbar + draws.b[i] * (hess - hbar)
-    hbar = 0.5 * (hbar + hbar.T)
-    # hbar is exactly symmetric, so it is its own symmetric part
-    step = _lifted_solve(hbar, grad, cfg.eps_pd)
+    if draws.scalers is None:
+        step = gradient_samples(values, draws.directions[i], delta, k)
+    else:
+        hess = hessian_samples(values, draws.scalers[i], delta, k, k)
+        if not cfg.reuse:
+            values = measure(oracle, theta + draws.offsets[i, : k + 1])
+        grad = gradient_samples(values, draws.directions[i], delta, k)
+        hbar = hbar + draws.b[i] * (hess - hbar)
+        hbar = 0.5 * (hbar + hbar.T)
+        # hbar is exactly symmetric, so it is its own symmetric part
+        step = _lifted_solve(hbar, grad, cfg.eps_pd)
     return cfg.box.clip(theta - draws.a[i] * step), hbar
-
-
-def _gradient_update(
-    theta: np.ndarray,
-    hbar: np.ndarray,
-    oracle: BudgetedOracle,
-    cfg: NewtonConfig,
-    draws: _Draws,
-    i: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient-only iteration ``i`` of ``draws``; ``hbar`` passes through."""
-    values = measure(oracle, theta + draws.offsets[i])
-    grad = gradient_samples(values, draws.directions[i], draws.delta[i], cfg.k)
-    return cfg.box.clip(theta - draws.a[i] * grad), hbar
-
-
-def _step(
-    state: NewtonState,
-    oracle: BudgetedOracle,
-    cfg: NewtonConfig,
-    rng: np.random.Generator,
-    hessian: bool,
-) -> NewtonState:
-    draws = _draw(cfg, rng, state.n, 1, state.theta.size, hessian)
-    update = _newton_update if hessian else _gradient_update
-    theta, hbar = update(state.theta, state.hbar, oracle, cfg, draws, 0)
-    return NewtonState(theta=theta, hbar=hbar, n=state.n + 1)
 
 
 def newton_step(
@@ -362,29 +342,17 @@ def newton_step(
     cfg: NewtonConfig,
     rng: np.random.Generator,
 ) -> NewtonState:
-    """Advance one Newton iteration of ``iteration_cost(k, reuse)`` evaluations.
+    """Advance one iteration of ``cfg.algorithm``: the one-draw form of the
+    iteration :func:`run_newton` repeats, of ``iteration_cost`` evaluations.
 
-    One probe of ``2k+1`` shifts feeds the Hessian and, with reuse, the
-    gradient (its first ``k+1`` shifts); without reuse the gradient reads a
-    second probe of ``k+1``.  This is the one-draw form of the iteration
-    :func:`run_newton` repeats.
+    Newton probes ``2k+1`` shifts for the Hessian; with reuse the gradient
+    reads that probe's first ``k+1`` shifts, without it a second probe of
+    ``k+1``.  The gradient-only baseline probes ``k+1`` shifts and passes
+    ``hbar`` through unchanged.
     """
-    return _step(state, oracle, cfg, rng, hessian=True)
-
-
-def gradient_step(
-    state: NewtonState,
-    oracle: BudgetedOracle,
-    cfg: NewtonConfig,
-    rng: np.random.Generator,
-) -> NewtonState:
-    """Advance one gradient-only iteration of ``k+1`` evaluations.
-
-    Same schedules and projection as :func:`newton_step`, with no Hessian:
-    the iterate moves against the gradient estimate and ``hbar`` is passed
-    through unchanged.
-    """
-    return _step(state, oracle, cfg, rng, hessian=False)
+    draws = _draw(cfg, rng, state.n, 1, state.theta.size)
+    theta, hbar = _update(state.theta, state.hbar, oracle, cfg, draws, 0)
+    return NewtonState(theta=theta, hbar=hbar, n=state.n + 1)
 
 
 def _spawn_streams(seed: int, n: int) -> list[np.random.Generator]:
@@ -403,13 +371,14 @@ def run_newton(cfg: NewtonConfig) -> RunRecord:
     """Run ``cfg.algorithm`` for ``budget // cost`` iterations, drawing their
     inputs ``_BLOCK`` at a time.
 
-    The loop is :func:`_newton_update` / :func:`_gradient_update` written
-    out flat: the same floating-point operations on the same operands, so
-    the same bits, with the reductions and the projection inline and
-    everything the iteration reads bound once per run or per block.  It
-    leaves out the reference's ``0.5 * (hbar + hbar.T)``: ``hbar`` starts
-    at the identity and every sample ``M(Delta) q`` is exactly symmetric,
-    so every average is too, and its symmetric part is itself bit for bit.
+    The loop is :func:`newton_step`'s :func:`_update` written out flat,
+    for either algorithm: the same floating-point operations on the same
+    operands, so the same bits, with the reductions and the projection
+    inline and everything the iteration reads bound once per run or per
+    block.  It leaves out the reference's ``0.5 * (hbar + hbar.T)``:
+    ``hbar`` starts at the identity and every sample ``M(Delta) q`` is
+    exactly symmetric, so every average is too, and its symmetric part is
+    itself bit for bit.
     The one exception is an entry above about 8.9e307: there ``hbar +
     hbar.T`` overflows to infinity and the reference's solve raises
     ``LinAlgError``, while the loop solves with the finite entry.
@@ -439,7 +408,7 @@ def run_newton(cfg: NewtonConfig) -> RunRecord:
     theta, hbar = theta0, np.eye(dim)
     for n in range(1, iterations + 1, _BLOCK):
         count = min(_BLOCK, iterations + 1 - n)
-        draws = _draw(cfg, perturb_rng, n, count, dim, hessian)
+        draws = _draw(cfg, perturb_rng, n, count, dim)
         offsets, directions, scalers = draws.offsets, draws.directions, draws.scalers
         deltas, a, b = draws.delta, draws.a, draws.b
         for i in range(count):

@@ -209,8 +209,8 @@ class LinearGaussianNoise:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be >= 0 and finite, got {self.sigma}")
 
     def sample(self, rng: np.random.Generator, thetas: np.ndarray) -> np.ndarray:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))

@@ -139,6 +139,13 @@ class TestRoundTrip:
         for config in absent:
             assert getattr(BUILDERS[target](config), key.field) == default
 
+    @pytest.mark.parametrize("path", ["crzon.N", "crzon.m", "crzon.b", "crzon.delta"])
+    def test_epsilon_sizes_cannot_be_set_with_it(self, path):
+        config = with_key({"crzon": {"epsilon": 0.5}}, path, 3)
+        message = f"^{path} cannot be set with crzon.epsilon, which sizes the run$"
+        with pytest.raises(ValueError, match=message):
+            build_cubic_config(config)
+
     def test_reuse_keeps_its_two_defaults(self):
         assert build_newton_config({"budget": 100}).reuse is True
         assert build_cubic_config({}).reuse is False

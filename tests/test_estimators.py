@@ -175,6 +175,17 @@ class TestProbe:
         with pytest.raises(NonFiniteEvaluation):
             probe(BudgetedOracle(obj), THETA, np.ones((2, 2)), 0.1, 3)
 
+    def test_nonfinite_value_is_named_with_its_point(self):
+        obj = Objective(
+            name="bad", dim=2, value=lambda x: np.where(x[..., 1] > 1.0, np.nan, 0.0)
+        )
+        points = np.array([[0.0, 0.5], [0.25, 1.5], [0.0, 2.0]])
+        with pytest.raises(
+            NonFiniteEvaluation,
+            match=r"^oracle returned a non-finite value \(nan\) at \[0\.25, 1\.5\]$",
+        ):
+            measure(BudgetedOracle(obj), points)
+
 
 def block_rows(n_shifts, d):
     return max(1, BLOCK_FLOATS // (n_shifts * d))

@@ -618,6 +618,15 @@ class TestValidateConfig:
             ({"methods": []}, "ValueError"),
             ({"dims": []}, "ValueError"),
             ({"budgets": []}, "ValueError"),
+            # non-finite values; a NaN sigma used to switch the noise off
+            ({"objective": "quadratic", "budget": 30, "noise": {"sigma": float("nan")}},
+             "ValueError"),
+            ({"budget": 30, "noise": {"sigma": float("inf")}}, "ValueError"),
+            ({"theta0": [float("nan"), 1.0], "budget": 30}, "ValueError"),
+            (dict(CRZON_CONFIG, theta0=[float("inf"), 0.0]), "ValueError"),
+            # crzon.epsilon sizes the run, so the sizes cannot be set next to it
+            ({"objective": "saddle", "crzon": {"epsilon": 0.3, "N": 3}}, "ValueError"),
+            ({"objective": "saddle", "crzon": {"epsilon": 0.3, "delta": 0.1}}, "ValueError"),
         ],
     )
     def test_validator_agrees_with_the_run(self, config, cause):

@@ -18,9 +18,9 @@ from grdsa.newton import (
     NewtonConfig,
     NewtonState,
     Schedules,
+    _draw,
     _lifted_solve,
     clamped_newton_direction,
-    gradient_step,
     iteration_cost,
     newton_step,
     run_newton,
@@ -329,15 +329,20 @@ class TestNewtonStep:
 
 
 class TestGradientStep:
+    """``newton_step`` on a gradient-only config."""
+
     @pytest.mark.parametrize("k", [1, 3])
     def test_one_probe_and_clipped_gradient_move(self, patched, k):
         _, g0, calls = patched
-        cfg = NewtonConfig(objective=QUAD, budget=100, k=k, seed=0, box=Box(0.5, 2.0))
+        cfg = NewtonConfig(
+            objective=QUAD, budget=100, k=k, seed=0, box=Box(0.5, 2.0),
+            algorithm="gradient_only",
+        )
         theta0 = np.array([1.0, 1.99])
         hbar = np.array([[3.0, 0.5], [0.5, 1.0]])
         state = NewtonState(theta=theta0.copy(), hbar=hbar, n=1)
         oracle = BudgetedOracle(QUAD)
-        out = gradient_step(state, oracle, cfg, np.random.default_rng(0))
+        out = newton_step(state, oracle, cfg, np.random.default_rng(0))
 
         assert [n for n, _ in calls["probes"]] == [k + 1]
         assert np.array_equal(calls["grad_values"], calls["probes"][0][1])
@@ -350,6 +355,30 @@ class TestGradientStep:
         assert out.n == 2
         assert oracle.evals_used == k + 1
         assert "hess_delta" not in calls
+
+    def test_budget_of_one_gradient_iteration_suffices(self):
+        # priced at k+1 = 2, not the Newton 2k+1 = 3
+        cfg = NewtonConfig(objective=QUAD, budget=2, k=1, algorithm="gradient_only")
+        oracle = BudgetedOracle(QUAD, budget=2)
+        state = NewtonState(theta=np.ones(2), hbar=np.eye(2), n=1)
+        out = newton_step(state, oracle, cfg, np.random.default_rng(0))
+        assert oracle.evals_used == 2
+        assert out.n == 2
+
+
+class TestDraw:
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_gradient_only_draw_has_no_hessian_inputs(self, k):
+        cfg = NewtonConfig(objective=QUAD, budget=100, k=k, algorithm="gradient_only")
+        draws = _draw(cfg, np.random.default_rng(0), 1, 4, 2)
+        assert draws.scalers is None
+        assert draws.offsets.shape == (4, k + 1, 2)
+        assert draws.b == []
+        newton = _draw(replace(cfg, algorithm="newton"), np.random.default_rng(0), 1, 4, 2)
+        assert newton.scalers.shape == (4, 2, 2)
+        assert newton.offsets.shape == (4, 2 * k + 1, 2)
+        # the same direction stream, so the gradient shifts agree
+        assert newton.offsets[:, : k + 1].tobytes() == draws.offsets.tobytes()
 
 
 def _run_settings(test):
@@ -403,9 +432,8 @@ class TestDriverIsTheStepLoop:
         oracle = BudgetedOracle(cfg.objective, cfg.noise, cfg.budget, noise_rng)
         state = NewtonState(theta=theta0.copy(), hbar=np.eye(3), n=1)
         snapshots = [theta0.copy()]
-        step = newton_step if hessian else gradient_step
         while oracle.remaining >= cost:
-            state = step(state, oracle, cfg, perturb_rng)
+            state = newton_step(state, oracle, cfg, perturb_rng)
             snapshots.append(state.theta.copy())
 
         assert rec.iterations == state.n - 1 == iterations

@@ -203,7 +203,7 @@ def _crzon_reuse_hessian(spec):
 
 def _newton_scalers(spec):
     cfg = NewtonConfig(objective=OBJECTIVE, budget=100, perturbation=spec)
-    return _draw(cfg, np.random.default_rng(6), 1, 8, 3, hessian=True).scalers
+    return _draw(cfg, np.random.default_rng(6), 1, 8, 3).scalers
 
 
 #: Hessian path -> its outputs under one spec
