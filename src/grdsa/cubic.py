@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import gradient_slopes, hessian_mean, probe
-from .newton import _check_run, _initial_theta, _spawn_streams
+from .newton import _check_finite, _check_run, _initial_theta, _spawn_streams
 from .oracle import (
     BudgetedOracle,
     BudgetTooSmall,
@@ -58,6 +58,11 @@ class CubicConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.delta > 0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
+        _check_finite(delta=self.delta)
+        if self.alpha is not None:
+            if not self.alpha > 0:
+                raise ValueError(f"alpha must be > 0, got {self.alpha}")
+            _check_finite(alpha=self.alpha)
         _check_run(self.seed, self.theta0, self.objective)
         cost = self.step_cost()
         if self.budget is not None and self.budget < cost:
@@ -67,8 +72,6 @@ class CubicConfig:
 
     def alpha_value(self) -> float:
         if self.alpha is not None:
-            if not self.alpha > 0:
-                raise ValueError(f"alpha must be > 0, got {self.alpha}")
             return self.alpha
         l_h = self.objective.lipschitz_hessian
         if l_h is None:
@@ -106,6 +109,12 @@ def from_epsilon(
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     _check_order(k, "k")
+    _check_finite(
+        n_prefactor=n_prefactor,
+        m_prefactor=m_prefactor,
+        b_prefactor=b_prefactor,
+        delta_prefactor=delta_prefactor,
+    )
     return CubicConfig(
         objective=objective,
         k=k,

@@ -50,7 +50,12 @@ def ray_offsets(directions: np.ndarray, delta, n_shifts: int) -> np.ndarray:
     ``delta`` is one radius for every row or an ``(n,)`` array of per-row radii.
     """
     steps = np.reshape(delta, (-1, 1)) * np.arange(n_shifts, dtype=float)
-    return steps[:, :, None] * directions[:, None, :]
+    n, d = directions.shape
+    offsets = np.empty((n, n_shifts, d))
+    for s in range(n_shifts):
+        # per shift: a broadcast product would allocate hidden numpy buffers
+        np.multiply(steps[:, s, None], directions, out=offsets[:, s])
+    return offsets
 
 
 def measure(oracle: BudgetedOracle, points: np.ndarray) -> np.ndarray:
@@ -164,7 +169,13 @@ def hessian_mean(
     part ``(H + H^T) / 2``: exactly symmetric, as each draw's estimate is.
     """
     quads = _quads(values, delta, k1, k2)
-    outer_mean = directions.T @ (directions * quads[:, None]) / len(directions)
+    n, d = directions.shape
+    # repeated, then scaled: directions * quads[:, None] would allocate a hidden buffer
+    weighted = np.repeat(quads, d).reshape(n, d)
+    weighted *= directions
+    outer_mean = directions.T @ weighted
+    del weighted  # the (n, d) weights are spent before the (d, d) work that follows
+    outer_mean /= n
     mean = apply_scaling(spec, outer_mean, quads.mean())
     return 0.5 * (mean + mean.T)
 

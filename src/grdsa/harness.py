@@ -14,6 +14,7 @@ import hashlib
 import inspect
 import itertools
 import json
+import math
 import re
 import time
 import typing
@@ -391,7 +392,13 @@ def table_cells(config: dict) -> Iterator[tuple[MethodSpec, dict]]:
 
 
 def run_table(config: dict) -> TableResult:
-    """Run every method x dim x budget x seed cell; failures don't abort."""
+    """Run every method x dim x budget x seed cell; failures don't abort.
+
+    A row reads only a run's endpoints, so each run stores no trajectory:
+    once its config has built (a bad ``record_stride`` still fails the
+    row), it runs with ``record_stride`` set to its budget.  A run then
+    holds one block of draws, whatever its budget.
+    """
     fingerprint = config_fingerprint(config)
     seeds = seed_range(config, setting(config, "seeds"))
     rows: list[TableRow] = []
@@ -399,7 +406,8 @@ def run_table(config: dict) -> TableResult:
         dim, budget = sub["dim"], sub["budget"]
         start = time.perf_counter()
         try:
-            record = run_newton(build_newton_config(sub, seed=seed))
+            cfg = build_newton_config(sub, seed=seed)
+            record = run_newton(replace(cfg, record_stride=cfg.budget))
             outcome = dict(
                 iterations=record.iterations,
                 final_parameter_error=record.final_parameter_error,
@@ -478,7 +486,7 @@ class BiasSweep(typing.NamedTuple):
 def bias_sweep_settings(config: dict) -> BiasSweep:
     """The bias sweep's settings: a known ``estimator_kind`` and ``mode``,
     supported orders (``k`` overrides ``k1``, ``k2`` defaults to it),
-    positive ``deltas`` and at least one sample."""
+    positive finite ``deltas`` and at least one sample."""
     estimator = setting(config, "estimator_kind")
     if estimator not in ("gradient", "hessian"):
         raise ValueError(f"estimator_kind must be one of gradient, hessian, got {estimator!r}")
@@ -493,6 +501,8 @@ def bias_sweep_settings(config: dict) -> BiasSweep:
     deltas = setting(config, "deltas")
     if not all(delta > 0 for delta in deltas):
         raise ValueError(f"deltas must be > 0, got {deltas}")
+    if not all(math.isfinite(delta) for delta in deltas):
+        raise ValueError(f"deltas must be finite, got {deltas}")
     samples = setting(config, "samples")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")

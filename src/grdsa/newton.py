@@ -17,8 +17,9 @@ whichever algorithm the config names, and the loop's bit-exact reference.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -42,6 +43,13 @@ INIT_RANGE = (2.0, 3.0)
 _BLOCK = 64
 
 
+def _check_finite(**values: float) -> None:
+    """Raise naming the first of ``values`` that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Schedules:
     """Step-size and probing-radius sequences.
@@ -50,7 +58,7 @@ class Schedules:
     (n + B)**beta`` drives the Hessian average, and ``delta(n) = delta0 /
     n**gamma`` shrinks the probing radius; ``n`` counts from 1.  The
     coefficients and exponents must be positive and the offsets
-    nonnegative.
+    nonnegative, and all of them finite.
     """
 
     a0: float = 0.9
@@ -69,6 +77,7 @@ class Schedules:
         for name in ("big_a", "big_b"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        _check_finite(**asdict(self))
 
     def a(self, n: int) -> float:
         return self.a0 / (n + self.big_a) ** self.alpha
@@ -121,7 +130,13 @@ def validate_schedules(s: Schedules) -> list[Finding]:
 
 @dataclass(frozen=True)
 class Box:
-    """Coordinate-wise projection onto ``[lower, upper]^d``."""
+    """Coordinate-wise projection onto ``[lower, upper]^d``.
+
+    Both bounds must be finite: a half-line is a closed convex set that
+    the projection handles exactly, but the projected scheme's analysis
+    rests on a compact constraint set, so an infinite bound is rejected
+    as a config error rather than run without that guarantee.
+    """
 
     lower: float = -5.12
     upper: float = 5.12
@@ -129,6 +144,7 @@ class Box:
     def __post_init__(self) -> None:
         if not self.lower < self.upper:
             raise ValueError(f"empty box: [{self.lower}, {self.upper}]")
+        _check_finite(lower=self.lower, upper=self.upper)
 
     def clip(self, theta: np.ndarray) -> np.ndarray:
         # np.clip's values at half its call overhead; the bits match too
@@ -202,6 +218,7 @@ class NewtonConfig:
             raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
         if not self.eps_pd > 0:
             raise ValueError(f"eps_pd must be > 0, got {self.eps_pd}")
+        _check_finite(eps_pd=self.eps_pd)
         _check_run(self.seed, self.theta0, self.objective)
         if self.algorithm not in ("newton", "gradient_only"):
             raise ValueError(
@@ -371,6 +388,10 @@ def run_newton(cfg: NewtonConfig) -> RunRecord:
     """Run ``cfg.algorithm`` for ``budget // cost`` iterations, drawing their
     inputs ``_BLOCK`` at a time.
 
+    A run holds one block of draws, whatever its budget (the spent block
+    is released before the next is drawn), plus its trajectory of
+    ``1 + iterations / record_stride`` rows.
+
     The loop is :func:`newton_step`'s :func:`_update` written out flat,
     for either algorithm: the same floating-point operations on the same
     operands, so the same bits, with the reductions and the projection
@@ -437,6 +458,8 @@ def run_newton(cfg: NewtonConfig) -> RunRecord:
             if (n + i) % stride == 0:
                 trajectory[row] = theta
                 row += 1
+        # release the spent block before the next one is drawn
+        del draws, offsets, directions, scalers
     if iterations % stride != 0:
         trajectory[row] = theta
 

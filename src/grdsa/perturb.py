@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ class PerturbationSpec:
             raise ValueError(f"unknown perturbation family {self.family!r}")
         if self.family == UNIFORM and not self.eta > 0:
             raise ValueError(f"uniform half-width eta must be > 0, got {self.eta}")
+        if not math.isfinite(self.eta):
+            raise ValueError(f"eta must be finite, got {self.eta}")
 
     @property
     def mu2(self) -> float:
@@ -88,13 +91,17 @@ def apply_scaling(
     """``sum_i w_i M(Delta_i) / n`` from ``outer_mean = sum_i w_i Delta_i Delta_i^T / n``
     ``(..., d, d)`` and ``weight_mean = sum_i w_i / n`` ``(...)``, over any
     leading axes; one draw with ``w = 1`` gives ``M(Delta)`` itself.
+
+    The result is written over the float array ``outer_mean`` and returned,
+    so a stack of scaling matrices costs one stack, not two.
     """
     off, shift, diag = _form(spec)
-    m = outer_mean / off
-    idx = np.arange(m.shape[-1])
+    idx = np.arange(outer_mean.shape[-1])
     weight = np.asarray(weight_mean)[..., None]
-    m[..., idx, idx] = (outer_mean[..., idx, idx] - shift * weight) / diag
-    return m
+    on_diagonal = (outer_mean[..., idx, idx] - shift * weight) / diag
+    outer_mean /= off
+    outer_mean[..., idx, idx] = on_diagonal
+    return outer_mean
 
 
 def scaling_norms(spec: PerturbationSpec, directions: np.ndarray) -> np.ndarray:
@@ -121,5 +128,9 @@ def scaling_matrices(spec: PerturbationSpec, directions: np.ndarray) -> np.ndarr
     directions = np.asarray(directions, dtype=float)
     if directions.ndim != 2:
         raise ValueError(f"directions must be 2-D, got shape {directions.shape}")
-    outer = directions[:, :, None] * directions[:, None, :]
+    n, d = directions.shape
+    outer = np.empty((n, d, d))
+    for j in range(d):
+        # per column: a broadcast product would allocate hidden numpy buffers
+        np.multiply(directions, directions[:, j, None], out=outer[:, :, j])
     return apply_scaling(spec, outer, 1.0)

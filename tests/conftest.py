@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 _VERDICTS: list[str] = []
@@ -16,6 +18,21 @@ def verdict():
         return ok
 
     return record
+
+
+@pytest.fixture
+def peak_bytes():
+    """The tracemalloc peak, in bytes, of the allocations one call makes."""
+
+    def measure(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return measure
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

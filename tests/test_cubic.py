@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -171,6 +170,11 @@ class TestCubicConfig:
         with pytest.raises(ValueError):
             CubicConfig(objective=saddle_quartic(), alpha=-1.0).alpha_value()
 
+    @pytest.mark.parametrize("name", ["delta", "alpha"])
+    def test_infinite_value_rejected_when_built(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
+            CubicConfig(objective=saddle_quartic(), **{name: float("inf")})
+
     def test_step_cost(self):
         cfg = CubicConfig(objective=saddle_quartic(), k=1, m=200, b=400)
         assert cfg.step_cost() == 200 * 2 + 400 * 3
@@ -181,6 +185,13 @@ class TestCubicConfig:
 
 
 class TestFromEpsilon:
+    @pytest.mark.parametrize(
+        "name", ["n_prefactor", "m_prefactor", "b_prefactor", "delta_prefactor"]
+    )
+    def test_infinite_prefactor_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
+            from_epsilon(saddle_quartic(), 0.25, **{name: float("inf")})
+
     def test_exact_ceiling_laws(self):
         cfg = from_epsilon(saddle_quartic(), 0.25, k=1)
         assert cfg.n_steps == math.ceil(0.25**-1.5)
@@ -294,7 +305,7 @@ class TestCrzonStep:
 
     @pytest.mark.parametrize("reuse", [True, False])
     @pytest.mark.parametrize("m,b", [(1024, 1024), (4096, 1024)])
-    def test_step_memory_is_a_few_direction_batches(self, m, b, reuse):
+    def test_step_memory_is_a_few_direction_batches(self, m, b, reuse, peak_bytes):
         # no (b, d, d) scaling stack and no (b, 2k+1, d) point array: the
         # probe streams its points, and the gradient draws are formed in
         # their direction rows, so a step holds two (max(m, b), d) arrays
@@ -303,12 +314,7 @@ class TestCrzonStep:
             objective=rastrigin(d), k=1, m=m, b=b, delta=0.1, alpha=2.0, reuse=reuse
         )
         oracle, rng = BudgetedOracle(cfg.objective), np.random.default_rng(0)
-        tracemalloc.start()
-        try:
-            crzon_step(np.full(d, 0.5), oracle, cfg, rng)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: crzon_step(np.full(d, 0.5), oracle, cfg, rng))
         assert peak < 2.5 * max(m, b) * d * 8
 
 

@@ -16,6 +16,7 @@ from grdsa.estimators import (
     gradient_deviation,
     gradient_samples,
     hessian_deviation,
+    hessian_mean,
     hessian_samples,
     measure,
     probe,
@@ -32,6 +33,7 @@ from grdsa.oracle import (
 )
 from grdsa.perturb import (
     PerturbationSpec,
+    apply_scaling,
     gaussian,
     gradient_unbias_factor,
     scaling_matrices,
@@ -263,6 +265,38 @@ class TestMeasure:
             obj = Objective(name="bad", dim=2, value=lambda x, v=values: v)
             with pytest.raises(NonFiniteEvaluation):
                 measure(BudgetedOracle(obj), np.zeros((n, 2)))
+
+
+class TestUnbufferedProducts:
+    """Products formed without numpy's hidden broadcast buffers keep the bits
+    of the broadcast forms, signed zeros included."""
+
+    @pytest.mark.parametrize("per_row", [True, False], ids=["radii", "one-radius"])
+    def test_ray_offsets(self, per_row):
+        n, n_shifts, d = 9, 5, 4
+        rng = np.random.default_rng(4)
+        dirs = SPEC.sample(rng, (n, d))
+        dirs[0, 1], dirs[2, 3] = 0.0, -0.0
+        delta = rng.uniform(0.1, 1.0, n) if per_row else 0.3
+        steps = np.reshape(delta, (-1, 1)) * np.arange(n_shifts, dtype=float)
+        expected = steps[:, :, None] * dirs[:, None, :]
+        # the shift-0 column holds -0.0 wherever a direction is negative
+        assert np.signbit(expected[:, 0]).any()
+        offsets = ray_offsets(dirs, delta, n_shifts)
+        assert np.array_equal(offsets.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("spec", [gaussian(), uniform(0.7), LITERAL])
+    def test_hessian_mean(self, spec):
+        n, d, delta, k = 40, 3, 0.1, 2
+        dirs = spec.sample(np.random.default_rng(9), (n, d))
+        dirs[0, 1] = 0.0
+        values = probe(BudgetedOracle(quartic(d)), np.full(d, 0.4), dirs, delta, 2 * k + 1)
+        quads = values @ hess_weights(k, k) / delta**2
+        outer_mean = dirs.T @ (dirs * quads[:, None]) / n
+        mean = apply_scaling(spec, outer_mean, quads.mean())
+        expected = 0.5 * (mean + mean.T)
+        got = hessian_mean(values, dirs, delta, k, k, spec)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def _previous_gradient_samples(values, directions, delta, k, spec):

@@ -248,6 +248,24 @@ class TestRunTable:
         errors = [row.final_parameter_error for row in run_table(config).rows]
         assert [row.final_parameter_error for row in rows] == errors
 
+    def test_memory_does_not_grow_with_the_budget(self, peak_bytes):
+        # a row reads no trajectory, so a run holds one block of draws
+        def cell(budget):
+            return {"objective": "rastrigin", "dim": 10, "methods": ["G2SF-9"], "budget": budget}
+
+        run_table(cell(5_000))  # warm the caches and the interpreter a first run fills
+        peaks = [peak_bytes(lambda: run_table(cell(budget))) for budget in (50_000, 5_000)]
+        assert abs(peaks[0] - peaks[1]) < 8192
+
+    def test_bad_record_stride_is_an_error_row(self):
+        # the stride is checked when the config builds, before the table
+        # replaces it with the budget
+        rows = run_table(dict(QUAD_CONFIG, methods=["G2SF-3", "GSF-2"], record_stride=0)).rows
+        assert len(rows) == 2
+        assert {row.message for row in rows} == {
+            "ValueError: record_stride must be >= 1, got 0"
+        }
+
     def test_nonfinite_seed_is_an_error_row(self, monkeypatch):
         # NaN beyond x0 = 4.5: some runs probe there, others never do
         config = dict(QUAD_CONFIG, methods=["G2SF-3", "GSF-2"], budgets=[90], seeds=8)
@@ -627,6 +645,27 @@ class TestValidateConfig:
             # crzon.epsilon sizes the run, so the sizes cannot be set next to it
             ({"objective": "saddle", "crzon": {"epsilon": 0.3, "N": 3}}, "ValueError"),
             ({"objective": "saddle", "crzon": {"epsilon": 0.3, "delta": 0.1}}, "ValueError"),
+            # infinite values, checked where each is built; a box bound must
+            # be finite too (see Box)
+            *[
+                ({"schedules": {key: float("inf")}, "budget": 30}, "ValueError")
+                for key in ("a0", "A", "alpha", "b0", "B", "beta", "delta0", "gamma")
+            ],
+            ({"eps_pd": float("inf"), "budget": 30}, "ValueError"),
+            ({"perturb": {"eta": float("inf")}, "budget": 30}, "ValueError"),
+            ({"perturb": {"family": "uniform", "eta": float("inf")}, "budget": 30}, "ValueError"),
+            ({"box": {"upper": float("inf")}, "budget": 30}, "ValueError"),
+            ({"box": {"lower": -float("inf")}, "budget": 30}, "ValueError"),
+            (dict(CRZON_CONFIG, crzon={"N": 2, "m": 4, "b": 4, "delta": float("inf")}),
+             "ValueError"),
+            (dict(CRZON_CONFIG, crzon={"N": 2, "m": 4, "b": 4, "alpha": float("inf")}),
+             "ValueError"),
+            ({"objective": "saddle", "crzon": {"epsilon": 0.3, "alpha": float("inf")}},
+             "ValueError"),
+            ({"objective": "saddle", "crzon": {"epsilon": 0.3, "delta_prefactor": float("inf")}},
+             "ValueError"),
+            ({"objective": "saddle", "crzon": {"epsilon": 0.3, "n_prefactor": float("inf")}},
+             "ValueError"),
         ],
     )
     def test_validator_agrees_with_the_run(self, config, cause):
@@ -656,6 +695,7 @@ class TestValidateConfig:
             ({"k2": 13}, "k2=13 exceeds the supported cap 12"),
             ({"deltas": [0.1, 0.0]}, "deltas must be > 0, got [0.1, 0.0]"),
             ({"samples": 0}, "samples must be >= 1, got 0"),
+            ({"deltas": [0.1, float("inf")]}, "deltas must be finite, got [0.1, inf]"),
         ],
     )
     def test_bias_sweep_keys_are_checked(self, keys, message):

@@ -60,6 +60,13 @@ class TestSchedules:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             Schedules(**{name: value})
 
+    @pytest.mark.parametrize(
+        "name", ["a0", "big_a", "alpha", "b0", "big_b", "beta", "delta0", "gamma"]
+    )
+    def test_infinite_value_raises_naming_the_field(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
+            Schedules(**{name: float("inf")})
+
     def test_zero_offsets_allowed(self):
         assert Schedules(big_a=0.0, big_b=0.0).a(1) == 0.9
 
@@ -130,6 +137,14 @@ class TestBox:
             Box(1.0, 1.0)
         with pytest.raises(ValueError):
             Box(2.0, -2.0)
+
+    def test_infinite_bound_rejected(self):
+        # the projected scheme's analysis needs a compact box, so a
+        # half-line is a config error
+        with pytest.raises(ValueError, match=r"^upper must be finite, got inf$"):
+            Box(upper=float("inf"))
+        with pytest.raises(ValueError, match=r"^lower must be finite, got -inf$"):
+            Box(lower=-float("inf"))
 
 
 class TestThetaOperator:
@@ -485,7 +500,7 @@ class TestNewtonConfig:
         "name,value",
         [
             ("k", 0), ("record_stride", 0), ("eps_pd", 0.0), ("eps_pd", -1.0), ("eps_pd", np.nan),
-            ("algorithm", "gradient-only"),
+            ("algorithm", "gradient-only"), ("eps_pd", np.inf),
         ],
     )
     def test_invalid_values_raise_when_built(self, name, value):

@@ -16,6 +16,7 @@ from grdsa.perturb import (
     GAUSSIAN,
     UNIFORM,
     PerturbationSpec,
+    _form,
     apply_scaling,
     gaussian,
     gradient_unbias_factor,
@@ -57,6 +58,11 @@ class TestSpec:
             uniform(0.0)
         with pytest.raises(ValueError):
             uniform(-1.0)
+
+    @pytest.mark.parametrize("family", [GAUSSIAN, UNIFORM])
+    def test_infinite_eta_rejected(self, family):
+        with pytest.raises(ValueError, match=r"^eta must be finite, got inf$"):
+            PerturbationSpec(family, eta=float("inf"))
 
     def test_sample_shapes(self):
         rng = np.random.default_rng(0)
@@ -141,6 +147,31 @@ class TestScalingMatrix:
             half = scale**2 * rng.normal(size=(d, d))
             applied = apply_scaling(spec, half + half.T, 1.0)
             assert np.array_equal(applied, applied.T)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [gaussian(), uniform(0.7), PerturbationSpec(GAUSSIAN, paper_literal_scaling=True)],
+        ids=["gaussian", "uniform", "literal"],
+    )
+    def test_stack_equals_the_broadcast_form(self, spec):
+        # formed column by column and scaled in place: the bits of the
+        # broadcast product scaled out of place, signed zeros included
+        d = 7
+        dirs = spec.sample(np.random.default_rng(3), (_BLOCK, d))
+        dirs[0, 2], dirs[1, 4] = 0.0, -0.0
+        off, shift, diag = _form(spec)
+        outer = dirs[:, :, None] * dirs[:, None, :]
+        expected = outer / off
+        idx = np.arange(d)
+        expected[:, idx, idx] = (outer[:, idx, idx] - shift) / diag
+        assert np.signbit(expected[expected == 0]).any()
+        stack = scaling_matrices(spec, dirs)
+        assert np.array_equal(stack.view(np.int64), expected.view(np.int64))
+
+    def test_apply_scaling_writes_over_its_input(self):
+        outer = np.outer([1.0, -2.0], [1.0, -2.0])
+        assert apply_scaling(gaussian(), outer, 1.0) is outer
+        assert np.array_equal(outer, [[0.0, -1.0], [-1.0, 1.5]])
 
     def test_rejects_matrix_input(self):
         with pytest.raises(ValueError):
