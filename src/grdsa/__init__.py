@@ -33,7 +33,6 @@ from .newton import (
     iteration_cost,
     newton_step,
     run_newton,
-    theta_operator,
     validate_schedules,
 )
 from .oracle import (
@@ -53,7 +52,6 @@ from .perturb import (
     PerturbationSpec,
     gaussian,
     gradient_unbias_factor,
-    scaling_matrix,
     uniform,
 )
 from .stencils import (

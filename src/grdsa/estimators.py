@@ -143,10 +143,10 @@ def hessian_samples(
 ) -> np.ndarray:
     """One-draw Hessian estimates from the ``k1+k2+1`` probe columns.
 
-    Each estimate is the draw's scaling matrix ``M(Delta)`` (from
-    :func:`~grdsa.perturb.scaling_matrix` or ``scaling_matrices``) times
-    its quadratic form.  One probe row with a ``(d, d)`` scaling gives a
-    ``(d, d)`` estimate, ``n`` rows with ``(n, d, d)`` give ``(n, d, d)``.
+    Each estimate is the draw's scaling matrix ``M(Delta)`` (a row of
+    :func:`~grdsa.perturb.scaling_matrices`) times its quadratic form.  One
+    probe row with a ``(d, d)`` scaling gives a ``(d, d)`` estimate, ``n``
+    rows with ``(n, d, d)`` give ``(n, d, d)``.
     Each estimate is symmetric because its scaling matrix is.
     """
     quads = _quads(values, delta, k1, k2)

@@ -486,7 +486,7 @@ class BiasSweep(typing.NamedTuple):
 def bias_sweep_settings(config: dict) -> BiasSweep:
     """The bias sweep's settings: a known ``estimator_kind`` and ``mode``,
     supported orders (``k`` overrides ``k1``, ``k2`` defaults to it),
-    positive finite ``deltas`` and at least one sample."""
+    positive finite ``deltas``, at least one sample and a finite ``theta``."""
     estimator = setting(config, "estimator_kind")
     if estimator not in ("gradient", "hessian"):
         raise ValueError(f"estimator_kind must be one of gradient, hessian, got {estimator!r}")
@@ -506,6 +506,9 @@ def bias_sweep_settings(config: dict) -> BiasSweep:
     samples = setting(config, "samples")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    theta = setting(config, "theta")
+    if theta is not None and not np.isfinite(theta).all():
+        raise ValueError(f"theta must be finite, got {theta.tolist()}")
     return BiasSweep(estimator, k1, k2, mode, deltas, samples)
 
 

@@ -10,22 +10,23 @@ baseline runs through the same driver and step without the Hessian, at
 
 The driver draws what an iteration needs that does not depend on the
 iterate (directions, radii, probe offsets, scaling matrices) for a block
-of iterations at once, then runs them in one flat loop.
-:func:`newton_step` is the one-draw form of the same iteration, for
-whichever algorithm the config names, and the loop's bit-exact reference.
+of iterations at once, then runs them through :func:`_iterations`, the
+one written-out iteration.  :func:`newton_step` runs the same iteration
+on a block of one draw, for whichever algorithm the config names.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.linalg import LinAlgError
 from numpy.linalg._umath_linalg import eigh_lo
 
-from .estimators import gradient_samples, hessian_samples, measure, ray_offsets
+from .estimators import measure, ray_offsets
 from .oracle import (
     BudgetedOracle,
     BudgetTooSmall,
@@ -130,7 +131,7 @@ def validate_schedules(s: Schedules) -> list[Finding]:
 
 @dataclass(frozen=True)
 class Box:
-    """Coordinate-wise projection onto ``[lower, upper]^d``.
+    """Bounds of the coordinate-wise projection onto ``[lower, upper]^d``.
 
     Both bounds must be finite: a half-line is a closed convex set that
     the projection handles exactly, but the projected scheme's analysis
@@ -146,30 +147,14 @@ class Box:
             raise ValueError(f"empty box: [{self.lower}, {self.upper}]")
         _check_finite(lower=self.lower, upper=self.upper)
 
-    def clip(self, theta: np.ndarray) -> np.ndarray:
-        # np.clip's values at half its call overhead; the bits match too
-        # unless a bound is zero, where a -0.0 iterate becomes +0.0
-        return np.minimum(np.maximum(theta, self.lower), self.upper)
-
-
-def theta_operator(h: np.ndarray, eps_pd: float = 0.1) -> np.ndarray:
-    """Map a symmetric matrix to a positive-definite one.
-
-    Symmetrizes, then lifts every eigenvalue below ``eps_pd`` up to
-    ``eps_pd``; already well-conditioned matrices pass through unchanged.
-    The inverse of the result has spectral norm at most ``1/eps_pd``.
-    """
-    if not eps_pd > 0:
-        raise ValueError(f"eps_pd must be > 0, got {eps_pd}")
-    h = np.asarray(h, dtype=float)
-    sym = 0.5 * (h + h.T)
-    eigval, eigvec = np.linalg.eigh(sym)
-    lifted = np.maximum(eigval, eps_pd)
-    return (eigvec * lifted) @ eigvec.T
-
 
 def clamped_newton_direction(h: np.ndarray, g: np.ndarray, eps_pd: float = 0.1) -> np.ndarray:
-    """Solve ``theta_operator(h) s = g`` through the eigendecomposition."""
+    """Solve ``L s = g``, where ``L`` is the symmetric part of ``h`` with every
+    eigenvalue below ``eps_pd`` lifted to ``eps_pd``.
+
+    ``L`` is positive definite with ``|L^-1| <= 1/eps_pd``, so ``|s| <= |g| /
+    eps_pd``; a well-conditioned symmetric ``h`` is solved as it is.
+    """
     if not eps_pd > 0:
         raise ValueError(f"eps_pd must be > 0, got {eps_pd}")
     h = np.asarray(h, dtype=float)
@@ -321,36 +306,61 @@ def _draw(
     )
 
 
-def _update(
+def _iterations(
     theta: np.ndarray,
     hbar: np.ndarray,
     oracle: BudgetedOracle,
     cfg: NewtonConfig,
     draws: _Draws,
-    i: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Iteration ``i`` of ``draws``, through the estimator reductions and
-    :meth:`Box.clip`: the reference form of :func:`run_newton`'s loop.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Run the iterations of ``draws`` from ``(theta, hbar)``, yielding the
+    pair after each.
 
-    With scaling matrices (Newton), the Hessian average moves first (fast
-    timescale), then the iterate moves against the clamped-Newton direction
-    (slow timescale); without them (gradient-only), the iterate moves
-    against the gradient estimate and ``hbar`` passes through.  Either way
-    the iterate is projected back into the box."""
-    k, delta = cfg.k, draws.delta[i]
-    values = measure(oracle, theta + draws.offsets[i])
-    if draws.scalers is None:
-        step = gradient_samples(values, draws.directions[i], delta, k)
-    else:
-        hess = hessian_samples(values, draws.scalers[i], delta, k, k)
-        if not cfg.reuse:
-            values = measure(oracle, theta + draws.offsets[i, : k + 1])
-        grad = gradient_samples(values, draws.directions[i], delta, k)
-        hbar = hbar + draws.b[i] * (hess - hbar)
-        hbar = 0.5 * (hbar + hbar.T)
-        # hbar is exactly symmetric, so it is its own symmetric part
-        step = _lifted_solve(hbar, grad, cfg.eps_pd)
-    return cfg.box.clip(theta - draws.a[i] * step), hbar
+    With scaling matrices (Newton), an iteration probes ``2k+1`` shifts and
+    moves the Hessian average first (fast timescale), then the iterate
+    against the clamped-Newton direction (slow timescale); with reuse the
+    gradient reads that probe's first ``k+1`` shifts, without it a second
+    probe of ``k+1``.  Without them (gradient-only), it probes ``k+1``
+    shifts, moves the iterate against the gradient estimate and passes
+    ``hbar`` through.  Either way the iterate is projected back into the box.
+
+    The estimator reductions and the projection are written inline, with
+    everything the iterations read bound once per block.  ``hbar`` is never
+    symmetrized: it must be symmetric, as a run's is (it starts at the
+    identity and every sample ``M(Delta) q`` is exactly symmetric, so every
+    average is too), and the eigensolve reads its lower triangle only.
+    """
+    k, reuse = cfg.k, cfg.reuse
+    offsets, directions, scalers = draws.offsets, draws.directions, draws.scalers
+    deltas, a, b = draws.delta, draws.a, draws.b
+    grad_w = grad_weights(k)
+    hessian = scalers is not None
+    hess_w = hess_weights(k, k) if hessian else None
+    # 0-d arrays: a ufunc converts a Python float operand on every call
+    lower, upper = np.array(cfg.box.lower), np.array(cfg.box.upper)
+    eps_pd = np.array(cfg.eps_pd)
+    for i, delta in enumerate(deltas):
+        values = measure(oracle, theta + offsets[i])
+        if hessian:
+            hess = scalers[i] * (values.dot(hess_w) / delta**2)
+            if reuse:
+                values = values[: k + 1]
+            else:
+                values = measure(oracle, theta + offsets[i, : k + 1])
+            # hbar + b(n) (hess - hbar), in the sample's own array
+            hess -= hbar
+            hess *= b[i]
+            hess += hbar
+            hbar = hess
+            step = _lifted_solve(hbar, directions[i] * (values.dot(grad_w) / delta), eps_pd)
+        else:
+            step = directions[i] * (values.dot(grad_w) / delta)
+        # step is a fresh array each iteration: project into it
+        step *= a[i]
+        np.subtract(theta, step, out=step)
+        np.maximum(step, lower, out=step)
+        theta = np.minimum(step, upper, out=step)
+        yield theta, hbar
 
 
 def newton_step(
@@ -359,16 +369,11 @@ def newton_step(
     cfg: NewtonConfig,
     rng: np.random.Generator,
 ) -> NewtonState:
-    """Advance one iteration of ``cfg.algorithm``: the one-draw form of the
-    iteration :func:`run_newton` repeats, of ``iteration_cost`` evaluations.
-
-    Newton probes ``2k+1`` shifts for the Hessian; with reuse the gradient
-    reads that probe's first ``k+1`` shifts, without it a second probe of
-    ``k+1``.  The gradient-only baseline probes ``k+1`` shifts and passes
-    ``hbar`` through unchanged.
-    """
+    """Advance one iteration of ``cfg.algorithm``, of ``iteration_cost``
+    evaluations: :func:`run_newton`'s :func:`_iterations` on a block of one
+    draw.  The gradient-only baseline passes ``hbar`` through unchanged."""
     draws = _draw(cfg, rng, state.n, 1, state.theta.size)
-    theta, hbar = _update(state.theta, state.hbar, oracle, cfg, draws, 0)
+    ((theta, hbar),) = _iterations(state.theta, state.hbar, oracle, cfg, draws)
     return NewtonState(theta=theta, hbar=hbar, n=state.n + 1)
 
 
@@ -391,33 +396,14 @@ def run_newton(cfg: NewtonConfig) -> RunRecord:
     A run holds one block of draws, whatever its budget (the spent block
     is released before the next is drawn), plus its trajectory of
     ``1 + iterations / record_stride`` rows.
-
-    The loop is :func:`newton_step`'s :func:`_update` written out flat,
-    for either algorithm: the same floating-point operations on the same
-    operands, so the same bits, with the reductions and the projection
-    inline and everything the iteration reads bound once per run or per
-    block.  It leaves out the reference's ``0.5 * (hbar + hbar.T)``:
-    ``hbar`` starts at the identity and every sample ``M(Delta) q`` is
-    exactly symmetric, so every average is too, and its symmetric part is
-    itself bit for bit.
-    The one exception is an entry above about 8.9e307: there ``hbar +
-    hbar.T`` overflows to infinity and the reference's solve raises
-    ``LinAlgError``, while the loop solves with the finite entry.
     """
     start = time.perf_counter()
-    k, reuse = cfg.k, cfg.reuse
-    hessian = cfg.algorithm == "newton"
-    cost = iteration_cost(k, reuse, hessian)
+    cost = iteration_cost(cfg.k, cfg.reuse, cfg.algorithm == "newton")
 
     dim = cfg.objective.dim
     init_rng, perturb_rng, noise_rng = _spawn_streams(cfg.seed, 3)
     theta0 = _initial_theta(cfg.theta0, dim, init_rng)
     oracle = BudgetedOracle(cfg.objective, cfg.noise, cfg.budget, noise_rng)
-    grad_w = grad_weights(k)
-    hess_w = hess_weights(k, k) if hessian else None
-    # 0-d arrays: a ufunc converts a Python float operand on every call
-    lower, upper = np.array(cfg.box.lower), np.array(cfg.box.upper)
-    eps_pd = np.array(cfg.eps_pd)
 
     # every iteration costs exactly `cost`, so the count is known up front;
     # snapshots: the start, every stride-th iterate, and an unaligned last one
@@ -428,38 +414,13 @@ def run_newton(cfg: NewtonConfig) -> RunRecord:
     row = 1
     theta, hbar = theta0, np.eye(dim)
     for n in range(1, iterations + 1, _BLOCK):
-        count = min(_BLOCK, iterations + 1 - n)
-        draws = _draw(cfg, perturb_rng, n, count, dim)
-        offsets, directions, scalers = draws.offsets, draws.directions, draws.scalers
-        deltas, a, b = draws.delta, draws.a, draws.b
-        for i in range(count):
-            delta = deltas[i]
-            values = measure(oracle, theta + offsets[i])
-            if hessian:
-                hess = scalers[i] * (values.dot(hess_w) / delta**2)
-                if reuse:
-                    values = values[: k + 1]
-                else:
-                    values = measure(oracle, theta + offsets[i, : k + 1])
-                # hbar + b(n) (hess - hbar), already exactly symmetric, so
-                # the reference's 0.5 (hbar + hbar.T) is left out (see above)
-                hess -= hbar
-                hess *= b[i]
-                hess += hbar
-                hbar = hess
-                step = _lifted_solve(hbar, directions[i] * (values.dot(grad_w) / delta), eps_pd)
-            else:
-                step = directions[i] * (values.dot(grad_w) / delta)
-            # step is a fresh array each iteration: project into it
-            step *= a[i]
-            np.subtract(theta, step, out=step)
-            np.maximum(step, lower, out=step)
-            theta = np.minimum(step, upper, out=step)
-            if (n + i) % stride == 0:
+        draws = _draw(cfg, perturb_rng, n, min(_BLOCK, iterations + 1 - n), dim)
+        for m, (theta, hbar) in enumerate(_iterations(theta, hbar, oracle, cfg, draws), n):
+            if m % stride == 0:
                 trajectory[row] = theta
                 row += 1
         # release the spent block before the next one is drawn
-        del draws, offsets, directions, scalers
+        del draws
     if iterations % stride != 0:
         trajectory[row] = theta
 

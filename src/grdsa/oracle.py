@@ -76,6 +76,8 @@ def quadratic(a: np.ndarray, b: np.ndarray | None = None) -> Objective:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"A must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"A must be finite, got {a.tolist()}")
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
         raise ValueError("A must be symmetric")
     dim = a.shape[0]
@@ -84,6 +86,8 @@ def quadratic(a: np.ndarray, b: np.ndarray | None = None) -> Objective:
     b = np.asarray(b, dtype=float)
     if b.shape != (dim,):
         raise ValueError(f"b must have shape ({dim},), got {b.shape}")
+    if not np.isfinite(b).all():
+        raise ValueError(f"b must be finite, got {b.tolist()}")
 
     def value(x: np.ndarray) -> np.ndarray:
         # plain reductions per row, so every row keeps the bits of its own

@@ -115,16 +115,9 @@ def scaling_norms(spec: PerturbationSpec, directions: np.ndarray) -> np.ndarray:
     return np.sqrt(cross / off**2 + ((squares - shift) ** 2).sum(axis=-1) / diag**2)
 
 
-def scaling_matrix(spec: PerturbationSpec, direction: np.ndarray) -> np.ndarray:
-    """Matrix ``M(Delta)`` multiplying the second-difference quadratic form."""
-    direction = np.asarray(direction, dtype=float)
-    if direction.ndim != 1:
-        raise ValueError(f"direction must be 1-D, got shape {direction.shape}")
-    return apply_scaling(spec, np.outer(direction, direction), 1.0)
-
-
 def scaling_matrices(spec: PerturbationSpec, directions: np.ndarray) -> np.ndarray:
-    """Vectorized ``scaling_matrix`` over a batch of directions ``(n, d)``."""
+    """The matrices ``M(Delta)`` multiplying the second-difference quadratic
+    form, one per row of the ``(n, d)`` directions."""
     directions = np.asarray(directions, dtype=float)
     if directions.ndim != 2:
         raise ValueError(f"directions must be 2-D, got shape {directions.shape}")

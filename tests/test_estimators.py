@@ -37,7 +37,6 @@ from grdsa.perturb import (
     gaussian,
     gradient_unbias_factor,
     scaling_matrices,
-    scaling_matrix,
     uniform,
 )
 from grdsa.stencils import grad_weights, hess_weights
@@ -353,7 +352,7 @@ class TestEstimateHessian:
             d = SPEC.sample(rng, 2)
             orc = fresh_oracle()
             est = batch_hessian(orc, THETA, d[None, :], 0.07, k, k, SPEC)
-            expected = scaling_matrix(SPEC, d) * float(d @ A @ d)
+            expected = scaling_matrices(SPEC, d[None])[0] * float(d @ A @ d)
             assert np.allclose(est, expected, atol=1e-9)
             assert orc.evals_used == 2 * k + 1
 

@@ -666,6 +666,17 @@ class TestValidateConfig:
              "ValueError"),
             ({"objective": "saddle", "crzon": {"epsilon": 0.3, "n_prefactor": float("inf")}},
              "ValueError"),
+            # non-finite quadratic coefficients, checked before symmetry
+            *[
+                ({"objective": "quadratic", "dim": 2, "quadratic": {"diag": [bad, 1.0]},
+                  "budget": 30}, "ValueError")
+                for bad in (float("inf"), float("nan"))
+            ],
+            ({"objective": "quadratic", "dim": 2,
+              "quadratic": {"matrix": [[1.0, float("inf")], [float("inf"), 1.0]]}, "budget": 30},
+             "ValueError"),
+            ({"objective": "quadratic", "dim": 2, "quadratic": {"b": [float("nan"), 0.0]},
+              "budget": 30}, "ValueError"),
         ],
     )
     def test_validator_agrees_with_the_run(self, config, cause):
@@ -696,6 +707,8 @@ class TestValidateConfig:
             ({"deltas": [0.1, 0.0]}, "deltas must be > 0, got [0.1, 0.0]"),
             ({"samples": 0}, "samples must be >= 1, got 0"),
             ({"deltas": [0.1, float("inf")]}, "deltas must be finite, got [0.1, inf]"),
+            ({"theta": [float("inf"), 1.0]}, "theta must be finite, got [inf, 1.0]"),
+            ({"theta": [1.0, float("nan")]}, "theta must be finite, got [1.0, nan]"),
         ],
     )
     def test_bias_sweep_keys_are_checked(self, keys, message):

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grdsa.newton as newton_mod
-from grdsa.estimators import NonFiniteEvaluation
+from grdsa.estimators import (
+    NonFiniteEvaluation,
+    gradient_samples,
+    hessian_samples,
+    measure,
+    ray_offsets,
+)
 from grdsa.newton import (
     _BLOCK,
     INIT_RANGE,
@@ -24,7 +30,6 @@ from grdsa.newton import (
     iteration_cost,
     newton_step,
     run_newton,
-    theta_operator,
     validate_schedules,
 )
 from grdsa.oracle import (
@@ -36,7 +41,7 @@ from grdsa.oracle import (
     quartic,
     rastrigin,
 )
-from grdsa.perturb import gaussian, uniform
+from grdsa.perturb import gaussian, gradient_unbias_factor, scaling_matrices, uniform
 
 QUAD = quadratic(np.diag([2.0, 4.0]))
 
@@ -118,16 +123,6 @@ class TestValidateSchedules:
 
 
 class TestBox:
-    def test_clip(self):
-        box = Box(-1.0, 2.0)
-        out = box.clip(np.array([-3.0, 0.5, 7.0]))
-        assert np.array_equal(out, [-1.0, 0.5, 2.0])
-
-    def test_idempotent(self):
-        box = Box()
-        x = np.array([-10.0, 0.0, 10.0])
-        assert np.array_equal(box.clip(box.clip(x)), box.clip(x))
-
     def test_defaults(self):
         box = Box()
         assert (box.lower, box.upper) == (-5.12, 5.12)
@@ -147,54 +142,71 @@ class TestBox:
             Box(lower=-float("inf"))
 
 
-class TestThetaOperator:
-    def test_positive_definite_passthrough(self):
-        h = np.diag([2.0, 4.0])
-        assert np.allclose(theta_operator(h), h)
+def _lifted(h, eps_pd=0.1):
+    """The symmetric part of ``h`` with its eigenvalues lifted to ``eps_pd``."""
+    w, v = np.linalg.eigh(0.5 * (h + h.T))
+    return (v * np.maximum(w, eps_pd)) @ v.T
 
-    def test_clamps_negative_eigenvalue(self):
-        out = theta_operator(np.diag([-1.0, 3.0]))
-        assert np.allclose(out, np.diag([0.1, 3.0]))
+
+class TestClampedNewtonDirection:
+    def test_well_conditioned_passthrough(self):
+        h = np.array([[2.0, 0.5], [0.5, 4.0]])
+        g = np.array([0.4, -0.9])
+        assert np.allclose(clamped_newton_direction(h, g), np.linalg.solve(h, g))
+
+    def test_lifts_negative_eigenvalue(self):
+        # eigenvalue -1 is lifted to 0.1, so that component is divided by 0.1
+        g = np.array([1.0, 1.0])
+        out = clamped_newton_direction(np.diag([-1.0, 3.0]), g)
+        assert np.allclose(out, [10.0, 1.0 / 3.0])
 
     def test_zero_matrix_lifted_to_floor(self):
-        assert np.allclose(theta_operator(np.zeros((3, 3))), 0.1 * np.eye(3))
+        g = np.array([0.3, -0.2, 0.5])
+        assert np.allclose(clamped_newton_direction(np.zeros((3, 3)), g), g / 0.1)
 
     def test_symmetrizes_input(self):
+        # the symmetric part has eigenvalues +-1/2; the lower triangle
+        # alone would read as the zero matrix
         h = np.array([[0.0, 1.0], [0.0, 0.0]])
-        out = theta_operator(h)
-        assert np.allclose(out, out.T)
-        # eigenvalues of the symmetric part are +-1/2; both end >= 0.1
-        assert np.linalg.eigvalsh(out)[0] >= 0.1 - 1e-12
+        g = np.array([1.0, -2.0])
+        out = clamped_newton_direction(h, g)
+        assert np.array_equal(out, clamped_newton_direction(0.5 * (h + h.T), g))
+        assert np.allclose(out, np.linalg.solve(_lifted(h), g))
+        assert not np.allclose(out, g / 0.1)
 
-    def test_inverse_norm_bounded(self):
+    def test_step_bounded_by_the_floor(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             h = rng.normal(size=(4, 4))
-            inv = np.linalg.inv(theta_operator(h, eps_pd=0.25))
-            assert np.linalg.norm(inv, 2) <= 1.0 / 0.25 + 1e-9
+            g = rng.normal(size=4)
+            out = clamped_newton_direction(h, g, eps_pd=0.25)
+            assert np.linalg.norm(out) <= np.linalg.norm(g) / 0.25 + 1e-9
 
     def test_eps_validated(self):
-        with pytest.raises(ValueError):
-            theta_operator(np.eye(2), eps_pd=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="eps_pd must be > 0"):
+            clamped_newton_direction(np.eye(2), np.ones(2), eps_pd=0.0)
+        with pytest.raises(ValueError, match="eps_pd must be > 0"):
             clamped_newton_direction(np.eye(2), np.ones(2), eps_pd=-1.0)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
-    def test_spectrum_floor(self, seed: int):
+    def test_matches_the_explicit_lift(self, seed: int):
         rng = np.random.default_rng(seed)
         h = rng.normal(size=(3, 3)) * rng.uniform(0.1, 10)
-        out = theta_operator(h, eps_pd=0.1)
-        assert np.linalg.eigvalsh(out)[0] >= 0.1 - 1e-10
+        g = rng.normal(size=3)
+        lifted = _lifted(h)
+        assert np.linalg.eigvalsh(lifted)[0] >= 0.1 - 1e-10
+        out = clamped_newton_direction(h, g)
+        assert np.allclose(lifted @ out, g, atol=1e-9)
+        # the lifted operator is positive definite, so -s descends along g
+        assert g @ out > 0
 
-
-class TestClampedNewtonDirection:
     def test_matches_explicit_solve(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             h = rng.normal(size=(4, 4))
             g = rng.normal(size=4)
-            direct = np.linalg.solve(theta_operator(h), g)
+            direct = np.linalg.solve(_lifted(h), g)
             assert np.allclose(clamped_newton_direction(h, g), direct, atol=1e-10)
 
     def test_identity_average_reduces_to_gradient(self):
@@ -262,114 +274,161 @@ class TestIterationCost:
 
 
 @pytest.fixture
-def patched(monkeypatch):
-    """Replace both reductions with deterministic stubs; record measurements."""
-    htilde = np.array([[5.0, 1.0], [0.0, 2.0]])  # deliberately asymmetric
-    g0 = np.array([0.6, -0.3])
-    calls = {"probes": []}
+def probes(monkeypatch):
+    """Record every ``(points, values)`` probe the iteration measures."""
+    calls = []
     real_measure = newton_mod.measure
 
     def spy_measure(oracle, points):
         values = real_measure(oracle, points)
-        calls["probes"].append((len(points), values))
+        calls.append((points, values))
         return values
 
-    def fake_hessian(values, scalers, delta, k1, k2):
-        calls["hess_delta"] = delta
-        return htilde.copy()
-
-    def fake_gradient(values, directions, delta, k):
-        calls["grad_values"] = values
-        calls["grad_delta"] = delta
-        return g0.copy()
-
     monkeypatch.setattr(newton_mod, "measure", spy_measure)
-    monkeypatch.setattr(newton_mod, "hessian_samples", fake_hessian)
-    monkeypatch.setattr(newton_mod, "gradient_samples", fake_gradient)
-    return htilde, g0, calls
+    return calls
+
+
+def _directions(cfg, count, seed=0):
+    """The first ``count`` directions a run draws from ``default_rng(seed)``."""
+    return cfg.perturbation.sample(np.random.default_rng(seed), (count, cfg.objective.dim))
+
+
+def _project(theta, box):
+    return np.minimum(np.maximum(theta, box.lower), box.upper)
+
+
+def _reference_step(state, oracle, cfg, rng):
+    """One iteration of ``cfg.algorithm``, built from the public estimators,
+    the clamped-Newton solve and an explicit projection."""
+    s, n, k, spec = cfg.schedules, state.n, cfg.k, cfg.perturbation
+    delta = s.delta(n)
+    hessian = cfg.algorithm == "newton"
+    direction = spec.sample(rng, (1, state.theta.size))
+    offsets = ray_offsets(direction, delta, 2 * k + 1 if hessian else k + 1)[0]
+    values = measure(oracle, state.theta + offsets)
+    grad_direction = gradient_unbias_factor(spec) * direction[0]
+    hbar = state.hbar
+    if hessian:
+        hess = hessian_samples(values, scaling_matrices(spec, direction)[0], delta, k, k)
+        hbar = hbar + s.b(n) * (hess - hbar)
+        if not cfg.reuse:
+            values = measure(oracle, state.theta + offsets[: k + 1])
+        grad = gradient_samples(values, grad_direction, delta, k)
+        step = clamped_newton_direction(hbar, grad, cfg.eps_pd)
+    else:
+        step = gradient_samples(values, grad_direction, delta, k)
+    theta = _project(state.theta - s.a(n) * step, cfg.box)
+    return NewtonState(theta=theta, hbar=hbar, n=n + 1)
 
 
 class TestNewtonStep:
-    def test_average_update_and_move(self, patched):
-        htilde, g0, calls = patched
+    def test_average_update_and_move(self, probes):
         cfg = NewtonConfig(objective=QUAD, budget=100, k=1, seed=0)
         theta0 = np.array([1.0, 1.0])
         state = NewtonState(theta=theta0.copy(), hbar=np.eye(2), n=1)
         out = newton_step(state, BudgetedOracle(QUAD), cfg, np.random.default_rng(0))
 
         s = cfg.schedules
-        sym = 0.5 * (htilde + htilde.T)
-        hbar1 = np.eye(2) + s.b(1) * (sym - np.eye(2))
+        direction = _directions(cfg, 1)
+        [(points, values)] = probes
+        # the probe steps delta(1) along the drawn direction
+        assert np.allclose(points, theta0 + ray_offsets(direction, s.delta(1), 3)[0])
+        hess = hessian_samples(values, scaling_matrices(gaussian(), direction)[0], s.delta(1), 1, 1)
+        g0 = gradient_samples(values, direction[0], s.delta(1), 1)
+        hbar1 = np.eye(2) + s.b(1) * (hess - np.eye(2))
         assert np.allclose(out.hbar, hbar1, atol=1e-12)
-        expected = cfg.box.clip(theta0 - s.a(1) * clamped_newton_direction(hbar1, g0))
+        expected = _project(theta0 - s.a(1) * clamped_newton_direction(hbar1, g0), cfg.box)
         assert np.allclose(out.theta, expected, atol=1e-12)
         assert out.n == 2
-        assert calls["hess_delta"] == pytest.approx(s.delta(1))
 
-    def test_two_steps_compound_the_average(self, patched):
-        htilde, _, _ = patched
+    def test_two_steps_compound_the_average(self, probes):
         cfg = NewtonConfig(objective=QUAD, budget=100, k=1, seed=0)
         state = NewtonState(theta=np.zeros(2), hbar=np.eye(2), n=1)
         rng = np.random.default_rng(0)
         state = newton_step(state, BudgetedOracle(QUAD), cfg, rng)
         state = newton_step(state, BudgetedOracle(QUAD), cfg, rng)
         s = cfg.schedules
-        sym = 0.5 * (htilde + htilde.T)
-        hbar1 = np.eye(2) + s.b(1) * (sym - np.eye(2))
-        hbar2 = hbar1 + s.b(2) * (sym - hbar1)
+        directions = _directions(cfg, 2)
+        hess1, hess2 = (
+            hessian_samples(values, scaling_matrices(gaussian(), directions[i : i + 1])[0],
+                            s.delta(i + 1), 1, 1)
+            for i, (_, values) in enumerate(probes)
+        )
+        hbar1 = np.eye(2) + s.b(1) * (hess1 - np.eye(2))
+        hbar2 = hbar1 + s.b(2) * (hess2 - hbar1)
         assert np.allclose(state.hbar, hbar2, atol=1e-12)
         assert state.n == 3
 
-    def test_reuse_passes_gradient_shift_prefix(self, patched):
-        # one probe of 2k+1 shifts; the gradient reads its values
-        _, _, calls = patched
-        cfg = NewtonConfig(objective=QUAD, budget=100, k=2, seed=0, reuse=True)
+    @staticmethod
+    def noisy_step(cfg, step=newton_step):
+        """One ``step`` from the origin, on a noisy oracle."""
+        oracle = BudgetedOracle(QUAD, LinearGaussianNoise(0.1), None, np.random.default_rng(3))
         state = NewtonState(theta=np.zeros(2), hbar=np.eye(2), n=1)
-        oracle = BudgetedOracle(QUAD)
-        newton_step(state, oracle, cfg, np.random.default_rng(0))
-        assert [n for n, _ in calls["probes"]] == [5]
-        assert np.array_equal(calls["grad_values"], calls["probes"][0][1])
-        assert oracle.evals_used == 5
+        return step(state, oracle, cfg, np.random.default_rng(0)), oracle
 
-    def test_no_reuse_passes_nothing(self, patched):
+    def test_reuse_passes_gradient_shift_prefix(self, probes):
+        # one probe of 2k+1 shifts; the gradient reads its values
+        cfg = NewtonConfig(objective=QUAD, budget=100, k=2, seed=0, reuse=True)
+        out, oracle = self.noisy_step(cfg)
+        assert [len(points) for points, _ in probes] == [5]
+        assert oracle.evals_used == 5
+        s = cfg.schedules
+        direction = _directions(cfg, 1)
+        hess = hessian_samples(probes[0][1], scaling_matrices(gaussian(), direction)[0],
+                               s.delta(1), 2, 2)
+        hbar1 = np.eye(2) + s.b(1) * (hess - np.eye(2))
+        g0 = gradient_samples(probes[0][1], direction[0], s.delta(1), 2)
+        expected = _project(-s.a(1) * clamped_newton_direction(hbar1, g0), cfg.box)
+        assert np.allclose(out.theta, expected, atol=1e-12)
+
+    def test_no_reuse_passes_nothing(self, probes):
         # the gradient reads a second, fresh probe of k+1 shifts
-        _, _, calls = patched
         cfg = NewtonConfig(objective=QUAD, budget=100, k=2, seed=0, reuse=False)
-        state = NewtonState(theta=np.zeros(2), hbar=np.eye(2), n=1)
-        oracle = BudgetedOracle(QUAD)
-        newton_step(state, oracle, cfg, np.random.default_rng(0))
-        assert [n for n, _ in calls["probes"]] == [5, 3]
-        assert np.array_equal(calls["grad_values"], calls["probes"][1][1])
+        out, oracle = self.noisy_step(cfg)
+        assert [len(points) for points, _ in probes] == [5, 3]
         assert oracle.evals_used == 8
+        (first_points, first), (second_points, second) = probes
+        # the same shifts, measured again under fresh noise
+        assert np.array_equal(second_points, first_points[:3])
+        assert not np.array_equal(second, first[:3])
+        s = cfg.schedules
+        direction = _directions(cfg, 1)
+        hess = hessian_samples(first, scaling_matrices(gaussian(), direction)[0], s.delta(1), 2, 2)
+        hbar1 = np.eye(2) + s.b(1) * (hess - np.eye(2))
+        g0 = gradient_samples(second, direction[0], s.delta(1), 2)
+        expected = _project(-s.a(1) * clamped_newton_direction(hbar1, g0), cfg.box)
+        assert np.allclose(out.theta, expected, atol=1e-12)
+        assert out.theta.tobytes() == self.noisy_step(cfg, _reference_step)[0].theta.tobytes()
 
 
 class TestGradientStep:
     """``newton_step`` on a gradient-only config."""
 
     @pytest.mark.parametrize("k", [1, 3])
-    def test_one_probe_and_clipped_gradient_move(self, patched, k):
-        _, g0, calls = patched
+    def test_one_probe_and_clipped_gradient_move(self, probes, k):
         cfg = NewtonConfig(
             objective=QUAD, budget=100, k=k, seed=0, box=Box(0.5, 2.0),
             algorithm="gradient_only",
         )
-        theta0 = np.array([1.0, 1.99])
+        theta0 = np.array([1.997, 1.99])
         hbar = np.array([[3.0, 0.5], [0.5, 1.0]])
         state = NewtonState(theta=theta0.copy(), hbar=hbar, n=1)
         oracle = BudgetedOracle(QUAD)
         out = newton_step(state, oracle, cfg, np.random.default_rng(0))
 
-        assert [n for n, _ in calls["probes"]] == [k + 1]
-        assert np.array_equal(calls["grad_values"], calls["probes"][0][1])
-        assert calls["grad_delta"] == cfg.schedules.delta(1)
-        expected = cfg.box.clip(theta0 - cfg.schedules.a(1) * g0)
+        s = cfg.schedules
+        direction = _directions(cfg, 1)
+        [(points, values)] = probes
+        # one probe of k+1 shifts, delta(1) apart along the drawn direction
+        assert np.array_equal(points, theta0 + ray_offsets(direction, s.delta(1), k + 1)[0])
+        g0 = gradient_samples(values, direction[0], s.delta(1), k)
+        expected = _project(theta0 - s.a(1) * g0, cfg.box)
         assert np.array_equal(out.theta, expected)
-        assert expected[1] == 2.0  # the clip is exercised
+        assert expected[0] == 2.0  # the projection is exercised
         assert out.hbar is hbar
         assert np.array_equal(hbar, [[3.0, 0.5], [0.5, 1.0]])
         assert out.n == 2
         assert oracle.evals_used == k + 1
-        assert "hess_delta" not in calls
 
     def test_budget_of_one_gradient_iteration_suffices(self):
         # priced at k+1 = 2, not the Newton 2k+1 = 3
@@ -379,6 +438,43 @@ class TestGradientStep:
         out = newton_step(state, oracle, cfg, np.random.default_rng(0))
         assert oracle.evals_used == 2
         assert out.n == 2
+
+
+class TestNewtonStepIsThePublicUpdate:
+    """Consecutive ``newton_step`` calls give the bits of the update built
+    from the public estimators, the solve and an explicit projection."""
+
+    @pytest.mark.parametrize(
+        "hessian,reuse", [(True, True), (True, False), (False, True)],
+        ids=["newton-reuse", "newton-fresh", "gradient"],
+    )
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("spec", [gaussian(), uniform(1.0)], ids=["gaussian", "uniform"])
+    @pytest.mark.parametrize("sigma", [0.0, 0.01])
+    def test_same_bits(self, hessian, reuse, k, spec, sigma):
+        cfg = NewtonConfig(
+            objective=rastrigin(3),
+            budget=100,
+            k=k,
+            noise=LinearGaussianNoise(sigma),
+            perturbation=spec,
+            reuse=reuse,
+            algorithm="newton" if hessian else "gradient_only",
+        )
+        oracles = [
+            BudgetedOracle(cfg.objective, cfg.noise, None, np.random.default_rng(1))
+            for _ in range(2)
+        ]
+        rngs = [np.random.default_rng(2) for _ in range(2)]
+        state = ref = NewtonState(theta=np.array([2.4, -2.4, 0.3]), hbar=np.eye(3), n=1)
+        for _ in range(5):
+            state = newton_step(state, oracles[0], cfg, rngs[0])
+            ref = _reference_step(ref, oracles[1], cfg, rngs[1])
+            assert state.theta.tobytes() == ref.theta.tobytes()
+            assert state.hbar.tobytes() == ref.hbar.tobytes()
+            assert state.n == ref.n
+        cost = iteration_cost(k, reuse, hessian)
+        assert oracles[0].evals_used == oracles[1].evals_used == 5 * cost
 
 
 class TestDraw:

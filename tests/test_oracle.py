@@ -128,6 +128,15 @@ class TestQuadratic:
         with pytest.raises(ValueError):
             quadratic(np.eye(2), np.ones(3))
 
+    def test_non_finite_coefficients_named(self):
+        # NaN is not read as an asymmetry
+        with pytest.raises(ValueError, match=r"^A must be finite, got \[\[nan, 0.0\]"):
+            quadratic(np.diag([np.nan, 1.0]))
+        with pytest.raises(ValueError, match=r"^A must be finite"):
+            quadratic(np.diag([np.inf, 1.0]))
+        with pytest.raises(ValueError, match=r"^b must be finite, got \[1.0, -inf\]$"):
+            quadratic(np.eye(2), np.array([1.0, -np.inf]))
+
 
 class TestQuartic:
     def test_derivatives(self):
