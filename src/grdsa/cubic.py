@@ -275,9 +275,11 @@ def _batched_estimates(theta, oracle, cfg, rng):
 
     With reuse, the first ``min(m, b)`` gradient draws read the Hessian
     batch's shift-0..k measurements; the rest draw their own directions
-    and probe them at ``k+1`` shifts.  Each gradient draw is formed in
-    place in its direction row, so a step holds about two ``(max(m, b), d)``
-    arrays; the Hessian batch's rows are overwritten only after
+    and probe them at ``k+1`` shifts.  Each gradient draw is written once,
+    into its direction row when every draw comes from one batch, or into
+    one ``(m, d)`` buffer when shared and fresh draws are mixed.  So a step
+    at ``m <= b`` holds one ``(max(m, b), d)`` batch plus one probe block;
+    the Hessian batch's rows are overwritten only after
     :func:`~grdsa.estimators.hessian_mean` has read them.
     """
     spec, k, delta = cfg.perturbation, cfg.k, cfg.delta
@@ -286,24 +288,25 @@ def _batched_estimates(theta, oracle, cfg, rng):
     values = probe(oracle, theta, directions, delta, 2 * k + 1)
     hess = hessian_mean(values, directions, delta, k, k, spec)
     shared = min(cfg.m, cfg.b) if cfg.reuse else 0
-    parts = []
+    draws = None
     if shared:  # even an empty view would keep the spent batch alive
-        parts.append(_gradient_draws(directions[:shared], values[:shared], factor, delta, k))
+        draws = directions[:shared] if shared == cfg.m else np.empty((cfg.m, theta.size))
+        _gradient_draws(directions[:shared], values[:shared], factor, delta, k, draws[:shared])
     del directions, values  # free the spent batch before the fresh probe
     if cfg.m > shared:
         fresh = spec.sample(rng, (cfg.m - shared, theta.size))
         fresh_values = probe(oracle, theta, fresh, delta, k + 1)
-        parts.append(_gradient_draws(fresh, fresh_values, factor, delta, k))
-    samples = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    return hess, samples.mean(axis=0)
+        draws = fresh if draws is None else draws
+        _gradient_draws(fresh, fresh_values, factor, delta, k, draws[shared:])
+    return hess, draws.mean(axis=0)
 
 
-def _gradient_draws(directions, values, factor, delta, k):
-    """``gradient_samples(values, factor * directions, delta, k)``, written over
-    ``directions``: the same two roundings, ``(factor * Delta) * slope``."""
-    directions *= factor
-    directions *= gradient_slopes(values, delta, k)[:, None]
-    return directions
+def _gradient_draws(directions, values, factor, delta, k, out):
+    """``gradient_samples(values, factor * directions, delta, k)`` written into
+    ``out``, which may be ``directions``: the same two roundings,
+    ``(factor * Delta) * slope``."""
+    np.multiply(directions, factor, out=out)
+    out *= gradient_slopes(values, delta, k)[:, None]
 
 
 @dataclass

@@ -70,8 +70,9 @@ def measure(oracle: BudgetedOracle, points: np.ndarray) -> np.ndarray:
     return values
 
 
-#: floats of probe points one oracle call is given (2**14, about 128 KB)
-BLOCK_FLOATS = 2**14
+#: floats of one block (2**13, 64 KB): the probe points one oracle call is
+#: given, and the weighted directions one step of :func:`hessian_mean` sums
+BLOCK_FLOATS = 2**13
 
 
 def probe(
@@ -87,10 +88,10 @@ def probe(
     oracle's value at ``theta + (delta*s)*directions[i]``, and every value
     must be finite.  The points go to the oracle in blocks of consecutive
     directions, about :data:`BLOCK_FLOATS` floats each, so a probe holds
-    its values plus one block, not all ``n * n_shifts * d`` points.  The
-    whole cost is checked against the budget before the first block, so a
-    probe is all-or-nothing on budget (a non-finite value raises after its
-    block is charged).  Noise is drawn row by row, so for an objective
+    its values plus one block and the objective's temporaries for it, not
+    all ``n * n_shifts * d`` points.  The whole cost is checked against the
+    budget before the first block, so a probe is all-or-nothing on budget
+    (a non-finite value raises after its block is charged).  Noise is drawn row by row, so for an objective
     whose rows keep the bits of their own calls, as every objective in
     :mod:`grdsa.oracle` does, the values equal one draw-major call's.
     """
@@ -161,20 +162,31 @@ def hessian_mean(
     k2: int | None,
     spec: PerturbationSpec,
 ) -> np.ndarray:
-    """Mean of the one-draw Hessian estimates of a probe matrix in ``O(d**2)`` memory.
+    """Mean of the one-draw Hessian estimates of a probe matrix, in one block plus ``O(d**2)``.
 
     The mean of ``M(Delta_i) q_i`` is ``M`` applied to the quadratic-form
     weighted outer-product mean, so no ``(n, d, d)`` stack is built.  That
-    product rounds asymmetrically, so the mean is returned as its symmetric
-    part ``(H + H^T) / 2``: exactly symmetric, as each draw's estimate is.
+    sum ``D^T (D * q)`` is taken over blocks of ``max(1, BLOCK_FLOATS // d)``
+    consecutive rows, in row order: the first block's product is assigned
+    and each later one's added, so beyond its inputs the function holds one
+    block of weighted directions, not a second ``(n, d)`` array.  A batch of
+    one block is one matmul.  The product rounds asymmetrically, so the
+    mean is returned as its symmetric part ``(H + H^T) / 2``: exactly
+    symmetric, as each draw's estimate is.
     """
     quads = _quads(values, delta, k1, k2)
     n, d = directions.shape
-    # repeated, then scaled: directions * quads[:, None] would allocate a hidden buffer
-    weighted = np.repeat(quads, d).reshape(n, d)
-    weighted *= directions
-    outer_mean = directions.T @ weighted
-    del weighted  # the (n, d) weights are spent before the (d, d) work that follows
+    rows = max(1, BLOCK_FLOATS // d)
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        # repeated, then scaled: directions * quads[:, None] would allocate a hidden buffer
+        weighted = np.repeat(quads[block], d).reshape(-1, d)
+        weighted *= directions[block]
+        if start == 0:
+            outer_mean = directions[block].T @ weighted
+        else:
+            outer_mean += directions[block].T @ weighted
+        del weighted  # spent before the next block is built
     outer_mean /= n
     mean = apply_scaling(spec, outer_mean, quads.mean())
     return 0.5 * (mean + mean.T)
@@ -210,8 +222,8 @@ def batch_hessian(
     """Mean of the order-``(k1, k2)`` one-draw Hessian estimates along ``(n, d)`` directions.
 
     Consumes ``n * (k1 + k2 + 1)`` measurements, streamed by :func:`probe`
-    (``k2`` None means ``k1``); the mean is :func:`hessian_mean`, in
-    ``O(d**2)`` memory beyond the directions.
+    (``k2`` None means ``k1``); the mean is :func:`hessian_mean`, in one
+    block plus ``O(d**2)`` memory beyond the directions and values.
     """
     theta, directions = _check_inputs(theta, directions, delta)
     values = probe(oracle, theta, directions, delta, hess_weights(k1, k2).size)

@@ -371,7 +371,14 @@ def newton_step(
 ) -> NewtonState:
     """Advance one iteration of ``cfg.algorithm``, of ``iteration_cost``
     evaluations: :func:`run_newton`'s :func:`_iterations` on a block of one
-    draw.  The gradient-only baseline passes ``hbar`` through unchanged."""
+    draw.  The gradient-only baseline passes ``hbar`` through unchanged.
+
+    A Newton step's solve reads only the lower triangle of ``hbar``, so an
+    ``hbar`` that is not exactly symmetric raises ``ValueError``; every
+    average a run forms is exactly symmetric.
+    """
+    if cfg.algorithm == "newton" and not np.array_equal(state.hbar, state.hbar.T):
+        raise ValueError("hbar must be exactly symmetric for a Newton step")
     draws = _draw(cfg, rng, state.n, 1, state.theta.size)
     ((theta, hbar),) = _iterations(state.theta, state.hbar, oracle, cfg, draws)
     return NewtonState(theta=theta, hbar=hbar, n=state.n + 1)

@@ -304,18 +304,22 @@ class TestCrzonStep:
         return hess, samples.mean(axis=0)
 
     @pytest.mark.parametrize("reuse", [True, False])
-    @pytest.mark.parametrize("m,b", [(1024, 1024), (4096, 1024)])
+    @pytest.mark.parametrize("m,b", [(1024, 1024), (4096, 1024), (8192, 8192)])
     def test_step_memory_is_a_few_direction_batches(self, m, b, reuse, peak_bytes):
-        # no (b, d, d) scaling stack and no (b, 2k+1, d) point array: the
-        # probe streams its points, and the gradient draws are formed in
-        # their direction rows, so a step holds two (max(m, b), d) arrays
+        # no (b, d, d) scaling stack, no (b, 2k+1, d) point array and no
+        # second (b, d) weight array: the probe streams its points, the
+        # Hessian mean sums block by block, and each gradient draw is written
+        # once, so a step holds one (max(m, b), d) batch plus one probe block
+        # (with reuse and m > b, the (m, d) draws beside the fresh batch)
         d = 50
         cfg = CubicConfig(
             objective=rastrigin(d), k=1, m=m, b=b, delta=0.1, alpha=2.0, reuse=reuse
         )
         oracle, rng = BudgetedOracle(cfg.objective), np.random.default_rng(0)
         peak = peak_bytes(lambda: crzon_step(np.full(d, 0.5), oracle, cfg, rng))
-        assert peak < 2.5 * max(m, b) * d * 8
+        # at (8192, 8192) the probe block is small beside the batch
+        batches = 1.25 if (m, b) == (8192, 8192) else 2.0
+        assert peak < batches * max(m, b) * d * 8
 
 
 class TestRunCrzon:

@@ -298,6 +298,44 @@ class TestUnbufferedProducts:
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
+class TestHessianMeanBlocks:
+    """``hessian_mean`` sums ``D^T (D * q)`` over blocks of ``BLOCK_FLOATS // d``
+    rows, in row order, and holds one block of weighted directions at a time."""
+
+    @staticmethod
+    def _probe(spec, n, d, k):
+        dirs = spec.sample(np.random.default_rng(11), (n, d))
+        values = probe(BudgetedOracle(rastrigin(d)), np.full(d, 0.3), dirs, 0.1, 2 * k + 1)
+        return values, dirs
+
+    @pytest.mark.parametrize("spec", [gaussian(), uniform(0.7), LITERAL])
+    def test_equals_the_block_by_block_sum(self, spec):
+        n_blocks, d, delta, k = 4, 20, 0.1, 1
+        rows = BLOCK_FLOATS // d
+        n = (n_blocks - 1) * rows + 7  # the last block partial
+        values, dirs = self._probe(spec, n, d, k)
+        quads = values @ hess_weights(k, k) / delta**2
+        blocks = [slice(start, start + rows) for start in range(0, n, rows)]
+        assert len(blocks) == n_blocks
+        outer = dirs[blocks[0]].T @ (dirs[blocks[0]] * quads[blocks[0], None])
+        for block in blocks[1:]:
+            outer += dirs[block].T @ (dirs[block] * quads[block, None])
+        outer /= n
+        mean = apply_scaling(spec, outer, quads.mean())
+        expected = 0.5 * (mean + mean.T)
+        got = hessian_mean(values, dirs, delta, k, k, spec)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_memory_is_one_block_beyond_the_inputs(self, peak_bytes):
+        # the quadratic forms, one block of weighted directions and a few
+        # (d, d) matrices, not a second (n, d) array (1.6 MB here)
+        n, d = 4096, 50
+        values, dirs = self._probe(gaussian(), n, d, 1)
+        peak = peak_bytes(lambda: hessian_mean(values, dirs, 0.1, 1, 1, gaussian()))
+        block = (BLOCK_FLOATS // d) * d * 8
+        assert peak < n * 8 + block + 4 * d * d * 8
+
+
 def _previous_gradient_samples(values, directions, delta, k, spec):
     slopes = values[..., : k + 1] @ grad_weights(k) / delta
     return gradient_unbias_factor(spec) * directions * slopes[..., None]

@@ -14,9 +14,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from grdsa.cubic import run_crzon
+from grdsa.cubic import CubicConfig, crzon_step, run_crzon
 from grdsa.harness import build_cubic_config, build_newton_config, run_table
 from grdsa.newton import run_newton
+from grdsa.oracle import BudgetedOracle, LinearGaussianNoise, rastrigin
 from grdsa.stencils import (
     MAX_ORDER,
     grad_stencil,
@@ -64,6 +65,14 @@ CRZON_GOLDEN = {
     (3, 5, 1, 2, False): (
         84, 3, "a994d62fae5d3fbe1d8a8a0c183613d144239f470851f5c72db3d3825a14ff42"
     ),
+}
+
+#: reuse -> sha256 of the new theta bytes of one crzon_step on rastrigin(50),
+#: k=1, m=b=1024, delta 0.1, sigma 0.001, the default alpha.  A batch this
+#: size spans several blocks of hessian_mean, so its summation order shows.
+CRZON_STEP_GOLDEN = {
+    True: "fa45a5ac94c24e0fc5e882d301834bb12dd49252dfde8a41a5f914d5c3bb971a",
+    False: "dd6ee821645b22c352bdcb204a6aeec8a7edf5bd8bdfa5b1e55b9e0e48ad1713",
 }
 
 #: (algorithm, reuse, record_stride) -> (iterations, evals_used,
@@ -167,6 +176,18 @@ def test_crzon_bits(key):
     rep = run_crzon(cfg)
     digest = hashlib.sha256(rep.theta_r.tobytes()).hexdigest()
     assert (rep.evals_used, rep.r_index, digest) == CRZON_GOLDEN[key]
+
+
+@pytest.mark.parametrize("reuse", [True, False])
+def test_crzon_step_bits(reuse):
+    cfg = CubicConfig(
+        objective=rastrigin(50), k=1, m=1024, b=1024, delta=0.1,
+        noise=LinearGaussianNoise(0.001), reuse=reuse,
+    )
+    oracle = BudgetedOracle(cfg.objective, cfg.noise, None, np.random.default_rng(1))
+    theta, _ = crzon_step(np.linspace(-0.9, 0.9, 50), oracle, cfg, np.random.default_rng(0))
+    assert hashlib.sha256(theta.tobytes()).hexdigest() == CRZON_STEP_GOLDEN[reuse]
+    assert oracle.evals_used == cfg.step_cost()
 
 
 ORDERS = range(1, MAX_ORDER + 1)

@@ -400,6 +400,19 @@ class TestNewtonStep:
         assert np.allclose(out.theta, expected, atol=1e-12)
         assert out.theta.tobytes() == self.noisy_step(cfg, _reference_step)[0].theta.tobytes()
 
+    def test_asymmetric_hbar_raises(self):
+        # the solve reads only the lower triangle, so [[0, 1], [0, 0]] would
+        # be solved as the zero matrix, not as its symmetric part
+        cfg = NewtonConfig(objective=QUAD, budget=100, k=1, seed=0)
+        state = NewtonState(theta=np.ones(2), hbar=np.array([[0.0, 1.0], [0.0, 0.0]]), n=1)
+        oracle = BudgetedOracle(QUAD)
+        with pytest.raises(ValueError, match="hbar"):
+            newton_step(state, oracle, cfg, np.random.default_rng(0))
+        assert oracle.evals_used == 0
+        # the gradient-only baseline never reads hbar and passes it through
+        cfg = replace(cfg, algorithm="gradient_only")
+        assert newton_step(state, oracle, cfg, np.random.default_rng(0)).hbar is state.hbar
+
 
 class TestGradientStep:
     """``newton_step`` on a gradient-only config."""

@@ -12,6 +12,11 @@ from __future__ import annotations
 import importlib
 from pathlib import Path
 
+import pytest
+
+from grdsa.cubic import CubicConfig, run_crzon
+from grdsa.oracle import LinearGaussianNoise, rastrigin
+
 ROOT = Path(__file__).resolve().parents[1]
 
 #: targets the package no longer defines; deleting them from the tracer
@@ -32,9 +37,25 @@ STALE = [
 ]
 
 
-def test_only_the_stale_targets_are_skipped(monkeypatch):
+def _tracer(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    tracer = importlib.import_module("tracer")
-    with tracer.Tracer() as t:
+    return importlib.import_module("tracer")
+
+
+def test_only_the_stale_targets_are_skipped(monkeypatch):
+    with _tracer(monkeypatch).Tracer() as t:
         pass
     assert t.skipped == STALE
+
+
+@pytest.mark.parametrize("reuse", [True, False])
+def test_traced_oracle_evals_equal_the_report(monkeypatch, reuse):
+    # d = 50 and b = 200 make every probe several oracle calls
+    cfg = CubicConfig(
+        objective=rastrigin(50), k=1, n_steps=2, m=300, b=200, delta=0.1,
+        noise=LinearGaussianNoise(0.001), seed=0, reuse=reuse,
+    )
+    with _tracer(monkeypatch).Tracer() as t:
+        report = run_crzon(cfg)
+    assert t.summary()["oracle.evaluate_many"].calls > 2 * cfg.n_steps
+    assert t.counters["oracle.evals"] == report.evals_used == 2 * cfg.step_cost()
