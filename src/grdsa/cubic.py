@@ -275,38 +275,22 @@ def _batched_estimates(theta, oracle, cfg, rng):
 
     With reuse, the first ``min(m, b)`` gradient draws read the Hessian
     batch's shift-0..k measurements; the rest draw their own directions
-    and probe them at ``k+1`` shifts.  Each gradient draw is written once,
-    into its direction row when every draw comes from one batch, or into
-    one ``(m, d)`` buffer when shared and fresh draws are mixed.  So a step
-    at ``m <= b`` holds one ``(max(m, b), d)`` batch plus one probe block;
-    the Hessian batch's rows are overwritten only after
-    :func:`~grdsa.estimators.hessian_mean` has read them.
+    and probe them at ``k+1`` shifts.  The gradient mean
+    ``factor * D^T s / m`` (:func:`~grdsa.estimators.gradient_mean`) is
+    summed over the shared rows, then, once the Hessian batch is freed,
+    over the fresh ones: a step holds one direction batch plus one probe block.
     """
     spec, k, delta = cfg.perturbation, cfg.k, cfg.delta
-    factor = gradient_unbias_factor(spec)
     directions = spec.sample(rng, (cfg.b, theta.size))
     values = probe(oracle, theta, directions, delta, 2 * k + 1)
     hess = hessian_mean(values, directions, delta, k, k, spec)
     shared = min(cfg.m, cfg.b) if cfg.reuse else 0
-    draws = None
-    if shared:  # even an empty view would keep the spent batch alive
-        draws = directions[:shared] if shared == cfg.m else np.empty((cfg.m, theta.size))
-        _gradient_draws(directions[:shared], values[:shared], factor, delta, k, draws[:shared])
+    total = directions[:shared].T @ gradient_slopes(values[:shared], delta, k)
     del directions, values  # free the spent batch before the fresh probe
     if cfg.m > shared:
         fresh = spec.sample(rng, (cfg.m - shared, theta.size))
-        fresh_values = probe(oracle, theta, fresh, delta, k + 1)
-        draws = fresh if draws is None else draws
-        _gradient_draws(fresh, fresh_values, factor, delta, k, draws[shared:])
-    return hess, draws.mean(axis=0)
-
-
-def _gradient_draws(directions, values, factor, delta, k, out):
-    """``gradient_samples(values, factor * directions, delta, k)`` written into
-    ``out``, which may be ``directions``: the same two roundings,
-    ``(factor * Delta) * slope``."""
-    np.multiply(directions, factor, out=out)
-    out *= gradient_slopes(values, delta, k)[:, None]
+        total += fresh.T @ gradient_slopes(probe(oracle, theta, fresh, delta, k + 1), delta, k)
+    return hess, total * (gradient_unbias_factor(spec) / cfg.m)
 
 
 @dataclass

@@ -7,9 +7,9 @@ in blocks of directions.  The Hessian reduction reads all ``2k+1``
 columns of that value matrix; the gradient reduction reads the first ``k+1``,
 which is what measurement reuse exploits.  :func:`batch_gradient` and
 :func:`batch_hessian` average the one-draw estimates along directions the
-caller has drawn; a single draw is the one-row call.  A caller that needs
-the draws themselves reduces a probe with :func:`gradient_samples` or
-:func:`hessian_samples`.
+caller has drawn, through :func:`gradient_mean` and :func:`hessian_mean`; a
+single draw is the one-row call.  A caller that needs the draws themselves
+reduces a probe with :func:`gradient_samples` or :func:`hessian_samples`.
 """
 
 from __future__ import annotations
@@ -130,6 +130,23 @@ def gradient_samples(
     return directions * (slopes[:, None] if slopes.ndim else slopes)
 
 
+def gradient_mean(
+    values: np.ndarray,
+    directions: np.ndarray,
+    delta: float,
+    k: int,
+    spec: PerturbationSpec,
+) -> np.ndarray:
+    """Mean of the one-draw gradient estimates of a probe matrix, in ``O(n + d)``.
+
+    The mean of ``factor * Delta_i * s_i`` over the ``(n, d)`` directions is
+    ``factor * D^T s / n``: one matrix-vector product with the slopes, so
+    no ``(n, d)`` array of draws is built.
+    """
+    factor = gradient_unbias_factor(spec) / len(directions)
+    return directions.T @ gradient_slopes(values, delta, k) * factor
+
+
 def _quads(values: np.ndarray, delta: float, k1: int, k2: int | None) -> np.ndarray:
     """Second directional derivative per draw, from all ``k1+k2+1`` columns."""
     return values @ hess_weights(k1, k2) / delta**2
@@ -206,8 +223,7 @@ def batch_gradient(
     """
     theta, directions = _check_inputs(theta, directions, delta)
     values = probe(oracle, theta, directions, delta, k + 1)
-    samples = gradient_samples(values, gradient_unbias_factor(spec) * directions, delta, k)
-    return samples.mean(axis=0)
+    return gradient_mean(values, directions, delta, k, spec)
 
 
 def batch_hessian(
@@ -257,15 +273,15 @@ def gradient_deviation(
         raise ValueError("objective must provide an analytic gradient")
     theta, directions = _check_inputs(theta, directions, delta)
     values = probe(BudgetedOracle(objective), theta, directions, delta, k + 1)
-    scaled = gradient_unbias_factor(spec) * directions
-    estimates = gradient_samples(values, scaled, delta, k)
 
     grad = np.asarray(objective.gradient(theta), dtype=float)
     if mode == "residual":
+        scaled = gradient_unbias_factor(spec) * directions
+        estimates = gradient_samples(values, scaled, delta, k)
         leading = scaled * (directions @ grad)[:, None]
         return float(np.linalg.norm(estimates - leading, axis=1).mean())
     if mode == "mean_bias":
-        return float(np.linalg.norm(estimates.mean(axis=0) - grad))
+        return float(np.linalg.norm(gradient_mean(values, directions, delta, k, spec) - grad))
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -284,10 +284,15 @@ _OBJECTIVES = {
 
 
 def make_objective(config: dict) -> Objective:
+    """The objective named by ``objective``, which must be ``dim``-dimensional."""
     name = setting(config, "objective")
     if name not in _OBJECTIVES:
         raise ValueError(f"unknown objective {name!r} (one of {', '.join(_OBJECTIVES)})")
-    return _OBJECTIVES[name](config, setting(config, "dim"))
+    dim = setting(config, "dim")
+    objective = _OBJECTIVES[name](config, dim)
+    if objective.dim != dim:
+        raise ValueError(f"objective {name!r} is {objective.dim}-dimensional, but dim is {dim}")
+    return objective
 
 
 def make_noise(config: dict) -> LinearGaussianNoise | None:
@@ -380,10 +385,16 @@ class TableResult:
 
 
 def table_cells(config: dict) -> Iterator[tuple[MethodSpec, dict]]:
-    """Each method x dim x budget cell of a table, with the config its runs build from."""
-    methods = [method_spec(name) for name in setting(config, "methods")]
+    """Each method x dim x budget cell of a table, with the config its runs
+    build from; a method, dim or budget listed twice is an error."""
+    names = setting(config, "methods")
+    methods = [method_spec(name) for name in names]
     dims = setting(config, "dims", [setting(config, "dim")])
     budgets = setting(config, "budgets", [setting(config, "budget")])
+    for key, values in (("methods", names), ("dims", dims), ("budgets", budgets)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"{key} lists {value!r} more than once")
     for method, dim, budget in itertools.product(methods, dims, budgets):
         sub = dict(config, dim=dim, budget=budget, algorithm=method.algorithm)
         sub["estimator"] = dict(_lookup(config, "estimator") or {}, k=method.k)
@@ -486,7 +497,8 @@ class BiasSweep(typing.NamedTuple):
 def bias_sweep_settings(config: dict) -> BiasSweep:
     """The bias sweep's settings: a known ``estimator_kind`` and ``mode``,
     supported orders (``k`` overrides ``k1``, ``k2`` defaults to it),
-    positive finite ``deltas``, at least one sample and a finite ``theta``."""
+    positive finite ``deltas``, at least one sample and a finite ``theta``
+    of the objective's shape."""
     estimator = setting(config, "estimator_kind")
     if estimator not in ("gradient", "hessian"):
         raise ValueError(f"estimator_kind must be one of gradient, hessian, got {estimator!r}")
@@ -507,8 +519,12 @@ def bias_sweep_settings(config: dict) -> BiasSweep:
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     theta = setting(config, "theta")
-    if theta is not None and not np.isfinite(theta).all():
-        raise ValueError(f"theta must be finite, got {theta.tolist()}")
+    if theta is not None:
+        if not np.isfinite(theta).all():
+            raise ValueError(f"theta must be finite, got {theta.tolist()}")
+        dim = make_objective(config).dim
+        if theta.shape != (dim,):
+            raise ValueError(f"theta must have shape ({dim},), got {theta.shape}")
     return BiasSweep(estimator, k1, k2, mode, deltas, samples)
 
 

@@ -21,6 +21,7 @@ from grdsa.cubic import (
 from grdsa.estimators import (
     NonFiniteEvaluation,
     batch_hessian,
+    gradient_mean,
     gradient_samples,
     hessian_mean,
     probe,
@@ -269,56 +270,55 @@ class TestCrzonStep:
     @pytest.mark.parametrize("spec", [gaussian(), uniform(0.7)], ids=["gaussian", "uniform"])
     @pytest.mark.parametrize("reuse", [True, False])
     @pytest.mark.parametrize("m", [16, 32, 128])
-    def test_in_place_gradient_draws_keep_the_bits(self, spec, reuse, m):
-        # forming the draws over their direction rows rounds as
-        # gradient_samples(values, factor * directions, ...) does
+    def test_gradient_is_gradient_mean(self, spec, reuse, m):
+        # the step's gradient is gradient_mean over its draws: bit for bit
+        # when they come from one batch, to rounding when reuse mixes the
+        # Hessian batch's rows with fresh ones
         cfg = CubicConfig(
             objective=rastrigin(4), k=2, m=m, b=32, delta=0.1, alpha=2.0,
             noise=LinearGaussianNoise(0.01), perturbation=spec, reuse=reuse,
         )
         theta = np.array([0.5, -0.3, 0.8, 0.1])
-        got = _batched_estimates(theta, self._oracle(cfg), cfg, np.random.default_rng(3))
-        want = self._out_of_place(theta, self._oracle(cfg), cfg, np.random.default_rng(3))
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
+        hess, grad = _batched_estimates(theta, self._oracle(cfg), cfg, np.random.default_rng(3))
+        k, delta, rng, oracle = cfg.k, cfg.delta, np.random.default_rng(3), self._oracle(cfg)
+        dirs = spec.sample(rng, (cfg.b, theta.size))
+        values = probe(oracle, theta, dirs, delta, 2 * k + 1)
+        assert hess.tobytes() == hessian_mean(values, dirs, delta, k, k, spec).tobytes()
+        shared = min(m, cfg.b) if reuse else 0
+        batches = [(values[:shared], dirs[:shared])] if shared else []
+        if m > shared:
+            fresh = spec.sample(rng, (m - shared, theta.size))
+            batches.append((probe(oracle, theta, fresh, delta, k + 1), fresh))
+        if len(batches) == 1:
+            want = gradient_mean(*batches[0], delta, k, spec)
+            assert grad.tobytes() == want.tobytes()
+        else:
+            factor = gradient_unbias_factor(spec)
+            samples = [gradient_samples(v, factor * d, delta, k) for v, d in batches]
+            want = np.concatenate(samples).mean(axis=0)
+            assert np.allclose(grad, want, rtol=1e-12, atol=0)
 
     @staticmethod
     def _oracle(cfg):
         return BudgetedOracle(cfg.objective, cfg.noise, None, np.random.default_rng(8))
 
-    @staticmethod
-    def _out_of_place(theta, oracle, cfg, rng):
-        spec, k, delta = cfg.perturbation, cfg.k, cfg.delta
-        factor = gradient_unbias_factor(spec)
-        dirs = spec.sample(rng, (cfg.b, theta.size))
-        values = probe(oracle, theta, dirs, delta, 2 * k + 1)
-        hess = hessian_mean(values, dirs, delta, k, k, spec)
-        shared = min(cfg.m, cfg.b) if cfg.reuse else 0
-        samples = gradient_samples(values[:shared], factor * dirs[:shared], delta, k)
-        if cfg.m > shared:
-            fresh = spec.sample(rng, (cfg.m - shared, theta.size))
-            fresh_values = probe(oracle, theta, fresh, delta, k + 1)
-            samples = np.concatenate(
-                [samples, gradient_samples(fresh_values, factor * fresh, delta, k)]
-            )
-        return hess, samples.mean(axis=0)
-
     @pytest.mark.parametrize("reuse", [True, False])
     @pytest.mark.parametrize("m,b", [(1024, 1024), (4096, 1024), (8192, 8192)])
     def test_step_memory_is_a_few_direction_batches(self, m, b, reuse, peak_bytes):
-        # no (b, d, d) scaling stack, no (b, 2k+1, d) point array and no
-        # second (b, d) weight array: the probe streams its points, the
-        # Hessian mean sums block by block, and each gradient draw is written
-        # once, so a step holds one (max(m, b), d) batch plus one probe block
-        # (with reuse and m > b, the (m, d) draws beside the fresh batch)
+        # no (b, d, d) scaling stack, no (b, 2k+1, d) point array, no
+        # second (b, d) weight array and no (m, d) gradient draws: the probe
+        # streams its points, the Hessian mean sums block by block and the
+        # gradient mean is one product per batch, so a step holds one
+        # (max(m, b), d) batch plus one probe block
         d = 50
         cfg = CubicConfig(
             objective=rastrigin(d), k=1, m=m, b=b, delta=0.1, alpha=2.0, reuse=reuse
         )
         oracle, rng = BudgetedOracle(cfg.objective), np.random.default_rng(0)
         peak = peak_bytes(lambda: crzon_step(np.full(d, 0.5), oracle, cfg, rng))
-        # at (8192, 8192) the probe block is small beside the batch
-        batches = 1.25 if (m, b) == (8192, 8192) else 2.0
+        # at (8192, 8192) the probe block is small beside the batch; with
+        # reuse at (4096, 1024) the fresh (m - b, d) batch is the largest
+        batches = 1.25 if (m, b) == (8192, 8192) or (m > b and reuse) else 2.0
         assert peak < batches * max(m, b) * d * 8
 
 

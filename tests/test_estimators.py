@@ -14,6 +14,7 @@ from grdsa.estimators import (
     batch_hessian,
     fit_loglog_slope,
     gradient_deviation,
+    gradient_mean,
     gradient_samples,
     hessian_deviation,
     hessian_mean,
@@ -334,6 +335,29 @@ class TestHessianMeanBlocks:
         peak = peak_bytes(lambda: hessian_mean(values, dirs, 0.1, 1, 1, gaussian()))
         block = (BLOCK_FLOATS // d) * d * 8
         assert peak < n * 8 + block + 4 * d * d * 8
+
+
+class TestGradientMean:
+    """``gradient_mean`` is ``factor * D^T s / n``: the mean of the one-draw
+    gradient estimates, without forming them."""
+
+    @pytest.mark.parametrize("spec", [gaussian(), uniform(0.7)])
+    def test_mean_of_the_samples(self, spec):
+        n, d, k = 300, 3, 2
+        dirs = spec.sample(np.random.default_rng(12), (n, d))
+        values = probe(BudgetedOracle(quartic(d)), np.full(d, 0.4), dirs, 0.1, k + 1)
+        samples = gradient_samples(values, gradient_unbias_factor(spec) * dirs, 0.1, k)
+        got = gradient_mean(values, dirs, 0.1, k, spec)
+        assert np.allclose(got, samples.mean(axis=0), rtol=1e-12, atol=0)
+
+    def test_memory_is_o_n_plus_d_beyond_the_inputs(self, peak_bytes):
+        # the slopes and a few (d,) vectors, not an (n, d) array of draws
+        # (1.6 MB here)
+        n, d = 4096, 50
+        dirs = gaussian().sample(np.random.default_rng(13), (n, d))
+        values = probe(BudgetedOracle(rastrigin(d)), np.full(d, 0.3), dirs, 0.1, 2)
+        peak = peak_bytes(lambda: gradient_mean(values, dirs, 0.1, 1, gaussian()))
+        assert peak < 3 * n * 8 + 4 * d * 8
 
 
 def _previous_gradient_samples(values, directions, delta, k, spec):

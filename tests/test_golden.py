@@ -54,16 +54,16 @@ BENCHMARK_TABLE_GOLDEN = {
 #: (m, b, k, seed, reuse) -> (evals_used, r_index, sha256 of theta_r bytes)
 CRZON_GOLDEN = {
     (6, 4, 2, 1, True): (
-        104, 1, "a0985e8ed9faab73584d94e65bfda4eee617abf7852441f8486d4c191ef5f7db"
+        104, 1, "2523e82259be31ab5e9b88be8732cd1c653cbef82928c1d5c5699b642b0397f4"
     ),
     (6, 4, 2, 1, False): (
         152, 1, "ba9e2c43a759870cc1cd3b2ddd92d4a721bc192ef0cfb613dbdf544690462913"
     ),
     (3, 5, 1, 2, True): (
-        60, 3, "8a52c8c261a4913998137831e755757eaba973b4798d5205dcdda941bb0bbe71"
+        60, 3, "be37fb52bcbfe965c21a0cfc8c23a9fb7fca099e1799e414907259704fd5fd66"
     ),
     (3, 5, 1, 2, False): (
-        84, 3, "a994d62fae5d3fbe1d8a8a0c183613d144239f470851f5c72db3d3825a14ff42"
+        84, 3, "af9a57d247a1995d9d5208a990c9cd1459f1692b9e613809431ddd5d9796cc21"
     ),
 }
 
@@ -71,8 +71,8 @@ CRZON_GOLDEN = {
 #: k=1, m=b=1024, delta 0.1, sigma 0.001, the default alpha.  A batch this
 #: size spans several blocks of hessian_mean, so its summation order shows.
 CRZON_STEP_GOLDEN = {
-    True: "fa45a5ac94c24e0fc5e882d301834bb12dd49252dfde8a41a5f914d5c3bb971a",
-    False: "dd6ee821645b22c352bdcb204a6aeec8a7edf5bd8bdfa5b1e55b9e0e48ad1713",
+    True: "f89eb391fe59930c5d5e51cc05c9ce1dd73a3eed1525654eb71e5803ee83c5a2",
+    False: "a024ed79c45f25f4dd68a76d7d1433fb5c4285899cd13e4dfba33637224dd2c1",
 }
 
 #: (algorithm, reuse, record_stride) -> (iterations, evals_used,

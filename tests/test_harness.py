@@ -550,6 +550,22 @@ class TestValidateConfig:
         with pytest.raises(ValueError, match="dim must be >= 1"):
             build_newton_config(config)
 
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ({"objective": "saddle", "dims": [2, 7]},
+             "objective 'saddle' is 2-dimensional, but dim is 7"),
+            ({"objective": "quadratic", "quadratic": {"diag": [1.0, 2.0, 3.0]}},
+             "objective 'quadratic' is 3-dimensional, but dim is 2"),
+            ({"dims": [2, 5, 2]}, "dims lists 2 more than once"),
+            ({"methods": ["G2SF-3", "G2SF-3"]}, "methods lists 'G2SF-3' more than once"),
+            ({"budgets": [100, 100]}, "budgets lists 100 more than once"),
+        ],
+    )
+    def test_config_errors_name_their_cause(self, config, message):
+        errors = [f for f in validate_config(dict(config, budget=100)) if not f.ok]
+        assert [(f.check, f.message) for f in errors] == [("run.builds", message)]
+
     def test_known_objectives_pass(self):
         for name in ("rastrigin", "quadratic", "saddle", "quartic", "exp_sin"):
             findings = validate_config({"objective": name, "budget": 100})
@@ -677,6 +693,20 @@ class TestValidateConfig:
              "ValueError"),
             ({"objective": "quadratic", "dim": 2, "quadratic": {"b": [float("nan"), 0.0]},
               "budget": 30}, "ValueError"),
+            # a run's dimension is its objective's, or the config fails
+            ({"objective": "saddle", "dims": [2, 7], "budget": 60}, "ValueError"),
+            ({"objective": "exp_sin", "dim": 3, "budget": 60}, "ValueError"),
+            (dict(CRZON_CONFIG, objective="saddle", dim=3), "ValueError"),
+            ({"objective": "quadratic", "quadratic": {"diag": [1.0, 2.0, 3.0]}, "budget": 30},
+             "ValueError"),
+            ({"objective": "quadratic", "dim": 3, "quadratic": {"diag": [1.0, 2.0, 3.0]},
+              "budget": 30}, None),
+            ({"objective": "quadratic", "dim": 3,
+              "quadratic": {"matrix": [[1.0, 0.0], [0.0, 1.0]]}, "budget": 30}, "ValueError"),
+            # a table cell listed twice would run its seeds twice
+            ({"dims": [2, 2], "seeds": 2, "budget": 30}, "ValueError"),
+            ({"methods": ["G2SF-3", "GSF-5", "G2SF-3"], "budget": 30}, "ValueError"),
+            ({"budgets": [30, 30]}, "ValueError"),
         ],
     )
     def test_validator_agrees_with_the_run(self, config, cause):
@@ -709,6 +739,7 @@ class TestValidateConfig:
             ({"deltas": [0.1, float("inf")]}, "deltas must be finite, got [0.1, inf]"),
             ({"theta": [float("inf"), 1.0]}, "theta must be finite, got [inf, 1.0]"),
             ({"theta": [1.0, float("nan")]}, "theta must be finite, got [1.0, nan]"),
+            ({"theta": [1.0, 2.0, 3.0]}, "theta must have shape (2,), got (3,)"),
         ],
     )
     def test_bias_sweep_keys_are_checked(self, keys, message):
