@@ -22,7 +22,10 @@ from .stencils import (
 
 def _load_config(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config must be an object, got {config!r}")
+    return config
 
 
 def _cmd_stencil_print(args: argparse.Namespace) -> int:

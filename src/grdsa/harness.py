@@ -209,10 +209,15 @@ def _parameters(target) -> Mapping[str, inspect.Parameter]:
 
 
 def _lookup(config: dict, path: str):
-    """The raw value at dotted ``path``; a null section or value is None."""
-    node = config
+    """The raw value at dotted ``path``; a null section or value is None, and
+    a section that is not an object raises ``ValueError`` naming it."""
+    node, section = config, "config"
     for name in path.split("."):
-        node = (node or {}).get(name)
+        if node is None:
+            return None
+        if not isinstance(node, dict):
+            raise ValueError(f"{section} must be an object, got {node!r}")
+        node, section = node.get(name), name
     return node
 
 
@@ -441,7 +446,8 @@ def run_table(config: dict) -> TableResult:
 
 
 def aggregate_rows(rows: list[TableRow]) -> list[TableCell]:
-    """Mean and sample standard deviation (ddof=1) per table cell."""
+    """Per table cell: its ok runs, and the mean and sample standard
+    deviation (ddof=1) of those runs' parameter errors."""
     groups: dict[tuple[str, int, int], list[TableRow]] = {}
     for row in rows:
         groups.setdefault((row.method, row.dim, row.budget), []).append(row)
@@ -461,7 +467,7 @@ def aggregate_rows(rows: list[TableRow]) -> list[TableCell]:
                 method=method,
                 dim=dim,
                 budget=budget,
-                n_ok=len(errs),
+                n_ok=len(ok),
                 mean_error=mean,
                 sd_error=sd,
                 mean_evals=float(np.mean([r.evals_used for r in ok])) if ok else float("nan"),

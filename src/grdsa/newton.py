@@ -8,11 +8,12 @@ so an iteration costs exactly ``2k+1`` evaluations.  The gradient-only
 baseline runs through the same driver and step without the Hessian, at
 ``k+1`` evaluations.
 
-The driver draws what an iteration needs that does not depend on the
-iterate (directions, radii, probe offsets, scaling matrices) for a block
-of iterations at once, then runs them through :func:`_iterations`, the
-one written-out iteration.  :func:`newton_step` runs the same iteration
-on a block of one draw, for whichever algorithm the config names.
+One generator, :func:`_iterations`, runs the iteration for either
+algorithm.  It draws what the iterations need that does not depend on the
+iterate (directions, radii, probe offsets, scaling matrices) a block at a
+time, and yields the iterate after each one.  :func:`run_newton` records
+snapshots from it over a whole budget; :func:`newton_step` takes one
+iteration of it.
 """
 
 from __future__ import annotations
@@ -205,6 +206,14 @@ class NewtonConfig:
             raise ValueError(f"eps_pd must be > 0, got {self.eps_pd}")
         _check_finite(eps_pd=self.eps_pd)
         _check_run(self.seed, self.theta0, self.objective)
+        # a run's parameter error is normalized by theta0's distance to the optimum
+        if self.theta0 is not None and self.objective.optimum is not None:
+            start = np.asarray(self.theta0, dtype=float)
+            if np.sum((start - self.objective.optimum) ** 2) == 0.0:
+                raise ValueError(
+                    f"theta0 must be away from the objective's optimum, "
+                    f"got {start.tolist()}"
+                )
         if self.algorithm not in ("newton", "gradient_only"):
             raise ValueError(
                 f"algorithm must be one of newton, gradient_only, got {self.algorithm!r}"
@@ -256,73 +265,33 @@ def iteration_cost(k: int, reuse: bool = True, hessian: bool = True) -> int:
     return (2 * k + 1 if reuse else 3 * k + 2) if hessian else k + 1
 
 
-@dataclass(frozen=True)
-class _Draws:
-    """Iterate-independent inputs of consecutive iterations, one row each.
-
-    The direction stream feeds nothing else, so a block of iterations can
-    draw its directions, probe offsets and scaling matrices at once; the
-    iterations then only measure, reduce and move.
-    """
-
-    directions: np.ndarray  # (count, d): gradient_unbias_factor * Delta_n
-    offsets: np.ndarray  # (count, n_shifts, d): (delta(n)*s) * Delta_n
-    scalers: np.ndarray | None  # (count, d, d): M(Delta_n); Newton only
-    delta: list[float]
-    a: list[float]
-    b: list[float]
-
-
-def _draw(
-    cfg: NewtonConfig,
-    rng: np.random.Generator,
-    n: int,
-    count: int,
-    dim: int,
-) -> _Draws:
-    """Inputs of iterations ``n .. n+count-1`` of ``cfg.algorithm``.
-
-    One bulk draw of ``count`` directions equals ``count`` successive
-    one-direction draws bit for bit, so the block size cannot change a run.
-    Once the offsets and scaling matrices have read the directions, they are
-    scaled in place by the gradient's unbiasing factor, once per block.
-    """
-    s = cfg.schedules
-    hessian = cfg.algorithm == "newton"
-    ns = range(n, n + count)
-    delta = [s.delta(i) for i in ns]
-    directions = cfg.perturbation.sample(rng, (count, dim))
-    n_shifts = 2 * cfg.k + 1 if hessian else cfg.k + 1
-    offsets = ray_offsets(directions, np.array(delta), n_shifts)
-    scalers = scaling_matrices(cfg.perturbation, directions) if hessian else None
-    directions *= gradient_unbias_factor(cfg.perturbation)
-    return _Draws(
-        directions=directions,
-        offsets=offsets,
-        scalers=scalers,
-        delta=delta,
-        a=[s.a(i) for i in ns],
-        b=[s.b(i) for i in ns] if hessian else [],
-    )
-
-
 def _iterations(
     theta: np.ndarray,
     hbar: np.ndarray,
     oracle: BudgetedOracle,
     cfg: NewtonConfig,
-    draws: _Draws,
+    rng: np.random.Generator,
+    n: int,
+    count: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Run the iterations of ``draws`` from ``(theta, hbar)``, yielding the
-    pair after each.
+    """Run iterations ``n .. n+count-1`` of ``cfg.algorithm`` from ``(theta,
+    hbar)``, yielding the pair after each.
 
-    With scaling matrices (Newton), an iteration probes ``2k+1`` shifts and
+    With the Hessian (Newton), an iteration probes ``2k+1`` shifts and
     moves the Hessian average first (fast timescale), then the iterate
     against the clamped-Newton direction (slow timescale); with reuse the
     gradient reads that probe's first ``k+1`` shifts, without it a second
-    probe of ``k+1``.  Without them (gradient-only), it probes ``k+1``
-    shifts, moves the iterate against the gradient estimate and passes
-    ``hbar`` through.  Either way the iterate is projected back into the box.
+    probe of ``k+1``.  Without it (gradient-only), it probes ``k+1`` shifts,
+    moves the iterate against the gradient estimate and passes ``hbar``
+    through.  Either way the iterate is projected back into the box.
+
+    The direction stream feeds nothing else, so the inputs that do not
+    depend on the iterate (directions, probe offsets, scaling matrices and
+    step sizes) are drawn ``_BLOCK`` iterations at a time.  One bulk draw
+    equals as many one-direction draws bit for bit, so the block size cannot
+    change a run.  Once the offsets and scaling matrices have read the
+    directions, they are scaled in place by the gradient's unbiasing factor.
+    A spent block is released before the next is drawn.
 
     The estimator reductions and the projection are written inline, with
     everything the iterations read bound once per block.  ``hbar`` is never
@@ -330,37 +299,46 @@ def _iterations(
     identity and every sample ``M(Delta) q`` is exactly symmetric, so every
     average is too), and the eigensolve reads its lower triangle only.
     """
-    k, reuse = cfg.k, cfg.reuse
-    offsets, directions, scalers = draws.offsets, draws.directions, draws.scalers
-    deltas, a, b = draws.delta, draws.a, draws.b
+    k, reuse, s, spec = cfg.k, cfg.reuse, cfg.schedules, cfg.perturbation
+    hessian = cfg.algorithm == "newton"
+    n_shifts = 2 * k + 1 if hessian else k + 1
     grad_w = grad_weights(k)
-    hessian = scalers is not None
     hess_w = hess_weights(k, k) if hessian else None
-    # 0-d arrays: a ufunc converts a Python float operand on every call
-    lower, upper = np.array(cfg.box.lower), np.array(cfg.box.upper)
-    eps_pd = np.array(cfg.eps_pd)
-    for i, delta in enumerate(deltas):
-        values = measure(oracle, theta + offsets[i])
-        if hessian:
-            hess = scalers[i] * (values.dot(hess_w) / delta**2)
-            if reuse:
-                values = values[: k + 1]
+    for first in range(n, n + count, _BLOCK):
+        ns = range(first, min(first + _BLOCK, n + count))
+        deltas = [s.delta(i) for i in ns]
+        directions = spec.sample(rng, (len(ns), theta.size))
+        offsets = ray_offsets(directions, np.array(deltas), n_shifts)
+        scalers = scaling_matrices(spec, directions) if hessian else None
+        directions *= gradient_unbias_factor(spec)
+        a = [s.a(i) for i in ns]
+        b = [s.b(i) for i in ns] if hessian else []
+        # 0-d arrays: a ufunc converts a Python float operand on every call
+        lower, upper = np.array(cfg.box.lower), np.array(cfg.box.upper)
+        eps_pd = np.array(cfg.eps_pd)
+        for i, delta in enumerate(deltas):
+            values = measure(oracle, theta + offsets[i])
+            if hessian:
+                hess = scalers[i] * (values.dot(hess_w) / delta**2)
+                if reuse:
+                    values = values[: k + 1]
+                else:
+                    values = measure(oracle, theta + offsets[i, : k + 1])
+                # hbar + b(n) (hess - hbar), in the sample's own array
+                hess -= hbar
+                hess *= b[i]
+                hess += hbar
+                hbar = hess
+                step = _lifted_solve(hbar, directions[i] * (values.dot(grad_w) / delta), eps_pd)
             else:
-                values = measure(oracle, theta + offsets[i, : k + 1])
-            # hbar + b(n) (hess - hbar), in the sample's own array
-            hess -= hbar
-            hess *= b[i]
-            hess += hbar
-            hbar = hess
-            step = _lifted_solve(hbar, directions[i] * (values.dot(grad_w) / delta), eps_pd)
-        else:
-            step = directions[i] * (values.dot(grad_w) / delta)
-        # step is a fresh array each iteration: project into it
-        step *= a[i]
-        np.subtract(theta, step, out=step)
-        np.maximum(step, lower, out=step)
-        theta = np.minimum(step, upper, out=step)
-        yield theta, hbar
+                step = directions[i] * (values.dot(grad_w) / delta)
+            # step is a fresh array each iteration: project into it
+            step *= a[i]
+            np.subtract(theta, step, out=step)
+            np.maximum(step, lower, out=step)
+            theta = np.minimum(step, upper, out=step)
+            yield theta, hbar
+        del deltas, directions, offsets, scalers, a, b, values, step
 
 
 def newton_step(
@@ -370,17 +348,24 @@ def newton_step(
     rng: np.random.Generator,
 ) -> NewtonState:
     """Advance one iteration of ``cfg.algorithm``, of ``iteration_cost``
-    evaluations: :func:`run_newton`'s :func:`_iterations` on a block of one
-    draw.  The gradient-only baseline passes ``hbar`` through unchanged.
+    evaluations: :func:`run_newton`'s :func:`_iterations` for a count of
+    one.  The gradient-only baseline passes ``hbar`` through unchanged.
 
-    A Newton step's solve reads only the lower triangle of ``hbar``, so an
-    ``hbar`` that is not exactly symmetric raises ``ValueError``; every
-    average a run forms is exactly symmetric.
+    ``n`` counts from 1.  A Newton step's solve reads only the lower
+    triangle of ``hbar``, so an ``hbar`` that is not square in the iterate's
+    dimension or not exactly symmetric raises ``ValueError``; every average
+    a run forms is exactly symmetric.
     """
-    if cfg.algorithm == "newton" and not np.array_equal(state.hbar, state.hbar.T):
-        raise ValueError("hbar must be exactly symmetric for a Newton step")
-    draws = _draw(cfg, rng, state.n, 1, state.theta.size)
-    ((theta, hbar),) = _iterations(state.theta, state.hbar, oracle, cfg, draws)
+    if state.n < 1:
+        raise ValueError(f"n must be >= 1, got {state.n}")
+    if cfg.algorithm == "newton":
+        d = state.theta.size
+        if state.hbar.shape != (d, d):
+            raise ValueError(f"hbar must have shape ({d}, {d}), got {state.hbar.shape}")
+        if not np.array_equal(state.hbar, state.hbar.T):
+            raise ValueError("hbar must be exactly symmetric for a Newton step")
+    # unpacking runs the generator to its end, past its block release
+    ((theta, hbar),) = _iterations(state.theta, state.hbar, oracle, cfg, rng, state.n, 1)
     return NewtonState(theta=theta, hbar=hbar, n=state.n + 1)
 
 
@@ -397,12 +382,11 @@ def _initial_theta(cfg_theta0: np.ndarray | None, dim: int, init_rng: np.random.
 
 
 def run_newton(cfg: NewtonConfig) -> RunRecord:
-    """Run ``cfg.algorithm`` for ``budget // cost`` iterations, drawing their
-    inputs ``_BLOCK`` at a time.
+    """Run ``cfg.algorithm`` for ``budget // cost`` iterations of
+    :func:`_iterations`.
 
-    A run holds one block of draws, whatever its budget (the spent block
-    is released before the next is drawn), plus its trajectory of
-    ``1 + iterations / record_stride`` rows.
+    A run holds one block of draws, whatever its budget, plus its
+    trajectory of ``1 + iterations / record_stride`` rows.
     """
     start = time.perf_counter()
     cost = iteration_cost(cfg.k, cfg.reuse, cfg.algorithm == "newton")
@@ -419,15 +403,11 @@ def run_newton(cfg: NewtonConfig) -> RunRecord:
     trajectory = np.empty((1 + -(-iterations // stride), dim))
     trajectory[0] = theta0
     row = 1
-    theta, hbar = theta0, np.eye(dim)
-    for n in range(1, iterations + 1, _BLOCK):
-        draws = _draw(cfg, perturb_rng, n, min(_BLOCK, iterations + 1 - n), dim)
-        for m, (theta, hbar) in enumerate(_iterations(theta, hbar, oracle, cfg, draws), n):
-            if m % stride == 0:
-                trajectory[row] = theta
-                row += 1
-        # release the spent block before the next one is drawn
-        del draws
+    steps = _iterations(theta0, np.eye(dim), oracle, cfg, perturb_rng, 1, iterations)
+    for n, (theta, _) in enumerate(steps, 1):
+        if n % stride == 0:
+            trajectory[row] = theta
+            row += 1
     if iterations % stride != 0:
         trajectory[row] = theta
 

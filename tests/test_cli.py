@@ -311,6 +311,25 @@ class TestConfigValidate:
         printed = capsys.readouterr().out
         assert printed.rstrip().endswith("config ok")
 
+    def test_section_of_the_wrong_type_is_named(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"schedules": 5, "budget": 30})
+        assert main(["config", "validate", config]) == 2
+        printed = capsys.readouterr().out
+        assert re.search(r"\[ERROR\] run\.builds +schedules must be an object, got 5\n", printed)
+        out = tmp_path / "runs.csv"
+        assert main(["newton", "run", "--config", config, "--seeds", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: schedules must be an object, got 5\n"
+
+    def test_top_level_that_is_not_an_object_is_an_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, [1, 2])
+        out = str(tmp_path / "runs.csv")
+        for command in (
+            ["config", "validate", config],
+            ["newton", "run", "--config", config, "--seeds", "1", "--out", out],
+        ):
+            assert main(command) == 2
+            assert capsys.readouterr().err == "error: config must be an object, got [1, 2]\n"
+
     def test_misspelled_section_warns(self, tmp_path, capsys):
         config = write_config(tmp_path, {"budget": 100, "schedule": {"a0": -1.0}})
         assert main(["config", "validate", config]) == 0

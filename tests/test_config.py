@@ -70,7 +70,10 @@ VALID = {
     "estimator.k": st.integers(1, MAX_ORDER),
     "crzon.epsilon": st.floats(0.05, 0.95),
     "perturb.eta": st.floats(0.01, 10.0),
-    "theta0": st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2),
+    # away from the default objective's optimum at the origin
+    "theta0": st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2).filter(
+        lambda v: sum(x * x for x in v) > 0
+    ),
 }
 VALID_BY_KIND = {
     int: st.integers(1, 10_000),
@@ -221,8 +224,11 @@ def drawn_configs(draw):
     config: dict = {}
     for path, value in flat.items():
         config = with_key(config, path, value)
+    # a section may also be null, or not an object at all
     for section in draw(st.sets(st.sampled_from(SECTIONS))):
-        config[section] = None
+        config[section] = draw(
+            st.one_of(st.none(), st.integers(), st.text(max_size=3), st.lists(st.integers()))
+        )
     return config
 
 

@@ -340,6 +340,13 @@ class TestAggregateRows:
         assert np.isnan(cells[0].mean_error) and np.isnan(cells[0].sd_error)
         assert np.isnan(cells[0].mean_evals)
 
+    def test_ok_rows_without_an_error_value_count(self):
+        # an objective with no known optimum: the runs are ok, with no error
+        cells = aggregate_rows([self.row(error=None), self.row(error=None, seed=1)])
+        assert cells[0].n_ok == 2
+        assert np.isnan(cells[0].mean_error) and np.isnan(cells[0].sd_error)
+        assert cells[0].mean_evals == 9.0
+
     def test_keys_kept_separate(self):
         cells = aggregate_rows(
             [self.row(method="A"), self.row(method="B", error=1.0)]
@@ -560,6 +567,11 @@ class TestValidateConfig:
             ({"dims": [2, 5, 2]}, "dims lists 2 more than once"),
             ({"methods": ["G2SF-3", "G2SF-3"]}, "methods lists 'G2SF-3' more than once"),
             ({"budgets": [100, 100]}, "budgets lists 100 more than once"),
+            ({"schedules": 5}, "schedules must be an object, got 5"),
+            ({"estimator": "x"}, "estimator must be an object, got 'x'"),
+            ({"crzon": [1]}, "crzon must be an object, got [1]"),
+            ({"theta0": [0.0, 0.0]},
+             "theta0 must be away from the objective's optimum, got [0.0, 0.0]"),
         ],
     )
     def test_config_errors_name_their_cause(self, config, message):
@@ -707,6 +719,11 @@ class TestValidateConfig:
             ({"dims": [2, 2], "seeds": 2, "budget": 30}, "ValueError"),
             ({"methods": ["G2SF-3", "GSF-5", "G2SF-3"], "budget": 30}, "ValueError"),
             ({"budgets": [30, 30]}, "ValueError"),
+            # sections of the wrong JSON type, and a start at the optimum
+            ({"schedules": 5, "budget": 30}, "ValueError"),
+            ({"estimator": "x", "budget": 30}, "ValueError"),
+            ({"crzon": [1]}, "ValueError"),
+            ({"theta0": [0.0, 0.0], "budget": 30}, "ValueError"),
         ],
     )
     def test_validator_agrees_with_the_run(self, config, cause):

@@ -24,7 +24,6 @@ from grdsa.newton import (
     NewtonConfig,
     NewtonState,
     Schedules,
-    _draw,
     _lifted_solve,
     clamped_newton_direction,
     iteration_cost,
@@ -413,6 +412,23 @@ class TestNewtonStep:
         cfg = replace(cfg, algorithm="gradient_only")
         assert newton_step(state, oracle, cfg, np.random.default_rng(0)).hbar is state.hbar
 
+    @pytest.mark.parametrize(
+        "n,hbar,message",
+        [
+            (0, np.eye(2), r"^n must be >= 1, got 0$"),
+            (-1, np.eye(2), r"^n must be >= 1, got -1$"),
+            (1, np.eye(3), r"^hbar must have shape \(2, 2\), got \(3, 3\)$"),
+            (1, np.ones(2), r"^hbar must have shape \(2, 2\), got \(2,\)$"),
+        ],
+    )
+    def test_state_it_cannot_step_raises(self, n, hbar, message):
+        cfg = NewtonConfig(objective=QUAD, budget=100, k=1, seed=0)
+        state = NewtonState(theta=np.ones(2), hbar=hbar, n=n)
+        oracle = BudgetedOracle(QUAD)
+        with pytest.raises(ValueError, match=message):
+            newton_step(state, oracle, cfg, np.random.default_rng(0))
+        assert oracle.evals_used == 0
+
 
 class TestGradientStep:
     """``newton_step`` on a gradient-only config."""
@@ -490,19 +506,24 @@ class TestNewtonStepIsThePublicUpdate:
         assert oracles[0].evals_used == oracles[1].evals_used == 5 * cost
 
 
-class TestDraw:
+class TestStepDraws:
     @pytest.mark.parametrize("k", [1, 3])
-    def test_gradient_only_draw_has_no_hessian_inputs(self, k):
+    def test_gradient_only_step_has_no_hessian_inputs(self, monkeypatch, probes, k):
+        def no_scaling(*args):
+            raise AssertionError("a gradient-only step formed scaling matrices")
+
         cfg = NewtonConfig(objective=QUAD, budget=100, k=k, algorithm="gradient_only")
-        draws = _draw(cfg, np.random.default_rng(0), 1, 4, 2)
-        assert draws.scalers is None
-        assert draws.offsets.shape == (4, k + 1, 2)
-        assert draws.b == []
-        newton = _draw(replace(cfg, algorithm="newton"), np.random.default_rng(0), 1, 4, 2)
-        assert newton.scalers.shape == (4, 2, 2)
-        assert newton.offsets.shape == (4, 2 * k + 1, 2)
-        # the same direction stream, so the gradient shifts agree
-        assert newton.offsets[:, : k + 1].tobytes() == draws.offsets.tobytes()
+        state = NewtonState(theta=np.array([0.5, -0.5]), hbar=np.eye(2), n=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(newton_mod, "scaling_matrices", no_scaling)
+            newton_step(state, BudgetedOracle(QUAD), cfg, np.random.default_rng(0))
+        newton = replace(cfg, algorithm="newton")
+        newton_step(state, BudgetedOracle(QUAD), newton, np.random.default_rng(0))
+        (gradient_points, _), (newton_points, _) = probes
+        assert gradient_points.shape == (k + 1, 2)
+        assert newton_points.shape == (2 * k + 1, 2)
+        # the same direction stream, so the gradient probe points agree
+        assert newton_points[: k + 1].tobytes() == gradient_points.tobytes()
 
 
 def _run_settings(test):
@@ -609,7 +630,7 @@ class TestNewtonConfig:
         "name,value",
         [
             ("k", 0), ("record_stride", 0), ("eps_pd", 0.0), ("eps_pd", -1.0), ("eps_pd", np.nan),
-            ("algorithm", "gradient-only"), ("eps_pd", np.inf),
+            ("algorithm", "gradient-only"), ("eps_pd", np.inf), ("theta0", np.zeros(2)),
         ],
     )
     def test_invalid_values_raise_when_built(self, name, value):
@@ -713,6 +734,16 @@ class TestRunNewton:
         rec = run_newton(NewtonConfig(objective=exp_sin(), budget=9, k=1, seed=0))
         assert rec.final_parameter_error is None
         assert rec.algorithm == "newton"
+
+    def test_run_holds_one_block_of_draws(self, peak_bytes):
+        # a block: 2k+1 probe offsets and a (d, d) scaling matrix per
+        # iteration; a run reads 1.27 blocks, one that kept the spent block
+        # alive 2.33
+        k, d = 4, 10
+        block = _BLOCK * ((2 * k + 1) * d + d * d) * 8
+        cfg = NewtonConfig(objective=rastrigin(d), budget=5000, k=k, record_stride=5000)
+        run_newton(cfg)  # warm the caches and the interpreter a first run fills
+        assert peak_bytes(lambda: run_newton(cfg)) <= 1.5 * block
 
     def test_box_respected(self):
         box = Box(-0.5, 0.5)

@@ -10,7 +10,7 @@ import pytest
 from grdsa import harness
 from grdsa.cubic import CubicConfig, _batched_estimates
 from grdsa.estimators import batch_hessian, hessian_deviation, hessian_samples, probe
-from grdsa.newton import _BLOCK, NewtonConfig, _draw
+from grdsa.newton import _BLOCK, NewtonConfig, NewtonState, newton_step
 from grdsa.oracle import BudgetedOracle, quartic
 from grdsa.perturb import (
     GAUSSIAN,
@@ -232,9 +232,11 @@ def _crzon_reuse_hessian(spec):
     return _batched_estimates(THETA, BudgetedOracle(OBJECTIVE), cfg, np.random.default_rng(5))[0]
 
 
-def _newton_scalers(spec):
+def _newton_step_hessian(spec):
+    # from hbar = 0 the step's average is b(1) M(Delta) q
     cfg = NewtonConfig(objective=OBJECTIVE, budget=100, perturbation=spec)
-    return _draw(cfg, np.random.default_rng(6), 1, 8, 3).scalers
+    state = NewtonState(theta=THETA, hbar=np.zeros((3, 3)), n=1)
+    return newton_step(state, BudgetedOracle(OBJECTIVE), cfg, np.random.default_rng(6)).hbar
 
 
 #: Hessian path -> its outputs under one spec
@@ -256,7 +258,7 @@ HESSIAN_PATHS = {
         OBJECTIVE, THETA, 0.1, 2, 1, spec, DIRS, mode="residual"
     ),
     "crzon_reuse": _crzon_reuse_hessian,
-    "newton_draw": _newton_scalers,
+    "newton_step": _newton_step_hessian,
 }
 
 
