@@ -58,15 +58,20 @@ def ray_offsets(directions: np.ndarray, delta, n_shifts: int) -> np.ndarray:
     return offsets
 
 
-def measure(oracle: BudgetedOracle, points: np.ndarray) -> np.ndarray:
-    """Evaluate the ``(n, d)`` points in one oracle call; every value must be finite."""
-    values = oracle.evaluate_many(points)
+def _check_finite_values(values: np.ndarray, points: np.ndarray) -> None:
+    """Raise :class:`NonFiniteEvaluation` naming the first non-finite value and its point."""
     # an exact scan: a bool array's bytes hold a zero exactly where isfinite failed
     if b"\x00" in np.isfinite(values).tobytes():
         bad = np.flatnonzero(~np.isfinite(values))[0]
         raise NonFiniteEvaluation(
             f"oracle returned a non-finite value ({values[bad]}) at {points[bad].tolist()}"
         )
+
+
+def measure(oracle: BudgetedOracle, points: np.ndarray) -> np.ndarray:
+    """Evaluate the ``(n, d)`` points in one oracle call; every value must be finite."""
+    values = oracle.evaluate_many(points)
+    _check_finite_values(values, points)
     return values
 
 

@@ -576,6 +576,8 @@ def _build_runs(config: dict) -> list:
     the CRZON config, its regularizer included; or the ``newton run`` config,
     then, after the table's seeds are laid out, every table cell's.  The
     bias sweep's settings are checked first."""
+    if not isinstance(config, dict):
+        raise ValueError(f"config must be an object, got {config!r}")
     bias_sweep_settings(config)
     if _lookup(config, "crzon") is not None:
         run = build_cubic_config(config)
@@ -600,7 +602,8 @@ def validate_config(config: dict) -> list[Finding]:
         findings += [
             replace(f, check=f"schedules.{f.check}") for f in validate_schedules(runs[0].schedules)
         ]
-    for path in _unknown_keys(config):
+    # a top level that is not an object has no keys; run.builds names it
+    for path in _unknown_keys(config) if isinstance(config, dict) else ():
         findings.append(
             Finding("config.unknown_key", "warning", False, f"unknown key {path!r} is ignored")
         )

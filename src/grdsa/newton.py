@@ -11,15 +11,16 @@ baseline runs through the same driver and step without the Hessian, at
 One generator, :func:`_iterations`, runs the iteration for either
 algorithm.  It draws what the iterations need that does not depend on the
 iterate (directions, radii, probe offsets, scaling matrices) a block at a
-time, and yields the iterate after each one.  :func:`run_newton` records
-snapshots from it over a whole budget; :func:`newton_step` takes one
-iteration of it.
+time, and yields the iterate where its caller records one.
+:func:`run_newton` records snapshots from it over a whole budget;
+:func:`newton_step` takes one iteration of it.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from array import array
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
@@ -27,7 +28,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from numpy.linalg._umath_linalg import eigh_lo
 
-from .estimators import measure, ray_offsets
+from .estimators import _check_finite_values, ray_offsets
 from .oracle import (
     BudgetedOracle,
     BudgetTooSmall,
@@ -82,13 +83,32 @@ class Schedules:
         _check_finite(**asdict(self))
 
     def a(self, n: int) -> float:
-        return self.a0 / (n + self.big_a) ** self.alpha
+        return self._over(range(n, n + 1))[0][0]
 
     def b(self, n: int) -> float:
-        return self.b0 / (n + self.big_b) ** self.beta
+        return self._over(range(n, n + 1))[1][0]
 
     def delta(self, n: int) -> float:
-        return self.delta0 / n**self.gamma
+        return self._over(range(n, n + 1))[2][0]
+
+    def _over(self, ns: range) -> tuple[array, array, array]:
+        """``a(n)``, ``b(n)`` and ``delta(n)`` for each ``n`` of ``ns``, in one
+        pass that reads the coefficients once.
+
+        Python float arithmetic, as ``np.power`` does not round as ``**``
+        does; the values are kept as raw doubles, a third of their size as
+        float objects.
+        """
+        a0, big_a, alpha, b0, big_b, beta = (
+            self.a0, self.big_a, self.alpha, self.b0, self.big_b, self.beta
+        )
+        delta0, gamma = self.delta0, self.gamma
+        a, b, delta = array("d"), array("d"), array("d")
+        for n in ns:
+            a.append(a0 / (n + big_a) ** alpha)
+            b.append(b0 / (n + big_b) ** beta)
+            delta.append(delta0 / n**gamma)
+        return a, b, delta
 
 
 @dataclass(frozen=True)
@@ -174,8 +194,11 @@ def _lifted_solve(sym: np.ndarray, g: np.ndarray, eps_pd: float) -> np.ndarray:
     eigval, eigvec = eigh_lo(sym, signature="d->dd")
     if eigval[0] != eigval[0]:
         raise LinAlgError("Eigenvalues did not converge")
-    # ndarray.dot: the same BLAS mat-vecs as ``@`` at a lower call overhead
-    return eigvec.dot(eigvec.T.dot(g) / np.maximum(eigval, eps_pd))
+    # ndarray.dot: the same BLAS mat-vecs as ``@`` at a lower call overhead;
+    # the clamp and the division reuse the gufunc's fresh outputs
+    c = eigvec.T.dot(g)
+    c /= np.maximum(eigval, eps_pd, out=eigval)
+    return eigvec.dot(c)
 
 
 @dataclass(frozen=True)
@@ -273,9 +296,10 @@ def _iterations(
     rng: np.random.Generator,
     n: int,
     count: int,
+    stride: int = 1,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Run iterations ``n .. n+count-1`` of ``cfg.algorithm`` from ``(theta,
-    hbar)``, yielding the pair after each.
+    hbar)``, yielding the pair after every ``stride``-th and after the last.
 
     With the Hessian (Newton), an iteration probes ``2k+1`` shifts and
     moves the Hessian average first (fast timescale), then the iterate
@@ -294,51 +318,73 @@ def _iterations(
     A spent block is released before the next is drawn.
 
     The estimator reductions and the projection are written inline, with
-    everything the iterations read bound once per block.  ``hbar`` is never
-    symmetrized: it must be symmetric, as a run's is (it starts at the
-    identity and every sample ``M(Delta) q`` is exactly symmetric, so every
-    average is too), and the eigensolve reads its lower triangle only.
+    everything the iterations read bound once per block.  Every measured
+    value enters a stencil dot the iteration takes anyway (a probe's
+    Hessian dot, or the gradient dot of a probe that has none), and a NaN
+    or infinite value makes that dot non-finite; so only a non-finite dot
+    scans its probe, and a non-finite value raises
+    :class:`~grdsa.estimators.NonFiniteEvaluation` before ``hbar`` or the
+    iterate moves.  ``hbar`` is never symmetrized: it must be symmetric, as
+    a run's is (it starts at the identity and every sample ``M(Delta) q``
+    is exactly symmetric, so every average is too), and the eigensolve
+    reads its lower triangle only.
     """
     k, reuse, s, spec = cfg.k, cfg.reuse, cfg.schedules, cfg.perturbation
     hessian = cfg.algorithm == "newton"
     n_shifts = 2 * k + 1 if hessian else k + 1
     grad_w = grad_weights(k)
     hess_w = hess_weights(k, k) if hessian else None
+    left = stride  # iterations until the next yield
     for first in range(n, n + count, _BLOCK):
-        ns = range(first, min(first + _BLOCK, n + count))
-        deltas = [s.delta(i) for i in ns]
-        directions = spec.sample(rng, (len(ns), theta.size))
+        a, b, deltas = s._over(range(first, min(first + _BLOCK, n + count)))
+        directions = spec.sample(rng, (len(deltas), theta.size))
         offsets = ray_offsets(directions, np.array(deltas), n_shifts)
         scalers = scaling_matrices(spec, directions) if hessian else None
         directions *= gradient_unbias_factor(spec)
-        a = [s.a(i) for i in ns]
-        b = [s.b(i) for i in ns] if hessian else []
         # 0-d arrays: a ufunc converts a Python float operand on every call
         lower, upper = np.array(cfg.box.lower), np.array(cfg.box.upper)
         eps_pd = np.array(cfg.eps_pd)
+        # looked up per block, so a wrapper installed on the class is called
+        evaluate = oracle.evaluate_many
         for i, delta in enumerate(deltas):
-            values = measure(oracle, theta + offsets[i])
+            points = theta + offsets[i]
+            values = evaluate(points)
             if hessian:
-                hess = scalers[i] * (values.dot(hess_w) / delta**2)
+                quad = values.dot(hess_w)
+                if not math.isfinite(quad):
+                    _check_finite_values(values, points)
+                hess = scalers[i] * (quad / delta**2)
                 if reuse:
-                    values = values[: k + 1]
+                    slope = values[: k + 1].dot(grad_w)
                 else:
-                    values = measure(oracle, theta + offsets[i, : k + 1])
+                    points = theta + offsets[i, : k + 1]
+                    values = evaluate(points)
+                    slope = values.dot(grad_w)
+                    if not math.isfinite(slope):
+                        _check_finite_values(values, points)
                 # hbar + b(n) (hess - hbar), in the sample's own array
                 hess -= hbar
                 hess *= b[i]
                 hess += hbar
                 hbar = hess
-                step = _lifted_solve(hbar, directions[i] * (values.dot(grad_w) / delta), eps_pd)
+                step = _lifted_solve(hbar, directions[i] * (slope / delta), eps_pd)
             else:
-                step = directions[i] * (values.dot(grad_w) / delta)
+                slope = values.dot(grad_w)
+                if not math.isfinite(slope):
+                    _check_finite_values(values, points)
+                step = directions[i] * (slope / delta)
             # step is a fresh array each iteration: project into it
             step *= a[i]
             np.subtract(theta, step, out=step)
             np.maximum(step, lower, out=step)
             theta = np.minimum(step, upper, out=step)
-            yield theta, hbar
-        del deltas, directions, offsets, scalers, a, b, values, step
+            left -= 1
+            if not left:
+                left = stride
+                yield theta, hbar
+        del a, b, deltas, directions, offsets, scalers, points, values, slope, step
+    if left != stride:
+        yield theta, hbar
 
 
 def newton_step(
@@ -402,13 +448,8 @@ def run_newton(cfg: NewtonConfig) -> RunRecord:
     stride = cfg.record_stride
     trajectory = np.empty((1 + -(-iterations // stride), dim))
     trajectory[0] = theta0
-    row = 1
-    steps = _iterations(theta0, np.eye(dim), oracle, cfg, perturb_rng, 1, iterations)
-    for n, (theta, _) in enumerate(steps, 1):
-        if n % stride == 0:
-            trajectory[row] = theta
-            row += 1
-    if iterations % stride != 0:
+    steps = _iterations(theta0, np.eye(dim), oracle, cfg, perturb_rng, 1, iterations, stride)
+    for row, (theta, _) in enumerate(steps, 1):
         trajectory[row] = theta
 
     error = None

@@ -50,7 +50,7 @@ def rastrigin(dim: int) -> Objective:
         t = x * two_pi
         np.cos(t, out=t)
         t *= ten
-        return offset + np.add.reduce(np.subtract(x**2, t, out=t), axis=-1)
+        return offset + np.add.reduce(np.subtract(np.square(x), t, out=t), axis=-1)
 
     def gradient(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -283,9 +283,6 @@ class BudgetedOracle:
             values = values + self.noise.sample(self.rng, thetas)
         self._used += n
         return values
-
-    def evaluate(self, theta: np.ndarray) -> float:
-        return float(self.evaluate_many(np.asarray(theta, dtype=float)[None, :])[0])
 
 
 def parameter_error(theta_final: np.ndarray, theta_init: np.ndarray, optimum: np.ndarray) -> float:

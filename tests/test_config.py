@@ -299,6 +299,12 @@ class TestUnknownKeys:
         base = {"crzon": {}} if "crzon" in config else {}
         assert len(findings) == len(validate_config(base)) + 1
 
+    @pytest.mark.parametrize("config", [[1, 2], "x", 5, None])
+    def test_top_level_that_is_not_an_object_is_one_error(self, config):
+        findings = validate_config(config)
+        assert [(f.check, f.ok) for f in findings] == [("run.builds", False)]
+        assert findings[0].message == f"config must be an object, got {config!r}"
+
     def test_null_section_is_known(self):
         config = {section: None for section in SECTIONS}
         assert not any(f.check == "config.unknown_key" for f in validate_config(config))

@@ -274,16 +274,16 @@ class TestIterationCost:
 
 @pytest.fixture
 def probes(monkeypatch):
-    """Record every ``(points, values)`` probe the iteration measures."""
+    """Record every ``(points, values)`` probe the oracle evaluates."""
     calls = []
-    real_measure = newton_mod.measure
+    real_evaluate = BudgetedOracle.evaluate_many
 
-    def spy_measure(oracle, points):
-        values = real_measure(oracle, points)
+    def spy_evaluate(oracle, points):
+        values = real_evaluate(oracle, points)
         calls.append((points, values))
         return values
 
-    monkeypatch.setattr(newton_mod, "measure", spy_measure)
+    monkeypatch.setattr(BudgetedOracle, "evaluate_many", spy_evaluate)
     return calls
 
 
@@ -625,6 +625,68 @@ class TestNonFiniteMidBlock:
         assert oracles[0].evals_used == iteration * cost
 
 
+class TestNonFiniteFromTheDot:
+    """The iteration tests only the stencil dots it takes anyway; a value
+    that is NaN or infinite still raises with the point it was measured at,
+    and finite values whose dot overflows pass, as they pass the scan."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "hessian,reuse,probe",
+        [(True, True, 0), (True, False, 0), (True, False, 1), (False, True, 0)],
+        ids=["newton-reuse", "newton-fresh-first", "newton-fresh-second", "gradient"],
+    )
+    def test_any_shift_raises_naming_its_point(self, bad, hessian, reuse, probe):
+        k = 2
+        cfg = NewtonConfig(
+            objective=QUAD, budget=100, k=k, reuse=reuse,
+            algorithm="newton" if hessian else "gradient_only",
+        )
+        n_shifts = 2 * k + 1 if hessian and probe == 0 else k + 1
+        for pos in range(n_shifts):
+            calls = []
+
+            def value(x, pos=pos):
+                calls.append(x.copy())
+                out = QUAD.value(x)
+                if len(calls) == probe + 1:
+                    out[pos] = bad
+                return out
+
+            state = NewtonState(theta=np.array([0.5, -0.5]), hbar=np.eye(2), n=1)
+            oracle = BudgetedOracle(replace(QUAD, value=value))
+            with pytest.raises(NonFiniteEvaluation) as raised:
+                newton_step(state, oracle, cfg, np.random.default_rng(0))
+            assert len(calls) == probe + 1  # nothing is measured after it
+            assert str(raised.value) == (
+                f"oracle returned a non-finite value ({bad}) at {calls[probe][pos].tolist()}"
+            )
+
+    @pytest.mark.parametrize("hessian", [True, False], ids=["newton", "gradient"])
+    def test_overflowing_dot_of_finite_values_passes(self, hessian):
+        # alternating +-1e308 along the ray: every value is finite, every
+        # stencil dot overflows
+        def value(x):
+            return np.where(np.arange(len(x)) % 2 == 0, -1e308, 1e308)
+
+        objective = replace(QUAD, value=value)
+        cfg = NewtonConfig(
+            objective=objective, budget=100, k=1,
+            algorithm="newton" if hessian else "gradient_only",
+        )
+        outcomes = []
+        for step in (newton_step, _reference_step):
+            state = NewtonState(theta=np.array([0.5, -0.5]), hbar=np.eye(2), n=1)
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    out = step(state, BudgetedOracle(objective), cfg, np.random.default_rng(0))
+                outcomes.append(out.theta.tobytes())
+            except np.linalg.LinAlgError as exc:  # an infinite average has no eigenpairs
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] is np.linalg.LinAlgError) == hessian
+
+
 class TestNewtonConfig:
     @pytest.mark.parametrize(
         "name,value",
@@ -716,6 +778,16 @@ class TestRunNewton:
         assert rec.trajectory.shape == (4, 2)
         assert np.array_equal(rec.trajectory[-1], rec.theta_final)
 
+    @pytest.mark.parametrize("stride", [1, 2, 3, _BLOCK, 70, 71, 500])
+    def test_strided_rows_are_rows_of_the_full_trajectory(self, stride):
+        # 70 iterations: aligned and unaligned tails, strides across a block
+        # boundary and beyond the run
+        cfg = NewtonConfig(objective=rastrigin(3), budget=210, k=1, seed=4)
+        full = run_newton(cfg).trajectory
+        rec = run_newton(replace(cfg, record_stride=stride))
+        rows = list(range(0, 71, stride)) + ([70] if 70 % stride else [])
+        assert rec.trajectory.tobytes() == full[rows].tobytes()
+
     def test_invalid_arguments(self):
         with pytest.raises(BudgetTooSmall):
             run_newton(NewtonConfig(objective=QUAD, budget=2, k=1))
@@ -737,7 +809,7 @@ class TestRunNewton:
 
     def test_run_holds_one_block_of_draws(self, peak_bytes):
         # a block: 2k+1 probe offsets and a (d, d) scaling matrix per
-        # iteration; a run reads 1.27 blocks, one that kept the spent block
+        # iteration; a run reads 1.26 blocks, one that kept the spent block
         # alive 2.33
         k, d = 4, 10
         block = _BLOCK * ((2 * k + 1) * d + d * d) * 8

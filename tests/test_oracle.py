@@ -239,7 +239,7 @@ def test_batch_rows_equal_one_row_calls(objective):
 class TestBudgetedOracle:
     def test_counts_every_scalar_evaluation(self):
         orc = BudgetedOracle(quadratic(np.eye(2)))
-        orc.evaluate(np.zeros(2))
+        orc.evaluate_many(np.zeros((1, 2)))
         assert orc.evals_used == 1
         orc.evaluate_many(np.zeros((4, 2)))
         assert orc.evals_used == 5
@@ -287,7 +287,7 @@ class TestBudgetedOracle:
     def test_zero_sigma_noise_object_adds_nothing(self):
         obj = quadratic(np.eye(2))
         orc = BudgetedOracle(obj, LinearGaussianNoise(0.0))
-        assert orc.evaluate(np.array([1.0, 1.0])) == pytest.approx(1.0)
+        assert orc.evaluate_many(np.array([[1.0, 1.0]]))[0] == pytest.approx(1.0)
 
 
 class TestParameterError:

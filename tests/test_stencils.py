@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 from math import comb, factorial
 
@@ -17,7 +19,9 @@ from grdsa.stencils import (
     all_identities_pass,
     coeff,
     grad_stencil,
+    grad_weights,
     hess_stencil,
+    hess_weights,
     residual_coefficient,
     verify_identities,
 )
@@ -250,6 +254,57 @@ class TestResidualCoefficient:
                 mult = 2 if k1 == k2 else 1
                 lhs = hess_stencil(k1, k2).moment(k + 2) / factorial(k + 2)
                 assert lhs == mult * residual_coefficient(k1, k2)
+
+
+class TestMeanBiasOrder:
+    """Under a symmetric direction law the mean estimate keeps only the
+    terms of odd degree in the direction: ``Delta`` times ``D^q f[Delta^q]``
+    for odd ``q`` in the gradient, ``M(Delta)`` (even) times it for even
+    ``q`` in the Hessian.  The first such term with a nonzero stencil moment
+    sets the mean's bias order, ``q - 1`` and ``q - 2``: two orders per two
+    ``k``, not the per-draw residual's one."""
+
+    @pytest.mark.parametrize("k,order", [(1, 2), (2, 2), (3, 4), (4, 4), (5, 6), (6, 6)])
+    def test_order_from_the_first_surviving_moment(self, k, order):
+        grad, hess = grad_stencil(k), hess_stencil(k, k)
+        q = next(q for q in range(3, 4 * MAX_ORDER, 2) if grad.moment(q) != 0)
+        assert q - 1 == order
+        q = next(q for q in range(4, 4 * MAX_ORDER, 2) if hess.moment(q) != 0)
+        assert q - 2 == order
+
+
+def _ripple_gain(weights: np.ndarray, x: float, power: int) -> float:
+    """``|sum_s w_s e^{ixs}| / x**power``: a stencil's response to the ripple
+    ``e^{i omega t}`` at shift ``delta``, with ``x = omega * delta``, over the
+    ripple's own derivative; 1 is exact."""
+    return abs(sum(w * cmath.exp(1j * x * s) for s, w in enumerate(weights))) / x**power
+
+
+class TestRippleGain:
+    """The k = 4 stencils amplify a cosine ripple where the k = 1 stencils
+    damp it, at the ``x`` Rastrigin's ripple meets along a ray: the README's
+    account of acceptance 06."""
+
+    #: (kind, k) -> gain at x = 1, 2, 3, 4, to three decimals
+    TABLE = {
+        ("grad", 1): (0.959, 0.841, 0.665, 0.455),
+        ("grad", 4): (1.029, 2.654, 3.519, 1.811),
+        ("hess", 1): (0.919, 0.708, 0.442, 0.207),
+        ("hess", 4): (1.060, 7.045, 12.385, 3.279),
+    }
+
+    @pytest.mark.parametrize("kind,k", list(TABLE))
+    def test_table(self, kind, k):
+        weights, power = (grad_weights(k), 1) if kind == "grad" else (hess_weights(k, k), 2)
+        gains = [_ripple_gain(weights, x, power) for x in (1, 2, 3, 4)]
+        assert [round(g, 3) for g in gains] == list(self.TABLE[kind, k])
+
+    @pytest.mark.parametrize("x", [1, 2, 3, 4])
+    def test_first_order_closed_forms(self, x):
+        # |e^{ix} - 1| = 2 |sin(x/2)|, and the k = 1 Hessian stencil is its square
+        closed = 2 * abs(math.sin(x / 2)) / x
+        assert _ripple_gain(grad_weights(1), x, 1) == pytest.approx(closed, rel=1e-14)
+        assert _ripple_gain(hess_weights(1, 1), x, 2) == pytest.approx(closed**2, rel=1e-14)
 
 
 class TestVerifyIdentities:

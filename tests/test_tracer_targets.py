@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from grdsa.cubic import CubicConfig, run_crzon
+from grdsa.newton import NewtonConfig, iteration_cost, run_newton
 from grdsa.oracle import LinearGaussianNoise, rastrigin
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,3 +60,20 @@ def test_traced_oracle_evals_equal_the_report(monkeypatch, reuse):
         report = run_crzon(cfg)
     assert t.summary()["oracle.evaluate_many"].calls > 2 * cfg.n_steps
     assert t.counters["oracle.evals"] == report.evals_used == 2 * cfg.step_cost()
+
+
+@pytest.mark.parametrize(
+    "algorithm,reuse", [("newton", True), ("newton", False), ("gradient_only", True)],
+)
+def test_traced_newton_evals_equal_the_record(monkeypatch, algorithm, reuse):
+    # the iteration binds the oracle's method per block: the tracer's wrapper
+    # must still see every evaluation, across blocks
+    cfg = NewtonConfig(
+        objective=rastrigin(5), budget=2500, k=2, noise=LinearGaussianNoise(0.001),
+        reuse=reuse, algorithm=algorithm, record_stride=2500,
+    )
+    with _tracer(monkeypatch).Tracer() as t:
+        record = run_newton(cfg)
+    cost = iteration_cost(cfg.k, reuse, algorithm == "newton")
+    assert record.iterations * cost == record.evals_used > 2 * 64 * cost
+    assert t.counters["oracle.evals"] == record.evals_used
