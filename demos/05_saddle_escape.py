@@ -1,11 +1,12 @@
-"""Escape a saddle point that plain Newton iteration cannot leave.
+"""Escape a saddle point: cubic-regularized Newton against the Newton loop.
 
 The test surface has a strict saddle at the origin and two symmetric
-minima.  Starting right next to the saddle with noisy evaluations, the
-averaged-Hessian Newton loop stalls (its eigenvalue clamp turns descent
-along negative curvature into a bounce), while the cubic-regularized
-loop steps far enough to reach a basin.  Escape is judged by the true
-smallest Hessian eigenvalue at the reported iterate.
+minima.  Both solvers start right next to the saddle with noisy
+evaluations, at very different budgets: the cubic-regularized loop gets
+30 outer steps of 1,600 evaluations each (48,000 per run), the
+averaged-Hessian Newton loop a budget of 30 evaluations (10 iterations
+at k = 1).  Escape is judged by the true smallest Hessian eigenvalue at
+the reported iterate.
 """
 
 from __future__ import annotations

@@ -29,9 +29,7 @@ from .newton import (
     NewtonConfig,
     RunRecord,
     Schedules,
-    clamped_newton_direction,
     iteration_cost,
-    newton_step,
     run_newton,
     validate_schedules,
 )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import gradient_slopes, hessian_mean, probe
-from .newton import _check_finite, _check_run, _initial_theta, _spawn_streams
+from .newton import _check_finite, _check_integer, _check_run, _initial_theta, _spawn_streams
 from .oracle import (
     BudgetedOracle,
     BudgetTooSmall,
@@ -53,6 +53,9 @@ class CubicConfig:
 
     def __post_init__(self) -> None:
         _check_order(self.k, "k")
+        _check_integer(n_steps=self.n_steps, m=self.m, b=self.b)
+        if self.budget is not None:
+            _check_integer(budget=self.budget)
         for name in ("n_steps", "m", "b"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -12,8 +12,8 @@ One generator, :func:`_iterations`, runs the iteration for either
 algorithm.  It draws what the iterations need that does not depend on the
 iterate (directions, radii, probe offsets, scaling matrices) a block at a
 time, and yields the iterate where its caller records one.
-:func:`run_newton` records snapshots from it over a whole budget;
-:func:`newton_step` takes one iteration of it.
+:func:`run_newton`, the one way to run it, records snapshots from it over a
+whole budget.
 """
 
 from __future__ import annotations
@@ -53,6 +53,20 @@ def _check_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _check_integer(**values: int) -> None:
+    """Raise naming the first of ``values`` that is not an integer."""
+    for name, value in values.items():
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _index(n: int) -> range:
+    """``range(n, n + 1)`` for one schedule index, which counts from 1."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return range(n, n + 1)
+
+
 @dataclass(frozen=True)
 class Schedules:
     """Step-size and probing-radius sequences.
@@ -83,13 +97,13 @@ class Schedules:
         _check_finite(**asdict(self))
 
     def a(self, n: int) -> float:
-        return self._over(range(n, n + 1))[0][0]
+        return self._over(_index(n))[0][0]
 
     def b(self, n: int) -> float:
-        return self._over(range(n, n + 1))[1][0]
+        return self._over(_index(n))[1][0]
 
     def delta(self, n: int) -> float:
-        return self._over(range(n, n + 1))[2][0]
+        return self._over(_index(n))[2][0]
 
     def _over(self, ns: range) -> tuple[array, array, array]:
         """``a(n)``, ``b(n)`` and ``delta(n)`` for each ``n`` of ``ns``, in one
@@ -164,32 +178,22 @@ class Box:
     upper: float = 5.12
 
     def __post_init__(self) -> None:
+        _check_finite(lower=self.lower, upper=self.upper)
         if not self.lower < self.upper:
             raise ValueError(f"empty box: [{self.lower}, {self.upper}]")
-        _check_finite(lower=self.lower, upper=self.upper)
-
-
-def clamped_newton_direction(h: np.ndarray, g: np.ndarray, eps_pd: float = 0.1) -> np.ndarray:
-    """Solve ``L s = g``, where ``L`` is the symmetric part of ``h`` with every
-    eigenvalue below ``eps_pd`` lifted to ``eps_pd``.
-
-    ``L`` is positive definite with ``|L^-1| <= 1/eps_pd``, so ``|s| <= |g| /
-    eps_pd``; a well-conditioned symmetric ``h`` is solved as it is.
-    """
-    if not eps_pd > 0:
-        raise ValueError(f"eps_pd must be > 0, got {eps_pd}")
-    h = np.asarray(h, dtype=float)
-    return _lifted_solve(0.5 * (h + h.T), g, eps_pd)
 
 
 def _lifted_solve(sym: np.ndarray, g: np.ndarray, eps_pd: float) -> np.ndarray:
     """``V @ ((V.T @ g) / max(w, eps_pd))`` for the eigenpairs ``(w, V)`` of ``sym``.
 
-    Calls the LAPACK gufunc behind ``np.linalg.eigh`` directly, with the same
-    bits and without its per-call checks.  When LAPACK fails, the gufunc
-    fills every output with NaN, so a NaN eigenvalue raises eigh's own
-    error here.  Unlike eigh, this also raises when a non-finite ``sym``
-    gives NaN eigenvalues.
+    The clamped-Newton direction: every eigenvalue below ``eps_pd`` is lifted
+    to it, so the step is at most ``|g| / eps_pd`` long.
+
+    Calls the LAPACK gufunc behind ``np.linalg.eigh`` directly, with the
+    same bits and without its per-call checks.  When LAPACK fails, the
+    gufunc fills every output with NaN, so a NaN eigenvalue raises eigh's
+    own error here.  Unlike eigh, this also raises when a non-finite
+    ``sym`` gives NaN eigenvalues.
     """
     eigval, eigvec = eigh_lo(sym, signature="d->dd")
     if eigval[0] != eigval[0]:
@@ -223,6 +227,7 @@ class NewtonConfig:
 
     def __post_init__(self) -> None:
         _check_order(self.k, "k")
+        _check_integer(budget=self.budget, record_stride=self.record_stride)
         if self.record_stride < 1:
             raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
         if not self.eps_pd > 0:
@@ -249,19 +254,13 @@ class NewtonConfig:
 
 
 def _check_run(seed: int, theta0: np.ndarray | None, objective: Objective) -> None:
+    _check_integer(seed=seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if theta0 is not None and np.shape(theta0) != (objective.dim,):
         raise ValueError(f"theta0 must have shape ({objective.dim},), got {np.shape(theta0)}")
     if theta0 is not None and not np.isfinite(theta0).all():
         raise ValueError(f"theta0 must be finite, got {np.asarray(theta0).tolist()}")
-
-
-@dataclass
-class NewtonState:
-    theta: np.ndarray
-    hbar: np.ndarray
-    n: int  # 1-based index of the next iteration
 
 
 @dataclass
@@ -294,11 +293,10 @@ def _iterations(
     oracle: BudgetedOracle,
     cfg: NewtonConfig,
     rng: np.random.Generator,
-    n: int,
     count: int,
     stride: int = 1,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Run iterations ``n .. n+count-1`` of ``cfg.algorithm`` from ``(theta,
+    """Run iterations ``1 .. count`` of ``cfg.algorithm`` from ``(theta,
     hbar)``, yielding the pair after every ``stride``-th and after the last.
 
     With the Hessian (Newton), an iteration probes ``2k+1`` shifts and
@@ -335,8 +333,8 @@ def _iterations(
     grad_w = grad_weights(k)
     hess_w = hess_weights(k, k) if hessian else None
     left = stride  # iterations until the next yield
-    for first in range(n, n + count, _BLOCK):
-        a, b, deltas = s._over(range(first, min(first + _BLOCK, n + count)))
+    for first in range(1, count + 1, _BLOCK):
+        a, b, deltas = s._over(range(first, min(first + _BLOCK, count + 1)))
         directions = spec.sample(rng, (len(deltas), theta.size))
         offsets = ray_offsets(directions, np.array(deltas), n_shifts)
         scalers = scaling_matrices(spec, directions) if hessian else None
@@ -387,34 +385,6 @@ def _iterations(
         yield theta, hbar
 
 
-def newton_step(
-    state: NewtonState,
-    oracle: BudgetedOracle,
-    cfg: NewtonConfig,
-    rng: np.random.Generator,
-) -> NewtonState:
-    """Advance one iteration of ``cfg.algorithm``, of ``iteration_cost``
-    evaluations: :func:`run_newton`'s :func:`_iterations` for a count of
-    one.  The gradient-only baseline passes ``hbar`` through unchanged.
-
-    ``n`` counts from 1.  A Newton step's solve reads only the lower
-    triangle of ``hbar``, so an ``hbar`` that is not square in the iterate's
-    dimension or not exactly symmetric raises ``ValueError``; every average
-    a run forms is exactly symmetric.
-    """
-    if state.n < 1:
-        raise ValueError(f"n must be >= 1, got {state.n}")
-    if cfg.algorithm == "newton":
-        d = state.theta.size
-        if state.hbar.shape != (d, d):
-            raise ValueError(f"hbar must have shape ({d}, {d}), got {state.hbar.shape}")
-        if not np.array_equal(state.hbar, state.hbar.T):
-            raise ValueError("hbar must be exactly symmetric for a Newton step")
-    # unpacking runs the generator to its end, past its block release
-    ((theta, hbar),) = _iterations(state.theta, state.hbar, oracle, cfg, rng, state.n, 1)
-    return NewtonState(theta=theta, hbar=hbar, n=state.n + 1)
-
-
 def _spawn_streams(seed: int, n: int) -> list[np.random.Generator]:
     """Independent per-run streams: iterate init, directions, noise, then any
     extra ones a solver needs."""
@@ -448,7 +418,7 @@ def run_newton(cfg: NewtonConfig) -> RunRecord:
     stride = cfg.record_stride
     trajectory = np.empty((1 + -(-iterations // stride), dim))
     trajectory[0] = theta0
-    steps = _iterations(theta0, np.eye(dim), oracle, cfg, perturb_rng, 1, iterations, stride)
+    steps = _iterations(theta0, np.eye(dim), oracle, cfg, perturb_rng, iterations, stride)
     for row, (theta, _) in enumerate(steps, 1):
         trajectory[row] = theta
 

@@ -176,6 +176,23 @@ class TestCubicConfig:
         with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
             CubicConfig(objective=saddle_quartic(), **{name: float("inf")})
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [("n_steps", 2.5), ("m", 10.5), ("b", 10.5), ("seed", 1.5), ("budget", 1e6),
+         ("m", np.float64(10.0))],
+    )
+    def test_non_integer_count_rejected_when_built(self, name, value):
+        # before any run: a float count would fail inside it
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            CubicConfig(objective=saddle_quartic(), **{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = CubicConfig(
+            objective=saddle_quartic(), n_steps=np.int64(2), m=np.int32(4), b=np.int64(4),
+            seed=np.int64(1), budget=np.int64(10**6),
+        )
+        assert run_crzon(cfg).evals_used == 2 * cfg.step_cost()
+
     def test_step_cost(self):
         cfg = CubicConfig(objective=saddle_quartic(), k=1, m=200, b=400)
         assert cfg.step_cost() == 200 * 2 + 400 * 3

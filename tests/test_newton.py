@@ -1,4 +1,4 @@
-"""Schedules, projection, eigenvalue clamping, and the two-timescale loop."""
+"""Schedules, projection, the eigenvalue-lifted solve, and the two-timescale loop."""
 
 from __future__ import annotations
 
@@ -22,12 +22,10 @@ from grdsa.newton import (
     INIT_RANGE,
     Box,
     NewtonConfig,
-    NewtonState,
     Schedules,
+    _iterations,
     _lifted_solve,
-    clamped_newton_direction,
     iteration_cost,
-    newton_step,
     run_newton,
     validate_schedules,
 )
@@ -70,6 +68,12 @@ class TestSchedules:
     def test_infinite_value_raises_naming_the_field(self, name):
         with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
             Schedules(**{name: float("inf")})
+
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("name", ["a", "b", "delta"])
+    def test_index_below_one_raises(self, name, n):
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+            getattr(Schedules(), name)(n)
 
     def test_zero_offsets_allowed(self):
         assert Schedules(big_a=0.0, big_b=0.0).a(1) == 0.9
@@ -139,84 +143,18 @@ class TestBox:
             Box(upper=float("inf"))
         with pytest.raises(ValueError, match=r"^lower must be finite, got -inf$"):
             Box(lower=-float("inf"))
+        # finiteness is checked first: NaN fails every comparison, so the
+        # order check would call the box empty
+        with pytest.raises(ValueError, match=r"^upper must be finite, got nan$"):
+            Box(upper=float("nan"))
+        with pytest.raises(ValueError, match=r"^lower must be finite, got nan$"):
+            Box(lower=float("nan"))
 
 
-def _lifted(h, eps_pd=0.1):
-    """The symmetric part of ``h`` with its eigenvalues lifted to ``eps_pd``."""
-    w, v = np.linalg.eigh(0.5 * (h + h.T))
+def _lifted(sym, eps_pd=0.1):
+    """``sym`` with its eigenvalues lifted to ``eps_pd``."""
+    w, v = np.linalg.eigh(sym)
     return (v * np.maximum(w, eps_pd)) @ v.T
-
-
-class TestClampedNewtonDirection:
-    def test_well_conditioned_passthrough(self):
-        h = np.array([[2.0, 0.5], [0.5, 4.0]])
-        g = np.array([0.4, -0.9])
-        assert np.allclose(clamped_newton_direction(h, g), np.linalg.solve(h, g))
-
-    def test_lifts_negative_eigenvalue(self):
-        # eigenvalue -1 is lifted to 0.1, so that component is divided by 0.1
-        g = np.array([1.0, 1.0])
-        out = clamped_newton_direction(np.diag([-1.0, 3.0]), g)
-        assert np.allclose(out, [10.0, 1.0 / 3.0])
-
-    def test_zero_matrix_lifted_to_floor(self):
-        g = np.array([0.3, -0.2, 0.5])
-        assert np.allclose(clamped_newton_direction(np.zeros((3, 3)), g), g / 0.1)
-
-    def test_symmetrizes_input(self):
-        # the symmetric part has eigenvalues +-1/2; the lower triangle
-        # alone would read as the zero matrix
-        h = np.array([[0.0, 1.0], [0.0, 0.0]])
-        g = np.array([1.0, -2.0])
-        out = clamped_newton_direction(h, g)
-        assert np.array_equal(out, clamped_newton_direction(0.5 * (h + h.T), g))
-        assert np.allclose(out, np.linalg.solve(_lifted(h), g))
-        assert not np.allclose(out, g / 0.1)
-
-    def test_step_bounded_by_the_floor(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            h = rng.normal(size=(4, 4))
-            g = rng.normal(size=4)
-            out = clamped_newton_direction(h, g, eps_pd=0.25)
-            assert np.linalg.norm(out) <= np.linalg.norm(g) / 0.25 + 1e-9
-
-    def test_eps_validated(self):
-        with pytest.raises(ValueError, match="eps_pd must be > 0"):
-            clamped_newton_direction(np.eye(2), np.ones(2), eps_pd=0.0)
-        with pytest.raises(ValueError, match="eps_pd must be > 0"):
-            clamped_newton_direction(np.eye(2), np.ones(2), eps_pd=-1.0)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(min_value=0, max_value=10**6))
-    def test_matches_the_explicit_lift(self, seed: int):
-        rng = np.random.default_rng(seed)
-        h = rng.normal(size=(3, 3)) * rng.uniform(0.1, 10)
-        g = rng.normal(size=3)
-        lifted = _lifted(h)
-        assert np.linalg.eigvalsh(lifted)[0] >= 0.1 - 1e-10
-        out = clamped_newton_direction(h, g)
-        assert np.allclose(lifted @ out, g, atol=1e-9)
-        # the lifted operator is positive definite, so -s descends along g
-        assert g @ out > 0
-
-    def test_matches_explicit_solve(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            h = rng.normal(size=(4, 4))
-            g = rng.normal(size=4)
-            direct = np.linalg.solve(_lifted(h), g)
-            assert np.allclose(clamped_newton_direction(h, g), direct, atol=1e-10)
-
-    def test_identity_average_reduces_to_gradient(self):
-        g = np.array([0.4, -0.9])
-        assert np.allclose(clamped_newton_direction(np.eye(2), g), g)
-
-    def test_negative_curvature_amplifies(self):
-        # eigenvalue -1 is clamped to 0.1, so that component is divided by 0.1
-        g = np.array([1.0, 0.0])
-        out = clamped_newton_direction(np.diag([-1.0, 5.0]), g)
-        assert out[0] == pytest.approx(10.0)
 
 
 def _eigh_solve(sym, g, eps_pd):
@@ -244,6 +182,43 @@ class TestLiftedSolve:
         for sym in (np.zeros((d, d)), np.eye(d), np.ones((d, d)), 1e-300 * np.eye(d)):
             assert _lifted_solve(sym, g, 0.1).tobytes() == _eigh_solve(sym, g, 0.1).tobytes()
 
+    def test_well_conditioned_passthrough(self):
+        h = np.array([[2.0, 0.5], [0.5, 4.0]])
+        g = np.array([0.4, -0.9])
+        assert np.allclose(_lifted_solve(h, g, 0.1), np.linalg.solve(h, g))
+        # an identity average reduces to the gradient
+        assert np.allclose(_lifted_solve(np.eye(2), g, 0.1), g)
+
+    def test_lifts_eigenvalues_below_the_floor(self):
+        # eigenvalue -1 is lifted to 0.1, so that component is divided by 0.1
+        g = np.array([1.0, 1.0])
+        assert np.allclose(_lifted_solve(np.diag([-1.0, 3.0]), g, 0.1), [10.0, 1.0 / 3.0])
+        g = np.array([0.3, -0.2, 0.5])
+        assert np.allclose(_lifted_solve(np.zeros((3, 3)), g, 0.1), g / 0.1)
+
+    def test_step_bounded_by_the_floor(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            h = rng.normal(size=(4, 4))
+            g = rng.normal(size=4)
+            out = _lifted_solve(0.5 * (h + h.T), g, 0.25)
+            assert np.linalg.norm(out) <= np.linalg.norm(g) / 0.25 + 1e-9
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_matches_the_explicit_lift(self, seed: int):
+        rng = np.random.default_rng(seed)
+        h = rng.normal(size=(3, 3)) * rng.uniform(0.1, 10)
+        sym = 0.5 * (h + h.T)
+        g = rng.normal(size=3)
+        lifted = _lifted(sym)
+        assert np.linalg.eigvalsh(lifted)[0] >= 0.1 - 1e-10
+        out = _lifted_solve(sym, g, 0.1)
+        assert np.allclose(lifted @ out, g, atol=1e-9)
+        assert np.allclose(out, np.linalg.solve(lifted, g), atol=1e-10)
+        # the lifted operator is positive definite, so -s descends along g
+        assert g @ out > 0
+
     def test_lapack_failure_raises(self, monkeypatch):
         # a failed LAPACK call comes back filled with NaN
         def failed(sym, signature):
@@ -253,15 +228,13 @@ class TestLiftedSolve:
         monkeypatch.setattr(newton_mod, "eigh_lo", failed)
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             _lifted_solve(np.eye(3), np.ones(3), 0.1)
-        with pytest.raises(np.linalg.LinAlgError):
-            clamped_newton_direction(np.eye(3), np.ones(3))
 
     def test_infinite_matrix_raises(self):
         # eigh returns NaN eigenvalues here; the solve refuses them
         h = np.array([[np.inf, 1.0], [1.0, 2.0]])
         assert np.isnan(np.linalg.eigh(h)[0]).all()
         with pytest.raises(np.linalg.LinAlgError):
-            clamped_newton_direction(h, np.ones(2))
+            _lifted_solve(h, np.ones(2), 0.1)
 
 
 class TestIterationCost:
@@ -287,45 +260,62 @@ def probes(monkeypatch):
     return calls
 
 
-def _directions(cfg, count, seed=0):
-    """The first ``count`` directions a run draws from ``default_rng(seed)``."""
-    return cfg.perturbation.sample(np.random.default_rng(seed), (count, cfg.objective.dim))
+def _directions(cfg, count):
+    """The first ``count`` directions a run of ``cfg`` draws."""
+    perturb_rng = newton_mod._spawn_streams(cfg.seed, 3)[1]
+    return cfg.perturbation.sample(perturb_rng, (count, cfg.objective.dim))
 
 
 def _project(theta, box):
     return np.minimum(np.maximum(theta, box.lower), box.upper)
 
 
-def _reference_step(state, oracle, cfg, rng):
-    """One iteration of ``cfg.algorithm``, built from the public estimators,
-    the clamped-Newton solve and an explicit projection."""
-    s, n, k, spec = cfg.schedules, state.n, cfg.k, cfg.perturbation
+def _run_start(cfg):
+    """A run's start, oracle and direction stream, drawn as ``run_newton``
+    draws them."""
+    init_rng, perturb_rng, noise_rng = newton_mod._spawn_streams(cfg.seed, 3)
+    theta0 = init_rng.uniform(INIT_RANGE[0], INIT_RANGE[1], cfg.objective.dim)
+    return theta0, BudgetedOracle(cfg.objective, cfg.noise, cfg.budget, noise_rng), perturb_rng
+
+
+def _one_iteration(theta, hbar, oracle, cfg, rng):
+    """Iteration 1 of ``cfg.algorithm`` by ``_iterations``; returns the new
+    ``(theta, hbar)``."""
+    ((theta, hbar),) = _iterations(theta, hbar, oracle, cfg, rng, 1)
+    return theta, hbar
+
+
+def _reference_step(theta, hbar, oracle, cfg, rng, n):
+    """Iteration ``n`` of ``cfg.algorithm`` from ``(theta, hbar)``, built from
+    the public estimators, the solve through ``np.linalg.eigh`` and an
+    explicit projection; returns the new ``(theta, hbar)``."""
+    s, k, spec = cfg.schedules, cfg.k, cfg.perturbation
     delta = s.delta(n)
     hessian = cfg.algorithm == "newton"
-    direction = spec.sample(rng, (1, state.theta.size))
+    direction = spec.sample(rng, (1, theta.size))
     offsets = ray_offsets(direction, delta, 2 * k + 1 if hessian else k + 1)[0]
-    values = measure(oracle, state.theta + offsets)
+    values = measure(oracle, theta + offsets)
     grad_direction = gradient_unbias_factor(spec) * direction[0]
-    hbar = state.hbar
     if hessian:
         hess = hessian_samples(values, scaling_matrices(spec, direction)[0], delta, k, k)
         hbar = hbar + s.b(n) * (hess - hbar)
         if not cfg.reuse:
-            values = measure(oracle, state.theta + offsets[: k + 1])
+            values = measure(oracle, theta + offsets[: k + 1])
         grad = gradient_samples(values, grad_direction, delta, k)
-        step = clamped_newton_direction(hbar, grad, cfg.eps_pd)
+        step = _eigh_solve(hbar, grad, cfg.eps_pd)
     else:
         step = gradient_samples(values, grad_direction, delta, k)
-    theta = _project(state.theta - s.a(n) * step, cfg.box)
-    return NewtonState(theta=theta, hbar=hbar, n=n + 1)
+    return _project(theta - s.a(n) * step, cfg.box), hbar
 
 
-class TestNewtonStep:
+class TestOneIteration:
+    """``run_newton`` on a budget of one iteration from a set ``theta0``, read
+    through the oracle calls it makes."""
+
     def test_average_update_and_move(self, probes):
-        cfg = NewtonConfig(objective=QUAD, budget=100, k=1, seed=0)
         theta0 = np.array([1.0, 1.0])
-        state = NewtonState(theta=theta0.copy(), hbar=np.eye(2), n=1)
-        out = newton_step(state, BudgetedOracle(QUAD), cfg, np.random.default_rng(0))
+        cfg = NewtonConfig(objective=QUAD, budget=3, k=1, seed=0, theta0=theta0)
+        rec = run_newton(cfg)
 
         s = cfg.schedules
         direction = _directions(cfg, 1)
@@ -335,57 +325,39 @@ class TestNewtonStep:
         hess = hessian_samples(values, scaling_matrices(gaussian(), direction)[0], s.delta(1), 1, 1)
         g0 = gradient_samples(values, direction[0], s.delta(1), 1)
         hbar1 = np.eye(2) + s.b(1) * (hess - np.eye(2))
-        assert np.allclose(out.hbar, hbar1, atol=1e-12)
-        expected = _project(theta0 - s.a(1) * clamped_newton_direction(hbar1, g0), cfg.box)
-        assert np.allclose(out.theta, expected, atol=1e-12)
-        assert out.n == 2
-
-    def test_two_steps_compound_the_average(self, probes):
-        cfg = NewtonConfig(objective=QUAD, budget=100, k=1, seed=0)
-        state = NewtonState(theta=np.zeros(2), hbar=np.eye(2), n=1)
-        rng = np.random.default_rng(0)
-        state = newton_step(state, BudgetedOracle(QUAD), cfg, rng)
-        state = newton_step(state, BudgetedOracle(QUAD), cfg, rng)
-        s = cfg.schedules
-        directions = _directions(cfg, 2)
-        hess1, hess2 = (
-            hessian_samples(values, scaling_matrices(gaussian(), directions[i : i + 1])[0],
-                            s.delta(i + 1), 1, 1)
-            for i, (_, values) in enumerate(probes)
-        )
-        hbar1 = np.eye(2) + s.b(1) * (hess1 - np.eye(2))
-        hbar2 = hbar1 + s.b(2) * (hess2 - hbar1)
-        assert np.allclose(state.hbar, hbar2, atol=1e-12)
-        assert state.n == 3
+        expected = _project(theta0 - s.a(1) * _eigh_solve(hbar1, g0, cfg.eps_pd), cfg.box)
+        assert np.allclose(rec.theta_final, expected, atol=1e-12)
+        assert rec.iterations == 1
 
     @staticmethod
-    def noisy_step(cfg, step=newton_step):
-        """One ``step`` from the origin, on a noisy oracle."""
-        oracle = BudgetedOracle(QUAD, LinearGaussianNoise(0.1), None, np.random.default_rng(3))
-        state = NewtonState(theta=np.zeros(2), hbar=np.eye(2), n=1)
-        return step(state, oracle, cfg, np.random.default_rng(0)), oracle
+    def noisy_run(cfg):
+        """One iteration from ``(0.5, -0.5)``, on a noisy oracle."""
+        cost = iteration_cost(cfg.k, cfg.reuse)
+        return run_newton(
+            replace(cfg, budget=cost, noise=LinearGaussianNoise(0.1), theta0=np.array([0.5, -0.5]))
+        )
 
     def test_reuse_passes_gradient_shift_prefix(self, probes):
         # one probe of 2k+1 shifts; the gradient reads its values
-        cfg = NewtonConfig(objective=QUAD, budget=100, k=2, seed=0, reuse=True)
-        out, oracle = self.noisy_step(cfg)
+        cfg = NewtonConfig(objective=QUAD, k=2, seed=0, reuse=True)
+        rec = self.noisy_run(cfg)
         assert [len(points) for points, _ in probes] == [5]
-        assert oracle.evals_used == 5
+        assert rec.evals_used == 5
         s = cfg.schedules
         direction = _directions(cfg, 1)
         hess = hessian_samples(probes[0][1], scaling_matrices(gaussian(), direction)[0],
                                s.delta(1), 2, 2)
         hbar1 = np.eye(2) + s.b(1) * (hess - np.eye(2))
         g0 = gradient_samples(probes[0][1], direction[0], s.delta(1), 2)
-        expected = _project(-s.a(1) * clamped_newton_direction(hbar1, g0), cfg.box)
-        assert np.allclose(out.theta, expected, atol=1e-12)
+        expected = _project(rec.theta_init - s.a(1) * _eigh_solve(hbar1, g0, cfg.eps_pd), cfg.box)
+        assert np.allclose(rec.theta_final, expected, atol=1e-12)
 
     def test_no_reuse_passes_nothing(self, probes):
         # the gradient reads a second, fresh probe of k+1 shifts
-        cfg = NewtonConfig(objective=QUAD, budget=100, k=2, seed=0, reuse=False)
-        out, oracle = self.noisy_step(cfg)
+        cfg = NewtonConfig(objective=QUAD, k=2, seed=0, reuse=False)
+        rec = self.noisy_run(cfg)
         assert [len(points) for points, _ in probes] == [5, 3]
-        assert oracle.evals_used == 8
+        assert rec.evals_used == 8
         (first_points, first), (second_points, second) = probes
         # the same shifts, measured again under fresh noise
         assert np.array_equal(second_points, first_points[:3])
@@ -395,55 +367,18 @@ class TestNewtonStep:
         hess = hessian_samples(first, scaling_matrices(gaussian(), direction)[0], s.delta(1), 2, 2)
         hbar1 = np.eye(2) + s.b(1) * (hess - np.eye(2))
         g0 = gradient_samples(second, direction[0], s.delta(1), 2)
-        expected = _project(-s.a(1) * clamped_newton_direction(hbar1, g0), cfg.box)
-        assert np.allclose(out.theta, expected, atol=1e-12)
-        assert out.theta.tobytes() == self.noisy_step(cfg, _reference_step)[0].theta.tobytes()
-
-    def test_asymmetric_hbar_raises(self):
-        # the solve reads only the lower triangle, so [[0, 1], [0, 0]] would
-        # be solved as the zero matrix, not as its symmetric part
-        cfg = NewtonConfig(objective=QUAD, budget=100, k=1, seed=0)
-        state = NewtonState(theta=np.ones(2), hbar=np.array([[0.0, 1.0], [0.0, 0.0]]), n=1)
-        oracle = BudgetedOracle(QUAD)
-        with pytest.raises(ValueError, match="hbar"):
-            newton_step(state, oracle, cfg, np.random.default_rng(0))
-        assert oracle.evals_used == 0
-        # the gradient-only baseline never reads hbar and passes it through
-        cfg = replace(cfg, algorithm="gradient_only")
-        assert newton_step(state, oracle, cfg, np.random.default_rng(0)).hbar is state.hbar
-
-    @pytest.mark.parametrize(
-        "n,hbar,message",
-        [
-            (0, np.eye(2), r"^n must be >= 1, got 0$"),
-            (-1, np.eye(2), r"^n must be >= 1, got -1$"),
-            (1, np.eye(3), r"^hbar must have shape \(2, 2\), got \(3, 3\)$"),
-            (1, np.ones(2), r"^hbar must have shape \(2, 2\), got \(2,\)$"),
-        ],
-    )
-    def test_state_it_cannot_step_raises(self, n, hbar, message):
-        cfg = NewtonConfig(objective=QUAD, budget=100, k=1, seed=0)
-        state = NewtonState(theta=np.ones(2), hbar=hbar, n=n)
-        oracle = BudgetedOracle(QUAD)
-        with pytest.raises(ValueError, match=message):
-            newton_step(state, oracle, cfg, np.random.default_rng(0))
-        assert oracle.evals_used == 0
-
-
-class TestGradientStep:
-    """``newton_step`` on a gradient-only config."""
+        expected = _project(rec.theta_init - s.a(1) * _eigh_solve(hbar1, g0, cfg.eps_pd), cfg.box)
+        assert np.allclose(rec.theta_final, expected, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 3])
-    def test_one_probe_and_clipped_gradient_move(self, probes, k):
+    def test_gradient_only_probe_and_clipped_move(self, probes, k):
+        # a budget of k+1 buys one gradient-only iteration, not none at 2k+1
+        theta0 = np.array([1.997, 1.99])
         cfg = NewtonConfig(
-            objective=QUAD, budget=100, k=k, seed=0, box=Box(0.5, 2.0),
+            objective=QUAD, budget=k + 1, k=k, seed=0, box=Box(0.5, 2.0), theta0=theta0,
             algorithm="gradient_only",
         )
-        theta0 = np.array([1.997, 1.99])
-        hbar = np.array([[3.0, 0.5], [0.5, 1.0]])
-        state = NewtonState(theta=theta0.copy(), hbar=hbar, n=1)
-        oracle = BudgetedOracle(QUAD)
-        out = newton_step(state, oracle, cfg, np.random.default_rng(0))
+        rec = run_newton(cfg)
 
         s = cfg.schedules
         direction = _directions(cfg, 1)
@@ -452,26 +387,89 @@ class TestGradientStep:
         assert np.array_equal(points, theta0 + ray_offsets(direction, s.delta(1), k + 1)[0])
         g0 = gradient_samples(values, direction[0], s.delta(1), k)
         expected = _project(theta0 - s.a(1) * g0, cfg.box)
-        assert np.array_equal(out.theta, expected)
+        assert np.array_equal(rec.theta_final, expected)
         assert expected[0] == 2.0  # the projection is exercised
-        assert out.hbar is hbar
-        assert np.array_equal(hbar, [[3.0, 0.5], [0.5, 1.0]])
-        assert out.n == 2
-        assert oracle.evals_used == k + 1
+        assert rec.iterations == 1
+        assert rec.evals_used == k + 1
 
-    def test_budget_of_one_gradient_iteration_suffices(self):
-        # priced at k+1 = 2, not the Newton 2k+1 = 3
-        cfg = NewtonConfig(objective=QUAD, budget=2, k=1, algorithm="gradient_only")
-        oracle = BudgetedOracle(QUAD, budget=2)
-        state = NewtonState(theta=np.ones(2), hbar=np.eye(2), n=1)
-        out = newton_step(state, oracle, cfg, np.random.default_rng(0))
-        assert oracle.evals_used == 2
-        assert out.n == 2
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_gradient_only_has_no_hessian_inputs(self, monkeypatch, probes, k):
+        def no_scaling(*args):
+            raise AssertionError("a gradient-only iteration formed scaling matrices")
+
+        cfg = NewtonConfig(
+            objective=QUAD, budget=k + 1, k=k, theta0=np.array([0.5, -0.5]),
+            algorithm="gradient_only",
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(newton_mod, "scaling_matrices", no_scaling)
+            run_newton(cfg)
+        run_newton(replace(cfg, budget=2 * k + 1, algorithm="newton"))
+        (gradient_points, _), (newton_points, _) = probes
+        assert gradient_points.shape == (k + 1, 2)
+        assert newton_points.shape == (2 * k + 1, 2)
+        # the same direction stream, so the gradient probe points agree
+        assert newton_points[: k + 1].tobytes() == gradient_points.tobytes()
 
 
-class TestNewtonStepIsThePublicUpdate:
-    """Consecutive ``newton_step`` calls give the bits of the update built
-    from the public estimators, the solve and an explicit projection."""
+class TestIterationsAreThePublicUpdate:
+    """``run_newton`` runs either algorithm as a flat loop over inputs drawn
+    a block at a time; the update built from the public estimators one draw
+    at a time must give the same bits: every iterate of the trajectory,
+    every ``hbar`` that ``_iterations`` yields, and the evaluations used."""
+
+    @pytest.mark.parametrize(
+        "objective", [rastrigin(3), quartic(3)],
+        # quartic: an objective whose value is written the plain way
+        ids=["rastrigin", "quartic"],
+    )
+    @pytest.mark.parametrize(
+        "hessian,reuse", [(True, True), (True, False), (False, True)],
+        ids=["newton-reuse", "newton-fresh", "gradient"],
+    )
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("spec", [gaussian(), uniform(1.0)], ids=["gaussian", "uniform"])
+    @pytest.mark.parametrize("sigma", [0.0, 0.01])
+    @pytest.mark.parametrize("iterations", [5, _BLOCK, _BLOCK + 7])
+    def test_same_bits(self, objective, hessian, reuse, k, spec, sigma, iterations):
+        cost = iteration_cost(k, reuse, hessian)
+        cfg = NewtonConfig(
+            objective=objective,
+            budget=iterations * cost + cost - 1,
+            k=k,
+            noise=LinearGaussianNoise(sigma),
+            perturbation=spec,
+            reuse=reuse,
+            seed=7,
+            algorithm="newton" if hessian else "gradient_only",
+        )
+        rec = run_newton(cfg)
+
+        theta, oracle, rng = _run_start(cfg)
+        ref_theta, ref_oracle, ref_rng = _run_start(cfg)
+        ref_hbar = np.eye(3)
+        snapshots = [ref_theta]
+        steps = _iterations(theta, np.eye(3), oracle, cfg, rng, iterations)
+        for n, (theta, hbar) in enumerate(steps, 1):
+            ref_theta, ref_hbar = _reference_step(ref_theta, ref_hbar, ref_oracle, cfg, ref_rng, n)
+            assert theta.tobytes() == ref_theta.tobytes()
+            assert hbar.tobytes() == ref_hbar.tobytes()
+            snapshots.append(ref_theta)
+
+        assert rec.iterations == len(snapshots) - 1 == iterations
+        assert rec.evals_used == oracle.evals_used == ref_oracle.evals_used == iterations * cost
+        assert rec.trajectory.tobytes() == np.asarray(snapshots).tobytes()
+        assert rec.theta_final.tobytes() == ref_theta.tobytes()
+
+
+class TestIterationsFromAnyState:
+    """``_iterations`` from a start no run makes (an iterate near the box's
+    edge, a symmetric average other than the identity) on streams seeded
+    apart from any run's, and read at a stride, gives the bits of the
+    update built from the public estimators."""
+
+    THETA0 = np.array([2.4, -2.4, 0.3])
+    HBAR0 = np.array([[3.0, 0.5, -0.25], [0.5, 0.5, 0.125], [-0.25, 0.125, 2.0]])
 
     @pytest.mark.parametrize(
         "hessian,reuse", [(True, True), (True, False), (False, True)],
@@ -490,101 +488,29 @@ class TestNewtonStepIsThePublicUpdate:
             reuse=reuse,
             algorithm="newton" if hessian else "gradient_only",
         )
-        oracles = [
-            BudgetedOracle(cfg.objective, cfg.noise, None, np.random.default_rng(1))
-            for _ in range(2)
-        ]
-        rngs = [np.random.default_rng(2) for _ in range(2)]
-        state = ref = NewtonState(theta=np.array([2.4, -2.4, 0.3]), hbar=np.eye(3), n=1)
-        for _ in range(5):
-            state = newton_step(state, oracles[0], cfg, rngs[0])
-            ref = _reference_step(ref, oracles[1], cfg, rngs[1])
-            assert state.theta.tobytes() == ref.theta.tobytes()
-            assert state.hbar.tobytes() == ref.hbar.tobytes()
-            assert state.n == ref.n
+
+        def start():
+            oracle = BudgetedOracle(cfg.objective, cfg.noise, None, np.random.default_rng(1))
+            return self.THETA0.copy(), self.HBAR0.copy(), oracle, cfg, np.random.default_rng(2)
+
+        ref_theta, ref_hbar, ref_oracle, _, ref_rng = start()
+        reference = []
+        for n in range(1, 6):
+            ref_theta, ref_hbar = _reference_step(ref_theta, ref_hbar, ref_oracle, cfg, ref_rng, n)
+            reference.append((ref_theta.tobytes(), ref_hbar.tobytes()))
+
+        *args, oracle, _, rng = start()
+        steps = _iterations(*args, oracle, cfg, rng, 5)
+        assert [(t.tobytes(), h.tobytes()) for t, h in steps] == reference
         cost = iteration_cost(k, reuse, hessian)
-        assert oracles[0].evals_used == oracles[1].evals_used == 5 * cost
-
-
-class TestStepDraws:
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_gradient_only_step_has_no_hessian_inputs(self, monkeypatch, probes, k):
-        def no_scaling(*args):
-            raise AssertionError("a gradient-only step formed scaling matrices")
-
-        cfg = NewtonConfig(objective=QUAD, budget=100, k=k, algorithm="gradient_only")
-        state = NewtonState(theta=np.array([0.5, -0.5]), hbar=np.eye(2), n=1)
-        with monkeypatch.context() as patch:
-            patch.setattr(newton_mod, "scaling_matrices", no_scaling)
-            newton_step(state, BudgetedOracle(QUAD), cfg, np.random.default_rng(0))
-        newton = replace(cfg, algorithm="newton")
-        newton_step(state, BudgetedOracle(QUAD), newton, np.random.default_rng(0))
-        (gradient_points, _), (newton_points, _) = probes
-        assert gradient_points.shape == (k + 1, 2)
-        assert newton_points.shape == (2 * k + 1, 2)
-        # the same direction stream, so the gradient probe points agree
-        assert newton_points[: k + 1].tobytes() == gradient_points.tobytes()
-
-
-def _run_settings(test):
-    """Parametrize ``test`` over the run settings the driver is checked on."""
-    grid = [
-        pytest.mark.parametrize(
-            "hessian,reuse", [(True, True), (True, False), (False, True)],
-            ids=["newton-reuse", "newton-fresh", "gradient"],
-        ),
-        pytest.mark.parametrize("k", [1, 2, 4]),
-        pytest.mark.parametrize("spec", [gaussian(), uniform(1.0)], ids=["gaussian", "uniform"]),
-        pytest.mark.parametrize("sigma", [0.0, 0.01]),
-        pytest.mark.parametrize("iterations", [5, _BLOCK, _BLOCK + 7]),
-    ]
-    for mark in grid:
-        test = mark(test)
-    return test
-
-
-class TestDriverIsTheStepLoop:
-    """``run_newton`` runs either algorithm as a flat loop over inputs drawn
-    a block at a time; a hand loop of the one-draw steps must give the same
-    bits."""
-
-    @_run_settings
-    def test_same_trajectory_bits(self, hessian, reuse, k, spec, sigma, iterations):
-        self.check(rastrigin(3), hessian, reuse, k, spec, sigma, iterations)
-
-    @_run_settings
-    def test_same_trajectory_bits_on_quartic(self, hessian, reuse, k, spec, sigma, iterations):
-        # an objective whose value is written the plain way
-        self.check(quartic(3), hessian, reuse, k, spec, sigma, iterations)
-
-    @staticmethod
-    def check(objective, hessian, reuse, k, spec, sigma, iterations):
-        cost = iteration_cost(k, reuse) if hessian else k + 1
-        cfg = NewtonConfig(
-            objective=objective,
-            budget=iterations * cost + cost - 1,
-            k=k,
-            noise=LinearGaussianNoise(sigma),
-            perturbation=spec,
-            reuse=reuse,
-            seed=7,
-            algorithm="newton" if hessian else "gradient_only",
-        )
-        rec = run_newton(cfg)
-
-        init_rng, perturb_rng, noise_rng = newton_mod._spawn_streams(cfg.seed, 3)
-        theta0 = init_rng.uniform(INIT_RANGE[0], INIT_RANGE[1], 3)
-        oracle = BudgetedOracle(cfg.objective, cfg.noise, cfg.budget, noise_rng)
-        state = NewtonState(theta=theta0.copy(), hbar=np.eye(3), n=1)
-        snapshots = [theta0.copy()]
-        while oracle.remaining >= cost:
-            state = newton_step(state, oracle, cfg, perturb_rng)
-            snapshots.append(state.theta.copy())
-
-        assert rec.iterations == state.n - 1 == iterations
-        assert rec.evals_used == oracle.evals_used == iterations * cost
-        assert rec.trajectory.tobytes() == np.asarray(snapshots).tobytes()
-        assert rec.theta_final.tobytes() == state.theta.tobytes()
+        assert oracle.evals_used == ref_oracle.evals_used == 5 * cost
+        if not hessian:
+            assert reference[-1][1] == self.HBAR0.tobytes()
+        # at stride 2 it yields after iterations 2 and 4 and after the last
+        strided = _iterations(*start(), 5, stride=2)
+        assert [(t.tobytes(), h.tobytes()) for t, h in strided] == [
+            reference[1], reference[3], reference[4]
+        ]
 
 
 class TestNonFiniteMidBlock:
@@ -653,10 +579,9 @@ class TestNonFiniteFromTheDot:
                     out[pos] = bad
                 return out
 
-            state = NewtonState(theta=np.array([0.5, -0.5]), hbar=np.eye(2), n=1)
-            oracle = BudgetedOracle(replace(QUAD, value=value))
+            oracle, rng = BudgetedOracle(replace(QUAD, value=value)), np.random.default_rng(0)
             with pytest.raises(NonFiniteEvaluation) as raised:
-                newton_step(state, oracle, cfg, np.random.default_rng(0))
+                _one_iteration(np.array([0.5, -0.5]), np.eye(2), oracle, cfg, rng)
             assert len(calls) == probe + 1  # nothing is measured after it
             assert str(raised.value) == (
                 f"oracle returned a non-finite value ({bad}) at {calls[probe][pos].tolist()}"
@@ -674,17 +599,21 @@ class TestNonFiniteFromTheDot:
             objective=objective, budget=100, k=1,
             algorithm="newton" if hessian else "gradient_only",
         )
-        outcomes = []
-        for step in (newton_step, _reference_step):
-            state = NewtonState(theta=np.array([0.5, -0.5]), hbar=np.eye(2), n=1)
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    out = step(state, BudgetedOracle(objective), cfg, np.random.default_rng(0))
-                outcomes.append(out.theta.tobytes())
-            except np.linalg.LinAlgError as exc:  # an infinite average has no eigenpairs
-                outcomes.append(type(exc))
-        assert outcomes[0] == outcomes[1]
-        assert (outcomes[0] is np.linalg.LinAlgError) == hessian
+
+        def run(step, *n):
+            start = np.array([0.5, -0.5]), np.eye(2), BudgetedOracle(objective)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return step(*start, cfg, np.random.default_rng(0), *n)[0]
+
+        reference = run(_reference_step, 1)  # measure's scan passes finite values
+        if hessian:
+            # the average overflows; eigh returns NaN eigenpairs for it, which
+            # the iteration's solve refuses
+            assert np.isnan(reference).all()
+            with pytest.raises(np.linalg.LinAlgError):
+                run(_one_iteration)
+        else:
+            assert run(_one_iteration).tobytes() == reference.tobytes()
 
 
 class TestNewtonConfig:
@@ -693,12 +622,20 @@ class TestNewtonConfig:
         [
             ("k", 0), ("record_stride", 0), ("eps_pd", 0.0), ("eps_pd", -1.0), ("eps_pd", np.nan),
             ("algorithm", "gradient-only"), ("eps_pd", np.inf), ("theta0", np.zeros(2)),
+            ("budget", 100.5), ("budget", np.float64(100.0)), ("seed", 1.5),
+            ("record_stride", 2.0),
         ],
     )
     def test_invalid_values_raise_when_built(self, name, value):
         # before any run, so gradient-only configs are checked the same way
         with pytest.raises(ValueError, match=f"^{name} must be"):
-            NewtonConfig(objective=QUAD, budget=30, **{name: value})
+            NewtonConfig(**{"objective": QUAD, "budget": 30, name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = NewtonConfig(
+            objective=QUAD, budget=np.int64(30), seed=np.int32(2), record_stride=np.int64(4)
+        )
+        assert run_newton(cfg).evals_used == 30
 
     def test_budget_is_checked_against_its_algorithm_when_built(self):
         # one Newton iteration at k = 1 costs 3 evaluations, a gradient-only one 2

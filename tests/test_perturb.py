@@ -10,7 +10,7 @@ import pytest
 from grdsa import harness
 from grdsa.cubic import CubicConfig, _batched_estimates
 from grdsa.estimators import batch_hessian, hessian_deviation, hessian_samples, probe
-from grdsa.newton import _BLOCK, NewtonConfig, NewtonState, newton_step
+from grdsa.newton import _BLOCK, NewtonConfig, _iterations
 from grdsa.oracle import BudgetedOracle, quartic
 from grdsa.perturb import (
     GAUSSIAN,
@@ -232,11 +232,12 @@ def _crzon_reuse_hessian(spec):
     return _batched_estimates(THETA, BudgetedOracle(OBJECTIVE), cfg, np.random.default_rng(5))[0]
 
 
-def _newton_step_hessian(spec):
-    # from hbar = 0 the step's average is b(1) M(Delta) q
+def _newton_iteration_hessian(spec):
+    # from hbar = 0 the first iteration's average is b(1) M(Delta) q
     cfg = NewtonConfig(objective=OBJECTIVE, budget=100, perturbation=spec)
-    state = NewtonState(theta=THETA, hbar=np.zeros((3, 3)), n=1)
-    return newton_step(state, BudgetedOracle(OBJECTIVE), cfg, np.random.default_rng(6)).hbar
+    oracle, rng = BudgetedOracle(OBJECTIVE), np.random.default_rng(6)
+    ((_, hbar),) = _iterations(THETA, np.zeros((3, 3)), oracle, cfg, rng, 1)
+    return hbar
 
 
 #: Hessian path -> its outputs under one spec
@@ -258,7 +259,7 @@ HESSIAN_PATHS = {
         OBJECTIVE, THETA, 0.1, 2, 1, spec, DIRS, mode="residual"
     ),
     "crzon_reuse": _crzon_reuse_hessian,
-    "newton_step": _newton_step_hessian,
+    "newton_iteration": _newton_iteration_hessian,
 }
 
 

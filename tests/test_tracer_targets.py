@@ -24,6 +24,8 @@ ROOT = Path(__file__).resolve().parents[1]
 #: empties this list
 STALE = [
     "grdsa.harness.run_first_order",
+    "grdsa.newton.newton_step",
+    "grdsa.newton.clamped_newton_direction",
     "grdsa.newton.estimate_hessian",
     "grdsa.newton.estimate_gradient",
     "grdsa.cubic.batch_hessian",
