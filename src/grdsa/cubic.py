@@ -189,12 +189,16 @@ def solve_cubic_subproblem(
     scale = max(1.0, float(np.max(np.abs(eigval))), half * r_floor)
 
     def phi_and_slope(r: float) -> tuple[float, float]:
+        # np.linalg.norm and np.sum, without their Python wrappers: the
+        # norm of a vector is sqrt(x.dot(x)), and np.sum is np.add.reduce
         den = eigval + half * r
         ratios = ghat / den
-        phi = float(np.linalg.norm(ratios))
+        phi = math.sqrt(ratios.dot(ratios))
         if phi == 0.0:
             return 0.0, 0.0
-        slope = -half * float(np.sum(ratios**2 / den)) / phi
+        weighted = np.square(ratios)
+        weighted /= den
+        slope = -half * float(np.add.reduce(weighted)) / phi
         return phi, slope
 
     def finish(r: float, s_hat: np.ndarray, hard: bool, iters: int) -> CubicSolution:

@@ -28,6 +28,11 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from numpy.linalg._umath_linalg import eigh_lo
 
+try:  # numpy >= 2; numpy.core warns there
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy 1.x
+    from numpy.core.umath import clip as _clip
+
 from .estimators import _check_finite_values, ray_offsets
 from .oracle import (
     BudgetedOracle,
@@ -54,9 +59,10 @@ def _check_finite(**values: float) -> None:
 
 
 def _check_integer(**values: int) -> None:
-    """Raise naming the first of ``values`` that is not an integer."""
+    """Raise naming the first of ``values`` that is not an integer; a bool
+    is not one, though ``bool`` subclasses ``int``."""
     for name, value in values.items():
-        if not isinstance(value, (int, np.integer)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -172,6 +178,14 @@ class Box:
     the projection handles exactly, but the projected scheme's analysis
     rests on a compact constraint set, so an infinite bound is rejected
     as a config error rather than run without that guarantee.
+
+    The projection is one call of numpy's ``clip`` ufunc.  When neither
+    bound is zero it equals ``np.minimum(np.maximum(x, lower), upper)`` bit
+    for bit, NaN, infinities and signed zeros included.  A zero bound
+    differs in the sign of a zero: ``clip`` keeps a ``-0.0`` coordinate
+    inside ``Box(0.0, 1.0)``, where max-then-min gives ``+0.0``.  A run's
+    ``theta - step`` is ``-0.0`` only where ``theta`` already was and the
+    step is ``+0.0``.
     """
 
     lower: float = -5.12
@@ -196,7 +210,7 @@ def _lifted_solve(sym: np.ndarray, g: np.ndarray, eps_pd: float) -> np.ndarray:
     ``sym`` gives NaN eigenvalues.
     """
     eigval, eigvec = eigh_lo(sym, signature="d->dd")
-    if eigval[0] != eigval[0]:
+    if math.isnan(eigval[0]):
         raise LinAlgError("Eigenvalues did not converge")
     # ndarray.dot: the same BLAS mat-vecs as ``@`` at a lower call overhead;
     # the clamp and the division reuse the gufunc's fresh outputs
@@ -316,7 +330,8 @@ def _iterations(
     A spent block is released before the next is drawn.
 
     The estimator reductions and the projection are written inline, with
-    everything the iterations read bound once per block.  Every measured
+    everything the iterations read bound once per block; the projection is
+    one ``clip`` ufunc call (see :class:`Box`).  Every measured
     value enters a stencil dot the iteration takes anyway (a probe's
     Hessian dot, or the gradient dot of a probe that has none), and a NaN
     or infinite value makes that dot non-finite; so only a non-finite dot
@@ -373,9 +388,8 @@ def _iterations(
                 step = directions[i] * (slope / delta)
             # step is a fresh array each iteration: project into it
             step *= a[i]
-            np.subtract(theta, step, out=step)
-            np.maximum(step, lower, out=step)
-            theta = np.minimum(step, upper, out=step)
+            np.subtract(theta, step, step)
+            theta = _clip(step, lower, upper, step)
             left -= 1
             if not left:
                 left = stride

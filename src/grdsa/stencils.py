@@ -29,7 +29,8 @@ class OrderError(ValueError):
 
 
 def _check_order(k: int, name: str) -> None:
-    if not isinstance(k, (int, np.integer)):
+    # a bool is an int subclass, but not an order
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise OrderError(f"{name} must be an integer, got {k!r}")
     if k < 1:
         raise OrderError(f"{name} must be >= 1, got {k}")

@@ -179,7 +179,10 @@ class TestCubicConfig:
     @pytest.mark.parametrize(
         "name,value",
         [("n_steps", 2.5), ("m", 10.5), ("b", 10.5), ("seed", 1.5), ("budget", 1e6),
-         ("m", np.float64(10.0))],
+         ("m", np.float64(10.0)),
+         # bool subclasses int, but True is not a count
+         ("m", True), ("b", True), ("n_steps", True), ("seed", True), ("budget", True),
+         ("k", True), ("m", np.True_)],
     )
     def test_non_integer_count_rejected_when_built(self, name, value):
         # before any run: a float count would fail inside it

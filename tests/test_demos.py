@@ -26,6 +26,7 @@ STDOUT_SHA256 = {
     "03_bias_order_sweep.py": "cd8b5759fe8573358b6c40b3d6334084d17cda6d01abf354e3f62bc4c42cc5af",
     "04_newton_benchmark.py": "58446695d9648c1d7c2a29a48d1a3346bedc3b92adb783e08ab3e0603434f191",
     "05_saddle_escape.py": "c6f18fdc4818bbc946fa0fe4db7db29c53b2dd3a5e2d821ee0d39daf9f32f038",
+    "06_ripple_gain.py": "eb1d8260a282f6e87540a0e259c94caba6d2bee75b0d5c7deb629da07d5aa99e",
 }
 
 _TIMING = re.compile(rb"\d+(?:\.\d+)? ?m?s\b")

@@ -151,6 +151,41 @@ class TestBox:
             Box(lower=float("nan"))
 
 
+class TestProjection:
+    """The iteration projects with one call of numpy's ``clip`` ufunc, in
+    place into the step, as the reference does with max-then-min."""
+
+    SPECIAL = [
+        np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320,
+        1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300,
+    ]
+
+    @pytest.mark.parametrize(
+        "lower,upper",
+        [(-5.12, 5.12), (-0.5, 0.5), (0.5, 2.0), (-2.0, -0.5), (1e-320, 1.0), (-1.0, -1e-320),
+         (5e-324, 1e-320), (-1e300, 1e300)],
+    )
+    def test_equals_max_then_min_for_nonzero_bounds(self, lower, upper):
+        bounds = [lower, upper]
+        # each bound, its neighbours and its mirror image
+        near = [np.nextafter(v, away) for v in bounds for away in (-np.inf, np.inf)]
+        x = np.array(self.SPECIAL + bounds + near + [-lower, -upper, 2 * lower, 2 * upper])
+        expected = np.minimum(np.maximum(x, lower), upper)
+        step = x.copy()
+        projected = newton_mod._clip(step, np.array(lower), np.array(upper), step)
+        assert projected is step
+        assert projected.tobytes() == expected.tobytes()
+
+    def test_a_zero_bound_keeps_the_sign_of_a_zero(self):
+        # recorded as it is: with a zero bound, clip keeps the -0.0 that
+        # max-then-min turns into the bound's +0.0; every other bit agrees
+        x = np.array([-0.0, 0.0, -1e-320, -1.0, 0.5, 2.0, np.nan])
+        projected = newton_mod._clip(x, np.array(0.0), np.array(1.0))
+        expected = np.minimum(np.maximum(x, 0.0), 1.0)
+        assert np.signbit(projected[0]) and not np.signbit(expected[0])
+        assert projected[1:].tobytes() == expected[1:].tobytes()
+
+
 def _lifted(sym, eps_pd=0.1):
     """``sym`` with its eigenvalues lifted to ``eps_pd``."""
     w, v = np.linalg.eigh(sym)
@@ -443,7 +478,35 @@ class TestIterationsAreThePublicUpdate:
             seed=7,
             algorithm="newton" if hessian else "gradient_only",
         )
+        self.assert_same_bits(cfg, iterations)
+
+    @pytest.mark.parametrize(
+        "box", [Box(-0.5, 0.5), Box(0.0, 1.0)], ids=["tight", "zero-bound"]
+    )
+    @pytest.mark.parametrize("hessian", [True, False], ids=["newton-reuse", "gradient"])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_same_bits_where_the_box_clips(self, box, hessian, k):
+        # runs start outside these boxes and keep leaving them, so the
+        # iteration's clip meets the reference's max-then-min on the bounds
+        iterations = 71
+        cfg = NewtonConfig(
+            objective=rastrigin(3),
+            budget=iterations * iteration_cost(k, True, hessian),
+            k=k,
+            noise=LinearGaussianNoise(0.01),
+            box=box,
+            seed=7,
+            algorithm="newton" if hessian else "gradient_only",
+        )
+        trajectory = self.assert_same_bits(cfg, iterations)[1:]
+        on_bound = (trajectory == box.lower) | (trajectory == box.upper)
+        assert on_bound.mean() > 0.4
+
+    @staticmethod
+    def assert_same_bits(cfg, iterations):
+        """Check a run of ``cfg`` against the reference; return its trajectory."""
         rec = run_newton(cfg)
+        cost = iteration_cost(cfg.k, cfg.reuse, cfg.algorithm == "newton")
 
         theta, oracle, rng = _run_start(cfg)
         ref_theta, ref_oracle, ref_rng = _run_start(cfg)
@@ -460,6 +523,7 @@ class TestIterationsAreThePublicUpdate:
         assert rec.evals_used == oracle.evals_used == ref_oracle.evals_used == iterations * cost
         assert rec.trajectory.tobytes() == np.asarray(snapshots).tobytes()
         assert rec.theta_final.tobytes() == ref_theta.tobytes()
+        return rec.trajectory
 
 
 class TestIterationsFromAnyState:
@@ -624,6 +688,9 @@ class TestNewtonConfig:
             ("algorithm", "gradient-only"), ("eps_pd", np.inf), ("theta0", np.zeros(2)),
             ("budget", 100.5), ("budget", np.float64(100.0)), ("seed", 1.5),
             ("record_stride", 2.0),
+            # bool subclasses int, but True is not a count
+            ("seed", True), ("budget", True), ("k", True), ("record_stride", True),
+            ("k", np.True_), ("seed", np.True_),
         ],
     )
     def test_invalid_values_raise_when_built(self, name, value):

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import math
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,6 +300,18 @@ class TestRippleGain:
         weights, power = (grad_weights(k), 1) if kind == "grad" else (hess_weights(k, k), 2)
         gains = [_ripple_gain(weights, x, power) for x in (1, 2, 3, 4)]
         assert [round(g, 3) for g in gains] == list(self.TABLE[kind, k])
+
+    def test_the_demo_prints_this_table(self):
+        # demos/06_ripple_gain.py prints every order; its k = 1 and 4 rows are these
+        path = Path(__file__).resolve().parent.parent / "demos" / "06_ripple_gain.py"
+        spec = importlib.util.spec_from_file_location("ripple_gain_demo", path)
+        demo = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(demo)
+        assert demo.XS == (1, 2, 3, 4)
+        for k in (1, 4):
+            grad, hess = demo.gains(k)
+            assert [round(g, 3) for g in grad] == list(self.TABLE["grad", k])
+            assert [round(h, 3) for h in hess] == list(self.TABLE["hess", k])
 
     @pytest.mark.parametrize("x", [1, 2, 3, 4])
     def test_first_order_closed_forms(self, x):
