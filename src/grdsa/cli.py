@@ -89,7 +89,7 @@ def _cmd_newton_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     records = [
         run_newton(harness.build_newton_config(config, seed=seed))
-        for seed in harness.seed_range(config, args.seeds)
+        for seed in harness.seed_range(config)
     ]
     harness.write_newton_csv(args.out, records)
     errors = [r.final_parameter_error for r in records if r.final_parameter_error is not None]
@@ -107,7 +107,7 @@ def _cmd_crzon_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     reports = [
         run_crzon(harness.build_cubic_config(config, seed=seed))
-        for seed in harness.seed_range(config, args.seeds)
+        for seed in harness.seed_range(config)
     ]
     harness.write_crzon_csv(args.out, reports)
     lam = [r.lambda_min_at_r for r in reports]
@@ -188,17 +188,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     newton = sub.add_parser("newton", help="two-timescale projected Newton runs")
     newton_sub = newton.add_subparsers(dest="subcommand", required=True)
-    nr = newton_sub.add_parser("run", help="run seeds and write a CSV")
+    nr = newton_sub.add_parser("run", help="run the config's seeds and write a CSV")
     nr.add_argument("--config", required=True)
-    nr.add_argument("--seeds", type=int, required=True)
     nr.add_argument("--out", required=True)
     nr.set_defaults(func=_cmd_newton_run)
 
     crzon = sub.add_parser("crzon", help="cubic-regularized Newton runs")
     crzon_sub = crzon.add_subparsers(dest="subcommand", required=True)
-    cr = crzon_sub.add_parser("run", help="run seeds and write a CSV")
+    cr = crzon_sub.add_parser("run", help="run the config's seeds and write a CSV")
     cr.add_argument("--config", required=True)
-    cr.add_argument("--seeds", type=int, required=True)
     cr.add_argument("--out", required=True)
     cr.set_defaults(func=_cmd_crzon_run)
 

@@ -201,7 +201,7 @@ def solve_cubic_subproblem(
         slope = -half * float(np.add.reduce(weighted)) / phi
         return phi, slope
 
-    def finish(r: float, s_hat: np.ndarray, hard: bool, iters: int) -> CubicSolution:
+    def finish(s_hat: np.ndarray, hard: bool, iters: int) -> CubicSolution:
         s = eigvec @ s_hat
         radius = float(np.linalg.norm(s))
         resid = float(np.linalg.norm(g + sym @ s + half * radius * s))
@@ -216,9 +216,9 @@ def solve_cubic_subproblem(
 
     # all-zero and convex-with-zero-gradient cases
     if gnorm == 0.0 and lam_min >= 0.0:
-        return finish(0.0, np.zeros_like(g), False, 0)
+        return finish(np.zeros_like(g), False, 0)
 
-    def hard_case_solution(iters: int) -> CubicSolution:
+    def hard_case_solution() -> CubicSolution:
         den = eigval + half * r_floor
         keep = den > 1e-12 * scale
         p_hat = np.zeros_like(ghat)
@@ -227,16 +227,16 @@ def solve_cubic_subproblem(
         bottom = int(np.argmin(den))
         s_hat = p_hat.copy()
         s_hat[bottom] += tau
-        return finish(r_floor, s_hat, True, iters)
+        return finish(s_hat, True, 0)
 
     if gnorm == 0.0:
-        return hard_case_solution(0)
+        return hard_case_solution()
 
     # strictly above r_floor the shifted matrix is positive definite
     r_lo = r_floor + 1e-13 * scale / half
     phi_lo, _ = phi_and_slope(r_lo)
     if phi_lo <= r_lo and r_floor > 0.0:
-        return hard_case_solution(0)
+        return hard_case_solution()
 
     r_hi = max(2.0 * r_lo, r_floor + math.sqrt(2.0 * gnorm / alpha), 1e-8)
     for _ in range(200):
@@ -261,7 +261,7 @@ def solve_cubic_subproblem(
         newton = r - (phi - r) / (slope - 1.0)
         r = newton if r_lo < newton < r_hi else 0.5 * (r_lo + r_hi)
     s_hat = -ghat / (eigval + half * r)
-    return finish(r, s_hat, False, iters)
+    return finish(s_hat, False, iters)
 
 
 def crzon_step(
@@ -325,33 +325,32 @@ class SospReport:
 
 
 def run_crzon(cfg: CubicConfig) -> SospReport:
-    """Run ``n_steps`` outer steps (or to budget) and report a random iterate.
+    """Run ``n_steps`` outer steps, or as many as the budget buys, and report
+    a random iterate.
 
-    The report index ``R`` is drawn once from the run's seed, uniform over
-    the completed iterates; the config has already checked that the budget
-    covers one step.
+    Every step costs ``step_cost()``, so the count is fixed up front (the
+    config has checked that the budget buys one).  The report index ``R``
+    is drawn once from the run's seed, uniform over the iterates.
     """
     start = time.perf_counter()
-    cost = cfg.step_cost()
+    steps = cfg.n_steps
+    if cfg.budget is not None:
+        steps = min(steps, cfg.budget // cfg.step_cost())
     alpha = cfg.alpha_value()
 
     init_rng, perturb_rng, noise_rng, select_rng = _spawn_streams(cfg.seed, 4)
 
-    dim = cfg.objective.dim
-    theta0 = _initial_theta(cfg.theta0, dim, init_rng)
+    theta0 = _initial_theta(cfg.theta0, cfg.objective.dim, init_rng)
     oracle = BudgetedOracle(cfg.objective, cfg.noise, cfg.budget, noise_rng)
 
-    theta = theta0.copy()
-    iterates: list[np.ndarray] = []
-    for _ in range(cfg.n_steps):
-        if oracle.remaining is not None and oracle.remaining < cost:
-            break
+    theta = theta0
+    trajectory = np.empty((steps, theta0.size))
+    for i in range(steps):
         theta, _ = crzon_step(theta, oracle, cfg, perturb_rng)
-        iterates.append(theta.copy())
+        trajectory[i] = theta
 
-    n_done = len(iterates)
-    r_index = int(select_rng.integers(1, n_done + 1))
-    theta_r = iterates[r_index - 1]
+    r_index = int(select_rng.integers(1, steps + 1))
+    theta_r = trajectory[r_index - 1]
 
     grad_norm = float("nan")
     lam_min = float("nan")
@@ -365,7 +364,7 @@ def run_crzon(cfg: CubicConfig) -> SospReport:
         k=cfg.k,
         epsilon=cfg.epsilon,
         n_steps=cfg.n_steps,
-        iterations=n_done,
+        iterations=steps,
         m=cfg.m,
         b=cfg.b,
         delta=cfg.delta,
@@ -373,10 +372,10 @@ def run_crzon(cfg: CubicConfig) -> SospReport:
         r_index=r_index,
         theta_init=theta0,
         theta_r=theta_r.copy(),
-        theta_final=theta.copy(),
+        theta_final=theta,
         grad_norm_at_r=grad_norm,
         lambda_min_at_r=lam_min,
         evals_used=oracle.evals_used,
-        trajectory=np.asarray(iterates) if iterates else np.empty((0, dim)),
+        trajectory=trajectory,
         wall_time_s=time.perf_counter() - start,
     )

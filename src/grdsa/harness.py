@@ -83,27 +83,32 @@ def method_spec(name: str) -> MethodSpec:
     return MethodSpec(name, "gradient_only", measurements - 1, family)
 
 
+def _plain(value):
+    """A numpy scalar or array as the plain JSON value it holds."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def config_fingerprint(config: dict) -> str:
-    """Stable digest of a config dict (key order independent)."""
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    """Stable digest of a config dict (key order independent); a numpy value
+    digests as its plain-JSON twin."""
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"), default=_plain)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 # --- config schema --------------------------------------------------------
 
-_array = functools.partial(np.asarray, dtype=float)
-
-
 def _convert(path: str, kind: Callable, value):
     """``value`` of the key ``path`` as ``kind``, neither rounded (an int takes
     ``1e4`` but not 2.7), read for its truth (a bool takes only a boolean) nor
     parsed (a float takes only a number, a str only a string); ``list[kind]``
-    takes only a non-empty list and converts each item.  A value that does
-    not fit names ``path``."""
+    takes only a non-empty list (or array) and converts each item.  A value
+    that does not fit names ``path``."""
     if typing.get_origin(kind) is list:
-        if not isinstance(value, (list, tuple)):
+        if not (isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim):
             raise ValueError(f"{path} must be a list, got {value!r}")
-        if not value:
+        if len(value) == 0:
             raise ValueError(f"{path} must not be empty")
         return [_convert(f"{path}[{i}]", typing.get_args(kind)[0], v) for i, v in enumerate(value)]
     integral = isinstance(value, (int, np.integer)) or (
@@ -146,16 +151,16 @@ KEYS = {
         # the problem
         "objective": Key(str, default="rastrigin"),
         "dim": Key(int, default=2),
-        "quadratic.diag": Key(_array),
-        "quadratic.matrix": Key(_array),
-        "quadratic.b": Key(_array),
+        "quadratic.diag": Key(list[float]),
+        "quadratic.matrix": Key(list[list[float]]),
+        "quadratic.b": Key(list[float]),
         "noise.sigma": Key(float, default=0.0),
         "perturb.family": Key(str, default="gaussian"),
         "perturb.eta": Key(float, (PerturbationSpec,)),
         # one run
         "budget": Key(int, _RUN),
         "seed_base": Key(int, _RUN, "seed"),
-        "theta0": Key(_array, _RUN),
+        "theta0": Key(list[float], _RUN),
         "estimator.reuse": Key(bool, _RUN),
         "estimator.paper_literal_scaling": Key(bool, (PerturbationSpec,)),
         "estimator.k": Key(int, (NewtonConfig,)),
@@ -187,6 +192,7 @@ KEYS = {
         "methods": Key(list[str], default=("G2SF-3",)),
         "dims": Key(list[int]),
         "budgets": Key(list[int]),
+        # how many runs newton run, crzon run and each table cell make
         "seeds": Key(int, default=1),
         # run_bias_sweep; k overrides k1, and k2 defaults to k1
         "estimator_kind": Key(str, default="hessian"),
@@ -194,7 +200,7 @@ KEYS = {
         "k1": Key(int, default=1),
         "k2": Key(int),
         "mode": Key(str, default="residual"),
-        "theta": Key(_array),
+        "theta": Key(list[float]),
         "deltas": Key(list[float], default=(0.4, 0.2, 0.1, 0.05)),
         "samples": Key(int, default=100_000),
     }.items()
@@ -275,6 +281,8 @@ def _quadratic_objective(config: dict, dim: int) -> Objective:
     a = setting(config, "quadratic.matrix")
     if a is None:
         a = np.diag(setting(config, "quadratic.diag", np.ones(dim)))
+    elif any(len(row) != len(a) for row in a):
+        raise ValueError(f"quadratic.matrix must be square, got {a}")
     return quadratic(a, setting(config, "quadratic.b"))
 
 
@@ -346,8 +354,9 @@ def build_cubic_config(config: dict, seed: int | None = None) -> cubic_mod.Cubic
     )
 
 
-def seed_range(config: dict, count: int) -> range:
-    """The seeds of ``count`` runs, from ``seed_base``."""
+def seed_range(config: dict) -> range:
+    """The seeds of a config's runs: ``seeds`` of them, from ``seed_base``."""
+    count = setting(config, "seeds")
     if count < 1:
         raise ValueError(f"seeds must be >= 1, got {count}")
     start = setting(config, "seed_base")
@@ -416,7 +425,7 @@ def run_table(config: dict) -> TableResult:
     holds one block of draws, whatever its budget.
     """
     fingerprint = config_fingerprint(config)
-    seeds = seed_range(config, setting(config, "seeds"))
+    seeds = seed_range(config)
     rows: list[TableRow] = []
     for (method, sub), seed in itertools.product(table_cells(config), seeds):
         dim, budget = sub["dim"], sub["budget"]
@@ -503,8 +512,9 @@ class BiasSweep(typing.NamedTuple):
 def bias_sweep_settings(config: dict) -> BiasSweep:
     """The bias sweep's settings: a known ``estimator_kind`` and ``mode``,
     supported orders (``k`` overrides ``k1``, ``k2`` defaults to it),
-    positive finite ``deltas``, at least one sample and a finite ``theta``
-    of the objective's shape."""
+    at least two distinct positive finite ``deltas`` (a slope needs two
+    radii), at least one sample and a finite ``theta`` of the objective's
+    shape."""
     estimator = setting(config, "estimator_kind")
     if estimator not in ("gradient", "hessian"):
         raise ValueError(f"estimator_kind must be one of gradient, hessian, got {estimator!r}")
@@ -521,16 +531,18 @@ def bias_sweep_settings(config: dict) -> BiasSweep:
         raise ValueError(f"deltas must be > 0, got {deltas}")
     if not all(math.isfinite(delta) for delta in deltas):
         raise ValueError(f"deltas must be finite, got {deltas}")
+    if len(set(deltas)) < 2:
+        raise ValueError(f"deltas must hold at least two distinct radii, got {deltas}")
     samples = setting(config, "samples")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     theta = setting(config, "theta")
     if theta is not None:
         if not np.isfinite(theta).all():
-            raise ValueError(f"theta must be finite, got {theta.tolist()}")
+            raise ValueError(f"theta must be finite, got {theta}")
         dim = make_objective(config).dim
-        if theta.shape != (dim,):
-            raise ValueError(f"theta must have shape ({dim},), got {theta.shape}")
+        if np.shape(theta) != (dim,):
+            raise ValueError(f"theta must have shape ({dim},), got {np.shape(theta)}")
     return BiasSweep(estimator, k1, k2, mode, deltas, samples)
 
 
@@ -574,17 +586,17 @@ def run_bias_sweep(config: dict) -> BiasSweepResult:
 def _build_runs(config: dict) -> list:
     """The configs of every run of ``config``, built as its runs build them:
     the CRZON config, its regularizer included; or the ``newton run`` config,
-    then, after the table's seeds are laid out, every table cell's.  The
-    bias sweep's settings are checked first."""
+    then every table cell's.  The bias sweep's settings are checked first,
+    then the seeds are laid out, as every command that runs seeds does."""
     if not isinstance(config, dict):
         raise ValueError(f"config must be an object, got {config!r}")
     bias_sweep_settings(config)
+    seed_range(config)
     if _lookup(config, "crzon") is not None:
         run = build_cubic_config(config)
         run.alpha_value()
         return [run]
     runs = [build_newton_config(config)]
-    seed_range(config, setting(config, "seeds"))
     return runs + [build_newton_config(cell) for _, cell in table_cells(config)]
 
 

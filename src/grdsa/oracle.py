@@ -89,12 +89,22 @@ def quadratic(a: np.ndarray, b: np.ndarray | None = None) -> Objective:
     if not np.isfinite(b).all():
         raise ValueError(f"b must be finite, got {b.tolist()}")
 
+    # rows per block of about 2^13 floats of (rows, d, d) products
+    rows = max(1, 2**13 // (dim * dim))
+
     def value(x: np.ndarray) -> np.ndarray:
         # plain reductions per row, so every row keeps the bits of its own
-        # call whatever the batch size (einsum and matmul do not)
+        # call whatever the batch size (einsum and matmul do not); the
+        # products are formed a block of rows at a time
         x = np.asarray(x, dtype=float)
-        quad = np.add.reduce(x[..., :, None] * a * x[..., None, :], axis=(-2, -1))
-        return 0.5 * quad + np.add.reduce(x * b, axis=-1)
+        flat = x.reshape(-1, dim)
+        quad = np.empty(len(flat))
+        for i in range(0, len(flat), rows):
+            block = flat[i : i + rows]
+            products = block[:, :, None] * a
+            products *= block[:, None, :]
+            quad[i : i + rows] = np.add.reduce(products, axis=(-2, -1))
+        return 0.5 * quad.reshape(x.shape[:-1]) + np.add.reduce(x * b, axis=-1)
 
     def gradient(x: np.ndarray) -> np.ndarray:
         return a @ np.asarray(x, dtype=float) + b

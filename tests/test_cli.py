@@ -119,9 +119,9 @@ class TestStencilCommands:
 
 class TestNewtonRun:
     def test_writes_csv_and_reports_mean(self, tmp_path, capsys):
-        config = write_config(tmp_path, QUAD)
+        config = write_config(tmp_path, dict(QUAD, seeds=2))
         out = tmp_path / "runs.csv"
-        assert main(["newton", "run", "--config", config, "--seeds", "2", "--out", str(out)]) == 0
+        assert main(["newton", "run", "--config", config, "--out", str(out)]) == 0
         printed = capsys.readouterr().out
         assert "2 runs ->" in printed
         assert "mean final parameter error" in printed
@@ -130,16 +130,16 @@ class TestNewtonRun:
         assert rows[1][3] == "20"  # budget 60 at 3 evals per iteration
 
     def test_gradient_only_algorithm(self, tmp_path, capsys):
-        config = write_config(tmp_path, dict(QUAD, algorithm="gradient_only"))
+        config = write_config(tmp_path, dict(QUAD, algorithm="gradient_only", seeds=1))
         out = tmp_path / "runs.csv"
-        assert main(["newton", "run", "--config", config, "--seeds", "1", "--out", str(out)]) == 0
+        assert main(["newton", "run", "--config", config, "--out", str(out)]) == 0
         rows = read_csv(out)
         assert rows[1][3] == "30"  # 2 evals per iteration instead of 3
 
     def test_unknown_algorithm_raises(self, tmp_path, capsys):
-        config = write_config(tmp_path, dict(QUAD, algorithm="gradient-only"))
+        config = write_config(tmp_path, dict(QUAD, algorithm="gradient-only", seeds=1))
         out = tmp_path / "runs.csv"
-        code = main(["newton", "run", "--config", config, "--seeds", "1", "--out", str(out)])
+        code = main(["newton", "run", "--config", config, "--out", str(out)])
         assert code == 2
         assert re.fullmatch(
             r"error: .*newton, gradient_only.*'gradient-only'\n", capsys.readouterr().err
@@ -147,25 +147,63 @@ class TestNewtonRun:
         assert not out.exists()
 
     def test_budget_defaults_to_the_tables(self, tmp_path):
-        config = write_config(tmp_path, {})
+        config = write_config(tmp_path, {"seeds": 1})
         out = tmp_path / "runs.csv"
-        assert main(["newton", "run", "--config", config, "--seeds", "1", "--out", str(out)]) == 0
+        assert main(["newton", "run", "--config", config, "--out", str(out)]) == 0
         rows = read_csv(out)
         assert len(rows) == 2
         assert rows[1][2] == "1000"
 
     def test_seed_key_is_ignored(self, tmp_path):
-        config = write_config(tmp_path, dict(QUAD, seed=7))
+        config = write_config(tmp_path, dict(QUAD, seed=7, seeds=1))
         out = tmp_path / "runs.csv"
-        main(["newton", "run", "--config", config, "--seeds", "1", "--out", str(out)])
+        main(["newton", "run", "--config", config, "--out", str(out)])
         assert read_csv(out)[1][0] == "0"
 
     def test_seed_base_respected(self, tmp_path, capsys):
-        config = write_config(tmp_path, dict(QUAD, seed_base=10))
+        config = write_config(tmp_path, dict(QUAD, seed_base=10, seeds=2))
         out = tmp_path / "runs.csv"
-        main(["newton", "run", "--config", config, "--seeds", "2", "--out", str(out)])
+        main(["newton", "run", "--config", config, "--out", str(out)])
         rows = read_csv(out)
         assert [row[0] for row in rows[1:]] == ["10", "11"]
+
+    def test_seeds_default_to_one(self, tmp_path, capsys):
+        config = write_config(tmp_path, QUAD)
+        out = tmp_path / "runs.csv"
+        assert main(["newton", "run", "--config", config, "--out", str(out)]) == 0
+        assert [row[0] for row in read_csv(out)[1:]] == ["0"]
+
+
+#: a CRZON config that completes in a few milliseconds
+SADDLE_CRZON = {"objective": "saddle", "crzon": {"N": 2, "m": 4, "b": 4}}
+
+
+class TestSeedsComeFromTheConfig:
+    @pytest.mark.parametrize("command,payload", [("newton", QUAD), ("crzon", SADDLE_CRZON)])
+    def test_seeds_flag_is_rejected(self, command, payload, tmp_path, capsys):
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "runs.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "run", "--config", config, "--seeds", "2", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seeds 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,payload", [("newton", QUAD), ("crzon", SADDLE_CRZON)])
+    def test_validate_and_run_agree_on_no_seeds(self, command, payload, tmp_path, capsys):
+        config = write_config(tmp_path, dict(payload, seeds=0))
+        assert main(["config", "validate", config]) == 2
+        assert "seeds must be >= 1, got 0" in capsys.readouterr().out
+        out = tmp_path / "runs.csv"
+        assert main([command, "run", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seeds must be >= 1, got 0\n"
+        assert not out.exists()
+
+    def test_crzon_runs_the_configs_seeds(self, tmp_path, capsys):
+        config = write_config(tmp_path, dict(SADDLE_CRZON, seeds=3, seed_base=5))
+        out = tmp_path / "crzon.csv"
+        assert main(["crzon", "run", "--config", config, "--out", str(out)]) == 0
+        assert [row[0] for row in read_csv(out)[1:]] == ["5", "6", "7"]
 
 
 class TestCrzonRun:
@@ -176,19 +214,22 @@ class TestCrzonRun:
                 "objective": "saddle",
                 "theta0": [0.01, 0.01],
                 "crzon": {"N": 2, "m": 4, "b": 4, "k": 1, "delta": 0.1},
+                "seeds": 2,
             },
         )
         out = tmp_path / "crzon.csv"
-        assert main(["crzon", "run", "--config", config, "--seeds", "2", "--out", str(out)]) == 0
+        assert main(["crzon", "run", "--config", config, "--out", str(out)]) == 0
         assert "median lambda_min" in capsys.readouterr().out
         rows = read_csv(out)
         assert len(rows) == 3
         assert rows[1][7] == str(2 * (4 * 2 + 4 * 3))
 
     def test_no_seeds_is_a_one_line_error(self, tmp_path, capsys):
-        config = write_config(tmp_path, {"objective": "saddle", "crzon": {"N": 2, "m": 4, "b": 4}})
+        config = write_config(
+            tmp_path, {"objective": "saddle", "crzon": {"N": 2, "m": 4, "b": 4}, "seeds": 0}
+        )
         out = tmp_path / "crzon.csv"
-        assert main(["crzon", "run", "--config", config, "--seeds", "0", "--out", str(out)]) == 2
+        assert main(["crzon", "run", "--config", config, "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: seeds must be >= 1, got 0\n"
         assert not out.exists()
 
@@ -312,12 +353,12 @@ class TestConfigValidate:
         assert printed.rstrip().endswith("config ok")
 
     def test_section_of_the_wrong_type_is_named(self, tmp_path, capsys):
-        config = write_config(tmp_path, {"schedules": 5, "budget": 30})
+        config = write_config(tmp_path, {"schedules": 5, "budget": 30, "seeds": 1})
         assert main(["config", "validate", config]) == 2
         printed = capsys.readouterr().out
         assert re.search(r"\[ERROR\] run\.builds +schedules must be an object, got 5\n", printed)
         out = tmp_path / "runs.csv"
-        assert main(["newton", "run", "--config", config, "--seeds", "1", "--out", str(out)]) == 2
+        assert main(["newton", "run", "--config", config, "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: schedules must be an object, got 5\n"
 
     def test_top_level_that_is_not_an_object_is_an_error(self, tmp_path, capsys):
@@ -325,7 +366,7 @@ class TestConfigValidate:
         out = str(tmp_path / "runs.csv")
         for command in (
             ["config", "validate", config],
-            ["newton", "run", "--config", config, "--seeds", "1", "--out", out],
+            ["newton", "run", "--config", config, "--out", out],
         ):
             assert main(command) == 2
             assert capsys.readouterr().err == "error: config must be an object, got [1, 2]\n"

@@ -16,6 +16,7 @@ import dataclasses
 import inspect
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grdsa import cubic
+from grdsa.cli import build_parser
 from grdsa.harness import (
     KEYS,
     bias_sweep_settings,
@@ -168,11 +170,38 @@ class TestRoundTrip:
             ("estimator.reuse", 0, "estimator.reuse must be true or false, got 0"),
             ("dims", [2, 5.9], r"dims\[1\] must be an integer, got 5.9"),
             ("methods", "G2SF-3", "methods must be a list, got 'G2SF-3'"),
+            # the array keys are lists of numbers: nothing parsed, nothing
+            # read as a number that is not one
+            ("theta0", "ab", "theta0 must be a list, got 'ab'"),
+            ("theta0", "12", "theta0 must be a list, got '12'"),
+            ("theta0", True, "theta0 must be a list, got True"),
+            ("theta0", [1.0, "a"], r"theta0\[1\] must be a number, got 'a'"),
+            ("theta0", [True, False], r"theta0\[0\] must be a number, got True"),
+            ("theta0", [], "theta0 must not be empty"),
+            ("theta", [[1.0, 2.0]], r"theta\[0\] must be a number, got \[1.0, 2.0\]"),
+            ("quadratic.diag", "xy", "quadratic.diag must be a list, got 'xy'"),
+            ("quadratic.diag", [1.0, None], r"quadratic.diag\[1\] must be a number, got None"),
+            ("quadratic.b", {"x": 1}, r"quadratic.b must be a list, got \{'x': 1\}"),
+            ("quadratic.matrix", [1.0, 2.0], r"quadratic.matrix\[0\] must be a list, got 1.0"),
+            ("quadratic.matrix", [[1.0], []], r"quadratic.matrix\[1\] must not be empty"),
         ],
     )
     def test_mistyped_value_names_its_key(self, path, value, message):
         with pytest.raises(ValueError, match=message):
             setting(with_key({}, path, value), path)
+
+    def test_arrays_read_as_lists_of_floats(self):
+        # a Python caller may pass numpy arrays; they read as the same floats
+        for value in ([1, 2.5], np.array([1.0, 2.5])):
+            assert setting({"theta0": value}, "theta0") == [1.0, 2.5]
+        with pytest.raises(ValueError, match=r"^theta0 must be a list, got array\(1\.\)$"):
+            setting({"theta0": np.array(1.0)}, "theta0")
+
+    def test_ragged_matrix_names_its_key(self):
+        config = {"objective": "quadratic", "quadratic": {"matrix": [[1, 2], [3]]}, "budget": 30}
+        message = r"^quadratic.matrix must be square, got \[\[1.0, 2.0\], \[3.0\]\]$"
+        with pytest.raises(ValueError, match=message):
+            build_newton_config(config)
 
     def test_table_is_consistent(self):
         # a key with a target takes its default from it, so carries none;
@@ -246,11 +275,11 @@ class TestValidateNeverRaises:
         # or its bias-sweep settings are rejected
         try:
             bias_sweep_settings(config)
+            seed_range(config)
             if config.get("crzon") is not None:
                 build_cubic_config(config).alpha_value()
             else:
                 build_newton_config(config)
-                seed_range(config, setting(config, "seeds"))
                 for _, cell in table_cells(config):
                     build_newton_config(cell)
             raised = False
@@ -356,6 +385,22 @@ def test_readme_python_blocks_run():
     namespace: dict = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def _readme_command_lines() -> list[list[str]]:
+    """The arguments of every ``grdsa`` line of README's ``sh`` blocks."""
+    lines = [line for block in _readme_blocks("sh") for line in block.splitlines()]
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("grdsa ")]
+
+
+def test_readme_shows_every_command():
+    assert len({tuple(argv[:2]) for argv in _readme_command_lines()}) == 7
+
+
+@pytest.mark.parametrize("argv", _readme_command_lines(), ids=" ".join)
+def test_readme_command_lines_parse(argv):
+    # README's examples cannot drift from the parser
+    build_parser().parse_args(argv)
 
 
 REPO_CONFIGS = {

@@ -385,6 +385,19 @@ class TestRunCrzon:
         assert rep.evals_used == 2 * (4 * 2 + 4 * 3)
         assert 1 <= rep.r_index <= 2
 
+    @pytest.mark.parametrize("n_steps,budget,steps", [(5, 45, 2), (2, 200, 2), (3, None, 3)])
+    def test_trajectory_is_one_row_per_step(self, n_steps, budget, steps):
+        # a step costs 20, so the run takes n_steps, capped by what the budget buys
+        cfg = CubicConfig(
+            objective=quadratic(A, B), k=1, n_steps=n_steps, m=4, b=4, delta=0.05,
+            alpha=1.0, seed=0, budget=budget,
+        )
+        rep = run_crzon(cfg)
+        assert rep.iterations == steps and rep.trajectory.shape == (steps, A.shape[0])
+        assert rep.evals_used == steps * cfg.step_cost()
+        assert np.array_equal(rep.trajectory[-1], rep.theta_final)
+        assert np.array_equal(rep.trajectory[rep.r_index - 1], rep.theta_r)
+
     def test_budget_too_small_raises_before_consuming(self):
         with pytest.raises(BudgetTooSmall):
             CubicConfig(

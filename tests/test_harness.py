@@ -23,6 +23,7 @@ from grdsa.harness import (
     method_spec,
     run_bias_sweep,
     run_table,
+    seed_range,
     validate_config,
     write_bias_sweep_csv,
     write_crzon_csv,
@@ -43,11 +44,13 @@ def read_csv(path):
 def run_failure(config):
     """``(type name, message)`` of the first run of ``config`` that raises, or None.
 
-    A config with a ``crzon`` section makes one CRZON run; any other makes
-    the run of ``grdsa newton run``, then the table's, whose cells fail one by
-    one unless the table cannot be laid out at all.
+    The seeds are laid out first, as the commands do.  A config with a
+    ``crzon`` section makes one CRZON run; any other makes the run of
+    ``grdsa newton run``, then the table's, whose cells fail one by one
+    unless the table cannot be laid out at all.
     """
     try:
+        seed_range(config)
         if config.get("crzon") is not None:
             run_crzon(build_cubic_config(config))
             return None
@@ -118,6 +121,16 @@ class TestFingerprint:
         fp = config_fingerprint({"a": 1})
         assert len(fp) == 16
         int(fp, 16)
+
+    def test_numpy_values_digest_as_their_plain_twin(self):
+        # the config readers take numpy integers, bools and arrays, so the
+        # table's fingerprint must too
+        config = dict(QUAD_CONFIG, budget=30, seeds=np.int64(2), theta0=np.array([1.0, 2.0]))
+        config["estimator"] = {"reuse": np.bool_(False), "k": np.int32(1)}
+        plain = dict(QUAD_CONFIG, budget=30, seeds=2, theta0=[1.0, 2.0])
+        plain["estimator"] = {"reuse": False, "k": 1}
+        assert config_fingerprint(config) == config_fingerprint(plain)
+        assert {row.fingerprint for row in run_table(config).rows} == {config_fingerprint(plain)}
 
 
 class TestBuilders:
@@ -724,6 +737,8 @@ class TestValidateConfig:
             ({"estimator": "x", "budget": 30}, "ValueError"),
             ({"crzon": [1]}, "ValueError"),
             ({"theta0": [0.0, 0.0], "budget": 30}, "ValueError"),
+            # a CRZON config's seeds are laid out as a table's are
+            (dict(CRZON_CONFIG, seeds=0), "ValueError"),
         ],
     )
     def test_validator_agrees_with_the_run(self, config, cause):
@@ -757,6 +772,9 @@ class TestValidateConfig:
             ({"theta": [float("inf"), 1.0]}, "theta must be finite, got [inf, 1.0]"),
             ({"theta": [1.0, float("nan")]}, "theta must be finite, got [1.0, nan]"),
             ({"theta": [1.0, 2.0, 3.0]}, "theta must have shape (2,), got (3,)"),
+            ({"deltas": [0.1]}, "deltas must hold at least two distinct radii, got [0.1]"),
+            ({"deltas": [0.1, 0.1]},
+             "deltas must hold at least two distinct radii, got [0.1, 0.1]"),
         ],
     )
     def test_bias_sweep_keys_are_checked(self, keys, message):

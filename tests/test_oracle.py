@@ -138,6 +138,28 @@ class TestQuadratic:
             quadratic(np.eye(2), np.array([1.0, -np.inf]))
 
 
+class TestQuadraticBlocks:
+    """``value`` forms its ``(rows, d, d)`` products a block of about 2^13
+    floats at a time, not for the whole batch at once."""
+
+    @pytest.mark.parametrize("d", [50, 200])
+    def test_rows_across_blocks_keep_their_bits(self, d):
+        # a block holds three rows at d = 50 and one at d = 200
+        objective = _full_quadratic(d)
+        points = np.random.default_rng(d).normal(size=(10, d))
+        values = objective.value(points)
+        for i in range(10):
+            assert values[i].tobytes() == objective.value(points[i]).tobytes()
+
+    @pytest.mark.parametrize("d,n", [(50, 163), (200, 40)])
+    def test_memory_is_a_block_of_products(self, d, n, peak_bytes):
+        # all n rows at once peaked at 6.6 MB (d = 50) and 25.7 MB (d = 200)
+        objective = quadratic(np.eye(d))
+        points = np.ones((n, d))
+        block = max(2**13, d * d) * 8
+        assert peak_bytes(lambda: objective.value(points)) < 3 * block + 2 * points.nbytes
+
+
 class TestQuartic:
     def test_derivatives(self):
         obj = quartic(2)
