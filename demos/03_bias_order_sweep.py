@@ -12,7 +12,7 @@ import numpy as np
 
 from grdsa.estimators import fit_loglog_slope, gradient_deviation, hessian_deviation
 from grdsa.harness import run_bias_sweep
-from grdsa.oracle import exp_sin, quartic
+from grdsa.oracle import quartic
 from grdsa.perturb import gaussian
 
 

@@ -29,10 +29,9 @@ def _load_config(path: str) -> dict:
 
 
 def _cmd_stencil_print(args: argparse.Namespace) -> int:
-    k2 = args.k2 if args.k2 is not None else args.k1
     tables = [
         ("gradient", grad_stencil(args.k1), ("k",), "delta"),
-        ("hessian", hess_stencil(args.k1, k2), ("k1", "k2"), "delta^2"),
+        ("hessian", hess_stencil(args.k1, args.k2), ("k1", "k2"), "delta^2"),
     ]
     if args.json:
         payload = {

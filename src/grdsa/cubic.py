@@ -29,6 +29,9 @@ from .stencils import _check_order
 #: regularizer floor used when the objective has a vanishing third derivative
 ALPHA_FLOOR = 1e-3
 
+# the most safeguarded Newton steps one solve takes on the secular equation
+_SECULAR_ITERS = 200
+
 
 @dataclass(frozen=True)
 class CubicConfig:
@@ -155,7 +158,6 @@ def solve_cubic_subproblem(
     h: np.ndarray,
     alpha: float,
     tol: float = 1e-8,
-    max_iter: int = 200,
 ) -> CubicSolution:
     """Globally minimize ``g.s + s.H.s/2 + alpha |s|^3 / 6``.
 
@@ -249,7 +251,7 @@ def solve_cubic_subproblem(
 
     r = min(max(math.sqrt(2.0 * gnorm / alpha), r_lo), r_hi)
     iters = 0
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, _SECULAR_ITERS + 1):
         phi, slope = phi_and_slope(r)
         residual = half * abs(phi - r) * phi
         if residual <= tol * max(1.0, gnorm):

@@ -68,13 +68,6 @@ def _check_finite_values(values: np.ndarray, points: np.ndarray) -> None:
         )
 
 
-def measure(oracle: BudgetedOracle, points: np.ndarray) -> np.ndarray:
-    """Evaluate the ``(n, d)`` points in one oracle call; every value must be finite."""
-    values = oracle.evaluate_many(points)
-    _check_finite_values(values, points)
-    return values
-
-
 #: floats of one block (2**13, 64 KB): the probe points one oracle call is
 #: given, and the weighted directions one step of :func:`hessian_mean` sums
 BLOCK_FLOATS = 2**13
@@ -108,7 +101,9 @@ def probe(
         block = slice(start, start + rows)
         points = ray_offsets(directions[block], delta, n_shifts)
         points += theta
-        values[block] = measure(oracle, points.reshape(-1, d)).reshape(-1, n_shifts)
+        # no name holds the oracle's result, so it is freed before the next block
+        values[block] = oracle.evaluate_many(points.reshape(-1, d)).reshape(-1, n_shifts)
+        _check_finite_values(values[block].ravel(), points.reshape(-1, d))
     return values
 
 

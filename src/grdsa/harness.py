@@ -194,7 +194,7 @@ KEYS = {
         "budgets": Key(list[int]),
         # how many runs newton run, crzon run and each table cell make
         "seeds": Key(int, default=1),
-        # run_bias_sweep; k overrides k1, and k2 defaults to k1
+        # run_bias_sweep; k is another name for k1, and k2 defaults to k1
         "estimator_kind": Key(str, default="hessian"),
         "k": Key(int),
         "k1": Key(int, default=1),
@@ -281,6 +281,8 @@ def _quadratic_objective(config: dict, dim: int) -> Objective:
     a = setting(config, "quadratic.matrix")
     if a is None:
         a = np.diag(setting(config, "quadratic.diag", np.ones(dim)))
+    elif _lookup(config, "quadratic.diag") is not None:
+        raise ValueError("quadratic.diag cannot be set with quadratic.matrix")
     elif any(len(row) != len(a) for row in a):
         raise ValueError(f"quadratic.matrix must be square, got {a}")
     return quadratic(a, setting(config, "quadratic.b"))
@@ -297,10 +299,13 @@ _OBJECTIVES = {
 
 
 def make_objective(config: dict) -> Objective:
-    """The objective named by ``objective``, which must be ``dim``-dimensional."""
+    """The objective named by ``objective``, which must be ``dim``-dimensional;
+    only the quadratic reads a ``quadratic`` section."""
     name = setting(config, "objective")
     if name not in _OBJECTIVES:
         raise ValueError(f"unknown objective {name!r} (one of {', '.join(_OBJECTIVES)})")
+    if name != "quadratic" and _lookup(config, "quadratic") is not None:
+        raise ValueError(f"quadratic is read only by objective 'quadratic', got {name!r}")
     dim = setting(config, "dim")
     objective = _OBJECTIVES[name](config, dim)
     if objective.dim != dim:
@@ -511,7 +516,8 @@ class BiasSweep(typing.NamedTuple):
 
 def bias_sweep_settings(config: dict) -> BiasSweep:
     """The bias sweep's settings: a known ``estimator_kind`` and ``mode``,
-    supported orders (``k`` overrides ``k1``, ``k2`` defaults to it),
+    supported orders (``k`` is another name for ``k1``, so only one of the
+    two may be set; ``k2`` defaults to ``k1``),
     at least two distinct positive finite ``deltas`` (a slope needs two
     radii), at least one sample and a finite ``theta`` of the objective's
     shape."""
@@ -522,6 +528,8 @@ def bias_sweep_settings(config: dict) -> BiasSweep:
     if mode not in ("residual", "mean_bias"):
         raise ValueError(f"mode must be one of residual, mean_bias, got {mode!r}")
     order = "k" if _lookup(config, "k") is not None else "k1"
+    if order == "k" and _lookup(config, "k1") is not None:
+        raise ValueError("k cannot be set with k1")
     k1 = setting(config, order)
     _check_order(k1, order)
     k2 = setting(config, "k2", k1)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -263,12 +263,6 @@ class BudgetedOracle:
     @property
     def evals_used(self) -> int:
         return self._used
-
-    @property
-    def remaining(self) -> int | None:
-        if self.budget is None:
-            return None
-        return self.budget - self._used
 
     def check_affords(self, n: int) -> None:
         """Raise :class:`BudgetExhausted` unless ``n`` more evaluations fit the budget."""

@@ -74,10 +74,6 @@ class Stencil:
     orders: tuple[int, ...]
     weights: tuple[Fraction, ...]
 
-    @property
-    def shifts(self) -> np.ndarray:
-        return np.arange(len(self.weights))
-
     def to_float(self) -> np.ndarray:
         return np.array([float(w) for w in self.weights])
 

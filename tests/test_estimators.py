@@ -16,10 +16,10 @@ from grdsa.estimators import (
     gradient_deviation,
     gradient_mean,
     gradient_samples,
+    gradient_slopes,
     hessian_deviation,
     hessian_mean,
     hessian_samples,
-    measure,
     probe,
     ray_offsets,
 )
@@ -40,7 +40,7 @@ from grdsa.perturb import (
     scaling_matrices,
     uniform,
 )
-from grdsa.stencils import grad_weights, hess_weights
+from grdsa.stencils import grad_stencil, grad_weights, hess_weights
 
 A = np.array([[2.0, 0.5], [0.5, 4.0]])
 B = np.array([0.3, -0.2])
@@ -181,12 +181,13 @@ class TestProbe:
         obj = Objective(
             name="bad", dim=2, value=lambda x: np.where(x[..., 1] > 1.0, np.nan, 0.0)
         )
-        points = np.array([[0.0, 0.5], [0.25, 1.5], [0.0, 2.0]])
+        # one ray through (0, 0.5), (0.25, 1.5) and (0.5, 2.5): the last two are NaN
+        theta, direction = np.array([0.0, 0.5]), np.array([[0.25, 1.0]])
         with pytest.raises(
             NonFiniteEvaluation,
             match=r"^oracle returned a non-finite value \(nan\) at \[0\.25, 1\.5\]$",
         ):
-            measure(BudgetedOracle(obj), points)
+            probe(BudgetedOracle(obj), theta, direction, 1.0, 3)
 
 
 def block_rows(n_shifts, d):
@@ -251,9 +252,12 @@ class TestProbeBlocks:
 
 
 class TestMeasure:
+    """The finiteness scan of :func:`probe`, through one-shift probes: every
+    row of such a probe is measured at ``theta`` itself."""
+
     def test_finite_values_pass_through(self):
         points = np.array([[0.1, 0.2], [0.3, -0.4]])
-        values = measure(fresh_oracle(), points)
+        values = [probe(fresh_oracle(), p, np.ones((1, 2)), 0.1, 1)[0, 0] for p in points]
         assert np.array_equal(values, quadratic(A, B).value(points))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -264,7 +268,7 @@ class TestMeasure:
             values[pos] = bad
             obj = Objective(name="bad", dim=2, value=lambda x, v=values: v)
             with pytest.raises(NonFiniteEvaluation):
-                measure(BudgetedOracle(obj), np.zeros((n, 2)))
+                probe(BudgetedOracle(obj), np.zeros(2), np.ones((n, 2)), 0.1, 1)
 
 
 class TestUnbufferedProducts:
@@ -603,6 +607,57 @@ class TestDeviations:
             gradient_deviation(obj, THETA, 0.1, 1, SPEC, dirs, mode="median")
         with pytest.raises(ValueError):
             hessian_deviation(obj, THETA, 0.1, 1, None, SPEC, dirs, mode="median")
+
+
+class TestRastriginMean:
+    """For Gaussian directions on 1-D Rastrigin, Stein's lemma gives the
+    order-k gradient estimator's mean exactly:
+    ``2 theta + 20 pi sin(2 pi theta) R_k(delta)``, where
+    ``R_k(delta) = sum_s w_s s exp(-2 pi**2 delta**2 s**2)`` is the share of
+    the ripple's gradient that the mean keeps."""
+
+    THETA, DELTA, N = 0.3, 0.31, 200_000
+
+    def closed_form(self, k):
+        ripple = sum(
+            float(w) * s * np.exp(-2 * np.pi**2 * self.DELTA**2 * s**2)
+            for s, w in enumerate(grad_stencil(k).weights)
+        )
+        return 2 * self.THETA + 20 * np.pi * np.sin(2 * np.pi * self.THETA) * ripple
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_sampled_mean_matches(self, k):
+        dirs = SPEC.sample(np.random.default_rng(1), (self.N, 1))
+        theta = np.array([self.THETA])
+        values = probe(BudgetedOracle(rastrigin(1)), theta, dirs, self.DELTA, k + 1)
+        draws = gradient_unbias_factor(SPEC) * dirs[:, 0] * gradient_slopes(values, self.DELTA, k)
+        se = draws.std(ddof=1) / np.sqrt(self.N)
+        assert abs(draws.mean() - self.closed_form(k)) < 4 * se
+        # the gate tells the orders apart
+        for other in {1, 2, 4} - {k}:
+            assert abs(draws.mean() - self.closed_form(other)) > 20 * se
+
+
+class TestNoiseGain:
+    """Under ``LinearGaussianNoise`` the noise at a point ``x`` has variance
+    ``sigma**2 (|x|**2 + 1)``, so a slope along one fixed direction has
+    variance ``sigma**2 sum_s w_s**2 (|theta + delta s Delta|**2 + 1) / delta**2``."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_sampled_slope_variance_matches(self, k):
+        sigma, delta, n = 0.5, 0.2, 20_000
+        direction = np.array([0.4, -1.1])
+        zero = Objective(name="zero", dim=2, value=lambda x: np.zeros(np.shape(x)[:-1]))
+        orc = fresh_oracle(zero, noise=LinearGaussianNoise(sigma), rng=np.random.default_rng(2))
+        values = probe(orc, THETA, np.tile(direction, (n, 1)), delta, k + 1)
+        slopes = gradient_slopes(values, delta, k)
+        points = THETA + delta * np.arange(k + 1)[:, None] * direction
+        scales = np.sum(points**2, axis=1) + 1
+        variance = sigma**2 * np.sum(grad_weights(k) ** 2 * scales) / delta**2
+        assert abs(slopes.var(ddof=1) - variance) < 4 * variance * np.sqrt(2 / n)
+        # the noise scale is each point's, not theta's
+        at_theta = sigma**2 * np.sum(grad_weights(k) ** 2) * (THETA @ THETA + 1) / delta**2
+        assert abs(slopes.var(ddof=1) - at_theta) > 8 * variance * np.sqrt(2 / n)
 
 
 class TestFitSlope:

@@ -739,6 +739,14 @@ class TestValidateConfig:
             ({"theta0": [0.0, 0.0], "budget": 30}, "ValueError"),
             # a CRZON config's seeds are laid out as a table's are
             (dict(CRZON_CONFIG, seeds=0), "ValueError"),
+            # a quadratic key that no run would read
+            ({"objective": "quadratic", "dim": 2,
+              "quadratic": {"diag": [1.0, 2.0], "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+              "budget": 30}, "ValueError"),
+            ({"objective": "rastrigin", "quadratic": {"diag": [1.0, 2.0]}, "budget": 30},
+             "ValueError"),
+            (dict(CRZON_CONFIG, quadratic={"b": [1.0, 0.0]}), "ValueError"),
+            ({"objective": "rastrigin", "quadratic": None, "budget": 30}, None),
         ],
     )
     def test_validator_agrees_with_the_run(self, config, cause):
@@ -749,6 +757,23 @@ class TestValidateConfig:
             assert errors == []
         else:
             assert [f.message for f in errors] == [failure[1]]
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ({"objective": "quadratic", "dim": 2,
+              "quadratic": {"diag": [1.0, 2.0], "matrix": [[1.0, 0.0], [0.0, 1.0]]}},
+             "quadratic.diag cannot be set with quadratic.matrix"),
+            ({"objective": "rastrigin", "quadratic": {"diag": [1.0, 2.0]}},
+             "quadratic is read only by objective 'quadratic', got 'rastrigin'"),
+            ({"objective": "saddle", "quadratic": {}},
+             "quadratic is read only by objective 'quadratic', got 'saddle'"),
+        ],
+    )
+    def test_unread_quadratic_keys_are_named(self, config, message):
+        with pytest.raises(ValueError) as exc:
+            make_objective(config)
+        assert str(exc.value) == message
 
     def test_crzon_config_gets_no_schedule_findings(self):
         # CRZON runs never read the schedules, so their warnings do not apply
@@ -775,6 +800,7 @@ class TestValidateConfig:
             ({"deltas": [0.1]}, "deltas must hold at least two distinct radii, got [0.1]"),
             ({"deltas": [0.1, 0.1]},
              "deltas must hold at least two distinct radii, got [0.1, 0.1]"),
+            ({"k": 1, "k1": 3}, "k cannot be set with k1"),
         ],
     )
     def test_bias_sweep_keys_are_checked(self, keys, message):

@@ -14,7 +14,7 @@ from grdsa.estimators import (
     NonFiniteEvaluation,
     gradient_samples,
     hessian_samples,
-    measure,
+    probe,
     ray_offsets,
 )
 from grdsa.newton import (
@@ -328,14 +328,13 @@ def _reference_step(theta, hbar, oracle, cfg, rng, n):
     delta = s.delta(n)
     hessian = cfg.algorithm == "newton"
     direction = spec.sample(rng, (1, theta.size))
-    offsets = ray_offsets(direction, delta, 2 * k + 1 if hessian else k + 1)[0]
-    values = measure(oracle, theta + offsets)
+    values = probe(oracle, theta, direction, delta, 2 * k + 1 if hessian else k + 1)[0]
     grad_direction = gradient_unbias_factor(spec) * direction[0]
     if hessian:
         hess = hessian_samples(values, scaling_matrices(spec, direction)[0], delta, k, k)
         hbar = hbar + s.b(n) * (hess - hbar)
         if not cfg.reuse:
-            values = measure(oracle, theta + offsets[: k + 1])
+            values = probe(oracle, theta, direction, delta, k + 1)[0]
         grad = gradient_samples(values, grad_direction, delta, k)
         step = _eigh_solve(hbar, grad, cfg.eps_pd)
     else:
@@ -669,7 +668,7 @@ class TestNonFiniteFromTheDot:
             with np.errstate(over="ignore", invalid="ignore"):
                 return step(*start, cfg, np.random.default_rng(0), *n)[0]
 
-        reference = run(_reference_step, 1)  # measure's scan passes finite values
+        reference = run(_reference_step, 1)  # probe's scan passes finite values
         if hessian:
             # the average overflows; eigh returns NaN eigenpairs for it, which
             # the iteration's solve refuses

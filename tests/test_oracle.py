@@ -265,7 +265,9 @@ class TestBudgetedOracle:
         assert orc.evals_used == 1
         orc.evaluate_many(np.zeros((4, 2)))
         assert orc.evals_used == 5
-        assert orc.remaining is None
+        # no budget: any request is served and counted
+        orc.evaluate_many(np.zeros((1000, 2)))
+        assert orc.evals_used == 1005
 
     def test_budget_is_all_or_nothing(self):
         orc = BudgetedOracle(quadratic(np.eye(2)), budget=5)
@@ -274,9 +276,11 @@ class TestBudgetedOracle:
             orc.evaluate_many(np.zeros((3, 2)))
         # the failed request consumed nothing
         assert orc.evals_used == 3
-        assert orc.remaining == 2
         orc.evaluate_many(np.zeros((2, 2)))
-        assert orc.remaining == 0
+        assert orc.evals_used == 5
+        with pytest.raises(BudgetExhausted):
+            orc.evaluate_many(np.zeros((1, 2)))
+        assert orc.evals_used == 5
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):

@@ -121,7 +121,6 @@ class TestGradStencil:
 
     def test_shifts_and_floats(self):
         s = grad_stencil(3)
-        assert np.array_equal(s.shifts, np.arange(4))
         assert np.allclose(s.to_float(), [-11 / 6, 3.0, -1.5, 1 / 3])
 
     def test_negative_moment_rejected(self):
@@ -319,6 +318,22 @@ class TestRippleGain:
         closed = 2 * abs(math.sin(x / 2)) / x
         assert _ripple_gain(grad_weights(1), x, 1) == pytest.approx(closed, rel=1e-14)
         assert _ripple_gain(hess_weights(1, 1), x, 2) == pytest.approx(closed**2, rel=1e-14)
+
+
+class TestNoiseGain:
+    """``sum_s w_s**2``: the factor by which a stencil scales the variance of
+    independent noise on its values (before the ``delta`` or ``delta**2``
+    divisor), exactly."""
+
+    GRAD = (2, Fraction(13, 2), Fraction(265, 18), Fraction(2245, 72),
+            Fraction(122269, 1800), Fraction(284809, 1800))
+    HESS = (6, Fraction(603, 8), Fraction(100681, 216), Fraction(8717497, 3456),
+            Fraction(30560628361, 2160000), Fraction(20986263809, 240000))
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_table(self, k):
+        assert sum(w * w for w in grad_stencil(k).weights) == self.GRAD[k - 1]
+        assert sum(w * w for w in hess_stencil(k, k).weights) == self.HESS[k - 1]
 
 
 class TestVerifyIdentities:
