@@ -3,7 +3,10 @@
 Every estimator goes through one probe, :func:`probe`, which measures the
 objective at ``theta + (delta*s)*Delta`` for the shifts ``s = 0..n_shifts-1``
 of each drawn direction ``Delta``, streaming the points through the oracle
-in blocks of directions.  The Hessian reduction reads all ``2k+1``
+in blocks of directions.  Shift 0 is ``theta`` on every ray, so each block
+goes through the oracle's ray form: the objective reads ``theta`` once and
+the off-center points once, and every point still draws its own noise and
+costs one unit of budget.  The Hessian reduction reads all ``2k+1``
 columns of that value matrix; the gradient reduction reads the first ``k+1``,
 which is what measurement reuse exploits.  :func:`batch_gradient` and
 :func:`batch_hessian` average the one-draw estimates along directions the
@@ -58,10 +61,14 @@ def ray_offsets(directions: np.ndarray, delta, n_shifts: int) -> np.ndarray:
     return offsets
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    # an exact scan: a bool array's bytes hold a zero exactly where isfinite failed
+    return b"\x00" not in np.isfinite(values).tobytes()
+
+
 def _check_finite_values(values: np.ndarray, points: np.ndarray) -> None:
     """Raise :class:`NonFiniteEvaluation` naming the first non-finite value and its point."""
-    # an exact scan: a bool array's bytes hold a zero exactly where isfinite failed
-    if b"\x00" in np.isfinite(values).tobytes():
+    if not _all_finite(values):
         bad = np.flatnonzero(~np.isfinite(values))[0]
         raise NonFiniteEvaluation(
             f"oracle returned a non-finite value ({values[bad]}) at {points[bad].tolist()}"
@@ -85,13 +92,19 @@ def probe(
     Returns the ``(n, n_shifts)`` matrix whose entry ``(i, s)`` is the
     oracle's value at ``theta + (delta*s)*directions[i]``, and every value
     must be finite.  The points go to the oracle in blocks of consecutive
-    directions, about :data:`BLOCK_FLOATS` floats each, so a probe holds
-    its values plus one block and the objective's temporaries for it, not
-    all ``n * n_shifts * d`` points.  The whole cost is checked against the
-    budget before the first block, so a probe is all-or-nothing on budget
-    (a non-finite value raises after its block is charged).  Noise is drawn row by row, so for an objective
-    whose rows keep the bits of their own calls, as every objective in
-    :mod:`grdsa.oracle` does, the values equal one draw-major call's.
+    directions, in its ray form: shift 0 is ``theta`` itself on every ray,
+    so a block holds only the off-center shifts ``1..n_shifts-1``, shift by
+    shift, and the objective reads ``theta`` once per block.  A block is
+    sized as ``n_shifts`` points per direction, about :data:`BLOCK_FLOATS`
+    floats, so a probe holds its values plus ``(n_shifts-1)/n_shifts`` of a
+    block and the objective's temporaries for it, not all
+    ``n * n_shifts * d`` points.  The whole cost, ``theta`` included once
+    per ray, is checked against the budget before the first block, so a
+    probe is all-or-nothing on budget (a non-finite value raises after its
+    block is charged).  Each point, ``theta`` on each ray too, draws its own
+    noise in ray-by-ray order, so for an objective whose rows keep the bits
+    of their own calls, as every objective in :mod:`grdsa.oracle` does, the
+    values equal one ray-by-ray flat call's.
     """
     n, d = directions.shape
     oracle.check_affords(n * n_shifts)
@@ -99,11 +112,19 @@ def probe(
     values = np.empty((n, n_shifts))
     for start in range(0, n, rows):
         block = slice(start, start + rows)
-        points = ray_offsets(directions[block], delta, n_shifts)
+        block_dirs = directions[block]
+        # shift-major and contiguous, with the two roundings of ray_offsets
+        points = np.empty((n_shifts - 1, len(block_dirs), d))
+        for s in range(1, n_shifts):
+            np.multiply(delta * s, block_dirs, out=points[s - 1])
         points += theta
         # no name holds the oracle's result, so it is freed before the next block
-        values[block] = oracle.evaluate_many(points.reshape(-1, d)).reshape(-1, n_shifts)
-        _check_finite_values(values[block].ravel(), points.reshape(-1, d))
+        values[block] = oracle.evaluate_many(points, center=theta).reshape(-1, n_shifts)
+        if not _all_finite(values[block]):
+            # the ray-by-ray points, theta in column 0, only to name the bad one
+            points = ray_offsets(block_dirs, delta, n_shifts)
+            points += theta
+            _check_finite_values(values[block].ravel(), points.reshape(-1, d))
     return values
 
 

@@ -21,7 +21,10 @@ class Objective:
     """A deterministic objective with optional analytic derivatives.
 
     ``value`` must accept arrays of shape ``(d,)`` or ``(n, d)`` and return
-    a scalar or ``(n,)`` respectively.  ``optimum`` is the minimizer used by
+    a scalar or ``(n,)`` respectively, and each value must be a function of
+    its point alone: a probe reads ``theta``, the start its rays share, once
+    per block as a ``(d,)`` call, apart from the off-center rows (see
+    :meth:`BudgetedOracle.evaluate_many`).  ``optimum`` is the minimizer used by
     the parameter-error metric; ``lipschitz_hessian`` bounds the third
     derivative on the standard box and feeds the cubic regularizer weight.
     """
@@ -226,11 +229,28 @@ class LinearGaussianNoise:
         if not 0 <= self.sigma < np.inf:
             raise ValueError(f"sigma must be >= 0 and finite, got {self.sigma}")
 
-    def sample(self, rng: np.random.Generator, thetas: np.ndarray) -> np.ndarray:
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        n, d = thetas.shape
-        z = rng.normal(0.0, self.sigma, size=(n, d + 1))
-        return np.einsum("ij,ij->i", thetas, z[:, :d]) + z[:, d]
+    def sample(
+        self, rng: np.random.Generator, thetas: np.ndarray, center: np.ndarray | None = None
+    ) -> np.ndarray:
+        """One noise value per point of ``thetas``, shape ``(n,)``.
+
+        With ``center``, ``thetas`` holds the ``(s, n, d)`` off-center points
+        of ``n`` rays that start at ``center``, and the result is ``(n, s + 1)``
+        with ``center``'s noise in column 0: the same draws, in the same
+        order and to the bit, as the ``(n * (s + 1), d)`` ray-by-ray points.
+        """
+        if center is None:
+            thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+            n, d = thetas.shape
+            z = rng.normal(0.0, self.sigma, size=(n, d + 1))
+            return np.einsum("ij,ij->i", thetas, z[:, :d]) + z[:, d]
+        s, n, d = thetas.shape
+        z = rng.normal(0.0, self.sigma, size=(n, s + 1, d + 1))
+        noise = np.empty((n, s + 1))
+        noise[:, 0] = np.einsum("j,rj->r", center, z[:, 0, :d])
+        noise[:, 1:] = np.einsum("srj,rsj->rs", thetas, z[:, 1:, :d])
+        noise += z[..., d]
+        return noise
 
 
 class BudgetedOracle:
@@ -272,19 +292,51 @@ class BudgetedOracle:
                 f"of {self.budget} remaining"
             )
 
-    def evaluate_many(self, thetas: np.ndarray) -> np.ndarray:
-        """Evaluate a batch of points, one budget unit per row."""
+    def evaluate_many(self, thetas: np.ndarray, center: np.ndarray | None = None) -> np.ndarray:
+        """Evaluate a batch of points, one budget unit per point.
+
+        ``thetas`` is ``(n, d)``, and the result is ``(n,)``.  The ray form,
+        with a ``(d,)`` ``center``, takes the ``(s, n, d)`` off-center points of
+        ``n`` rays that all start at ``center``: ``thetas[j - 1, i]`` is shift
+        ``j`` of ray ``i``.  It charges ``n * (s + 1)`` units, reads the
+        objective once at ``center`` and once on the off-center points, draws
+        each point's noise, ``center``'s once per ray, and returns the flat
+        ``(n * (s + 1),)`` values ray by ray: those of the flat call on the
+        points laid out ray by ray, to the bit, for an objective whose rows
+        keep the bits of their own calls.
+        """
         thetas = np.asarray(thetas, dtype=float)
-        if thetas.ndim != 2 or thetas.shape[1] != self.objective.dim:
-            raise ValueError(
-                f"expected shape (n, {self.objective.dim}), got {thetas.shape}"
-            )
-        n = thetas.shape[0]
+        dim = self.objective.dim
+        if center is None:
+            if thetas.ndim != 2 or thetas.shape[1] != dim:
+                raise ValueError(f"expected shape (n, {dim}), got {thetas.shape}")
+            n = thetas.shape[0]
+        else:
+            center = np.asarray(center, dtype=float)
+            if center.shape != (dim,) or thetas.ndim != 3 or thetas.shape[2] != dim:
+                raise ValueError(
+                    f"expected center ({dim},) and points (s, n, {dim}), "
+                    f"got {center.shape} and {thetas.shape}"
+                )
+            s, rays = thetas.shape[:2]
+            n = rays * (s + 1)
         if self.budget is not None and self._used + n > self.budget:
             self.check_affords(n)  # raises, with its message
-        values = np.asarray(self.objective.value(thetas), dtype=float)
-        if self._noisy:
-            values = values + self.noise.sample(self.rng, thetas)
+        if center is None:
+            values = np.asarray(self.objective.value(thetas), dtype=float)
+            if self._noisy:
+                values = values + self.noise.sample(self.rng, thetas)
+        else:
+            values = np.empty((rays, s + 1))
+            values[:, 0] = self.objective.value(center)
+            if s:
+                # the (s * n, d) reshape of a contiguous block is free; a
+                # strided view would make the objective's ufuncs buffer it
+                off_center = self.objective.value(thetas.reshape(-1, dim))
+                values[:, 1:] = np.reshape(off_center, (s, rays)).T
+            if self._noisy:
+                values += self.noise.sample(self.rng, thetas, center)
+            values = values.reshape(n)
         self._used += n
         return values
 

@@ -40,7 +40,7 @@ from grdsa.perturb import (
     scaling_matrices,
     uniform,
 )
-from grdsa.stencils import grad_stencil, grad_weights, hess_weights
+from grdsa.stencils import grad_stencil, grad_weights, hess_stencil, hess_weights
 
 A = np.array([[2.0, 0.5], [0.5, 4.0]])
 B = np.array([0.3, -0.2])
@@ -197,17 +197,12 @@ def block_rows(n_shifts, d):
 class TestProbeBlocks:
     """A probe longer than one block of points streams it through the oracle."""
 
-    # quadratic(A, B) has a full A and a nonzero b; its last one-row block
-    # keeps the bits of the long call only if its value is row-stable
-    @pytest.mark.parametrize(
-        "objective", [rastrigin(5), quadratic(A, B)], ids=lambda obj: obj.name
-    )
-    @pytest.mark.parametrize("n_shifts", [2, 3])
-    def test_equals_the_one_call_form(self, objective, n_shifts):
+    @staticmethod
+    def assert_equals_the_one_call_form(objective, n_shifts, spec):
         d, delta = objective.dim, 0.1
         n = 2 * block_rows(n_shifts, d) + 1  # three blocks, the last one row
         theta = np.linspace(-0.8, 0.9, d)
-        dirs = SPEC.sample(np.random.default_rng(5), (n, d))
+        dirs = spec.sample(np.random.default_rng(5), (n, d))
 
         def oracle():
             noise = LinearGaussianNoise(0.01)
@@ -221,6 +216,39 @@ class TestProbeBlocks:
         assert values.tobytes() == expected.tobytes()
         assert streamed.evals_used == whole.evals_used == n * n_shifts
 
+    # quadratic(A, B) has a full A and a nonzero b; its last one-row block
+    # keeps the bits of the long call only if its value is row-stable.  The
+    # probe reads theta through the oracle's ray form; the reference is one
+    # flat call on the points laid out ray by ray, theta in column 0.
+    @pytest.mark.parametrize(
+        "objective", [rastrigin(5), quadratic(A, B)], ids=lambda obj: obj.name
+    )
+    @pytest.mark.parametrize("n_shifts", [1, 2, 3, 9])
+    def test_equals_the_one_call_form(self, objective, n_shifts):
+        self.assert_equals_the_one_call_form(objective, n_shifts, SPEC)
+
+    @pytest.mark.parametrize(
+        "objective,n_shifts,spec",
+        [
+            # the shape of a CRZON Hessian probe at k = 1
+            pytest.param(rastrigin(50), 3, SPEC, id="crzon-shape"),
+            pytest.param(rastrigin(5), 3, uniform(0.7), id="uniform"),
+        ],
+    )
+    def test_equals_the_one_call_form_for(self, objective, n_shifts, spec):
+        self.assert_equals_the_one_call_form(objective, n_shifts, spec)
+
+    def test_theta_draws_its_own_noise_on_every_ray(self):
+        # a constant objective: every value is the constant plus its point's noise
+        d, n, n_shifts = 3, 40, 3
+        const = Objective(name="const", dim=d, value=lambda x: np.full(np.shape(x)[:-1], 2.0))
+        orc = BudgetedOracle(const, LinearGaussianNoise(0.1), rng=np.random.default_rng(3))
+        dirs = SPEC.sample(np.random.default_rng(4), (n, d))
+        values = probe(orc, np.full(d, 0.5), dirs, 0.1, n_shifts)
+        assert len(np.unique(values[:, 0])) == n
+        assert len(np.unique(values)) == n * n_shifts
+        assert orc.evals_used == n * n_shifts
+
     def test_budget_short_of_the_whole_probe_consumes_nothing(self):
         d, n_shifts = 5, 3
         n = 3 * block_rows(n_shifts, d)
@@ -232,43 +260,72 @@ class TestProbeBlocks:
         assert orc.evals_used == 2
 
     def test_nonfinite_value_in_a_later_block_raises(self):
-        d, n_shifts = 5, 3
+        d, n_shifts, delta = 5, 3, 0.1
         rows = block_rows(n_shifts, d)
+        dirs = SPEC.sample(np.random.default_rng(8), (3 * rows, d))
+        # the second block's last point: the top shift of its last ray
+        bad = (delta * (n_shifts - 1)) * dirs[2 * rows - 1]
         calls = []
 
         def value(x):
-            calls.append(len(x))
-            out = rastrigin(d).value(x)
-            if len(calls) == 2:
-                out[-1] = np.nan
-            return out
+            calls.append(np.shape(x))
+            return np.where(np.all(x == bad, axis=-1), np.nan, rastrigin(d).value(x))
 
         orc = BudgetedOracle(Objective(name="nan-later", dim=d, value=value))
-        dirs = SPEC.sample(np.random.default_rng(8), (3 * rows, d))
-        with pytest.raises(NonFiniteEvaluation):
-            probe(orc, np.zeros(d), dirs, 0.1, n_shifts)
-        assert calls == [rows * n_shifts] * 2
+        with pytest.raises(NonFiniteEvaluation, match=r"\(nan\)"):
+            probe(orc, np.zeros(d), dirs, delta, n_shifts)
+        # per block, theta once and the off-center points once; nothing after
+        assert calls == [(d,), (rows * (n_shifts - 1), d)] * 2
         assert orc.evals_used == 2 * rows * n_shifts
 
 
+class TestProbeMemory:
+    """A block holds only its ``n_shifts - 1`` off-center points per direction,
+    so a probe's peak beyond its values is the objective's temporaries for
+    those points: about three times ``(n_shifts - 1) / n_shifts`` of a block."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.001])
+    @pytest.mark.parametrize("n_shifts", [2, 3, 9])
+    def test_peak_beyond_the_values(self, n_shifts, sigma, peak_bytes):
+        d, n = 50, 1024
+        dirs = SPEC.sample(np.random.default_rng(0), (n, d))
+        orc = BudgetedOracle(rastrigin(d), LinearGaussianNoise(sigma), rng=np.random.default_rng(1))
+        peak = peak_bytes(lambda: probe(orc, np.full(d, 0.3), dirs, 0.1, n_shifts))
+        beyond = peak - n * n_shifts * 8
+        assert beyond <= (3 * (n_shifts - 1) / n_shifts + 0.2) * BLOCK_FLOATS * 8
+
+
 class TestMeasure:
-    """The finiteness scan of :func:`probe`, through one-shift probes: every
-    row of such a probe is measured at ``theta`` itself."""
+    """The finiteness scan of :func:`probe`, at every (row, shift) position:
+    each point's value is a function of the point, ``theta`` included."""
 
     def test_finite_values_pass_through(self):
         points = np.array([[0.1, 0.2], [0.3, -0.4]])
         values = [probe(fresh_oracle(), p, np.ones((1, 2)), 0.1, 1)[0, 0] for p in points]
         assert np.array_equal(values, quadratic(A, B).value(points))
+        dirs = SPEC.sample(np.random.default_rng(2), (4, 2))
+        values = probe(fresh_oracle(), THETA, dirs, 0.1, 3)
+        assert np.array_equal(values, quadratic(A, B).value(THETA + ray_offsets(dirs, 0.1, 3)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("n", [1, 3, 9])
     def test_nonfinite_value_at_any_position_raises(self, bad, n):
-        for pos in range(n):
-            values = np.zeros(n)
-            values[pos] = bad
-            obj = Objective(name="bad", dim=2, value=lambda x, v=values: v)
-            with pytest.raises(NonFiniteEvaluation):
-                probe(BudgetedOracle(obj), np.zeros(2), np.ones((n, 2)), 0.1, 1)
+        theta = np.array([0.2, -0.1])
+        dirs = SPEC.sample(np.random.default_rng(n), (n, 2))
+        for n_shifts in (1, 3):
+            points = theta + ray_offsets(dirs, 0.1, n_shifts)
+            for row in range(n):
+                for s in range(n_shifts):
+                    target = points[row, s]
+                    obj = Objective(
+                        name="bad", dim=2,
+                        value=lambda x, t=target: np.where(np.all(x == t, axis=-1), bad, 0.0),
+                    )
+                    # theta is column 0 of every row, so the first row names it
+                    named = points[0, 0] if s == 0 else target
+                    with pytest.raises(NonFiniteEvaluation) as raised:
+                        probe(BudgetedOracle(obj), theta, dirs, 0.1, n_shifts)
+                    assert str(raised.value).endswith(f"({bad}) at {named.tolist()}")
 
 
 class TestUnbufferedProducts:
@@ -637,11 +694,32 @@ class TestRastriginMean:
         for other in {1, 2, 4} - {k}:
             assert abs(draws.mean() - self.closed_form(other)) > 20 * se
 
+    def hessian_closed_form(self, k):
+        """Stein's second-order identity: ``2 + 40 pi**2 cos(2 pi theta) H_k(delta)``,
+        with ``H_k(delta) = sum_s w_s (s**2 / 2) exp(-2 pi**2 delta**2 s**2)``."""
+        ripple = sum(
+            float(w) * s**2 / 2 * np.exp(-2 * np.pi**2 * self.DELTA**2 * s**2)
+            for s, w in enumerate(hess_stencil(k, k).weights)
+        )
+        return 2 + 40 * np.pi**2 * np.cos(2 * np.pi * self.THETA) * ripple
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_sampled_hessian_mean_matches(self, k):
+        dirs = SPEC.sample(np.random.default_rng(1), (self.N, 1))
+        theta = np.array([self.THETA])
+        values = probe(BudgetedOracle(rastrigin(1)), theta, dirs, self.DELTA, 2 * k + 1)
+        draws = hessian_samples(values, scaling_matrices(SPEC, dirs), self.DELTA, k, k)[:, 0, 0]
+        se = draws.std(ddof=1) / np.sqrt(self.N)
+        assert abs(draws.mean() - self.hessian_closed_form(k)) < 4 * se
+        for other in {1, 2, 4} - {k}:
+            assert abs(draws.mean() - self.hessian_closed_form(other)) > 10 * se
+
 
 class TestNoiseGain:
     """Under ``LinearGaussianNoise`` the noise at a point ``x`` has variance
     ``sigma**2 (|x|**2 + 1)``, so a slope along one fixed direction has
-    variance ``sigma**2 sum_s w_s**2 (|theta + delta s Delta|**2 + 1) / delta**2``."""
+    variance ``sigma**2 sum_s w_s**2 (|theta + delta s Delta|**2 + 1) / delta**2``,
+    and the Hessian's quadratic form the same sum over ``delta**4``."""
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_sampled_slope_variance_matches(self, k):
@@ -658,6 +736,24 @@ class TestNoiseGain:
         # the noise scale is each point's, not theta's
         at_theta = sigma**2 * np.sum(grad_weights(k) ** 2) * (THETA @ THETA + 1) / delta**2
         assert abs(slopes.var(ddof=1) - at_theta) > 8 * variance * np.sqrt(2 / n)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_sampled_quadratic_form_variance_matches(self, k):
+        # the Hessian's quadratic form reads theta, shift 0, through the
+        # oracle's ray form: its noise is still drawn on every ray
+        sigma, delta, n = 0.5, 0.2, 20_000
+        direction = np.array([0.4, -1.1])
+        zero = Objective(name="zero", dim=2, value=lambda x: np.zeros(np.shape(x)[:-1]))
+        orc = fresh_oracle(zero, noise=LinearGaussianNoise(sigma), rng=np.random.default_rng(2))
+        weights = hess_weights(k, k)
+        values = probe(orc, THETA, np.tile(direction, (n, 1)), delta, weights.size)
+        quads = values @ weights / delta**2
+        points = THETA + delta * np.arange(weights.size)[:, None] * direction
+        scales = np.sum(points**2, axis=1) + 1
+        variance = sigma**2 * np.sum(weights**2 * scales) / delta**4
+        assert abs(quads.var(ddof=1) - variance) < 4 * variance * np.sqrt(2 / n)
+        at_theta = sigma**2 * np.sum(weights**2) * (THETA @ THETA + 1) / delta**4
+        assert abs(quads.var(ddof=1) - at_theta) > 8 * variance * np.sqrt(2 / n)
 
 
 class TestFitSlope:

@@ -653,9 +653,16 @@ class TestNonFiniteFromTheDot:
     @pytest.mark.parametrize("hessian", [True, False], ids=["newton", "gradient"])
     def test_overflowing_dot_of_finite_values_passes(self, hessian):
         # alternating +-1e308 along the ray: every value is finite, every
-        # stencil dot overflows
+        # stencil dot overflows.  The one ray both steps measure starts at
+        # (0.5, -0.5) and goes delta(1) along rng(0)'s first direction, so a
+        # point's shift is its distance from the start in those spacings
+        start = np.array([0.5, -0.5])
+        first = gaussian().sample(np.random.default_rng(0), (1, 2))
+        spacing = Schedules().delta(1) * np.linalg.norm(first)
+
         def value(x):
-            return np.where(np.arange(len(x)) % 2 == 0, -1e308, 1e308)
+            shift = np.rint(np.linalg.norm(x - start, axis=-1) / spacing)
+            return np.where(shift % 2 == 0, -1e308, 1e308)
 
         objective = replace(QUAD, value=value)
         cfg = NewtonConfig(
@@ -664,9 +671,9 @@ class TestNonFiniteFromTheDot:
         )
 
         def run(step, *n):
-            start = np.array([0.5, -0.5]), np.eye(2), BudgetedOracle(objective)
+            state = start, np.eye(2), BudgetedOracle(objective)
             with np.errstate(over="ignore", invalid="ignore"):
-                return step(*start, cfg, np.random.default_rng(0), *n)[0]
+                return step(*state, cfg, np.random.default_rng(0), *n)[0]
 
         reference = run(_reference_step, 1)  # probe's scan passes finite values
         if hessian:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -296,6 +298,49 @@ class TestBudgetedOracle:
             orc.evaluate_many(np.zeros((3, 5)))
         with pytest.raises(ValueError):
             orc.evaluate_many(np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "center_shape,points_shape",
+        [
+            ((3,), (1, 4, 2)), ((1, 2), (1, 4, 2)), ((), (1, 4, 2)),
+            ((2,), (4, 2)), ((2,), (1, 4, 3)),
+        ],
+    )
+    def test_ray_form_shape_validated(self, center_shape, points_shape):
+        orc = BudgetedOracle(quadratic(np.eye(2)))
+        with pytest.raises(
+            ValueError,
+            match=rf"^expected center \(2,\) and points \(s, n, 2\), "
+            rf"got {re.escape(str(center_shape))} and {re.escape(str(points_shape))}$",
+        ):
+            orc.evaluate_many(np.zeros(points_shape), center=np.zeros(center_shape))
+        assert orc.evals_used == 0
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    @pytest.mark.parametrize("n_off", [0, 1, 4])
+    def test_ray_form_is_the_flat_call_ray_by_ray(self, sigma, n_off):
+        obj, rays = rastrigin(3), 5
+        rng = np.random.default_rng(4)
+        center, off = rng.normal(size=3), rng.normal(size=(n_off, rays, 3))
+        # the same points ray by ray, center first
+        flat = np.concatenate(
+            [np.broadcast_to(center, (rays, 1, 3)), off.transpose(1, 0, 2)], axis=1
+        )
+        a = BudgetedOracle(obj, LinearGaussianNoise(sigma), rng=np.random.default_rng(7))
+        b = BudgetedOracle(obj, LinearGaussianNoise(sigma), rng=np.random.default_rng(7))
+        got = a.evaluate_many(off, center=center)
+        expected = b.evaluate_many(flat.reshape(-1, 3))
+        assert got.shape == (rays * (n_off + 1),)
+        assert got.tobytes() == expected.tobytes()
+        assert a.evals_used == b.evals_used == rays * (n_off + 1)
+
+    def test_ray_form_budget_is_all_or_nothing(self):
+        orc = BudgetedOracle(quadratic(np.eye(2)), budget=11)
+        with pytest.raises(BudgetExhausted, match="^12 evaluations requested"):
+            orc.evaluate_many(np.zeros((2, 4, 2)), center=np.zeros(2))
+        assert orc.evals_used == 0
+        orc.evaluate_many(np.zeros((1, 4, 2)), center=np.zeros(2))
+        assert orc.evals_used == 8
 
     def test_noiseless_values_are_exact(self):
         obj = rastrigin(2)
