@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 
-from grdsa.harness import aggregate_rows, run_table
+from grdsa.harness import run_table
 
 
 def main() -> None:
@@ -29,7 +29,7 @@ def main() -> None:
     print(f"{len(result.rows)} runs in {elapsed:.1f}s "
           f"(rastrigin, d=5, 5 seeds per cell)\n")
     print(f"{'method':<9}{'budget':>7}{'mean err':>10}{'sd':>8}{'evals':>9}")
-    for cell in aggregate_rows(result.rows):
+    for cell in result.cells:
         print(
             f"{cell.method:<9}{cell.budget:>7}{cell.mean_error:>10.4f}"
             f"{cell.sd_error:>8.4f}{cell.mean_evals:>9.0f}"

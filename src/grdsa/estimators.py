@@ -341,11 +341,15 @@ def hessian_deviation(
 
 
 def fit_loglog_slope(deltas: np.ndarray, deviations: np.ndarray) -> float:
-    """Least-squares slope of log(deviation) against log(delta)."""
+    """Least-squares slope of log(deviation) against log(delta), over two or
+    more distinct radii; deltas and deviations must be positive and finite."""
     deltas = np.asarray(deltas, dtype=float)
     deviations = np.asarray(deviations, dtype=float)
     if deltas.size != deviations.size or deltas.size < 2:
         raise ValueError("need at least two (delta, deviation) pairs")
-    if np.any(deviations <= 0):
-        raise ValueError("deviations must be positive to fit a log-log slope")
+    for name, values in (("deltas", deltas), ("deviations", deviations)):
+        if not np.all((values > 0) & (values < np.inf)):
+            raise ValueError(f"{name} must be positive and finite, got {values.tolist()}")
+    if deltas.min() == deltas.max():
+        raise ValueError(f"need at least two distinct deltas, got {deltas.tolist()}")
     return float(np.polyfit(np.log(deltas), np.log(deviations), 1)[0])

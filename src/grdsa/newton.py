@@ -4,9 +4,9 @@ Each iteration draws one direction, measures the objective at ``2k+1``
 points along it, updates a running Hessian average on the faster timescale,
 and moves the iterate against the clamped-Newton direction on the slower
 one.  The gradient estimate reuses the first ``k+1`` Hessian measurements,
-so an iteration costs exactly ``2k+1`` evaluations.  The gradient-only
-baseline runs through the same driver and step without the Hessian, at
-``k+1`` evaluations.
+so an iteration costs exactly ``2k+1`` evaluations; without reuse the same
+oracle call measures them again, at ``3k+2``.  The gradient-only baseline
+runs through the same driver and step without the Hessian, at ``k+1``.
 
 One generator, :func:`_iterations`, runs the iteration for either
 algorithm.  It draws what the iterations need that does not depend on the
@@ -313,13 +313,13 @@ def _iterations(
     """Run iterations ``1 .. count`` of ``cfg.algorithm`` from ``(theta,
     hbar)``, yielding the pair after every ``stride``-th and after the last.
 
-    With the Hessian (Newton), an iteration probes ``2k+1`` shifts and
-    moves the Hessian average first (fast timescale), then the iterate
-    against the clamped-Newton direction (slow timescale); with reuse the
-    gradient reads that probe's first ``k+1`` shifts, without it a second
-    probe of ``k+1``.  Without it (gradient-only), it probes ``k+1`` shifts,
-    moves the iterate against the gradient estimate and passes ``hbar``
-    through.  Either way the iterate is projected back into the box.
+    Each iteration makes one oracle call of ``iteration_cost`` points along
+    one direction.  Newton's holds shifts ``0..2k`` (then ``0..k`` again
+    without reuse, for the gradient) and moves the Hessian average first
+    (fast timescale), then the iterate against the clamped-Newton direction
+    (slow timescale).  Gradient-only's holds shifts ``0..k``; it moves the
+    iterate against the gradient estimate and passes ``hbar`` through.
+    Either way the iterate is projected back into the box.
 
     The direction stream feeds nothing else, so the inputs that do not
     depend on the iterate (directions, probe offsets, scaling matrices and
@@ -331,20 +331,23 @@ def _iterations(
 
     The estimator reductions and the projection are written inline, with
     everything the iterations read bound once per block; the projection is
-    one ``clip`` ufunc call (see :class:`Box`).  Every measured
-    value enters a stencil dot the iteration takes anyway (a probe's
-    Hessian dot, or the gradient dot of a probe that has none), and a NaN
-    or infinite value makes that dot non-finite; so only a non-finite dot
-    scans its probe, and a non-finite value raises
-    :class:`~grdsa.estimators.NonFiniteEvaluation` before ``hbar`` or the
-    iterate moves.  ``hbar`` is never symmetrized: it must be symmetric, as
-    a run's is (it starts at the identity and every sample ``M(Delta) q``
-    is exactly symmetric, so every average is too), and the eigensolve
-    reads its lower triangle only.
+    one ``clip`` ufunc call (see :class:`Box`).  Every measured value enters
+    a stencil dot the iteration takes anyway, the Hessian's or the
+    gradient's, and a NaN or infinite value makes that dot non-finite; so
+    only a non-finite dot scans the call, and a non-finite value raises
+    :class:`~grdsa.estimators.NonFiniteEvaluation`, naming the first bad
+    point, before ``hbar`` or the iterate moves: without reuse, after all
+    ``3k+2`` points are charged, even for a bad value among the Hessian's
+    shifts.  ``hbar`` is never symmetrized: it must be symmetric, as a run's
+    is (it starts at the identity and every sample ``M(Delta) q`` is exactly
+    symmetric, so every average is too), and the eigensolve reads its lower
+    triangle only.
     """
-    k, reuse, s, spec = cfg.k, cfg.reuse, cfg.schedules, cfg.perturbation
+    k, s, spec = cfg.k, cfg.schedules, cfg.perturbation
     hessian = cfg.algorithm == "newton"
     n_shifts = 2 * k + 1 if hessian else k + 1
+    grad_start = n_shifts if hessian and not cfg.reuse else 0
+    grad_stop = grad_start + k + 1
     grad_w = grad_weights(k)
     hess_w = hess_weights(k, k) if hessian else None
     left = stride  # iterations until the next yield
@@ -352,6 +355,8 @@ def _iterations(
         a, b, deltas = s._over(range(first, min(first + _BLOCK, count + 1)))
         directions = spec.sample(rng, (len(deltas), theta.size))
         offsets = ray_offsets(directions, np.array(deltas), n_shifts)
+        if grad_start:
+            offsets = np.concatenate((offsets, offsets[:, : k + 1]), axis=1)
         scalers = scaling_matrices(spec, directions) if hessian else None
         directions *= gradient_unbias_factor(spec)
         # 0-d arrays: a ufunc converts a Python float operand on every call
@@ -362,30 +367,20 @@ def _iterations(
         for i, delta in enumerate(deltas):
             points = theta + offsets[i]
             values = evaluate(points)
+            slope = values[grad_start:grad_stop].dot(grad_w)
+            quad = values[:n_shifts].dot(hess_w) if hessian else 0.0
+            # not isfinite(slope + quad): inf + -inf warns, and warnings raise
+            if not (math.isfinite(slope) and math.isfinite(quad)):
+                _check_finite_values(values, points)
+            step = directions[i] * (slope / delta)
             if hessian:
-                quad = values.dot(hess_w)
-                if not math.isfinite(quad):
-                    _check_finite_values(values, points)
                 hess = scalers[i] * (quad / delta**2)
-                if reuse:
-                    slope = values[: k + 1].dot(grad_w)
-                else:
-                    points = theta + offsets[i, : k + 1]
-                    values = evaluate(points)
-                    slope = values.dot(grad_w)
-                    if not math.isfinite(slope):
-                        _check_finite_values(values, points)
                 # hbar + b(n) (hess - hbar), in the sample's own array
                 hess -= hbar
                 hess *= b[i]
                 hess += hbar
                 hbar = hess
-                step = _lifted_solve(hbar, directions[i] * (slope / delta), eps_pd)
-            else:
-                slope = values.dot(grad_w)
-                if not math.isfinite(slope):
-                    _check_finite_values(values, points)
-                step = directions[i] * (slope / delta)
+                step = _lifted_solve(hbar, step, eps_pd)
             # step is a fresh array each iteration: project into it
             step *= a[i]
             np.subtract(theta, step, step)

@@ -673,6 +673,7 @@ class TestRastriginMean:
     ``R_k(delta) = sum_s w_s s exp(-2 pi**2 delta**2 s**2)`` is the share of
     the ripple's gradient that the mean keeps."""
 
+    SPEC = gaussian()
     THETA, DELTA, N = 0.3, 0.31, 200_000
 
     def closed_form(self, k):
@@ -684,10 +685,11 @@ class TestRastriginMean:
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_sampled_mean_matches(self, k):
-        dirs = SPEC.sample(np.random.default_rng(1), (self.N, 1))
+        dirs = self.SPEC.sample(np.random.default_rng(1), (self.N, 1))
         theta = np.array([self.THETA])
         values = probe(BudgetedOracle(rastrigin(1)), theta, dirs, self.DELTA, k + 1)
-        draws = gradient_unbias_factor(SPEC) * dirs[:, 0] * gradient_slopes(values, self.DELTA, k)
+        factor = gradient_unbias_factor(self.SPEC)
+        draws = factor * dirs[:, 0] * gradient_slopes(values, self.DELTA, k)
         se = draws.std(ddof=1) / np.sqrt(self.N)
         assert abs(draws.mean() - self.closed_form(k)) < 4 * se
         # the gate tells the orders apart
@@ -705,14 +707,56 @@ class TestRastriginMean:
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_sampled_hessian_mean_matches(self, k):
-        dirs = SPEC.sample(np.random.default_rng(1), (self.N, 1))
+        dirs = self.SPEC.sample(np.random.default_rng(1), (self.N, 1))
         theta = np.array([self.THETA])
         values = probe(BudgetedOracle(rastrigin(1)), theta, dirs, self.DELTA, 2 * k + 1)
-        draws = hessian_samples(values, scaling_matrices(SPEC, dirs), self.DELTA, k, k)[:, 0, 0]
+        scalers = scaling_matrices(self.SPEC, dirs)
+        draws = hessian_samples(values, scalers, self.DELTA, k, k)[:, 0, 0]
         se = draws.std(ddof=1) / np.sqrt(self.N)
         assert abs(draws.mean() - self.hessian_closed_form(k)) < 4 * se
         for other in {1, 2, 4} - {k}:
             assert abs(draws.mean() - self.hessian_closed_form(other)) > 10 * se
+
+
+class TestUniformRastriginMean(TestRastriginMean):
+    """The same means for directions uniform on ``[-eta, eta]`` (the ``R``
+    methods), from the law's odd and even halves.  With ``a_s = 2 pi delta s``,
+    the gradient estimator's mean is
+    ``2 theta + 10 sin(2 pi theta) / (mu2 delta) sum_s w_s S(a_s)``, where
+    ``S(a) = E[Delta sin(a Delta)] = (sin a eta - a eta cos a eta) / (eta a**2)``,
+    and the Hessian estimator's is
+    ``2 - 10 cos(2 pi theta) / ((mu4 - mu2**2) delta**2) sum_s w_s (C2(a_s) - mu2 C0(a_s))``,
+    where ``C0(a) = E[cos(a Delta)] = sin(a eta) / (a eta)`` and
+    ``C2(a) = E[Delta**2 cos(a Delta)]``.  The tests, draws and gates are
+    the Gaussian case's."""
+
+    SPEC = uniform(1.0)
+
+    def moments(self, s):
+        """``S``, ``C0`` and ``C2`` at ``a = 2 pi delta s``."""
+        eta, a = self.SPEC.eta, 2 * np.pi * self.DELTA * s
+        if a == 0:
+            return 0.0, 1.0, self.SPEC.mu2
+        sin, cos = np.sin(a * eta), np.cos(a * eta)
+        return (
+            (sin - a * eta * cos) / (eta * a**2),
+            sin / (a * eta),
+            (eta**2 * sin / a + 2 * eta * cos / a**2 - 2 * sin / a**3) / eta,
+        )
+
+    def closed_form(self, k):
+        ripple = sum(float(w) * self.moments(s)[0] for s, w in enumerate(grad_stencil(k).weights))
+        scale = 10 * np.sin(2 * np.pi * self.THETA) / (self.SPEC.mu2 * self.DELTA)
+        return 2 * self.THETA + scale * ripple
+
+    def hessian_closed_form(self, k):
+        mu2 = self.SPEC.mu2
+        ripple = 0.0
+        for s, w in enumerate(hess_stencil(k, k).weights):
+            _, c0, c2 = self.moments(s)
+            ripple += float(w) * (c2 - mu2 * c0)
+        scale = 10 * np.cos(2 * np.pi * self.THETA) / ((self.SPEC.mu4 - mu2**2) * self.DELTA**2)
+        return 2 - scale * ripple
 
 
 class TestNoiseGain:
@@ -773,3 +817,17 @@ class TestFitSlope:
     def test_rejects_mismatched_sizes(self):
         with pytest.raises(ValueError):
             fit_loglog_slope(np.array([0.2, 0.1]), np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.2, np.inf, np.nan])
+    def test_rejects_a_delta_that_is_not_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match=r"deltas must be positive and finite, got \[0\.2, "):
+            fit_loglog_slope(np.array([0.2, bad]), np.array([1.0, 2.0]))
+
+    def test_rejects_a_single_distinct_delta(self):
+        with pytest.raises(ValueError, match=r"at least two distinct deltas, got \[0\.1, 0\.1\]"):
+            fit_loglog_slope(np.array([0.1, 0.1]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_a_deviation_that_is_not_finite(self, bad):
+        with pytest.raises(ValueError, match=r"deviations must be positive and finite, got \[1\.0, "):
+            fit_loglog_slope(np.array([0.2, 0.1]), np.array([1.0, bad]))

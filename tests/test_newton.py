@@ -387,20 +387,23 @@ class TestOneIteration:
         assert np.allclose(rec.theta_final, expected, atol=1e-12)
 
     def test_no_reuse_passes_nothing(self, probes):
-        # the gradient reads a second, fresh probe of k+1 shifts
+        # one call of 2k+1 shifts, then the gradient's k+1 again: the
+        # gradient reads only those last k+1 values
         cfg = NewtonConfig(objective=QUAD, k=2, seed=0, reuse=False)
         rec = self.noisy_run(cfg)
-        assert [len(points) for points, _ in probes] == [5, 3]
+        assert [len(points) for points, _ in probes] == [8]
         assert rec.evals_used == 8
-        (first_points, first), (second_points, second) = probes
+        [(points, values)] = probes
         # the same shifts, measured again under fresh noise
-        assert np.array_equal(second_points, first_points[:3])
-        assert not np.array_equal(second, first[:3])
+        assert np.array_equal(points[5:], points[:3])
+        assert not np.array_equal(values[5:], values[:3])
         s = cfg.schedules
         direction = _directions(cfg, 1)
-        hess = hessian_samples(first, scaling_matrices(gaussian(), direction)[0], s.delta(1), 2, 2)
+        hess = hessian_samples(
+            values[:5], scaling_matrices(gaussian(), direction)[0], s.delta(1), 2, 2
+        )
         hbar1 = np.eye(2) + s.b(1) * (hess - np.eye(2))
-        g0 = gradient_samples(second, direction[0], s.delta(1), 2)
+        g0 = gradient_samples(values[5:], direction[0], s.delta(1), 2)
         expected = _project(rec.theta_init - s.a(1) * _eigh_solve(hbar1, g0, cfg.eps_pd), cfg.box)
         assert np.allclose(rec.theta_final, expected, atol=1e-12)
 
@@ -444,6 +447,26 @@ class TestOneIteration:
         assert newton_points.shape == (2 * k + 1, 2)
         # the same direction stream, so the gradient probe points agree
         assert newton_points[: k + 1].tobytes() == gradient_points.tobytes()
+
+
+class TestOneCallPerIteration:
+    @pytest.mark.parametrize(
+        "hessian,reuse", [(True, True), (True, False), (False, True)],
+        ids=["newton-reuse", "newton-fresh", "gradient"],
+    )
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_each_iteration_is_one_call_of_its_cost(self, probes, hessian, reuse, k):
+        # a noisy run over two blocks of draws
+        cost = iteration_cost(k, reuse, hessian)
+        cfg = NewtonConfig(
+            objective=rastrigin(3), budget=(_BLOCK + 9) * cost, k=k, reuse=reuse,
+            noise=LinearGaussianNoise(0.01), seed=3,
+            algorithm="newton" if hessian else "gradient_only",
+        )
+        rec = run_newton(cfg)
+        assert rec.iterations == _BLOCK + 9
+        assert len(probes) == rec.iterations
+        assert {points.shape for points, _ in probes} == {(cost, 3)}
 
 
 class TestIterationsAreThePublicUpdate:
@@ -578,15 +601,14 @@ class TestIterationsFromAnyState:
 
 class TestNonFiniteMidBlock:
     @pytest.mark.parametrize(
-        "hessian,reuse,calls_per_iteration",
-        [(True, True, 1), (True, False, 2), (False, True, 1)],
+        "hessian,reuse", [(True, True), (True, False), (False, True)],
         ids=["newton-reuse", "newton-fresh", "gradient"],
     )
-    def test_raises_at_the_failing_call(self, monkeypatch, hessian, reuse, calls_per_iteration):
-        # the objective turns NaN on the last call of an iteration in the
-        # middle of the second block: without reuse, the gradient's own probe
+    def test_raises_at_the_failing_call(self, monkeypatch, hessian, reuse):
+        # the objective turns NaN on the one call of an iteration in the
+        # middle of the second block
         iteration = _BLOCK + _BLOCK // 2
-        bad_call = iteration * calls_per_iteration
+        bad_call = iteration
         seen = {"calls": 0}
 
         def value(x):
@@ -621,33 +643,33 @@ class TestNonFiniteFromTheDot:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
-        "hessian,reuse,probe",
-        [(True, True, 0), (True, False, 0), (True, False, 1), (False, True, 0)],
+        # k = 2: Newton's one call holds the Hessian's 5 shifts, then without
+        # reuse the gradient's 3 again; gradient-only's holds 3
+        "hessian,reuse,positions",
+        [(True, True, range(5)), (True, False, range(5)), (True, False, range(5, 8)),
+         (False, True, range(3))],
         ids=["newton-reuse", "newton-fresh-first", "newton-fresh-second", "gradient"],
     )
-    def test_any_shift_raises_naming_its_point(self, bad, hessian, reuse, probe):
-        k = 2
+    def test_any_shift_raises_naming_its_point(self, bad, hessian, reuse, positions):
         cfg = NewtonConfig(
-            objective=QUAD, budget=100, k=k, reuse=reuse,
+            objective=QUAD, budget=100, k=2, reuse=reuse,
             algorithm="newton" if hessian else "gradient_only",
         )
-        n_shifts = 2 * k + 1 if hessian and probe == 0 else k + 1
-        for pos in range(n_shifts):
+        for pos in positions:
             calls = []
 
             def value(x, pos=pos):
                 calls.append(x.copy())
                 out = QUAD.value(x)
-                if len(calls) == probe + 1:
-                    out[pos] = bad
+                out[pos] = bad
                 return out
 
             oracle, rng = BudgetedOracle(replace(QUAD, value=value)), np.random.default_rng(0)
             with pytest.raises(NonFiniteEvaluation) as raised:
                 _one_iteration(np.array([0.5, -0.5]), np.eye(2), oracle, cfg, rng)
-            assert len(calls) == probe + 1  # nothing is measured after it
+            assert len(calls) == 1  # nothing is measured after it
             assert str(raised.value) == (
-                f"oracle returned a non-finite value ({bad}) at {calls[probe][pos].tolist()}"
+                f"oracle returned a non-finite value ({bad}) at {calls[0][pos].tolist()}"
             )
 
     @pytest.mark.parametrize("hessian", [True, False], ids=["newton", "gradient"])

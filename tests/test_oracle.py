@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from grdsa.cubic import CubicConfig, run_crzon
+from grdsa.newton import NewtonConfig, run_newton
 from grdsa.oracle import (
     BudgetedOracle,
     BudgetExhausted,
@@ -377,6 +380,30 @@ class TestParameterError:
     def test_can_exceed_one(self):
         err = parameter_error(np.array([4.0]), np.array([2.0]), np.zeros(1))
         assert err == pytest.approx(4.0)
+
+
+def test_runs_hand_objectives_contiguous_arrays():
+    # a ufunc buffers a strided input behind the caller's back, so every
+    # point array a run measures, theta's own (d,) call included, is contiguous
+    base = rastrigin(3)
+    shapes = []
+
+    def value(x):
+        assert x.flags.c_contiguous, x.strides
+        shapes.append(x.shape)
+        return base.value(x)
+
+    objective = replace(base, value=value)
+    noise = LinearGaussianNoise(0.01)
+    for algorithm, reuse in [("newton", True), ("newton", False), ("gradient_only", True)]:
+        run_newton(NewtonConfig(
+            objective=objective, budget=400, k=2, noise=noise, reuse=reuse, algorithm=algorithm
+        ))
+    for reuse in (True, False):
+        run_crzon(CubicConfig(
+            objective=objective, k=2, n_steps=2, m=40, b=16, noise=noise, reuse=reuse
+        ))
+    assert (3,) in shapes and len(shapes) > 100
 
 
 def test_custom_objective_contract():
