@@ -172,8 +172,8 @@ def solve_cubic_subproblem(
     The returned ``stationarity`` is ``|g + H s + (alpha/2) |s| s|``, and the
     solve stops once it falls below ``tol * max(1, |g|)``.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be > 0 and finite, got {alpha}")
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
     if g.ndim != 1 or h.shape != (g.size, g.size):

@@ -17,6 +17,8 @@ reduces a probe with :func:`gradient_samples` or :func:`hessian_samples`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .oracle import BudgetedOracle, Objective
@@ -44,20 +46,27 @@ def _check_inputs(theta, directions, delta: float) -> tuple[np.ndarray, np.ndarr
         )
     if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta}")
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
+    if not _all_finite(theta):
+        raise ValueError(f"theta must be finite, got {theta.tolist()}")
+    if not _all_finite(directions):
+        row = np.flatnonzero(~np.isfinite(directions).all(axis=1))[0]
+        raise ValueError(f"directions must be finite, got row {row}: {directions[row].tolist()}")
     return theta, directions
 
 
-def ray_offsets(directions: np.ndarray, delta, n_shifts: int) -> np.ndarray:
-    """Offsets ``(delta*s)*directions[i]`` for ``s = 0..n_shifts-1``, shape ``(n, n_shifts, d)``.
-
-    ``delta`` is one radius for every row or an ``(n,)`` array of per-row radii.
-    """
-    steps = np.reshape(delta, (-1, 1)) * np.arange(n_shifts, dtype=float)
-    n, d = directions.shape
-    offsets = np.empty((n, n_shifts, d))
-    for s in range(n_shifts):
+def ray_offsets(directions: np.ndarray, delta, shifts) -> np.ndarray:
+    """Offsets ``(delta*s)*directions`` shift-major, ``(len(shifts), n, d)``, as
+    the oracle's ray form reads them; a shift may repeat.  ``delta`` is one
+    radius, fastest as a Python float, or an ``(n, 1)`` column of per-row
+    radii; a 1-D radius raises, as it would broadcast across the columns."""
+    if np.ndim(delta) == 1:
+        raise ValueError(f"delta must be a scalar or an (n, 1) column, got {np.shape(delta)}")
+    offsets = np.empty((len(shifts), *directions.shape))
+    for j, s in enumerate(shifts):
         # per shift: a broadcast product would allocate hidden numpy buffers
-        np.multiply(steps[:, s, None], directions, out=offsets[:, s])
+        np.multiply(delta * s, directions, out=offsets[j])
     return offsets
 
 
@@ -93,38 +102,35 @@ def probe(
     oracle's value at ``theta + (delta*s)*directions[i]``, and every value
     must be finite.  The points go to the oracle in blocks of consecutive
     directions, in its ray form: shift 0 is ``theta`` itself on every ray,
-    so a block holds only the off-center shifts ``1..n_shifts-1``, shift by
-    shift, and the objective reads ``theta`` once per block.  A block is
-    sized as ``n_shifts`` points per direction, about :data:`BLOCK_FLOATS`
-    floats, so a probe holds its values plus ``(n_shifts-1)/n_shifts`` of a
-    block and the objective's temporaries for it, not all
-    ``n * n_shifts * d`` points.  The whole cost, ``theta`` included once
-    per ray, is checked against the budget before the first block, so a
-    probe is all-or-nothing on budget (a non-finite value raises after its
-    block is charged).  Each point, ``theta`` on each ray too, draws its own
-    noise in ray-by-ray order, so for an objective whose rows keep the bits
-    of their own calls, as every objective in :mod:`grdsa.oracle` does, the
-    values equal one ray-by-ray flat call's.
+    so a block holds only the off-center shifts ``1..n_shifts-1``, from
+    :func:`ray_offsets`, and the objective reads ``theta`` once per
+    block.  A block is sized as ``n_shifts`` points per direction, about
+    :data:`BLOCK_FLOATS` floats, so a probe holds its values plus
+    ``(n_shifts-1)/n_shifts`` of a block and the objective's temporaries for
+    it, not all ``n * n_shifts * d`` points.  The whole cost, ``theta``
+    included once per ray, is checked against the budget before the first
+    block, so a probe is all-or-nothing on budget (a non-finite value raises
+    after its block is charged).  Each point, ``theta`` on each ray too,
+    draws its own noise in ray-by-ray order, so for an objective whose rows
+    keep the bits of their own calls, as every objective in
+    :mod:`grdsa.oracle` does, the values equal one ray-by-ray flat call's.
     """
+    if isinstance(n_shifts, bool) or not isinstance(n_shifts, (int, np.integer)) or n_shifts < 1:
+        raise ValueError(f"n_shifts must be an integer >= 1, got {n_shifts!r}")
     n, d = directions.shape
     oracle.check_affords(n * n_shifts)
     rows = max(1, BLOCK_FLOATS // (n_shifts * d))
     values = np.empty((n, n_shifts))
     for start in range(0, n, rows):
         block = slice(start, start + rows)
-        block_dirs = directions[block]
-        # shift-major and contiguous, with the two roundings of ray_offsets
-        points = np.empty((n_shifts - 1, len(block_dirs), d))
-        for s in range(1, n_shifts):
-            np.multiply(delta * s, block_dirs, out=points[s - 1])
+        points = ray_offsets(directions[block], delta, range(1, n_shifts))
         points += theta
         # no name holds the oracle's result, so it is freed before the next block
         values[block] = oracle.evaluate_many(points, center=theta).reshape(-1, n_shifts)
         if not _all_finite(values[block]):
-            # the ray-by-ray points, theta in column 0, only to name the bad one
-            points = ray_offsets(block_dirs, delta, n_shifts)
-            points += theta
-            _check_finite_values(values[block].ravel(), points.reshape(-1, d))
+            # every shift, theta at shift 0, ray by ray, only to name the bad point
+            points = ray_offsets(directions[block], delta, range(n_shifts)) + theta
+            _check_finite_values(values[block].ravel(), points.swapaxes(0, 1).reshape(-1, d))
     return values
 
 

@@ -46,7 +46,8 @@ from .oracle import (
 from .perturb import PerturbationSpec
 from .stencils import _check_order
 
-_METHOD_RE = re.compile(r"^(G2|G)(SF|R)-(\d+)$")
+# matched whole, with no leading zero, so one method has one name
+_METHOD_RE = re.compile(r"(G2|G)(SF|R)-([1-9]\d*)")
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class MethodSpec:
 
 
 def method_spec(name: str) -> MethodSpec:
-    match = _METHOD_RE.match(name)
+    match = _METHOD_RE.fullmatch(name)
     if match is None:
         raise ValueError(f"unrecognized method name {name!r}")
     order_tag, family_tag, meas_str = match.groups()

@@ -325,9 +325,11 @@ def _iterations(
     depend on the iterate (directions, probe offsets, scaling matrices and
     step sizes) are drawn ``_BLOCK`` iterations at a time.  One bulk draw
     equals as many one-direction draws bit for bit, so the block size cannot
-    change a run.  Once the offsets and scaling matrices have read the
-    directions, they are scaled in place by the gradient's unbiasing factor.
-    A spent block is released before the next is drawn.
+    change a run.  A block's offsets are one shift-major ``ray_offsets``
+    call over the call's shifts, and iteration ``i`` reads ``offsets[:, i]``.
+    Once the offsets and scaling matrices have read the directions, they are
+    scaled in place by the gradient's unbiasing factor.  A spent block is
+    released before the next is drawn.
 
     The estimator reductions and the projection are written inline, with
     everything the iterations read bound once per block; the projection is
@@ -348,15 +350,14 @@ def _iterations(
     n_shifts = 2 * k + 1 if hessian else k + 1
     grad_start = n_shifts if hessian and not cfg.reuse else 0
     grad_stop = grad_start + k + 1
+    shifts = [*range(n_shifts), *range(k + 1 if grad_start else 0)]
     grad_w = grad_weights(k)
     hess_w = hess_weights(k, k) if hessian else None
     left = stride  # iterations until the next yield
     for first in range(1, count + 1, _BLOCK):
         a, b, deltas = s._over(range(first, min(first + _BLOCK, count + 1)))
         directions = spec.sample(rng, (len(deltas), theta.size))
-        offsets = ray_offsets(directions, np.array(deltas), n_shifts)
-        if grad_start:
-            offsets = np.concatenate((offsets, offsets[:, : k + 1]), axis=1)
+        offsets = ray_offsets(directions, np.array(deltas)[:, None], shifts)
         scalers = scaling_matrices(spec, directions) if hessian else None
         directions *= gradient_unbias_factor(spec)
         # 0-d arrays: a ufunc converts a Python float operand on every call
@@ -365,7 +366,7 @@ def _iterations(
         # looked up per block, so a wrapper installed on the class is called
         evaluate = oracle.evaluate_many
         for i, delta in enumerate(deltas):
-            points = theta + offsets[i]
+            points = theta + offsets[:, i]
             values = evaluate(points)
             slope = values[grad_start:grad_stop].dot(grad_w)
             quad = values[:n_shifts].dot(hess_w) if hessian else 0.0

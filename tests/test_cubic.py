@@ -145,6 +145,8 @@ class TestSolveCubicSubproblem:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             solve_cubic_subproblem(np.ones(2), np.eye(2), 0.0)
+        with pytest.raises(ValueError, match="alpha must be > 0 and finite, got inf"):
+            solve_cubic_subproblem(np.ones(2), np.eye(2), np.inf)
         with pytest.raises(ValueError):
             solve_cubic_subproblem(np.ones(3), np.eye(2), 1.0)
         with pytest.raises(ValueError):

@@ -150,6 +150,27 @@ class TestEstimateGradient:
         with pytest.raises(NonFiniteEvaluation):
             batch_gradient(BudgetedOracle(obj), THETA, np.ones((1, 2)), 0.1, 1, SPEC)
 
+    @pytest.mark.parametrize(
+        "theta, dirs, delta, message",
+        [
+            (THETA, np.ones((2, 2)), np.inf, "delta must be finite, got inf"),
+            ([0.7, np.inf], np.ones((2, 2)), 0.1, "theta must be finite, got [0.7, inf]"),
+            (THETA, [[1.0, 1.0], [np.nan, -np.inf]], 0.1,
+             "directions must be finite, got row 1: [nan, -inf]"),
+        ],
+        ids=["delta", "theta", "directions"],
+    )
+    def test_nonfinite_input_is_named(self, theta, dirs, delta, message):
+        # raised before any measurement, not blamed on the oracle's values
+        orc = fresh_oracle()
+        with pytest.raises(ValueError) as raised:
+            batch_gradient(orc, theta, dirs, delta, 1, SPEC)
+        assert str(raised.value) == message
+        assert orc.evals_used == 0
+        with pytest.raises(ValueError) as raised:
+            gradient_deviation(quadratic(A, B), theta, delta, 1, SPEC, dirs)
+        assert str(raised.value) == message
+
 
 class TestProbe:
     def test_values_along_the_ray(self):
@@ -189,6 +210,14 @@ class TestProbe:
         ):
             probe(BudgetedOracle(obj), theta, direction, 1.0, 3)
 
+    @pytest.mark.parametrize("n_shifts", [0, -1, 2.0, True])
+    def test_n_shifts_below_one_raises(self, n_shifts):
+        orc = fresh_oracle()
+        with pytest.raises(ValueError) as raised:
+            probe(orc, THETA, np.ones((2, 2)), 0.1, n_shifts)
+        assert str(raised.value) == f"n_shifts must be an integer >= 1, got {n_shifts!r}"
+        assert orc.evals_used == 0
+
 
 def block_rows(n_shifts, d):
     return max(1, BLOCK_FLOATS // (n_shifts * d))
@@ -211,7 +240,7 @@ class TestProbeBlocks:
         streamed = oracle()
         values = probe(streamed, theta, dirs, delta, n_shifts)
         whole = oracle()
-        points = theta + ray_offsets(dirs, delta, n_shifts)
+        points = theta + ray_offsets(dirs, delta, range(n_shifts)).swapaxes(0, 1)
         expected = whole.evaluate_many(points.reshape(n * n_shifts, d)).reshape(n, n_shifts)
         assert values.tobytes() == expected.tobytes()
         assert streamed.evals_used == whole.evals_used == n * n_shifts
@@ -305,7 +334,8 @@ class TestMeasure:
         assert np.array_equal(values, quadratic(A, B).value(points))
         dirs = SPEC.sample(np.random.default_rng(2), (4, 2))
         values = probe(fresh_oracle(), THETA, dirs, 0.1, 3)
-        assert np.array_equal(values, quadratic(A, B).value(THETA + ray_offsets(dirs, 0.1, 3)))
+        points = THETA + ray_offsets(dirs, 0.1, range(3)).swapaxes(0, 1)
+        assert np.array_equal(values, quadratic(A, B).value(points))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("n", [1, 3, 9])
@@ -313,7 +343,7 @@ class TestMeasure:
         theta = np.array([0.2, -0.1])
         dirs = SPEC.sample(np.random.default_rng(n), (n, 2))
         for n_shifts in (1, 3):
-            points = theta + ray_offsets(dirs, 0.1, n_shifts)
+            points = theta + ray_offsets(dirs, 0.1, range(n_shifts)).swapaxes(0, 1)
             for row in range(n):
                 for s in range(n_shifts):
                     target = points[row, s]
@@ -334,17 +364,26 @@ class TestUnbufferedProducts:
 
     @pytest.mark.parametrize("per_row", [True, False], ids=["radii", "one-radius"])
     def test_ray_offsets(self, per_row):
-        n, n_shifts, d = 9, 5, 4
+        n, d, k = 9, 4, 2
         rng = np.random.default_rng(4)
         dirs = SPEC.sample(rng, (n, d))
         dirs[0, 1], dirs[2, 3] = 0.0, -0.0
-        delta = rng.uniform(0.1, 1.0, n) if per_row else 0.3
-        steps = np.reshape(delta, (-1, 1)) * np.arange(n_shifts, dtype=float)
-        expected = steps[:, :, None] * dirs[:, None, :]
-        # the shift-0 column holds -0.0 wherever a direction is negative
-        assert np.signbit(expected[:, 0]).any()
-        offsets = ray_offsets(dirs, delta, n_shifts)
-        assert np.array_equal(offsets.view(np.int64), expected.view(np.int64))
+        # a Python float, or an (n, 1) column of per-row radii
+        delta = rng.uniform(0.1, 1.0, (n, 1)) if per_row else 0.3
+        # every shift of a probe, its off-center ones, and Newton's no-reuse call
+        no_reuse = [*range(2 * k + 1), *range(k + 1)]
+        for shifts in (range(2 * k + 1), range(1, 2 * k + 1), no_reuse):
+            # the broadcast form: each (delta*s) rounded, then times its direction
+            steps = np.reshape(np.asarray(shifts, dtype=float), (-1, 1, 1)) * delta
+            expected = steps * dirs
+            offsets = ray_offsets(dirs, delta, shifts)
+            assert offsets.shape == (len(shifts), n, d)
+            assert np.array_equal(offsets.view(np.int64), expected.view(np.int64))
+        # the shift-0 row holds -0.0 wherever a direction is negative
+        assert np.signbit(expected[0]).any()
+        # a 1-D radius would broadcast across the columns when n == d
+        with pytest.raises(ValueError, match=r"delta must be a scalar or an \(n, 1\) column"):
+            ray_offsets(dirs, np.full(n, 0.3), range(3))
 
     @pytest.mark.parametrize("spec", [gaussian(), uniform(0.7), LITERAL])
     def test_hessian_mean(self, spec):

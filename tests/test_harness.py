@@ -101,7 +101,8 @@ class TestMethodSpec:
 
     @pytest.mark.parametrize(
         "name",
-        ["G2SF-4", "G2SF-2", "G2SF-1", "GSF-1", "GSF-0", "XSF-3", "gsf-5", "GSF", "G2R-0"],
+        ["G2SF-4", "G2SF-2", "G2SF-1", "GSF-1", "GSF-0", "XSF-3", "gsf-5", "GSF", "G2R-0",
+         "G2SF-03", "G2SF-3\n"],
     )
     def test_rejected_names(self, name):
         with pytest.raises(ValueError):
@@ -603,8 +604,9 @@ class TestValidateConfig:
             ({"algorithm": "gradient-only"}, "'gradient-only'"),
             ({"methods": ["G2SF-3", "G2SF-4"]}, "odd measurement count"),
             ({"methods": ["GSF-5", "XSF-3"]}, "unrecognized method name"),
+            ({"methods": ["G2SF-3", "G2SF-03"]}, "unrecognized method name"),
         ],
-        ids=["algorithm", "methods-even", "methods-name"],
+        ids=["algorithm", "methods-even", "methods-name", "methods-zero-padded"],
     )
     def test_unknown_name_is_an_error(self, config, cause):
         # every run of these configs raises; the validator says why instead
@@ -747,6 +749,8 @@ class TestValidateConfig:
              "ValueError"),
             (dict(CRZON_CONFIG, quadratic={"b": [1.0, 0.0]}), "ValueError"),
             ({"objective": "rastrigin", "quadratic": None, "budget": 30}, None),
+            # a zero-padded count would name the same cell twice
+            ({"methods": ["G2SF-3", "G2SF-03"], "budget": 30}, "ValueError"),
         ],
     )
     def test_validator_agrees_with_the_run(self, config, cause):

@@ -355,7 +355,8 @@ class TestOneIteration:
         direction = _directions(cfg, 1)
         [(points, values)] = probes
         # the probe steps delta(1) along the drawn direction
-        assert np.allclose(points, theta0 + ray_offsets(direction, s.delta(1), 3)[0])
+        offsets = ray_offsets(direction, s.delta(1), range(3)).swapaxes(0, 1)
+        assert np.allclose(points, theta0 + offsets[0])
         hess = hessian_samples(values, scaling_matrices(gaussian(), direction)[0], s.delta(1), 1, 1)
         g0 = gradient_samples(values, direction[0], s.delta(1), 1)
         hbar1 = np.eye(2) + s.b(1) * (hess - np.eye(2))
@@ -421,7 +422,8 @@ class TestOneIteration:
         direction = _directions(cfg, 1)
         [(points, values)] = probes
         # one probe of k+1 shifts, delta(1) apart along the drawn direction
-        assert np.array_equal(points, theta0 + ray_offsets(direction, s.delta(1), k + 1)[0])
+        offsets = ray_offsets(direction, s.delta(1), range(k + 1)).swapaxes(0, 1)
+        assert np.array_equal(points, theta0 + offsets[0])
         g0 = gradient_samples(values, direction[0], s.delta(1), k)
         expected = _project(theta0 - s.a(1) * g0, cfg.box)
         assert np.array_equal(rec.theta_final, expected)
