@@ -5,11 +5,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import harness
 from .cubic import run_crzon
+from .estimators import NonFiniteEvaluation
 from .newton import run_newton
 from .stencils import (
     MAX_ORDER,
@@ -86,10 +88,12 @@ def _cmd_stencil_verify(args: argparse.Namespace) -> int:
 
 def _cmd_newton_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    records = [
-        run_newton(harness.build_newton_config(config, seed=seed))
-        for seed in harness.seed_range(config)
-    ]
+    # the CSV reads only endpoints: a run built as the config says (a bad
+    # record_stride still fails) records no trajectory, as run_table's do
+    records = []
+    for seed in harness.seed_range(config):
+        cfg = harness.build_newton_config(config, seed=seed)
+        records.append(run_newton(replace(cfg, record_stride=cfg.budget)))
     harness.write_newton_csv(args.out, records)
     errors = [r.final_parameter_error for r in records if r.final_parameter_error is not None]
     if errors:
@@ -221,13 +225,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; a config its builders reject exits 2 with their message."""
+    """Run one command.  A config its builders reject, or a file that cannot be
+    read or written, exits 2, and a run that measures a non-finite value exits
+    1, each with one ``error:`` line."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NonFiniteEvaluation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

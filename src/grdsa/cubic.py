@@ -121,12 +121,23 @@ def from_epsilon(
         b_prefactor=b_prefactor,
         delta_prefactor=delta_prefactor,
     )
+    sizes = {}
+    for name, prefactor, exponent in (
+        ("n_steps", n_prefactor, -1.5),
+        ("m", m_prefactor, -(2.0 + 2.0 / k)),
+        ("b", b_prefactor, -(1.0 + 4.0 / k)),
+    ):
+        try:
+            sizes[name] = math.ceil(prefactor * epsilon**exponent)
+        except OverflowError as exc:  # the power's range error, or ceil of infinity
+            raise ValueError(
+                f"{name} = {prefactor} * epsilon**{exponent:.4g} overflows at "
+                f"epsilon = {epsilon} ({exc.args[-1]})"
+            ) from None
     return CubicConfig(
         objective=objective,
         k=k,
-        n_steps=math.ceil(n_prefactor * epsilon ** -1.5),
-        m=math.ceil(m_prefactor * epsilon ** -(2.0 + 2.0 / k)),
-        b=math.ceil(b_prefactor * epsilon ** -(1.0 + 4.0 / k)),
+        **sizes,
         delta=delta_prefactor * epsilon ** (1.0 / k),
         epsilon=epsilon,
         **kwargs,
@@ -240,14 +251,11 @@ def solve_cubic_subproblem(
     if phi_lo <= r_lo and r_floor > 0.0:
         return hard_case_solution()
 
+    # all lambda_i + half r_floor >= 0: from r = r_floor + t, t = sqrt(2|g|/alpha), each denominator
+    # is >= half t, so phi(r) <= t <= r; equality (H = 0) takes one doubling, after which phi <= t/2
     r_hi = max(2.0 * r_lo, r_floor + math.sqrt(2.0 * gnorm / alpha), 1e-8)
-    for _ in range(200):
-        phi_hi, _ = phi_and_slope(r_hi)
-        if phi_hi < r_hi:
-            break
+    if phi_and_slope(r_hi)[0] >= r_hi:
         r_hi *= 2.0
-    else:
-        raise RuntimeError("failed to bracket the secular-equation root")
 
     r = min(max(math.sqrt(2.0 * gnorm / alpha), r_lo), r_hi)
     iters = 0

@@ -35,7 +35,7 @@ class NonFiniteEvaluation(RuntimeError):
     """Raised when the oracle returns NaN or infinity."""
 
 
-def _check_inputs(theta, directions, delta: float) -> tuple[np.ndarray, np.ndarray]:
+def _check_inputs(theta, directions) -> tuple[np.ndarray, np.ndarray]:
     theta = np.asarray(theta, dtype=float)
     directions = np.asarray(directions, dtype=float)
     if theta.ndim != 1:
@@ -44,12 +44,6 @@ def _check_inputs(theta, directions, delta: float) -> tuple[np.ndarray, np.ndarr
         raise ValueError(
             f"directions must have shape (n >= 1, {theta.size}), got {directions.shape}"
         )
-    if not delta > 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    if not math.isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta}")
-    if not _all_finite(theta):
-        raise ValueError(f"theta must be finite, got {theta.tolist()}")
     if not _all_finite(directions):
         row = np.flatnonzero(~np.isfinite(directions).all(axis=1))[0]
         raise ValueError(f"directions must be finite, got row {row}: {directions[row].tolist()}")
@@ -114,9 +108,17 @@ def probe(
     draws its own noise in ray-by-ray order, so for an objective whose rows
     keep the bits of their own calls, as every objective in
     :mod:`grdsa.oracle` does, the values equal one ray-by-ray flat call's.
+    ``n_shifts``, ``delta`` (positive and finite) and ``theta`` (finite) are
+    checked before anything is charged.
     """
     if isinstance(n_shifts, bool) or not isinstance(n_shifts, (int, np.integer)) or n_shifts < 1:
         raise ValueError(f"n_shifts must be an integer >= 1, got {n_shifts!r}")
+    if not delta > 0:
+        raise ValueError(f"delta must be > 0, got {delta}")
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
+    if not _all_finite(theta):
+        raise ValueError(f"theta must be finite, got {np.asarray(theta).tolist()}")
     n, d = directions.shape
     oracle.check_affords(n * n_shifts)
     rows = max(1, BLOCK_FLOATS // (n_shifts * d))
@@ -248,7 +250,7 @@ def batch_gradient(
 
     Consumes ``n * (k + 1)`` measurements, streamed by :func:`probe`.
     """
-    theta, directions = _check_inputs(theta, directions, delta)
+    theta, directions = _check_inputs(theta, directions)
     values = probe(oracle, theta, directions, delta, k + 1)
     return gradient_mean(values, directions, delta, k, spec)
 
@@ -268,9 +270,14 @@ def batch_hessian(
     (``k2`` None means ``k1``); the mean is :func:`hessian_mean`, in one
     block plus ``O(d**2)`` memory beyond the directions and values.
     """
-    theta, directions = _check_inputs(theta, directions, delta)
+    theta, directions = _check_inputs(theta, directions)
     values = probe(oracle, theta, directions, delta, hess_weights(k1, k2).size)
     return hessian_mean(values, directions, delta, k1, k2, spec)
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("residual", "mean_bias"):
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 def gradient_deviation(
@@ -296,9 +303,10 @@ def gradient_deviation(
     floors it at a finite sample size.  Common random numbers across
     ``delta`` come from passing the same ``directions`` array.
     """
+    _check_mode(mode)
     if objective.gradient is None:
         raise ValueError("objective must provide an analytic gradient")
-    theta, directions = _check_inputs(theta, directions, delta)
+    theta, directions = _check_inputs(theta, directions)
     values = probe(BudgetedOracle(objective), theta, directions, delta, k + 1)
 
     grad = np.asarray(objective.gradient(theta), dtype=float)
@@ -307,9 +315,7 @@ def gradient_deviation(
         estimates = gradient_samples(values, scaled, delta, k)
         leading = scaled * (directions @ grad)[:, None]
         return float(np.linalg.norm(estimates - leading, axis=1).mean())
-    if mode == "mean_bias":
-        return float(np.linalg.norm(gradient_mean(values, directions, delta, k, spec) - grad))
-    raise ValueError(f"unknown mode {mode!r}")
+    return float(np.linalg.norm(gradient_mean(values, directions, delta, k, spec) - grad))
 
 
 def hessian_deviation(
@@ -328,9 +334,10 @@ def hessian_deviation(
     is ``M(Delta) (Delta^T hess F Delta)`` and the residual average scales
     like ``delta**min(k1, k2)``.
     """
+    _check_mode(mode)
     if objective.hessian is None:
         raise ValueError("objective must provide an analytic Hessian")
-    theta, directions = _check_inputs(theta, directions, delta)
+    theta, directions = _check_inputs(theta, directions)
     n_shifts = hess_weights(k1, k2).size
     values = probe(BudgetedOracle(objective), theta, directions, delta, n_shifts)
 
@@ -340,10 +347,8 @@ def hessian_deviation(
         lead_quads = np.einsum("ni,ij,nj->n", directions, hess, directions)
         gaps = np.abs(_quads(values, delta, k1, k2) - lead_quads)
         return float((gaps * scaling_norms(spec, directions)).mean())
-    if mode == "mean_bias":
-        mean = hessian_mean(values, directions, delta, k1, k2, spec)
-        return float(np.linalg.norm(mean - hess))
-    raise ValueError(f"unknown mode {mode!r}")
+    mean = hessian_mean(values, directions, delta, k1, k2, spec)
+    return float(np.linalg.norm(mean - hess))
 
 
 def fit_loglog_slope(deltas: np.ndarray, deviations: np.ndarray) -> float:

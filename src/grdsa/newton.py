@@ -66,13 +66,6 @@ def _check_integer(**values: int) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _index(n: int) -> range:
-    """``range(n, n + 1)`` for one schedule index, which counts from 1."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return range(n, n + 1)
-
-
 @dataclass(frozen=True)
 class Schedules:
     """Step-size and probing-radius sequences.
@@ -101,15 +94,6 @@ class Schedules:
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         _check_finite(**asdict(self))
-
-    def a(self, n: int) -> float:
-        return self._over(_index(n))[0][0]
-
-    def b(self, n: int) -> float:
-        return self._over(_index(n))[1][0]
-
-    def delta(self, n: int) -> float:
-        return self._over(_index(n))[2][0]
 
     def _over(self, ns: range) -> tuple[array, array, array]:
         """``a(n)``, ``b(n)`` and ``delta(n)`` for each ``n`` of ``ns``, in one

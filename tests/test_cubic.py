@@ -76,6 +76,21 @@ class TestSolveCubicSubproblem:
             assert sol.radius == pytest.approx(expected, abs=1e-9)
             assert np.allclose(sol.step, -g / gnorm * expected, atol=1e-8)
 
+    @pytest.mark.parametrize(
+        "g,alpha,step",
+        [([1.0, 0.0], 2.0, [-1.0, 0.0]), ([3.0, -4.0, 0.0], 0.1, [-6.0, 8.0, 0.0])],
+    )
+    def test_zero_hessian_closed_form(self, g, alpha, step):
+        # with H = 0 the first bracket guess is the root itself, so phi(r_hi)
+        # equals r_hi and the bracket is doubled once;
+        # the step is -g sqrt(2 / (alpha |g|))
+        g = np.array(g)
+        sol = solve_cubic_subproblem(g, np.zeros((g.size, g.size)), alpha)
+        assert np.allclose(sol.step, -g * math.sqrt(2.0 / (alpha * np.linalg.norm(g))),
+                           rtol=1e-15, atol=0.0)
+        assert np.array_equal(sol.step, step)
+        assert not sol.hard_case
+
     def test_descent_against_gradient(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
@@ -249,6 +264,24 @@ class TestFromEpsilon:
             from_epsilon(saddle_quartic(), 1e-300, k=k)
         with pytest.raises(OrderError, match=message):
             CubicConfig(objective=saddle_quartic(), k=k)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"epsilon": 1e-300},
+             "n_steps = 1.0 * epsilon**-1.5 overflows at epsilon = 1e-300 "
+             "(Numerical result out of range)"),
+            ({"epsilon": 0.5, "m_prefactor": 1e308},
+             "m = 1e+308 * epsilon**-4 overflows at epsilon = 0.5 "
+             "(cannot convert float infinity to integer)"),
+            ({"epsilon": 1e-150, "k": 2},
+             "m = 1.0 * epsilon**-3 overflows at epsilon = 1e-150 (Numerical result out of range)"),
+        ],
+    )
+    def test_overflowing_size_is_named(self, kwargs, message):
+        with pytest.raises(ValueError) as raised:
+            from_epsilon(saddle_quartic(), **kwargs)
+        assert str(raised.value) == message
 
     def test_kwargs_forwarded(self):
         cfg = from_epsilon(saddle_quartic(), 0.5, seed=9, reuse=True)

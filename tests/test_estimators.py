@@ -53,6 +53,11 @@ def fresh_oracle(objective=None, **kwargs):
     return BudgetedOracle(objective or quadratic(A, B), **kwargs)
 
 
+def unreachable(x):
+    """An objective value for calls that must raise before they measure."""
+    raise AssertionError("the objective was evaluated")
+
+
 def linear_objective(c):
     return quadratic(np.zeros((c.size, c.size)), c)
 
@@ -209,6 +214,26 @@ class TestProbe:
             match=r"^oracle returned a non-finite value \(nan\) at \[0\.25, 1\.5\]$",
         ):
             probe(BudgetedOracle(obj), theta, direction, 1.0, 3)
+
+    @pytest.mark.parametrize(
+        "theta, delta, message",
+        [
+            (THETA, -0.1, "delta must be > 0, got -0.1"),
+            (THETA, 0.0, "delta must be > 0, got 0.0"),
+            (THETA, np.nan, "delta must be > 0, got nan"),
+            (THETA, np.inf, "delta must be finite, got inf"),
+            (np.array([0.7, np.inf]), 0.1, "theta must be finite, got [0.7, inf]"),
+            (np.array([np.nan, 0.0]), 0.1, "theta must be finite, got [nan, 0.0]"),
+        ],
+    )
+    def test_bad_delta_or_theta_raises_before_measuring(self, theta, delta, message):
+        # checked by probe itself, so a caller that skips the batch
+        # estimators' checks (cubic, the demos) gets them too
+        orc = fresh_oracle(replace(rastrigin(2), value=unreachable))
+        with pytest.raises(ValueError) as raised:
+            probe(orc, theta, np.ones((2, 2)), delta, 3)
+        assert str(raised.value) == message
+        assert orc.evals_used == 0
 
     @pytest.mark.parametrize("n_shifts", [0, -1, 2.0, True])
     def test_n_shifts_below_one_raises(self, n_shifts):
@@ -703,6 +728,14 @@ class TestDeviations:
             gradient_deviation(obj, THETA, 0.1, 1, SPEC, dirs, mode="median")
         with pytest.raises(ValueError):
             hessian_deviation(obj, THETA, 0.1, 1, None, SPEC, dirs, mode="median")
+
+    def test_unknown_mode_is_checked_before_measuring(self):
+        obj = replace(quartic(2), value=unreachable)
+        dirs = SPEC.sample(np.random.default_rng(0), (10, 2))
+        with pytest.raises(ValueError, match=r"^unknown mode 'typo'$"):
+            gradient_deviation(obj, THETA, 0.1, 1, SPEC, dirs, mode="typo")
+        with pytest.raises(ValueError, match=r"^unknown mode 'typo'$"):
+            hessian_deviation(obj, THETA, 0.1, 1, None, SPEC, dirs, mode="typo")
 
 
 class TestRastriginMean:

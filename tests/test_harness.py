@@ -751,6 +751,9 @@ class TestValidateConfig:
             ({"objective": "rastrigin", "quadratic": None, "budget": 30}, None),
             # a zero-padded count would name the same cell twice
             ({"methods": ["G2SF-3", "G2SF-03"], "budget": 30}, "ValueError"),
+            # a size crzon.epsilon sets past the float range is named
+            ({"objective": "saddle", "crzon": {"epsilon": 1e-300}}, "ValueError"),
+            ({"crzon": {"epsilon": 0.5, "m_prefactor": 1e308}}, "ValueError"),
         ],
     )
     def test_validator_agrees_with_the_run(self, config, cause):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -43,13 +44,32 @@ from grdsa.perturb import gaussian, gradient_unbias_factor, scaling_matrices, un
 QUAD = quadratic(np.diag([2.0, 4.0]))
 
 
+def _schedule(s, n):
+    """``(a(n), b(n), delta(n))`` of ``s`` from the formulas of its docstring."""
+    return (
+        s.a0 / (n + s.big_a) ** s.alpha,
+        s.b0 / (n + s.big_b) ** s.beta,
+        s.delta0 / n**s.gamma,
+    )
+
+
 class TestSchedules:
     def test_formulas(self):
         s = Schedules()
-        assert s.a(1) == pytest.approx(0.9 / 21.0**0.9)
-        assert s.b(1) == pytest.approx(0.9 / 11.0**0.56)
-        assert s.delta(1) == pytest.approx(0.9)
-        assert s.delta(64) == pytest.approx(0.9 / 64.0**0.16667)
+        a, b, delta = s._over(range(1, 65))
+        assert a[0] == pytest.approx(0.9 / 21.0**0.9)
+        assert b[0] == pytest.approx(0.9 / 11.0**0.56)
+        assert delta[0] == pytest.approx(0.9)
+        assert delta[63] == pytest.approx(0.9 / 64.0**0.16667)
+
+    def test_block_equals_the_formulas_bitwise(self):
+        # the reference iteration reads _schedule, so this pins what runs
+        custom = Schedules(a0=0.3, big_a=0.0, alpha=0.6, b0=2.5, beta=0.7, delta0=1e-3, gamma=0.4)
+        for s, first in itertools.product((Schedules(), custom), (1, 65, 10_001)):
+            ns = range(first, first + 64)
+            rows = list(zip(*s._over(ns)))
+            assert len(rows) == 64
+            assert rows == [_schedule(s, n) for n in ns]
 
     @pytest.mark.parametrize(
         "name,value",
@@ -69,21 +89,12 @@ class TestSchedules:
         with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
             Schedules(**{name: float("inf")})
 
-    @pytest.mark.parametrize("n", [0, -1])
-    @pytest.mark.parametrize("name", ["a", "b", "delta"])
-    def test_index_below_one_raises(self, name, n):
-        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
-            getattr(Schedules(), name)(n)
-
     def test_zero_offsets_allowed(self):
-        assert Schedules(big_a=0.0, big_b=0.0).a(1) == 0.9
+        assert Schedules(big_a=0.0, big_b=0.0)._over(range(1, 2))[0][0] == 0.9
 
     def test_monotone_decreasing(self):
-        s = Schedules()
-        ns = np.arange(1, 200)
-        for seq in (s.a, s.b, s.delta):
-            vals = np.array([seq(int(n)) for n in ns])
-            assert np.all(np.diff(vals) < 0)
+        for seq in Schedules()._over(range(1, 200)):
+            assert np.all(np.diff(seq) < 0)
 
 
 class TestValidateSchedules:
@@ -324,22 +335,22 @@ def _reference_step(theta, hbar, oracle, cfg, rng, n):
     """Iteration ``n`` of ``cfg.algorithm`` from ``(theta, hbar)``, built from
     the public estimators, the solve through ``np.linalg.eigh`` and an
     explicit projection; returns the new ``(theta, hbar)``."""
-    s, k, spec = cfg.schedules, cfg.k, cfg.perturbation
-    delta = s.delta(n)
+    k, spec = cfg.k, cfg.perturbation
+    a, b, delta = _schedule(cfg.schedules, n)
     hessian = cfg.algorithm == "newton"
     direction = spec.sample(rng, (1, theta.size))
     values = probe(oracle, theta, direction, delta, 2 * k + 1 if hessian else k + 1)[0]
     grad_direction = gradient_unbias_factor(spec) * direction[0]
     if hessian:
         hess = hessian_samples(values, scaling_matrices(spec, direction)[0], delta, k, k)
-        hbar = hbar + s.b(n) * (hess - hbar)
+        hbar = hbar + b * (hess - hbar)
         if not cfg.reuse:
             values = probe(oracle, theta, direction, delta, k + 1)[0]
         grad = gradient_samples(values, grad_direction, delta, k)
         step = _eigh_solve(hbar, grad, cfg.eps_pd)
     else:
         step = gradient_samples(values, grad_direction, delta, k)
-    return _project(theta - s.a(n) * step, cfg.box), hbar
+    return _project(theta - a * step, cfg.box), hbar
 
 
 class TestOneIteration:
@@ -351,16 +362,16 @@ class TestOneIteration:
         cfg = NewtonConfig(objective=QUAD, budget=3, k=1, seed=0, theta0=theta0)
         rec = run_newton(cfg)
 
-        s = cfg.schedules
+        a1, b1, delta1 = _schedule(cfg.schedules, 1)
         direction = _directions(cfg, 1)
         [(points, values)] = probes
         # the probe steps delta(1) along the drawn direction
-        offsets = ray_offsets(direction, s.delta(1), range(3)).swapaxes(0, 1)
+        offsets = ray_offsets(direction, delta1, range(3)).swapaxes(0, 1)
         assert np.allclose(points, theta0 + offsets[0])
-        hess = hessian_samples(values, scaling_matrices(gaussian(), direction)[0], s.delta(1), 1, 1)
-        g0 = gradient_samples(values, direction[0], s.delta(1), 1)
-        hbar1 = np.eye(2) + s.b(1) * (hess - np.eye(2))
-        expected = _project(theta0 - s.a(1) * _eigh_solve(hbar1, g0, cfg.eps_pd), cfg.box)
+        hess = hessian_samples(values, scaling_matrices(gaussian(), direction)[0], delta1, 1, 1)
+        g0 = gradient_samples(values, direction[0], delta1, 1)
+        hbar1 = np.eye(2) + b1 * (hess - np.eye(2))
+        expected = _project(theta0 - a1 * _eigh_solve(hbar1, g0, cfg.eps_pd), cfg.box)
         assert np.allclose(rec.theta_final, expected, atol=1e-12)
         assert rec.iterations == 1
 
@@ -378,13 +389,13 @@ class TestOneIteration:
         rec = self.noisy_run(cfg)
         assert [len(points) for points, _ in probes] == [5]
         assert rec.evals_used == 5
-        s = cfg.schedules
+        a1, b1, delta1 = _schedule(cfg.schedules, 1)
         direction = _directions(cfg, 1)
         hess = hessian_samples(probes[0][1], scaling_matrices(gaussian(), direction)[0],
-                               s.delta(1), 2, 2)
-        hbar1 = np.eye(2) + s.b(1) * (hess - np.eye(2))
-        g0 = gradient_samples(probes[0][1], direction[0], s.delta(1), 2)
-        expected = _project(rec.theta_init - s.a(1) * _eigh_solve(hbar1, g0, cfg.eps_pd), cfg.box)
+                               delta1, 2, 2)
+        hbar1 = np.eye(2) + b1 * (hess - np.eye(2))
+        g0 = gradient_samples(probes[0][1], direction[0], delta1, 2)
+        expected = _project(rec.theta_init - a1 * _eigh_solve(hbar1, g0, cfg.eps_pd), cfg.box)
         assert np.allclose(rec.theta_final, expected, atol=1e-12)
 
     def test_no_reuse_passes_nothing(self, probes):
@@ -398,14 +409,14 @@ class TestOneIteration:
         # the same shifts, measured again under fresh noise
         assert np.array_equal(points[5:], points[:3])
         assert not np.array_equal(values[5:], values[:3])
-        s = cfg.schedules
+        a1, b1, delta1 = _schedule(cfg.schedules, 1)
         direction = _directions(cfg, 1)
         hess = hessian_samples(
-            values[:5], scaling_matrices(gaussian(), direction)[0], s.delta(1), 2, 2
+            values[:5], scaling_matrices(gaussian(), direction)[0], delta1, 2, 2
         )
-        hbar1 = np.eye(2) + s.b(1) * (hess - np.eye(2))
-        g0 = gradient_samples(values[5:], direction[0], s.delta(1), 2)
-        expected = _project(rec.theta_init - s.a(1) * _eigh_solve(hbar1, g0, cfg.eps_pd), cfg.box)
+        hbar1 = np.eye(2) + b1 * (hess - np.eye(2))
+        g0 = gradient_samples(values[5:], direction[0], delta1, 2)
+        expected = _project(rec.theta_init - a1 * _eigh_solve(hbar1, g0, cfg.eps_pd), cfg.box)
         assert np.allclose(rec.theta_final, expected, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 3])
@@ -418,14 +429,14 @@ class TestOneIteration:
         )
         rec = run_newton(cfg)
 
-        s = cfg.schedules
+        a1, _, delta1 = _schedule(cfg.schedules, 1)
         direction = _directions(cfg, 1)
         [(points, values)] = probes
         # one probe of k+1 shifts, delta(1) apart along the drawn direction
-        offsets = ray_offsets(direction, s.delta(1), range(k + 1)).swapaxes(0, 1)
+        offsets = ray_offsets(direction, delta1, range(k + 1)).swapaxes(0, 1)
         assert np.array_equal(points, theta0 + offsets[0])
-        g0 = gradient_samples(values, direction[0], s.delta(1), k)
-        expected = _project(theta0 - s.a(1) * g0, cfg.box)
+        g0 = gradient_samples(values, direction[0], delta1, k)
+        expected = _project(theta0 - a1 * g0, cfg.box)
         assert np.array_equal(rec.theta_final, expected)
         assert expected[0] == 2.0  # the projection is exercised
         assert rec.iterations == 1
@@ -682,7 +693,7 @@ class TestNonFiniteFromTheDot:
         # point's shift is its distance from the start in those spacings
         start = np.array([0.5, -0.5])
         first = gaussian().sample(np.random.default_rng(0), (1, 2))
-        spacing = Schedules().delta(1) * np.linalg.norm(first)
+        spacing = _schedule(Schedules(), 1)[2] * np.linalg.norm(first)
 
         def value(x):
             shift = np.rint(np.linalg.norm(x - start, axis=-1) / spacing)
