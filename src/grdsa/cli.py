@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -28,6 +30,29 @@ def _load_config(path: str) -> dict:
     if not isinstance(config, dict):
         raise ValueError(f"config must be an object, got {config!r}")
     return config
+
+
+def _check_writable(*paths: str | None) -> None:
+    """Raise, before any run, the error that writing each given path would
+    raise: a missing or non-directory parent, a directory in its place, or
+    no write permission.  Nothing is opened or created, so a file, symlink
+    or FIFO stays as it was; empty paths are skipped, as the writers skip
+    them."""
+    for path in paths:
+        if not path:
+            continue
+        target = os.path.realpath(path)  # a dangling symlink names its target
+        if os.path.isdir(target):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if os.path.exists(target):
+            where, mode = target, os.W_OK
+        else:
+            where, mode = os.path.dirname(target), os.W_OK | os.X_OK
+            if not os.path.isdir(where):
+                code = errno.ENOTDIR if os.path.exists(where) else errno.ENOENT
+                raise OSError(code, os.strerror(code), path)
+        if not os.access(where, mode):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
 def _cmd_stencil_print(args: argparse.Namespace) -> int:
@@ -88,6 +113,7 @@ def _cmd_stencil_verify(args: argparse.Namespace) -> int:
 
 def _cmd_newton_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
+    _check_writable(args.out)
     # the CSV reads only endpoints: a run built as the config says (a bad
     # record_stride still fails) records no trajectory, as run_table's do
     records = []
@@ -108,6 +134,7 @@ def _cmd_newton_run(args: argparse.Namespace) -> int:
 
 def _cmd_crzon_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
+    _check_writable(args.out)
     reports = [
         run_crzon(harness.build_cubic_config(config, seed=seed))
         for seed in harness.seed_range(config)
@@ -123,6 +150,7 @@ def _cmd_crzon_run(args: argparse.Namespace) -> int:
 
 def _cmd_bench_table(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
+    _check_writable(args.out, args.summary_out)
     result = harness.run_table(config)
     if args.out:
         harness.write_table_csv(args.out, result)
@@ -143,6 +171,7 @@ def _cmd_bench_table(args: argparse.Namespace) -> int:
 
 def _cmd_bench_bias_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
+    _check_writable(args.out)
     result = harness.run_bias_sweep(config)
     if args.out:
         harness.write_bias_sweep_csv(args.out, result)

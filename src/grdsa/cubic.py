@@ -32,6 +32,19 @@ ALPHA_FLOOR = 1e-3
 # the most safeguarded Newton steps one solve takes on the secular equation
 _SECULAR_ITERS = 200
 
+# floats in numpy's largest float64 array: its byte count must fit an intp
+_MAX_ARRAY_FLOATS = np.iinfo(np.intp).max // 8
+
+
+def _check_batch(name: str, size: int, dim: int, value: str) -> None:
+    """Raise naming ``name = value`` if ``size`` draws of ``dim`` coordinates,
+    which a step samples as one array, exceed numpy's largest array."""
+    if size * dim > _MAX_ARRAY_FLOATS:
+        raise ValueError(
+            f"{name} = {value} is too large: a ({name}, {dim}) batch of draws "
+            f"exceeds numpy's largest array"
+        )
+
 
 @dataclass(frozen=True)
 class CubicConfig:
@@ -62,6 +75,9 @@ class CubicConfig:
         for name in ("n_steps", "m", "b"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("m", "b"):
+            size = getattr(self, name)
+            _check_batch(name, size, self.objective.dim, str(size))
         if not self.delta > 0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
         _check_finite(delta=self.delta)
@@ -134,6 +150,11 @@ def from_epsilon(
                 f"{name} = {prefactor} * epsilon**{exponent:.4g} overflows at "
                 f"epsilon = {epsilon} ({exc.args[-1]})"
             ) from None
+        if name != "n_steps":
+            _check_batch(
+                name, sizes[name], objective.dim,
+                f"{prefactor} * epsilon**{exponent:.4g} = {sizes[name]:.4g} at epsilon = {epsilon}",
+            )
     return CubicConfig(
         objective=objective,
         k=k,

@@ -33,7 +33,7 @@ try:  # numpy >= 2; numpy.core warns there
 except ImportError:  # numpy 1.x
     from numpy.core.umath import clip as _clip
 
-from .estimators import _check_finite_values, ray_offsets
+from .estimators import BLOCK_FLOATS, _check_finite_values, ray_offsets
 from .oracle import (
     BudgetedOracle,
     BudgetTooSmall,
@@ -46,9 +46,6 @@ from .stencils import _check_order, grad_weights, hess_weights
 
 #: iterates start uniform in this coordinate range unless overridden
 INIT_RANGE = (2.0, 3.0)
-
-#: iterations whose iterate-independent inputs are drawn together
-_BLOCK = 64
 
 
 def _check_finite(**values: float) -> None:
@@ -285,6 +282,17 @@ def iteration_cost(k: int, reuse: bool = True, hessian: bool = True) -> int:
     return (2 * k + 1 if reuse else 3 * k + 2) if hessian else k + 1
 
 
+def _block_rows(cfg: NewtonConfig) -> int:
+    """Iterations of ``cfg`` whose draws fit in :data:`~grdsa.estimators.BLOCK_FLOATS`
+    floats, and at least one: per iteration, the ``cost`` probe offsets and
+    the direction (``d`` floats each), Newton's ``(d, d)`` scaling matrix,
+    and the three schedule values."""
+    hessian = cfg.algorithm == "newton"
+    d = cfg.objective.dim
+    floats = (iteration_cost(cfg.k, cfg.reuse, hessian) + 1) * d + (d * d if hessian else 0) + 3
+    return max(1, BLOCK_FLOATS // floats)
+
+
 def _iterations(
     theta: np.ndarray,
     hbar: np.ndarray,
@@ -307,13 +315,14 @@ def _iterations(
 
     The direction stream feeds nothing else, so the inputs that do not
     depend on the iterate (directions, probe offsets, scaling matrices and
-    step sizes) are drawn ``_BLOCK`` iterations at a time.  One bulk draw
-    equals as many one-direction draws bit for bit, so the block size cannot
-    change a run.  A block's offsets are one shift-major ``ray_offsets``
-    call over the call's shifts, and iteration ``i`` reads ``offsets[:, i]``.
-    Once the offsets and scaling matrices have read the directions, they are
-    scaled in place by the gradient's unbiasing factor.  A spent block is
-    released before the next is drawn.
+    step sizes) are drawn a block of :func:`_block_rows` iterations at a
+    time, about :data:`~grdsa.estimators.BLOCK_FLOATS` floats.  One bulk
+    draw equals as many one-direction draws bit for bit, so the block size
+    cannot change a run.  A block's offsets are one shift-major
+    ``ray_offsets`` call over the call's shifts, and iteration ``i`` reads
+    ``offsets[:, i]``.  Once the offsets and scaling matrices have read the
+    directions, they are scaled in place by the gradient's unbiasing factor.
+    A spent block is released before the next is drawn.
 
     The estimator reductions and the projection are written inline, with
     everything the iterations read bound once per block; the projection is
@@ -337,9 +346,10 @@ def _iterations(
     shifts = [*range(n_shifts), *range(k + 1 if grad_start else 0)]
     grad_w = grad_weights(k)
     hess_w = hess_weights(k, k) if hessian else None
+    rows = _block_rows(cfg)
     left = stride  # iterations until the next yield
-    for first in range(1, count + 1, _BLOCK):
-        a, b, deltas = s._over(range(first, min(first + _BLOCK, count + 1)))
+    for first in range(1, count + 1, rows):
+        a, b, deltas = s._over(range(first, min(first + rows, count + 1)))
         directions = spec.sample(rng, (len(deltas), theta.size))
         offsets = ray_offsets(directions, np.array(deltas)[:, None], shifts)
         scalers = scaling_matrices(spec, directions) if hessian else None

@@ -124,6 +124,8 @@ def scaling_matrices(spec: PerturbationSpec, directions: np.ndarray) -> np.ndarr
     n, d = directions.shape
     outer = np.empty((n, d, d))
     for j in range(d):
-        # per column: a broadcast product would allocate hidden numpy buffers
+        # per column: numpy buffers the broadcast operand of each call, so
+        # one call over the whole stack would buffer up to 8192 of its
+        # entries, and one over a column buffers at most that column
         np.multiply(directions, directions[:, j, None], out=outer[:, :, j])
     return apply_scaling(spec, outer, 1.0)

@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from grdsa import cli, harness
 from grdsa.cli import build_parser, main
 
 
@@ -29,6 +30,8 @@ QUAD = {
     "dim": 2,
     "budget": 60,
 }
+#: a CRZON config that completes in a few milliseconds
+SADDLE_CRZON = {"objective": "saddle", "crzon": {"N": 2, "m": 4, "b": 4}}
 
 
 def test_no_command_exits_with_usage_error():
@@ -225,17 +228,74 @@ class TestFailedRunIsAnErrorLine:
             f"error: [Errno 2] No such file or directory: {missing!r}\n"
         )
 
-    def test_unwritable_out_exits_2(self, tmp_path, capsys):
-        config = write_config(tmp_path, QUAD)
-        out = tmp_path / "no-such-directory" / "runs.csv"
-        assert main(["newton", "run", "--config", config, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, monkeypatch):
+        # every path that would be written is checked before the first run
+        ran = []
+        for owner, runner in [
+            (cli, "run_newton"), (cli, "run_crzon"),
+            (harness, "run_table"), (harness, "run_bias_sweep"),
+        ]:
+            real = getattr(owner, runner)
+            monkeypatch.setattr(
+                owner, runner, lambda *args, real=real: ran.append(args) or real(*args)
+            )
+        missing = tmp_path / "no-such-directory" / "runs.csv"
+        for command, payload, flag in [
+            (["newton", "run"], QUAD, "--out"),
+            (["crzon", "run"], SADDLE_CRZON, "--out"),
+            (["bench", "table"], QUAD, "--out"),
+            (["bench", "table"], QUAD, "--summary-out"),
+            (["bench", "bias-sweep"], {"objective": "quartic", "dim": 2}, "--out"),
+        ]:
+            config = write_config(tmp_path, payload)
+            for out, error in [
+                (missing, "[Errno 2] No such file or directory"),
+                (tmp_path, "[Errno 21] Is a directory"),
+            ]:
+                assert main([*command, "--config", config, flag, str(out)]) == 2
+                assert capsys.readouterr().err == f"error: {error}: {str(out)!r}\n"
+        assert ran == []
+
+    def test_failed_run_keeps_an_existing_out_file(self, tmp_path, capsys):
+        # the check before the runs opens the file without truncating it
+        config = write_config(
+            tmp_path,
+            {"objective": "quadratic", "quadratic": {"diag": [1e308, 1e308]},
+             "theta0": [10, 10], "budget": 30},
         )
+        out = tmp_path / "runs.csv"
+        out.write_text("earlier\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["newton", "run", "--config", config, "--out", str(out)]) == 1
+        assert out.read_text() == "earlier\n"
 
+    def test_dangling_symlink_out_is_kept(self, tmp_path, capsys):
+        # the check opens nothing: a failed run leaves the link dangling and
+        # its target absent, and a finished run writes through the link
+        target = tmp_path / "target.csv"
+        link = tmp_path / "runs.csv"
+        link.symlink_to(target)
+        config = write_config(
+            tmp_path,
+            {"objective": "quadratic", "quadratic": {"diag": [1e308, 1e308]},
+             "theta0": [10, 10], "budget": 30},
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["newton", "run", "--config", config, "--out", str(link)]) == 1
+        assert link.is_symlink() and not target.exists()
+        config = write_config(tmp_path, QUAD)
+        assert main(["newton", "run", "--config", config, "--out", str(link)]) == 0
+        assert link.is_symlink() and read_csv(target)[0][0] == "seed"
 
-#: a CRZON config that completes in a few milliseconds
-SADDLE_CRZON = {"objective": "saddle", "crzon": {"N": 2, "m": 4, "b": 4}}
+    @pytest.mark.parametrize("command,payload", [
+        (["bench", "table"], QUAD),
+        (["bench", "bias-sweep"], {"objective": "quartic", "dim": 2}),
+    ])
+    def test_empty_out_writes_nothing(self, command, payload, tmp_path, capsys):
+        # the check skips the paths the writers skip
+        config = write_config(tmp_path, payload)
+        assert main([*command, "--config", config, "--out", ""]) == 0
+
 
 
 class TestSeedsComeFromTheConfig:

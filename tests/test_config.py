@@ -295,6 +295,10 @@ class TestValidateNeverRaises:
             ({"crzon": {"epsilon": 0.5, "n_prefactor": 1e308}}, "infinity"),
             ({"crzon": {}, "perturb": {"family": "levy"}}, "unknown perturbation family"),
             ({"crzon": {}, "noise": {"sigma": -1.0}}, "sigma must be >= 0"),
+            # sizes numpy cannot draw as one array, set by epsilon or directly
+            ({"crzon": {"epsilon": 1e-50}},
+             "m = 1.0 * epsilon**-4 = 1e+200 at epsilon = 1e-50 is too large"),
+            ({"crzon": {"b": 2**62}}, "b = 4611686018427387904 is too large"),
         ],
     )
     def test_unsizable_crzon_step_is_an_error(self, config, cause):

@@ -283,6 +283,36 @@ class TestFromEpsilon:
             from_epsilon(saddle_quartic(), **kwargs)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"epsilon": 1e-50},
+             "m = 1.0 * epsilon**-4 = 1e+200 at epsilon = 1e-50 is too large: "
+             "a (m, 2) batch of draws exceeds numpy's largest array"),
+            ({"epsilon": 1e-50, "m_prefactor": 1e-200},
+             "b = 1.0 * epsilon**-5 = 1e+250 at epsilon = 1e-50 is too large: "
+             "a (b, 2) batch of draws exceeds numpy's largest array"),
+        ],
+    )
+    def test_batch_beyond_numpys_largest_array_is_named(self, kwargs, message):
+        with pytest.raises(ValueError) as raised:
+            from_epsilon(saddle_quartic(), **kwargs)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("name", ["m", "b"])
+    def test_batch_size_limit_is_numpys(self, name):
+        # numpy's largest float64 array: 8 bytes a float, counted in intp
+        largest = np.iinfo(np.intp).max // 8 // 2
+        CubicConfig(objective=saddle_quartic(), **{name: largest})
+        with pytest.raises(ValueError, match="array is too big"):
+            gaussian().sample(np.random.default_rng(0), (largest + 1, 2))
+        with pytest.raises(ValueError) as raised:
+            CubicConfig(objective=saddle_quartic(), **{name: largest + 1})
+        assert str(raised.value) == (
+            f"{name} = {largest + 1} is too large: "
+            f"a ({name}, 2) batch of draws exceeds numpy's largest array"
+        )
+
     def test_kwargs_forwarded(self):
         cfg = from_epsilon(saddle_quartic(), 0.5, seed=9, reuse=True)
         assert cfg.seed == 9 and cfg.reuse

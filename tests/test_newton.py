@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import grdsa.newton as newton_mod
 from grdsa.estimators import (
+    BLOCK_FLOATS,
     NonFiniteEvaluation,
     gradient_samples,
     hessian_samples,
@@ -19,11 +20,11 @@ from grdsa.estimators import (
     ray_offsets,
 )
 from grdsa.newton import (
-    _BLOCK,
     INIT_RANGE,
     Box,
     NewtonConfig,
     Schedules,
+    _block_rows,
     _iterations,
     _lifted_solve,
     iteration_cost,
@@ -42,6 +43,9 @@ from grdsa.oracle import (
 from grdsa.perturb import gaussian, gradient_unbias_factor, scaling_matrices, uniform
 
 QUAD = quadratic(np.diag([2.0, 4.0]))
+#: the multi-block tests' dimension: a block of draws holds 32-57 Newton
+#: iterations at k <= 4, and 130-248 gradient-only ones
+DIM = 10
 
 
 def _schedule(s, n):
@@ -291,6 +295,60 @@ class TestIterationCost:
         assert iteration_cost(2, reuse=False) == 8
 
 
+class TestBlockRule:
+    """``_iterations`` draws a block of ``_block_rows`` iterations at a time,
+    as many as fit in ``BLOCK_FLOATS`` floats and at least one; the block
+    size cannot change a run."""
+
+    @pytest.mark.parametrize(
+        "hessian,reuse", [(True, True), (True, False), (False, True)],
+        ids=["newton-reuse", "newton-fresh", "gradient"],
+    )
+    @pytest.mark.parametrize("k,d", [(1, 10), (4, 10), (2, 100)])
+    def test_blocks_fill_block_floats(self, monkeypatch, hessian, reuse, k, d):
+        cost = iteration_cost(k, reuse, hessian)
+        cfg = NewtonConfig(
+            objective=rastrigin(d), budget=cost, k=k, reuse=reuse,
+            algorithm="newton" if hessian else "gradient_only",
+        )
+        rows = _block_rows(cfg)
+        # offsets and direction, the (d, d) scaling matrix, a(n), b(n), delta(n)
+        floats = (cost + 1) * d + (d * d if hessian else 0) + 3
+        assert rows == 1 or rows * floats <= BLOCK_FLOATS
+        assert (rows + 1) * floats > BLOCK_FLOATS
+        shapes = []
+
+        def spy(directions, delta, shifts):
+            shapes.append((len(shifts), *directions.shape))
+            return ray_offsets(directions, delta, shifts)
+
+        monkeypatch.setattr(newton_mod, "ray_offsets", spy)
+        run_newton(replace(cfg, budget=(2 * rows + 1) * cost))
+        assert shapes == [(cost, rows, d), (cost, rows, d), (cost, 1, d)]
+
+    @pytest.mark.parametrize(
+        "hessian,reuse", [(True, True), (True, False), (False, True)],
+        ids=["newton-reuse", "newton-fresh", "gradient"],
+    )
+    def test_one_row_blocks_give_the_same_bits(self, monkeypatch, hessian, reuse):
+        cfg = NewtonConfig(
+            objective=rastrigin(DIM), budget=10**5, k=2, reuse=reuse,
+            noise=LinearGaussianNoise(0.01), seed=5,
+            algorithm="newton" if hessian else "gradient_only",
+        )
+        count = _block_rows(cfg) + 5
+
+        def run():
+            theta, oracle, rng = _run_start(cfg)
+            steps = _iterations(theta, np.eye(DIM), oracle, cfg, rng, count)
+            return [(t.tobytes(), h.tobytes()) for t, h in steps]
+
+        blocked = run()
+        monkeypatch.setattr(newton_mod, "BLOCK_FLOATS", 1)
+        assert _block_rows(cfg) == 1
+        assert run() == blocked
+
+
 @pytest.fixture
 def probes(monkeypatch):
     """Record every ``(points, values)`` probe the oracle evaluates."""
@@ -472,14 +530,15 @@ class TestOneCallPerIteration:
         # a noisy run over two blocks of draws
         cost = iteration_cost(k, reuse, hessian)
         cfg = NewtonConfig(
-            objective=rastrigin(3), budget=(_BLOCK + 9) * cost, k=k, reuse=reuse,
+            objective=rastrigin(DIM), budget=cost, k=k, reuse=reuse,
             noise=LinearGaussianNoise(0.01), seed=3,
             algorithm="newton" if hessian else "gradient_only",
         )
-        rec = run_newton(cfg)
-        assert rec.iterations == _BLOCK + 9
+        iterations = _block_rows(cfg) + 9
+        rec = run_newton(replace(cfg, budget=iterations * cost))
+        assert rec.iterations == iterations
         assert len(probes) == rec.iterations
-        assert {points.shape for points, _ in probes} == {(cost, 3)}
+        assert {points.shape for points, _ in probes} == {(cost, DIM)}
 
 
 class TestIterationsAreThePublicUpdate:
@@ -489,7 +548,7 @@ class TestIterationsAreThePublicUpdate:
     every ``hbar`` that ``_iterations`` yields, and the evaluations used."""
 
     @pytest.mark.parametrize(
-        "objective", [rastrigin(3), quartic(3)],
+        "objective", [rastrigin, quartic],
         # quartic: an objective whose value is written the plain way
         ids=["rastrigin", "quartic"],
     )
@@ -500,11 +559,13 @@ class TestIterationsAreThePublicUpdate:
     @pytest.mark.parametrize("k", [1, 2, 4])
     @pytest.mark.parametrize("spec", [gaussian(), uniform(1.0)], ids=["gaussian", "uniform"])
     @pytest.mark.parametrize("sigma", [0.0, 0.01])
-    @pytest.mark.parametrize("iterations", [5, _BLOCK, _BLOCK + 7])
+    @pytest.mark.parametrize("iterations", [5, 64, 71])
     def test_same_bits(self, objective, hessian, reuse, k, spec, sigma, iterations):
+        # blocks of 32-57 Newton iterations at d = 10 and of 31-62
+        # gradient-only ones at d = 43, so 64 and 71 iterations cross one
         cost = iteration_cost(k, reuse, hessian)
         cfg = NewtonConfig(
-            objective=objective,
+            objective=objective(DIM if hessian else 43),
             budget=iterations * cost + cost - 1,
             k=k,
             noise=LinearGaussianNoise(sigma),
@@ -513,6 +574,7 @@ class TestIterationsAreThePublicUpdate:
             seed=7,
             algorithm="newton" if hessian else "gradient_only",
         )
+        assert _block_rows(cfg) < 64
         self.assert_same_bits(cfg, iterations)
 
     @pytest.mark.parametrize(
@@ -545,9 +607,9 @@ class TestIterationsAreThePublicUpdate:
 
         theta, oracle, rng = _run_start(cfg)
         ref_theta, ref_oracle, ref_rng = _run_start(cfg)
-        ref_hbar = np.eye(3)
+        ref_hbar = np.eye(cfg.objective.dim)
         snapshots = [ref_theta]
-        steps = _iterations(theta, np.eye(3), oracle, cfg, rng, iterations)
+        steps = _iterations(theta, np.eye(cfg.objective.dim), oracle, cfg, rng, iterations)
         for n, (theta, hbar) in enumerate(steps, 1):
             ref_theta, ref_hbar = _reference_step(ref_theta, ref_hbar, ref_oracle, cfg, ref_rng, n)
             assert theta.tobytes() == ref_theta.tobytes()
@@ -620,7 +682,12 @@ class TestNonFiniteMidBlock:
     def test_raises_at_the_failing_call(self, monkeypatch, hessian, reuse):
         # the objective turns NaN on the one call of an iteration in the
         # middle of the second block
-        iteration = _BLOCK + _BLOCK // 2
+        algorithm = "newton" if hessian else "gradient_only"
+        cost = iteration_cost(1, reuse, hessian)
+        rows = _block_rows(
+            NewtonConfig(objective=QUAD, budget=cost, reuse=reuse, algorithm=algorithm)
+        )
+        iteration = rows + rows // 2
         bad_call = iteration
         seen = {"calls": 0}
 
@@ -639,13 +706,12 @@ class TestNonFiniteMidBlock:
         monkeypatch.setattr(newton_mod, "BudgetedOracle", RecordingOracle)
         objective = replace(QUAD, value=value)
         cfg = NewtonConfig(
-            objective=objective, budget=3000, k=1, reuse=reuse, seed=0,
-            algorithm="newton" if hessian else "gradient_only",
+            objective=objective, budget=2 * rows * cost, k=1, reuse=reuse, seed=0,
+            algorithm=algorithm,
         )
         with pytest.raises(NonFiniteEvaluation):
             run_newton(cfg)
         assert seen["calls"] == bad_call
-        cost = iteration_cost(1, reuse) if hessian else 2
         assert oracles[0].evals_used == iteration * cost
 
 
@@ -823,11 +889,12 @@ class TestRunNewton:
         assert rec.trajectory.shape == (4, 2)
         assert np.array_equal(rec.trajectory[-1], rec.theta_final)
 
-    @pytest.mark.parametrize("stride", [1, 2, 3, _BLOCK, 70, 71, 500])
+    @pytest.mark.parametrize("stride", [1, 2, 3, 64, 70, 71, 500])
     def test_strided_rows_are_rows_of_the_full_trajectory(self, stride):
-        # 70 iterations: aligned and unaligned tails, strides across a block
-        # boundary and beyond the run
-        cfg = NewtonConfig(objective=rastrigin(3), budget=210, k=1, seed=4)
+        # 70 iterations, a block of 57 and 13 more: aligned and unaligned
+        # tails, strides across a block boundary and beyond the run
+        cfg = NewtonConfig(objective=rastrigin(DIM), budget=210, k=1, seed=4)
+        assert _block_rows(cfg) == 57
         full = run_newton(cfg).trajectory
         rec = run_newton(replace(cfg, record_stride=stride))
         rows = list(range(0, 71, stride)) + ([70] if 70 % stride else [])
@@ -853,14 +920,16 @@ class TestRunNewton:
         assert rec.algorithm == "newton"
 
     def test_run_holds_one_block_of_draws(self, peak_bytes):
-        # a block: 2k+1 probe offsets and a (d, d) scaling matrix per
-        # iteration; a run reads 1.26 blocks, one that kept the spent block
-        # alive 2.33
-        k, d = 4, 10
-        block = _BLOCK * ((2 * k + 1) * d + d * d) * 8
-        cfg = NewtonConfig(objective=rastrigin(d), budget=5000, k=k, record_stride=5000)
-        run_newton(cfg)  # warm the caches and the interpreter a first run fills
-        assert peak_bytes(lambda: run_newton(cfg)) <= 1.5 * block
+        # one block of draws, BLOCK_FLOATS floats at most, beside the
+        # iteration's own (d, d) arrays: the average its caller still holds,
+        # the new one and the eigenvectors.  At k = 4 a run reads 0.79
+        # (d = 10) and 0.64 (d = 50) of this bound; with 64-iteration blocks
+        # it read 1.21 and 8.8
+        for d, budget in ((10, 5000), (50, 500)):
+            cfg = NewtonConfig(objective=rastrigin(d), budget=budget, k=4, record_stride=budget)
+            run_newton(cfg)  # warm the caches and the interpreter a first run fills
+            bound = (1.5 * BLOCK_FLOATS + 3 * d * d) * 8
+            assert peak_bytes(lambda: run_newton(cfg)) <= bound, d
 
     def test_box_respected(self):
         box = Box(-0.5, 0.5)

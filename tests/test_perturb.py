@@ -10,7 +10,7 @@ import pytest
 from grdsa import harness
 from grdsa.cubic import CubicConfig, _batched_estimates
 from grdsa.estimators import batch_hessian, hessian_deviation, hessian_samples, probe
-from grdsa.newton import _BLOCK, NewtonConfig, _iterations
+from grdsa.newton import NewtonConfig, _block_rows, _iterations
 from grdsa.oracle import BudgetedOracle, quartic
 from grdsa.perturb import (
     GAUSSIAN,
@@ -24,6 +24,15 @@ from grdsa.perturb import (
     scaling_norms,
     uniform,
 )
+
+
+def block_rows(d, k=1):
+    """Iterations per block of draws of a Newton run in ``d`` dimensions."""
+    return _block_rows(NewtonConfig(objective=quartic(d), k=k))
+
+
+#: a d = 5 Newton run at k = 9 draws 64 iterations a block
+ROWS = block_rows(5, k=9)
 
 
 class TestSpec:
@@ -69,7 +78,7 @@ class TestSpec:
         assert uniform(1.0).sample(rng, (3, 4)).shape == (3, 4)
 
     @pytest.mark.parametrize("spec", [gaussian(), uniform(0.7)], ids=["gaussian", "uniform"])
-    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 5])
+    @pytest.mark.parametrize("n", [1, ROWS - 1, ROWS, 2 * ROWS + 5])
     def test_block_draw_equals_successive_draws(self, spec, n):
         # the Newton driver draws a block of directions at once; a run must
         # not depend on the block size
@@ -158,19 +167,33 @@ class TestScalingMatrix:
         ids=["gaussian", "uniform", "literal"],
     )
     def test_stack_equals_the_broadcast_form(self, spec):
-        # formed column by column and scaled in place: the bits of the
-        # broadcast product scaled out of place, signed zeros included
+        # formed in place and scaled in place: the bits of the broadcast
+        # product scaled out of place, signed zeros included; one matrix or
+        # three (thinner than d) and a Newton block
         d = 7
-        dirs = spec.sample(np.random.default_rng(3), (_BLOCK, d))
-        dirs[0, 2], dirs[1, 4] = 0.0, -0.0
-        off, shift, diag = _form(spec)
-        outer = dirs[:, :, None] * dirs[:, None, :]
-        expected = outer / off
-        idx = np.arange(d)
-        expected[:, idx, idx] = (outer[:, idx, idx] - shift) / diag
-        assert np.signbit(expected[expected == 0]).any()
-        stack = scaling_matrices(spec, dirs)
-        assert np.array_equal(stack.view(np.int64), expected.view(np.int64))
+        for n in (1, 3, block_rows(d)):
+            dirs = spec.sample(np.random.default_rng(3), (n, d))
+            dirs[0, 2], dirs[-1, 4] = 0.0, -0.0
+            off, shift, diag = _form(spec)
+            outer = dirs[:, :, None] * dirs[:, None, :]
+            expected = outer / off
+            idx = np.arange(d)
+            expected[:, idx, idx] = (outer[:, idx, idx] - shift) / diag
+            assert np.signbit(expected[expected == 0]).any()
+            stack = scaling_matrices(spec, dirs)
+            assert np.array_equal(stack.view(np.int64), expected.view(np.int64)), n
+
+    @pytest.mark.parametrize("n,d", [(1, 100), (2, 50), (3, 7), (14, 20), (102, 7), (64, 50)])
+    def test_allocates_little_beyond_its_output(self, peak_bytes, n, d):
+        # beyond the stack: the buffer numpy gives the broadcast operand of
+        # one product call, at most one column and at most np.getbufsize()
+        # floats, the diagonal's (n, d) temporaries, and 8 KB of numpy's own
+        # per-call allocations
+        dirs = gaussian().sample(np.random.default_rng(2), (n, d))
+        stack = n * d * d
+        buffer = min(n * d, np.getbufsize())
+        peak = peak_bytes(lambda: scaling_matrices(gaussian(), dirs))
+        assert peak <= (stack + buffer + 3 * n * d + 1024) * 8
 
     def test_apply_scaling_writes_over_its_input(self):
         outer = np.outer([1.0, -2.0], [1.0, -2.0])
