@@ -7,7 +7,6 @@ import errno
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -114,12 +113,10 @@ def _cmd_stencil_verify(args: argparse.Namespace) -> int:
 def _cmd_newton_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     _check_writable(args.out)
-    # the CSV reads only endpoints: a run built as the config says (a bad
-    # record_stride still fails) records no trajectory, as run_table's do
-    records = []
-    for seed in harness.seed_range(config):
-        cfg = harness.build_newton_config(config, seed=seed)
-        records.append(run_newton(replace(cfg, record_stride=cfg.budget)))
+    records = [
+        run_newton(harness.build_newton_config(config, seed=seed))
+        for seed in harness.seed_range(config)
+    ]
     harness.write_newton_csv(args.out, records)
     errors = [r.final_parameter_error for r in records if r.final_parameter_error is not None]
     if errors:

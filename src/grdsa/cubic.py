@@ -351,7 +351,6 @@ class SospReport:
     grad_norm_at_r: float
     lambda_min_at_r: float
     evals_used: int
-    trajectory: np.ndarray
     wall_time_s: float
 
 
@@ -361,7 +360,8 @@ def run_crzon(cfg: CubicConfig) -> SospReport:
 
     Every step costs ``step_cost()``, so the count is fixed up front (the
     config has checked that the budget buys one).  The report index ``R``
-    is drawn once from the run's seed, uniform over the iterates.
+    is drawn uniformly over the iterates before the loop, from a stream of
+    its own, so the run keeps only ``theta_R`` and its last iterate.
     """
     start = time.perf_counter()
     steps = cfg.n_steps
@@ -374,14 +374,12 @@ def run_crzon(cfg: CubicConfig) -> SospReport:
     theta0 = _initial_theta(cfg.theta0, cfg.objective.dim, init_rng)
     oracle = BudgetedOracle(cfg.objective, cfg.noise, cfg.budget, noise_rng)
 
-    theta = theta0
-    trajectory = np.empty((steps, theta0.size))
-    for i in range(steps):
-        theta, _ = crzon_step(theta, oracle, cfg, perturb_rng)
-        trajectory[i] = theta
-
     r_index = int(select_rng.integers(1, steps + 1))
-    theta_r = trajectory[r_index - 1]
+    theta = theta0
+    for i in range(1, steps + 1):
+        theta, _ = crzon_step(theta, oracle, cfg, perturb_rng)
+        if i == r_index:
+            theta_r = theta
 
     grad_norm = float("nan")
     lam_min = float("nan")
@@ -402,11 +400,10 @@ def run_crzon(cfg: CubicConfig) -> SospReport:
         alpha=alpha,
         r_index=r_index,
         theta_init=theta0,
-        theta_r=theta_r.copy(),
+        theta_r=theta_r,
         theta_final=theta,
         grad_norm_at_r=grad_norm,
         lambda_min_at_r=lam_min,
         evals_used=oracle.evals_used,
-        trajectory=trajectory,
         wall_time_s=time.perf_counter() - start,
     )

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .oracle import BudgetedOracle, Objective
+from .oracle import BLOCK_FLOATS, BudgetedOracle, Objective
 from .perturb import (
     PerturbationSpec,
     apply_scaling,
@@ -76,11 +76,6 @@ def _check_finite_values(values: np.ndarray, points: np.ndarray) -> None:
         raise NonFiniteEvaluation(
             f"oracle returned a non-finite value ({values[bad]}) at {points[bad].tolist()}"
         )
-
-
-#: floats of one block (2**13, 64 KB): the probe points one oracle call is
-#: given, and the weighted directions one step of :func:`hessian_mean` sums
-BLOCK_FLOATS = 2**13
 
 
 def probe(

@@ -166,7 +166,6 @@ KEYS = {
         "estimator.paper_literal_scaling": Key(bool, (PerturbationSpec,)),
         "estimator.k": Key(int, (NewtonConfig,)),
         "eps_pd": Key(float, (NewtonConfig,)),
-        "record_stride": Key(int, (NewtonConfig,)),
         "algorithm": Key(str, (NewtonConfig,)),
         "schedules.a0": Key(float, (Schedules,)),
         "schedules.A": Key(float, (Schedules,), "big_a"),
@@ -308,6 +307,8 @@ def make_objective(config: dict) -> Objective:
     if name != "quadratic" and _lookup(config, "quadratic") is not None:
         raise ValueError(f"quadratic is read only by objective 'quadratic', got {name!r}")
     dim = setting(config, "dim")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     objective = _OBJECTIVES[name](config, dim)
     if objective.dim != dim:
         raise ValueError(f"objective {name!r} is {objective.dim}-dimensional, but dim is {dim}")
@@ -425,10 +426,8 @@ def table_cells(config: dict) -> Iterator[tuple[MethodSpec, dict]]:
 def run_table(config: dict) -> TableResult:
     """Run every method x dim x budget x seed cell; failures don't abort.
 
-    A row reads only a run's endpoints, so each run stores no trajectory:
-    once its config has built (a bad ``record_stride`` still fails the
-    row), it runs with ``record_stride`` set to its budget.  A run then
-    holds one block of draws, whatever its budget.
+    A row reads only a run's endpoints, as :func:`run_newton` keeps them, so
+    a run holds one block of draws, whatever its budget.
     """
     fingerprint = config_fingerprint(config)
     seeds = seed_range(config)
@@ -437,8 +436,7 @@ def run_table(config: dict) -> TableResult:
         dim, budget = sub["dim"], sub["budget"]
         start = time.perf_counter()
         try:
-            cfg = build_newton_config(sub, seed=seed)
-            record = run_newton(replace(cfg, record_stride=cfg.budget))
+            record = run_newton(build_newton_config(sub, seed=seed))
             outcome = dict(
                 iterations=record.iterations,
                 final_parameter_error=record.final_parameter_error,

@@ -11,9 +11,8 @@ runs through the same driver and step without the Hessian, at ``k+1``.
 One generator, :func:`_iterations`, runs the iteration for either
 algorithm.  It draws what the iterations need that does not depend on the
 iterate (directions, radii, probe offsets, scaling matrices) a block at a
-time, and yields the iterate where its caller records one.
-:func:`run_newton`, the one way to run it, records snapshots from it over a
-whole budget.
+time, and yields the iterate after every iteration.  :func:`run_newton`,
+the one way to run it, keeps the last iterate of a whole budget.
 """
 
 from __future__ import annotations
@@ -33,8 +32,9 @@ try:  # numpy >= 2; numpy.core warns there
 except ImportError:  # numpy 1.x
     from numpy.core.umath import clip as _clip
 
-from .estimators import BLOCK_FLOATS, _check_finite_values, ray_offsets
+from .estimators import _check_finite_values, ray_offsets
 from .oracle import (
+    BLOCK_FLOATS,
     BudgetedOracle,
     BudgetTooSmall,
     LinearGaussianNoise,
@@ -217,14 +217,11 @@ class NewtonConfig:
     reuse: bool = True
     seed: int = 0
     theta0: np.ndarray | None = None
-    record_stride: int = 1
     algorithm: str = "newton"  # or "gradient_only": no Hessian, k+1 evaluations
 
     def __post_init__(self) -> None:
         _check_order(self.k, "k")
-        _check_integer(budget=self.budget, record_stride=self.record_stride)
-        if self.record_stride < 1:
-            raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
+        _check_integer(budget=self.budget)
         if not self.eps_pd > 0:
             raise ValueError(f"eps_pd must be > 0, got {self.eps_pd}")
         _check_finite(eps_pd=self.eps_pd)
@@ -272,7 +269,6 @@ class RunRecord:
     theta_init: np.ndarray
     theta_final: np.ndarray
     final_parameter_error: float | None
-    trajectory: np.ndarray
     wall_time_s: float
 
 
@@ -283,7 +279,7 @@ def iteration_cost(k: int, reuse: bool = True, hessian: bool = True) -> int:
 
 
 def _block_rows(cfg: NewtonConfig) -> int:
-    """Iterations of ``cfg`` whose draws fit in :data:`~grdsa.estimators.BLOCK_FLOATS`
+    """Iterations of ``cfg`` whose draws fit in :data:`~grdsa.oracle.BLOCK_FLOATS`
     floats, and at least one: per iteration, the ``cost`` probe offsets and
     the direction (``d`` floats each), Newton's ``(d, d)`` scaling matrix,
     and the three schedule values."""
@@ -300,10 +296,9 @@ def _iterations(
     cfg: NewtonConfig,
     rng: np.random.Generator,
     count: int,
-    stride: int = 1,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Run iterations ``1 .. count`` of ``cfg.algorithm`` from ``(theta,
-    hbar)``, yielding the pair after every ``stride``-th and after the last.
+    hbar)``, yielding the pair after every iteration.
 
     Each iteration makes one oracle call of ``iteration_cost`` points along
     one direction.  Newton's holds shifts ``0..2k`` (then ``0..k`` again
@@ -316,7 +311,7 @@ def _iterations(
     The direction stream feeds nothing else, so the inputs that do not
     depend on the iterate (directions, probe offsets, scaling matrices and
     step sizes) are drawn a block of :func:`_block_rows` iterations at a
-    time, about :data:`~grdsa.estimators.BLOCK_FLOATS` floats.  One bulk
+    time, about :data:`~grdsa.oracle.BLOCK_FLOATS` floats.  One bulk
     draw equals as many one-direction draws bit for bit, so the block size
     cannot change a run.  A block's offsets are one shift-major
     ``ray_offsets`` call over the call's shifts, and iteration ``i`` reads
@@ -347,7 +342,6 @@ def _iterations(
     grad_w = grad_weights(k)
     hess_w = hess_weights(k, k) if hessian else None
     rows = _block_rows(cfg)
-    left = stride  # iterations until the next yield
     for first in range(1, count + 1, rows):
         a, b, deltas = s._over(range(first, min(first + rows, count + 1)))
         directions = spec.sample(rng, (len(deltas), theta.size))
@@ -380,13 +374,8 @@ def _iterations(
             step *= a[i]
             np.subtract(theta, step, step)
             theta = _clip(step, lower, upper, step)
-            left -= 1
-            if not left:
-                left = stride
-                yield theta, hbar
+            yield theta, hbar
         del a, b, deltas, directions, offsets, scalers, points, values, slope, step
-    if left != stride:
-        yield theta, hbar
 
 
 def _spawn_streams(seed: int, n: int) -> list[np.random.Generator]:
@@ -405,8 +394,8 @@ def run_newton(cfg: NewtonConfig) -> RunRecord:
     """Run ``cfg.algorithm`` for ``budget // cost`` iterations of
     :func:`_iterations`.
 
-    A run holds one block of draws, whatever its budget, plus its
-    trajectory of ``1 + iterations / record_stride`` rows.
+    A run keeps only its last iterate, so it holds one block of draws,
+    whatever its budget.
     """
     start = time.perf_counter()
     cost = iteration_cost(cfg.k, cfg.reuse, cfg.algorithm == "newton")
@@ -416,15 +405,11 @@ def run_newton(cfg: NewtonConfig) -> RunRecord:
     theta0 = _initial_theta(cfg.theta0, dim, init_rng)
     oracle = BudgetedOracle(cfg.objective, cfg.noise, cfg.budget, noise_rng)
 
-    # every iteration costs exactly `cost`, so the count is known up front;
-    # snapshots: the start, every stride-th iterate, and an unaligned last one
+    # every iteration costs exactly `cost`, so the count is known up front
+    # (the config has checked that the budget buys one)
     iterations = cfg.budget // cost
-    stride = cfg.record_stride
-    trajectory = np.empty((1 + -(-iterations // stride), dim))
-    trajectory[0] = theta0
-    steps = _iterations(theta0, np.eye(dim), oracle, cfg, perturb_rng, iterations, stride)
-    for row, (theta, _) in enumerate(steps, 1):
-        trajectory[row] = theta
+    for theta, _ in _iterations(theta0, np.eye(dim), oracle, cfg, perturb_rng, iterations):
+        pass
 
     error = None
     if cfg.objective.optimum is not None:
@@ -438,8 +423,7 @@ def run_newton(cfg: NewtonConfig) -> RunRecord:
         iterations=iterations,
         evals_used=oracle.evals_used,
         theta_init=theta0,
-        theta_final=theta.copy(),
+        theta_final=theta,
         final_parameter_error=error,
-        trajectory=trajectory,
         wall_time_s=time.perf_counter() - start,
     )

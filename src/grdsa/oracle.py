@@ -7,6 +7,11 @@ from typing import Callable
 
 import numpy as np
 
+#: floats of one block (2**13, 64 KB): the probe points of one oracle call,
+#: one step of :func:`~grdsa.estimators.hessian_mean`, a Newton run's draws
+#: and the ``(rows, d, d)`` products of :func:`quadratic`'s value
+BLOCK_FLOATS = 2**13
+
 
 class BudgetExhausted(RuntimeError):
     """Raised when an evaluation would exceed the measurement budget."""
@@ -92,8 +97,8 @@ def quadratic(a: np.ndarray, b: np.ndarray | None = None) -> Objective:
     if not np.isfinite(b).all():
         raise ValueError(f"b must be finite, got {b.tolist()}")
 
-    # rows per block of about 2^13 floats of (rows, d, d) products
-    rows = max(1, 2**13 // (dim * dim))
+    # rows per block of about BLOCK_FLOATS floats of (rows, d, d) products
+    rows = max(1, BLOCK_FLOATS // (dim * dim))
 
     def value(x: np.ndarray) -> np.ndarray:
         # plain reductions per row, so every row keeps the bits of its own

@@ -140,6 +140,19 @@ class TestNewtonRun:
         rows = read_csv(out)
         assert rows[1][3] == "30"  # 2 evals per iteration instead of 3
 
+    def test_record_stride_is_an_ignored_unknown_key(self, tmp_path, capsys):
+        # a run keeps only its endpoints, so a stride is no longer a setting:
+        # validate warns about it and the runs ignore it, even at 0
+        config = write_config(tmp_path, dict(QUAD, record_stride=0))
+        assert main(["config", "validate", config]) == 0
+        warned = [line for line in capsys.readouterr().out.splitlines() if "[WARN ]" in line]
+        assert any("config.unknown_key" in line and "'record_stride'" in line for line in warned)
+        out, plain = tmp_path / "runs.csv", tmp_path / "plain.csv"
+        assert main(["newton", "run", "--config", config, "--out", str(out)]) == 0
+        plain_config = write_config(tmp_path, QUAD, "plain.json")
+        assert main(["newton", "run", "--config", plain_config, "--out", str(plain)]) == 0
+        assert out.read_bytes() == plain.read_bytes()
+
     def test_unknown_algorithm_raises(self, tmp_path, capsys):
         config = write_config(tmp_path, dict(QUAD, algorithm="gradient-only", seeds=1))
         out = tmp_path / "runs.csv"
@@ -178,7 +191,7 @@ class TestNewtonRun:
         assert [row[0] for row in read_csv(out)[1:]] == ["0"]
 
     def test_memory_does_not_grow_with_the_budget(self, tmp_path, capsys, peak_bytes):
-        # the CSV reads only endpoints, so a run records no trajectory
+        # the CSV reads only endpoints, and a run keeps no more
         out = str(tmp_path / "runs.csv")
         argv = {
             budget: ["newton", "run", "--out", out, "--config", write_config(

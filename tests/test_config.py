@@ -397,6 +397,20 @@ def _readme_command_lines() -> list[list[str]]:
     return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("grdsa ")]
 
 
+def _key_paths(config: dict, prefix: str = ""):
+    for name, value in config.items():
+        yield prefix + name
+        if isinstance(value, dict):
+            yield from _key_paths(value, f"{prefix}{name}.")
+
+
+def test_readme_names_every_key():
+    # by its dotted path, or set in one of the example configs
+    text = (ROOT / "README.md").read_text()
+    shown = {path for config in _readme_configs() for path in _key_paths(config)}
+    assert [path for path in KEYS if path not in text and path not in shown] == []
+
+
 def test_readme_shows_every_command():
     assert len({tuple(argv[:2]) for argv in _readme_command_lines()}) == 7
 

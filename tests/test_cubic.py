@@ -8,6 +8,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+import grdsa.newton as newton_mod
 from grdsa.cubic import (
     ALPHA_FLOOR,
     CubicConfig,
@@ -438,7 +439,6 @@ class TestRunCrzon:
         assert rep.r_index == 1
         assert rep.iterations == 1
         assert np.array_equal(rep.theta_r, rep.theta_final)
-        assert np.array_equal(rep.trajectory[0], rep.theta_final)
 
     def test_budget_stops_midway(self):
         cfg = CubicConfig(
@@ -450,6 +450,20 @@ class TestRunCrzon:
         assert rep.evals_used == 2 * (4 * 2 + 4 * 3)
         assert 1 <= rep.r_index <= 2
 
+    @staticmethod
+    def trajectory(cfg, steps):
+        """The bytes of each of a run's first ``steps`` iterates, by a
+        ``crzon_step`` loop on the run's own streams and oracle, drawn as
+        ``run_crzon`` draws them; and the evaluations they used."""
+        init_rng, perturb_rng, noise_rng, _ = newton_mod._spawn_streams(cfg.seed, 4)
+        theta = newton_mod._initial_theta(cfg.theta0, cfg.objective.dim, init_rng)
+        oracle = BudgetedOracle(cfg.objective, cfg.noise, cfg.budget, noise_rng)
+        rows = []
+        for _ in range(steps):
+            theta, _ = crzon_step(theta, oracle, cfg, perturb_rng)
+            rows.append(theta.tobytes())
+        return rows, oracle.evals_used
+
     @pytest.mark.parametrize("n_steps,budget,steps", [(5, 45, 2), (2, 200, 2), (3, None, 3)])
     def test_trajectory_is_one_row_per_step(self, n_steps, budget, steps):
         # a step costs 20, so the run takes n_steps, capped by what the budget buys
@@ -458,10 +472,26 @@ class TestRunCrzon:
             alpha=1.0, seed=0, budget=budget,
         )
         rep = run_crzon(cfg)
-        assert rep.iterations == steps and rep.trajectory.shape == (steps, A.shape[0])
-        assert rep.evals_used == steps * cfg.step_cost()
-        assert np.array_equal(rep.trajectory[-1], rep.theta_final)
-        assert np.array_equal(rep.trajectory[rep.r_index - 1], rep.theta_r)
+        rows, evals = self.trajectory(cfg, steps)
+        assert rep.iterations == steps
+        assert rep.evals_used == evals == steps * cfg.step_cost()
+        assert rep.theta_final.tobytes() == rows[-1]
+        assert rep.theta_r.tobytes() == rows[rep.r_index - 1]
+
+    # seeds 1, 7 and 0 draw R = 1, 2 and 4 of 4 steps: the first, one
+    # between and the last
+    @pytest.mark.parametrize("seed,r_index", [(1, 1), (7, 2), (0, 4)])
+    def test_theta_r_is_that_step_of_the_loop(self, seed, r_index):
+        cfg = CubicConfig(
+            objective=quadratic(A, B), k=1, n_steps=4, m=4, b=4, delta=0.05,
+            alpha=1.0, noise=LinearGaussianNoise(0.01), seed=seed,
+        )
+        rep = run_crzon(cfg)
+        rows, evals = self.trajectory(cfg, 4)
+        assert rep.r_index == r_index
+        assert rep.theta_r.tobytes() == rows[r_index - 1]
+        assert rep.theta_final.tobytes() == rows[-1]
+        assert rep.evals_used == evals
 
     def test_budget_too_small_raises_before_consuming(self):
         with pytest.raises(BudgetTooSmall):

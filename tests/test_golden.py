@@ -16,7 +16,7 @@ import pytest
 
 from grdsa.cubic import CubicConfig, crzon_step, run_crzon
 from grdsa.harness import build_cubic_config, build_newton_config, run_table
-from grdsa.newton import run_newton
+from grdsa.newton import _initial_theta, _iterations, _spawn_streams, run_newton
 from grdsa.oracle import BudgetedOracle, LinearGaussianNoise, rastrigin
 from grdsa.stencils import (
     MAX_ORDER,
@@ -75,10 +75,11 @@ CRZON_STEP_GOLDEN = {
     False: "a024ed79c45f25f4dd68a76d7d1433fb5c4285899cd13e4dfba33637224dd2c1",
 }
 
-#: (algorithm, reuse, record_stride) -> (iterations, evals_used,
-#: sha256 of trajectory bytes); rastrigin d=3, k=2, budget 200, sigma 0.01,
-#: seed 4.  No iteration count is a multiple of 7, so the final snapshot
-#: appended after the loop is pinned too.
+#: (algorithm, reuse, stride) -> (iterations, evals_used, sha256 of the
+#: trajectory's bytes); rastrigin d=3, k=2, budget 200, sigma 0.01, seed 4.
+#: The trajectory is the start, then every ``stride``-th iterate of the run's
+#: ``_iterations`` stream, and its last.  No iteration count is a multiple of
+#: 7, so the last row is pinned at both strides.
 TRAJECTORY_GOLDEN = {
     ("newton", True, 1): (
         40, 200, "dcc1f0ddc917da68b5de22ec44688797ac5e3784d0fdf28f1b426ece313cc2f0"
@@ -111,15 +112,23 @@ def test_trajectory_bits(key):
             "budget": 200,
             "noise": {"sigma": 0.01},
             "estimator": {"k": 2, "reuse": reuse},
-            "record_stride": stride,
             "algorithm": algorithm,
         },
         seed=4,
     )
     rec = run_newton(cfg)
-    digest = hashlib.sha256(rec.trajectory.tobytes()).hexdigest()
+    # the run's streams, start and oracle, drawn as run_newton draws them
+    init_rng, perturb_rng, noise_rng = _spawn_streams(cfg.seed, 3)
+    theta0 = _initial_theta(cfg.theta0, cfg.objective.dim, init_rng)
+    oracle = BudgetedOracle(cfg.objective, cfg.noise, cfg.budget, noise_rng)
+    steps = _iterations(theta0, np.eye(3), oracle, cfg, perturb_rng, rec.iterations)
+    rows = [theta0.tobytes(), *(theta.tobytes() for theta, _ in steps)]
+    kept = rows[::stride] + ([rows[-1]] if (len(rows) - 1) % stride else [])
+    digest = hashlib.sha256(b"".join(kept)).hexdigest()
     assert rec.algorithm == algorithm
-    assert (rec.iterations, rec.evals_used, digest) == TRAJECTORY_GOLDEN[key]
+    assert rec.theta_final.tobytes() == rows[-1]
+    assert (len(rows) - 1, oracle.evals_used, digest) == TRAJECTORY_GOLDEN[key]
+    assert (rec.iterations, rec.evals_used) == TRAJECTORY_GOLDEN[key][:2]
 
 
 @pytest.mark.parametrize("reuse", [True, False])

@@ -175,7 +175,6 @@ class TestBuilders:
                 schedules={"a0": 0.5},
                 box={"lower": -2.0, "upper": 2.0},
                 theta0=[1.0, -1.0],
-                record_stride=4,
             ),
             seed=17,
         )
@@ -185,7 +184,6 @@ class TestBuilders:
         assert (cfg.box.lower, cfg.box.upper) == (-2.0, 2.0)
         assert np.array_equal(cfg.theta0, [1.0, -1.0])
         assert cfg.seed == 17
-        assert cfg.record_stride == 4
 
     def test_newton_run_and_tables_share_the_budget_default(self):
         assert build_newton_config(dict(QUAD_CONFIG)).budget == 1000
@@ -271,14 +269,13 @@ class TestRunTable:
         peaks = [peak_bytes(lambda: run_table(cell(budget))) for budget in (50_000, 5_000)]
         assert abs(peaks[0] - peaks[1]) < 8192
 
-    def test_bad_record_stride_is_an_error_row(self):
-        # the stride is checked when the config builds, before the table
-        # replaces it with the budget
-        rows = run_table(dict(QUAD_CONFIG, methods=["G2SF-3", "GSF-2"], record_stride=0)).rows
-        assert len(rows) == 2
-        assert {row.message for row in rows} == {
-            "ValueError: record_stride must be >= 1, got 0"
-        }
+    @pytest.mark.parametrize("objective", ["quadratic", "rastrigin", "saddle"])
+    def test_dim_below_one_is_an_error_row(self, objective):
+        # named before any objective is built, whatever the objective
+        config = {"objective": objective, "methods": ["G2SF-3"], "dims": [-1, 2], "budget": 30}
+        rows = run_table(config).rows
+        assert [(row.dim, row.status) for row in rows] == [(-1, "error"), (2, "ok")]
+        assert rows[0].message == "ValueError: dim must be >= 1, got -1"
 
     def test_nonfinite_seed_is_an_error_row(self, monkeypatch):
         # NaN beyond x0 = 4.5: some runs probe there, others never do
@@ -590,6 +587,9 @@ class TestValidateConfig:
             ({"crzon": [1]}, "crzon must be an object, got [1]"),
             ({"theta0": [0.0, 0.0]},
              "theta0 must be away from the objective's optimum, got [0.0, 0.0]"),
+            # named as dim, not as the empty diagonal or array it would make
+            ({"objective": "quadratic", "dim": 0}, "dim must be >= 1, got 0"),
+            ({"objective": "quadratic", "dim": -1}, "dim must be >= 1, got -1"),
         ],
     )
     def test_config_errors_name_their_cause(self, config, message):
@@ -631,7 +631,7 @@ class TestValidateConfig:
         [
             ({"perturb": {"family": "uniform", "eta": -1.0}, "budget": 100}, "ValueError"),
             ({"eps_pd": -1.0, "budget": 100}, "ValueError"),
-            ({"record_stride": 0, "budget": 100}, "ValueError"),
+            ({"objective": "quadratic", "dim": 0, "budget": 100}, "ValueError"),
             ({"estimator": {"k": 13}, "budget": 100}, "OrderError"),
             ({"methods": ["G2SF-9"], "budget": 5}, "BudgetTooSmall"),
             ({"dims": [0]}, "ValueError"),
@@ -868,7 +868,6 @@ class TestCsvWriters:
             theta_init=np.zeros(2),
             theta_final=np.zeros(2),
             final_parameter_error=None,
-            trajectory=np.zeros((1, 2)),
             wall_time_s=0.0,
         )
         path = tmp_path / "runs.csv"

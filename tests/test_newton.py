@@ -544,8 +544,9 @@ class TestOneCallPerIteration:
 class TestIterationsAreThePublicUpdate:
     """``run_newton`` runs either algorithm as a flat loop over inputs drawn
     a block at a time; the update built from the public estimators one draw
-    at a time must give the same bits: every iterate of the trajectory,
-    every ``hbar`` that ``_iterations`` yields, and the evaluations used."""
+    at a time must give the same bits: every iterate and every ``hbar``
+    that ``_iterations`` yields, the run's last iterate, and the evaluations
+    used."""
 
     @pytest.mark.parametrize(
         "objective", [rastrigin, quartic],
@@ -595,39 +596,39 @@ class TestIterationsAreThePublicUpdate:
             seed=7,
             algorithm="newton" if hessian else "gradient_only",
         )
-        trajectory = self.assert_same_bits(cfg, iterations)[1:]
-        on_bound = (trajectory == box.lower) | (trajectory == box.upper)
+        iterates = self.assert_same_bits(cfg, iterations)
+        on_bound = (iterates == box.lower) | (iterates == box.upper)
         assert on_bound.mean() > 0.4
 
     @staticmethod
     def assert_same_bits(cfg, iterations):
-        """Check a run of ``cfg`` against the reference; return its trajectory."""
+        """Check a run of ``cfg`` against the reference; return the iterates
+        ``_iterations`` yields."""
         rec = run_newton(cfg)
         cost = iteration_cost(cfg.k, cfg.reuse, cfg.algorithm == "newton")
 
         theta, oracle, rng = _run_start(cfg)
         ref_theta, ref_oracle, ref_rng = _run_start(cfg)
         ref_hbar = np.eye(cfg.objective.dim)
-        snapshots = [ref_theta]
+        iterates = []
         steps = _iterations(theta, np.eye(cfg.objective.dim), oracle, cfg, rng, iterations)
         for n, (theta, hbar) in enumerate(steps, 1):
             ref_theta, ref_hbar = _reference_step(ref_theta, ref_hbar, ref_oracle, cfg, ref_rng, n)
             assert theta.tobytes() == ref_theta.tobytes()
             assert hbar.tobytes() == ref_hbar.tobytes()
-            snapshots.append(ref_theta)
+            iterates.append(theta)
 
-        assert rec.iterations == len(snapshots) - 1 == iterations
+        assert rec.iterations == len(iterates) == iterations
         assert rec.evals_used == oracle.evals_used == ref_oracle.evals_used == iterations * cost
-        assert rec.trajectory.tobytes() == np.asarray(snapshots).tobytes()
         assert rec.theta_final.tobytes() == ref_theta.tobytes()
-        return rec.trajectory
+        return np.array(iterates)
 
 
 class TestIterationsFromAnyState:
     """``_iterations`` from a start no run makes (an iterate near the box's
     edge, a symmetric average other than the identity) on streams seeded
-    apart from any run's, and read at a stride, gives the bits of the
-    update built from the public estimators."""
+    apart from any run's gives the bits of the update built from the public
+    estimators."""
 
     THETA0 = np.array([2.4, -2.4, 0.3])
     HBAR0 = np.array([[3.0, 0.5, -0.25], [0.5, 0.5, 0.125], [-0.25, 0.125, 2.0]])
@@ -667,11 +668,6 @@ class TestIterationsFromAnyState:
         assert oracle.evals_used == ref_oracle.evals_used == 5 * cost
         if not hessian:
             assert reference[-1][1] == self.HBAR0.tobytes()
-        # at stride 2 it yields after iterations 2 and 4 and after the last
-        strided = _iterations(*start(), 5, stride=2)
-        assert [(t.tobytes(), h.tobytes()) for t, h in strided] == [
-            reference[1], reference[3], reference[4]
-        ]
 
 
 class TestNonFiniteMidBlock:
@@ -791,12 +787,12 @@ class TestNewtonConfig:
     @pytest.mark.parametrize(
         "name,value",
         [
-            ("k", 0), ("record_stride", 0), ("eps_pd", 0.0), ("eps_pd", -1.0), ("eps_pd", np.nan),
+            ("k", 0), ("seed", -1), ("eps_pd", 0.0), ("eps_pd", -1.0), ("eps_pd", np.nan),
             ("algorithm", "gradient-only"), ("eps_pd", np.inf), ("theta0", np.zeros(2)),
             ("budget", 100.5), ("budget", np.float64(100.0)), ("seed", 1.5),
-            ("record_stride", 2.0),
+            ("k", 2.0),
             # bool subclasses int, but True is not a count
-            ("seed", True), ("budget", True), ("k", True), ("record_stride", True),
+            ("seed", True), ("budget", True), ("k", True), ("budget", "100"),
             ("k", np.True_), ("seed", np.True_),
         ],
     )
@@ -807,7 +803,7 @@ class TestNewtonConfig:
 
     def test_numpy_integer_counts_accepted(self):
         cfg = NewtonConfig(
-            objective=QUAD, budget=np.int64(30), seed=np.int32(2), record_stride=np.int64(4)
+            objective=QUAD, budget=np.int64(30), k=np.int64(1), seed=np.int32(2)
         )
         assert run_newton(cfg).evals_used == 30
 
@@ -849,8 +845,7 @@ class TestRunNewton:
     def test_deterministic_given_seed(self):
         cfg = NewtonConfig(objective=QUAD, budget=300, k=1, seed=5)
         a, b = run_newton(cfg), run_newton(cfg)
-        assert np.array_equal(a.theta_final, b.theta_final)
-        assert np.array_equal(a.trajectory, b.trajectory)
+        assert a.theta_final.tobytes() == b.theta_final.tobytes()
         assert a.evals_used == b.evals_used
 
     def test_seed_changes_initial_point(self):
@@ -870,7 +865,6 @@ class TestRunNewton:
             NewtonConfig(objective=QUAD, budget=30, k=1, seed=0, theta0=start)
         )
         assert np.array_equal(rec.theta_init, start)
-        assert np.array_equal(rec.trajectory[0], start)
 
     def test_theta0_shape_validated(self):
         with pytest.raises(ValueError):
@@ -878,39 +872,11 @@ class TestRunNewton:
                 NewtonConfig(objective=QUAD, budget=30, k=1, theta0=np.ones(3))
             )
 
-    def test_record_stride(self):
-        # budget 23 at cost 3 gives 7 iterations; stride 3 keeps the start,
-        # iterations 3 and 6, and the unaligned tail
-        rec = run_newton(
-            NewtonConfig(objective=QUAD, budget=23, k=1, seed=0, record_stride=3)
-        )
-        assert rec.iterations == 7
-        assert rec.evals_used == 21
-        assert rec.trajectory.shape == (4, 2)
-        assert np.array_equal(rec.trajectory[-1], rec.theta_final)
-
-    @pytest.mark.parametrize("stride", [1, 2, 3, 64, 70, 71, 500])
-    def test_strided_rows_are_rows_of_the_full_trajectory(self, stride):
-        # 70 iterations, a block of 57 and 13 more: aligned and unaligned
-        # tails, strides across a block boundary and beyond the run
-        cfg = NewtonConfig(objective=rastrigin(DIM), budget=210, k=1, seed=4)
-        assert _block_rows(cfg) == 57
-        full = run_newton(cfg).trajectory
-        rec = run_newton(replace(cfg, record_stride=stride))
-        rows = list(range(0, 71, stride)) + ([70] if 70 % stride else [])
-        assert rec.trajectory.tobytes() == full[rows].tobytes()
-
     def test_invalid_arguments(self):
         with pytest.raises(BudgetTooSmall):
             run_newton(NewtonConfig(objective=QUAD, budget=2, k=1))
         with pytest.raises(ValueError):
             run_newton(NewtonConfig(objective=QUAD, budget=30, k=0))
-        with pytest.raises(ValueError, match="record_stride"):
-            run_newton(NewtonConfig(objective=QUAD, budget=30, k=1, record_stride=0))
-        with pytest.raises(ValueError, match="record_stride"):
-            NewtonConfig(
-                objective=QUAD, budget=30, k=1, record_stride=0, algorithm="gradient_only"
-            )
         with pytest.raises(ValueError, match="eps_pd"):
             run_newton(NewtonConfig(objective=QUAD, budget=30, k=1, eps_pd=0.0))
 
@@ -926,18 +892,17 @@ class TestRunNewton:
         # (d = 10) and 0.64 (d = 50) of this bound; with 64-iteration blocks
         # it read 1.21 and 8.8
         for d, budget in ((10, 5000), (50, 500)):
-            cfg = NewtonConfig(objective=rastrigin(d), budget=budget, k=4, record_stride=budget)
+            cfg = NewtonConfig(objective=rastrigin(d), budget=budget, k=4)
             run_newton(cfg)  # warm the caches and the interpreter a first run fills
             bound = (1.5 * BLOCK_FLOATS + 3 * d * d) * 8
             assert peak_bytes(lambda: run_newton(cfg)) <= bound, d
 
     def test_box_respected(self):
-        box = Box(-0.5, 0.5)
-        rec = run_newton(
-            NewtonConfig(objective=QUAD, budget=60, k=1, seed=0, box=box)
-        )
-        assert np.all(rec.trajectory[1:] >= -0.5)
-        assert np.all(rec.trajectory[1:] <= 0.5)
+        cfg = NewtonConfig(objective=QUAD, budget=60, k=1, seed=0, box=Box(-0.5, 0.5))
+        theta, oracle, rng = _run_start(cfg)
+        iterates = np.array([t for t, _ in _iterations(theta, np.eye(2), oracle, cfg, rng, 20)])
+        assert np.all(iterates >= -0.5) and np.all(iterates <= 0.5)
+        assert iterates[-1].tobytes() == run_newton(cfg).theta_final.tobytes()
 
 
 def run_gradient_only(**kwargs):

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import ast
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from grdsa import estimators, newton, oracle
 from grdsa.cubic import CubicConfig, run_crzon
 from grdsa.newton import NewtonConfig, run_newton
 from grdsa.oracle import (
+    BLOCK_FLOATS,
     BudgetedOracle,
     BudgetExhausted,
     LinearGaussianNoise,
@@ -22,6 +26,35 @@ from grdsa.oracle import (
     rastrigin,
     saddle_quartic,
 )
+
+
+PACKAGE = Path(oracle.__file__).parent
+
+
+def _block_literals(path: Path) -> list[int]:
+    """Lines of ``path`` that write the block size as a literal: ``8192``
+    or ``2**13``."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Constant) and type(node.value) is int and node.value == 8192:
+            lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and [getattr(n, "value", None) for n in (node.left, node.right)] == [2, 13]
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_block_size_is_written_once():
+    # every batched loop reads oracle.BLOCK_FLOATS; estimators and newton
+    # see it under their own names, where tests patch it
+    found = {p.name: _block_literals(p) for p in sorted(PACKAGE.glob("*.py"))}
+    source = (PACKAGE / "oracle.py").read_text().splitlines()
+    (line,) = found.pop("oracle.py")
+    assert source[line - 1] == "BLOCK_FLOATS = 2**13"
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert estimators.BLOCK_FLOATS is newton.BLOCK_FLOATS is BLOCK_FLOATS == 8192
 
 
 def central_gradient(objective, theta, h=1e-6):
@@ -161,7 +194,7 @@ class TestQuadraticBlocks:
         # all n rows at once peaked at 6.6 MB (d = 50) and 25.7 MB (d = 200)
         objective = quadratic(np.eye(d))
         points = np.ones((n, d))
-        block = max(2**13, d * d) * 8
+        block = max(BLOCK_FLOATS, d * d) * 8
         assert peak_bytes(lambda: objective.value(points)) < 3 * block + 2 * points.nbytes
 
 

@@ -72,7 +72,7 @@ def test_traced_newton_evals_equal_the_record(monkeypatch, algorithm, reuse):
     # must still see every evaluation, across blocks
     cfg = NewtonConfig(
         objective=rastrigin(5), budget=2500, k=2, noise=LinearGaussianNoise(0.001),
-        reuse=reuse, algorithm=algorithm, record_stride=2500,
+        reuse=reuse, algorithm=algorithm,
     )
     with _tracer(monkeypatch).Tracer() as t:
         record = run_newton(cfg)
