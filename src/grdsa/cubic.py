@@ -16,12 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import gradient_slopes, hessian_mean, probe
-from .newton import _check_finite, _check_integer, _check_run, _initial_theta, _spawn_streams
+from .newton import _check_finite, _check_run, _initial_theta, _spawn_streams
 from .oracle import (
     BudgetedOracle,
     BudgetTooSmall,
     LinearGaussianNoise,
     Objective,
+    _check_integer,
 )
 from .perturb import PerturbationSpec, gaussian, gradient_unbias_factor
 from .stencils import _check_order

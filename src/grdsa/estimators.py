@@ -54,13 +54,24 @@ def ray_offsets(directions: np.ndarray, delta, shifts) -> np.ndarray:
     """Offsets ``(delta*s)*directions`` shift-major, ``(len(shifts), n, d)``, as
     the oracle's ray form reads them; a shift may repeat.  ``delta`` is one
     radius, fastest as a Python float, or an ``(n, 1)`` column of per-row
-    radii; a 1-D radius raises, as it would broadcast across the columns."""
-    if np.ndim(delta) == 1:
+    radii; a 1-D radius raises, as it would broadcast across the columns.
+
+    Each shift's product is formed in its slice of the result.  A column is
+    copied across the slice, then multiplied by ``s`` and by the directions
+    in place: the broadcast form's two roundings, without the hidden buffer
+    numpy gives a broadcast operand or a ``delta*s`` temporary."""
+    ndim = np.ndim(delta)
+    if ndim == 1:
         raise ValueError(f"delta must be a scalar or an (n, 1) column, got {np.shape(delta)}")
     offsets = np.empty((len(shifts), *directions.shape))
     for j, s in enumerate(shifts):
-        # per shift: a broadcast product would allocate hidden numpy buffers
-        np.multiply(delta * s, directions, out=offsets[j])
+        if ndim:
+            out = offsets[j]
+            np.copyto(out, delta)
+            np.multiply(out, s, out=out)
+            np.multiply(out, directions, out=out)
+        else:
+            np.multiply(delta * s, directions, out=offsets[j])
     return offsets
 
 

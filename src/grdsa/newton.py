@@ -39,6 +39,7 @@ from .oracle import (
     BudgetTooSmall,
     LinearGaussianNoise,
     Objective,
+    _check_integer,
     parameter_error,
 )
 from .perturb import PerturbationSpec, gaussian, gradient_unbias_factor, scaling_matrices
@@ -53,14 +54,6 @@ def _check_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-
-
-def _check_integer(**values: int) -> None:
-    """Raise naming the first of ``values`` that is not an integer; a bool
-    is not one, though ``bool`` subclasses ``int``."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -313,11 +306,14 @@ def _iterations(
     step sizes) are drawn a block of :func:`_block_rows` iterations at a
     time, about :data:`~grdsa.oracle.BLOCK_FLOATS` floats.  One bulk
     draw equals as many one-direction draws bit for bit, so the block size
-    cannot change a run.  A block's offsets are one shift-major
-    ``ray_offsets`` call over the call's shifts, and iteration ``i`` reads
-    ``offsets[:, i]``.  Once the offsets and scaling matrices have read the
-    directions, they are scaled in place by the gradient's unbiasing factor.
-    A spent block is released before the next is drawn.
+    cannot change a run.  Newton's scaling matrices are built first, so
+    their temporaries are freed before the offsets exist; the offsets are
+    one shift-major ``ray_offsets`` call over the call's shifts, with the
+    radii as an ``(n, 1)`` view of the schedule's doubles, and iteration
+    ``i`` reads ``offsets[:, i]``.  The directions, once read, are scaled
+    in place by the gradient's unbiasing factor.  A spent block
+    is released before the next is drawn, so a run peaks at about one block
+    of draws plus its own ``(d, d)`` arrays.
 
     The estimator reductions and the projection are written inline, with
     everything the iterations read bound once per block; the projection is
@@ -345,8 +341,8 @@ def _iterations(
     for first in range(1, count + 1, rows):
         a, b, deltas = s._over(range(first, min(first + rows, count + 1)))
         directions = spec.sample(rng, (len(deltas), theta.size))
-        offsets = ray_offsets(directions, np.array(deltas)[:, None], shifts)
         scalers = scaling_matrices(spec, directions) if hessian else None
+        offsets = ray_offsets(directions, np.frombuffer(deltas)[:, None], shifts)
         directions *= gradient_unbias_factor(spec)
         # 0-d arrays: a ufunc converts a Python float operand on every call
         lower, upper = np.array(cfg.box.lower), np.array(cfg.box.upper)

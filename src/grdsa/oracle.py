@@ -13,6 +13,14 @@ import numpy as np
 BLOCK_FLOATS = 2**13
 
 
+def _check_integer(**values: int) -> None:
+    """Raise naming the first of ``values`` that is not an integer; a bool
+    is not one, though ``bool`` subclasses ``int``."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class BudgetExhausted(RuntimeError):
     """Raised when an evaluation would exceed the measurement budget."""
 
@@ -274,8 +282,11 @@ class BudgetedOracle:
         budget: int | None = None,
         rng: np.random.Generator | None = None,
     ) -> None:
-        if budget is not None and budget < 0:
-            raise ValueError(f"budget must be >= 0, got {budget}")
+        if budget is not None:
+            # a NaN budget would compare False to every count and never run out
+            _check_integer(budget=budget)
+            if budget < 0:
+                raise ValueError(f"budget must be >= 0, got {budget}")
         if noise is not None and noise.sigma > 0 and rng is None:
             raise ValueError("a noise rng is required when sigma > 0")
         self.objective = objective

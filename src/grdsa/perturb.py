@@ -126,6 +126,8 @@ def scaling_matrices(spec: PerturbationSpec, directions: np.ndarray) -> np.ndarr
     for j in range(d):
         # per column: numpy buffers the broadcast operand of each call, so
         # one call over the whole stack would buffer up to 8192 of its
-        # entries, and one over a column buffers at most that column
+        # entries, and one over a column buffers at most that column.  A
+        # Newton block builds its stack before its offsets, so this buffer
+        # and apply_scaling's diagonal temporaries never sit beside them
         np.multiply(directions, directions[:, j, None], out=outer[:, :, j])
     return apply_scaling(spec, outer, 1.0)

@@ -410,6 +410,26 @@ class TestUnbufferedProducts:
         with pytest.raises(ValueError, match=r"delta must be a scalar or an \(n, 1\) column"):
             ray_offsets(dirs, np.full(n, 0.3), range(3))
 
+    @pytest.mark.parametrize("d", [1, 3, 5, 10])
+    @pytest.mark.parametrize("rows", ["1", "d", "170", "682"])
+    def test_ray_offsets_radius_column(self, peak_bytes, rows, d):
+        # Newton's per-row radii: the products of the broadcast form, formed
+        # in place, with nothing beyond the output but numpy's per-call
+        # objects (0.5 KB, 1.5 KB when n*d = 1); the broadcast form buffered
+        # min(n*d, 8192) floats per call, 23 KB at n = 682, d = 3
+        n = d if rows == "d" else int(rows)
+        rng = np.random.default_rng(n * 11 + d)
+        dirs = SPEC.sample(rng, (n, d))
+        dirs[0, 0] = -0.0
+        delta = np.frombuffer(rng.uniform(0.1, 1.0, n).tobytes())[:, None]
+        # a probe's shifts, its off-center ones, and Newton's no-reuse call
+        for shifts in ([0, 1, 2], [1, 2, 3, 4], [0, 1, 2, 0, 1]):
+            offsets = ray_offsets(dirs, delta, shifts)
+            expected = np.stack([np.multiply(delta * s, dirs) for s in shifts])
+            assert np.array_equal(offsets.view(np.int64), expected.view(np.int64)), shifts
+            extra = peak_bytes(lambda: ray_offsets(dirs, delta, shifts)) - offsets.nbytes
+            assert extra <= 2048, shifts
+
     @pytest.mark.parametrize("spec", [gaussian(), uniform(0.7), LITERAL])
     def test_hessian_mean(self, spec):
         n, d, delta, k = 40, 3, 0.1, 2

@@ -324,6 +324,22 @@ class TestBudgetedOracle:
         with pytest.raises(ValueError):
             BudgetedOracle(quadratic(np.eye(2)), budget=-1)
 
+    @pytest.mark.parametrize(
+        "budget", [float("nan"), 2.5, True, "5"], ids=["nan", "fraction", "bool", "str"]
+    )
+    def test_budget_must_be_a_nonnegative_integer(self, budget):
+        # NaN would never run out, 2.5 would leave 0.5 remaining, True would
+        # count as 1 and "5" would fail inside a comparison
+        with pytest.raises(ValueError) as raised:
+            BudgetedOracle(quadratic(np.eye(2)), budget=budget)
+        assert str(raised.value) == f"budget must be an integer, got {budget!r}"
+
+    def test_numpy_integer_budget_accepted(self):
+        orc = BudgetedOracle(quadratic(np.eye(2)), budget=np.int64(2))
+        orc.evaluate_many(np.zeros((2, 2)))
+        with pytest.raises(BudgetExhausted, match="0 of 2 remaining"):
+            orc.evaluate_many(np.zeros((1, 2)))
+
     def test_noise_requires_rng(self):
         with pytest.raises(ValueError):
             BudgetedOracle(quadratic(np.eye(2)), noise=LinearGaussianNoise(0.1))
