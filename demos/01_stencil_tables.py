@@ -39,7 +39,8 @@ def main() -> None:
         print(f"  sum_s w_s s^{q} = {st.moment(q)}")
     print("  (zero through q=3 except q=1; the q=4 term drives the delta^3 bias)")
 
-    print("\nleading bias coefficients of the Hessian rule:")
+    print("\nleading bias coefficient of the Hessian rule, per factor of order min(k1,k2):")
+    print("  (a rule with k1 = k2 has two such factors and carries it twice)")
     for k1, k2 in ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3)):
         print(f"  (k1,k2)=({k1},{k2}): {residual_coefficient(k1, k2)}")
 

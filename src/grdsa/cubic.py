@@ -82,6 +82,11 @@ class CubicConfig:
         if not self.delta > 0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
         _check_finite(delta=self.delta)
+        # a product, as delta**2 raises OverflowError where the product is inf
+        if self.delta * self.delta == 0.0:
+            raise ValueError(
+                f"delta = {self.delta!r} is too small: the Hessian divides by delta**2"
+            )
         if self.alpha is not None:
             if not self.alpha > 0:
                 raise ValueError(f"alpha must be > 0, got {self.alpha}")
@@ -264,13 +269,11 @@ def solve_cubic_subproblem(
         s_hat[bottom] += tau
         return finish(s_hat, True, 0)
 
-    if gnorm == 0.0:
-        return hard_case_solution()
-
     # strictly above r_floor the shifted matrix is positive definite
     r_lo = r_floor + 1e-13 * scale / half
     phi_lo, _ = phi_and_slope(r_lo)
-    if phi_lo <= r_lo and r_floor > 0.0:
+    # g = 0 here has lambda_min < 0, a hard case even where -lambda_min / half underflows to 0
+    if phi_lo <= r_lo and (r_floor > 0.0 or gnorm == 0.0):
         return hard_case_solution()
 
     # all lambda_i + half r_floor >= 0: from r = r_floor + t, t = sqrt(2|g|/alpha), each denominator

@@ -216,7 +216,8 @@ def _parameters(target) -> Mapping[str, inspect.Parameter]:
 
 def _lookup(config: dict, path: str):
     """The raw value at dotted ``path``; a null section or value is None, and
-    a section that is not an object raises ``ValueError`` naming it."""
+    a section that is not an object, ``path`` itself included, raises
+    ``ValueError`` naming it."""
     node, section = config, "config"
     for name in path.split("."):
         if node is None:
@@ -224,6 +225,8 @@ def _lookup(config: dict, path: str):
         if not isinstance(node, dict):
             raise ValueError(f"{section} must be an object, got {node!r}")
         node, section = node.get(name), name
+    if path in _SECTIONS and node is not None and not isinstance(node, dict):
+        raise ValueError(f"{section} must be an object, got {node!r}")
     return node
 
 
@@ -407,7 +410,8 @@ class TableResult:
 
 def table_cells(config: dict) -> Iterator[tuple[MethodSpec, dict]]:
     """Each method x dim x budget cell of a table, with the config its runs
-    build from; a method, dim or budget listed twice is an error."""
+    build from; a method, dim or budget listed twice is an error, and so is
+    a section that is not an object."""
     names = setting(config, "methods")
     methods = [method_spec(name) for name in names]
     dims = setting(config, "dims", [setting(config, "dim")])
@@ -416,6 +420,9 @@ def table_cells(config: dict) -> Iterator[tuple[MethodSpec, dict]]:
         for i, value in enumerate(values):
             if value in values[:i]:
                 raise ValueError(f"{key} lists {value!r} more than once")
+    # a section that is not an object would fail every cell: name it instead
+    for section in sorted(_SECTIONS):
+        _lookup(config, section)
     for method, dim, budget in itertools.product(methods, dims, budgets):
         sub = dict(config, dim=dim, budget=budget, algorithm=method.algorithm)
         sub["estimator"] = dict(_lookup(config, "estimator") or {}, k=method.k)

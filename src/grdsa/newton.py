@@ -231,10 +231,22 @@ class NewtonConfig:
             raise ValueError(
                 f"algorithm must be one of newton, gradient_only, got {self.algorithm!r}"
             )
-        cost = iteration_cost(self.k, self.reuse, self.algorithm == "newton")
+        hessian = self.algorithm == "newton"
+        cost = iteration_cost(self.k, self.reuse, hessian)
         if self.budget < cost:
             raise BudgetTooSmall(
                 f"budget {self.budget} cannot afford one iteration ({cost} evaluations)"
+            )
+        # a(n), b(n) and delta(n) are monotone in n, so the last iteration is the extreme one
+        last = self.budget // cost
+        try:
+            delta = self.schedules._over(range(last, last + 1))[2][0]
+        except OverflowError as exc:
+            raise ValueError(f"schedules overflow at iteration {last}") from exc
+        if (delta * delta if hessian else delta) == 0.0:
+            raise ValueError(
+                f"schedules underflow at iteration {last}: delta = {delta!r}, "
+                f"and a run divides by delta{'**2' if hessian else ''}"
             )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
@@ -142,16 +142,12 @@ def residual_coefficient(k1: int, k2: int) -> Fraction:
     """Leading truncation coefficient of the unequal-order stencil.
 
     For ``k = min(k1, k2)`` the moments of the composed stencil vanish up to
-    order ``k+1`` and the first surviving term sits at ``q = k + 2`` with
-    coefficient ``(1/(q-1)!) * sum_{m=1..k} (-1)**(1-m) C(k, m) m**(q-2)``.
+    order ``k+1`` and the first surviving term sits at ``q = k + 2``.  Its
+    coefficient per order-``k`` factor is read off that factor's stencil: the
+    first surviving moment over ``(k+1)!``.
     """
     k = min(k1, k2)
-    q = k + 2
-    acc = sum(
-        ((-1) ** ((1 - m) % 2) * comb(k, m) * Fraction(m) ** (q - 2) for m in range(1, k + 1)),
-        Fraction(0),
-    )
-    return acc / factorial(q - 1)
+    return grad_stencil(k).moment(k + 1) / factorial(k + 1)
 
 
 @dataclass(frozen=True)
@@ -173,11 +169,15 @@ def _check(identity: str, k: int, q: int | None, lhs: Fraction, rhs: Fraction) -
 def verify_identities(k_max: int) -> list[IdentityCheck]:
     """Certify the combinatorial identities behind the stencils, exactly.
 
-    For every ``k <= k_max`` this checks, in exact rational arithmetic:
+    Every sum is read off the package's own stencils, so a wrong weight fails
+    the certificate.  With ``w = grad_stencil(k).weights``, whose weight at
+    shift ``l >= 1`` is ``(-1)**(l+1) C(k,l)/l``, this checks for every
+    ``k <= k_max``, in exact rational arithmetic:
 
-    - ``sum_{l=1..k} (-1)**(l+1) C(k,l)/l`` equals the k-th harmonic number,
-    - ``sum_{l=1..k} (-1)**(l+1) C(k,l)`` equals 1,
-    - ``sum_{j=0..k} (-1)**(k-j) C(k,j) j**q`` equals 0 for every 0 < q < k,
+    - ``sum_{l=1..k} w_l`` equals the k-th harmonic number ``-w_0``,
+    - the first moment ``sum_l w_l l`` equals 1,
+    - ``(-1)**(k+1)`` times the ``(q+1)``-th moment, which is
+      ``sum_{j=0..k} (-1)**(k-j) C(k,j) j**q``, equals 0 for every 0 < q < k,
 
     plus the moment cancellations of the equal-order second-derivative
     stencil: constant and first-order moments 0, second-order moment / 2!
@@ -186,48 +186,19 @@ def verify_identities(k_max: int) -> list[IdentityCheck]:
     _check_order(k_max, "k_max")
     report: list[IdentityCheck] = []
     for k in range(1, k_max + 1):
-        harmonic = sum((Fraction(1, j) for j in range(1, k + 1)), Fraction(0))
-        alt_harmonic = sum(
-            (Fraction((-1) ** (l + 1) * comb(k, l), l) for l in range(1, k + 1)),
-            Fraction(0),
-        )
-        report.append(_check("alternating_harmonic", k, None, alt_harmonic, harmonic))
-
-        alt_binomial = sum(
-            (Fraction((-1) ** (l + 1) * comb(k, l)) for l in range(1, k + 1)),
-            Fraction(0),
-        )
-        report.append(_check("alternating_binomial", k, None, alt_binomial, Fraction(1)))
-
+        grad, hess = grad_stencil(k), hess_stencil(k, k)
+        alt_harmonic = sum(grad.weights[1:], Fraction(0))
+        report.append(_check("alternating_harmonic", k, None, alt_harmonic, -grad.weights[0]))
+        report.append(_check("alternating_binomial", k, None, grad.moment(1), Fraction(1)))
         for q in range(1, k):
-            power_sum = sum(
-                (Fraction((-1) ** (k - j) * comb(k, j)) * j**q for j in range(k + 1)),
-                Fraction(0),
-            )
+            power_sum = (-1) ** (k + 1) * grad.moment(q + 1)
             report.append(_check("centered_power_sum", k, q, power_sum, Fraction(0)))
-
-        stencil = hess_stencil(k, k)
-        report.append(_check("second_diff_constant", k, 0, stencil.moment(0), Fraction(0)))
-        report.append(_check("second_diff_first", k, 1, stencil.moment(1), Fraction(0)))
-        report.append(
-            _check(
-                "second_diff_second",
-                k,
-                2,
-                stencil.moment(2) / factorial(2),
-                Fraction(1),
-            )
-        )
+        report.append(_check("second_diff_constant", k, 0, hess.moment(0), Fraction(0)))
+        report.append(_check("second_diff_first", k, 1, hess.moment(1), Fraction(0)))
+        report.append(_check("second_diff_second", k, 2, hess.moment(2) / 2, Fraction(1)))
         for q in range(3, k + 1):
-            report.append(
-                _check(
-                    "second_diff_higher",
-                    k,
-                    q,
-                    stencil.moment(q) / factorial(q),
-                    Fraction(0),
-                )
-            )
+            moment = hess.moment(q) / factorial(q)
+            report.append(_check("second_diff_higher", k, q, moment, Fraction(0)))
     return report
 
 

@@ -311,6 +311,80 @@ class TestFailedRunIsAnErrorLine:
 
 
 
+class TestRadiusARunCannotEvaluateIsABuildError:
+    """A schedule that overflows at a run's last iteration, or a radius the
+    run would divide by that is 0 in floats, is named when the config is
+    built: a ``run.builds`` error, one ``error:`` line with exit 2, and an
+    ``error`` row in a table."""
+
+    RASTRIGIN = {"objective": "rastrigin", "dim": 2, "budget": 30}
+
+    @pytest.mark.parametrize(
+        "settings,message",
+        [
+            ({"schedules": {"gamma": 1000}}, "schedules overflow at iteration 10"),
+            ({"schedules": {"delta0": 1e-170}},
+             "schedules underflow at iteration 10: delta = 6.812868399681547e-171, "
+             "and a run divides by delta**2"),
+            ({"algorithm": "gradient_only", "methods": ["GSF-2"],
+              "schedules": {"delta0": 1e-323, "gamma": 1}},
+             "schedules underflow at iteration 15: delta = 0.0, and a run divides by delta"),
+        ],
+    )
+    def test_newton(self, tmp_path, capsys, settings, message):
+        payload = dict(self.RASTRIGIN, **settings)
+        builds = next(f for f in harness.validate_config(payload) if f.check == "run.builds")
+        assert not builds.ok and builds.message == message
+        config, out = write_config(tmp_path, payload), str(tmp_path / "runs.csv")
+        assert main(["newton", "run", "--config", config, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        rows = harness.run_table(payload).rows
+        assert [(r.status, r.message) for r in rows] == [("error", f"ValueError: {message}")]
+
+    def test_crzon(self, tmp_path, capsys):
+        payload = {"objective": "saddle", "dim": 2, "budget": 300,
+                   "crzon": {"N": 2, "m": 4, "b": 4, "delta": 1e-200}}
+        message = "delta = 1e-200 is too small: the Hessian divides by delta**2"
+        builds = next(f for f in harness.validate_config(payload) if f.check == "run.builds")
+        assert not builds.ok and builds.message == message
+        config, out = write_config(tmp_path, payload), str(tmp_path / "runs.csv")
+        assert main(["crzon", "run", "--config", config, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        # a CRZON config reaches no table; a radius from_epsilon sizes is checked too
+        sized = dict(payload, crzon={"epsilon": 0.5, "delta_prefactor": 1e-200})
+        builds = next(f for f in harness.validate_config(sized) if f.check == "run.builds")
+        assert not builds.ok and builds.message.endswith("divides by delta**2")
+
+
+class TestSectionOfTheWrongTypeIsNamedByEveryCommand:
+    """A section that is not an object ends every command in exit 0 (a
+    command that does not read it) or in exit 2 with one ``error:`` line,
+    never in a traceback; ``bench table`` names it as ``newton run`` does."""
+
+    COMMANDS = {
+        "newton": ["newton", "run", "--out"],
+        "crzon": ["crzon", "run", "--out"],
+        "table": ["bench", "table", "--out"],
+        "sweep": ["bench", "bias-sweep", "--out"],
+    }
+
+    @pytest.mark.parametrize("section", sorted(harness._SECTIONS))
+    @pytest.mark.parametrize("value", [5, "x", [1], [], False], ids=repr)
+    def test_every_command(self, tmp_path, capsys, section, value):
+        config = write_config(tmp_path, dict(QUAD, samples=2000, **{section: value}))
+        errors = {}
+        for name, command in self.COMMANDS.items():
+            argv = [*command, str(tmp_path / f"{name}.csv"), "--config", config]
+            assert main(argv) in (0, 2), name
+            errors[name] = capsys.readouterr().err
+        assert main(["config", "validate", config]) in (0, 2)
+        capsys.readouterr()
+        assert all(err.count("\n") <= 1 and "Traceback" not in err for err in errors.values())
+        if section in ("estimator", "perturb"):
+            message = f"error: {section} must be an object, got {value!r}\n"
+            assert errors["newton"] == errors["table"] == message
+
+
 class TestSeedsComeFromTheConfig:
     @pytest.mark.parametrize("command,payload", [("newton", QUAD), ("crzon", SADDLE_CRZON)])
     def test_seeds_flag_is_rejected(self, command, payload, tmp_path, capsys):

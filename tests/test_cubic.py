@@ -133,6 +133,13 @@ class TestSolveCubicSubproblem:
         assert sol.model_value == pytest.approx(-2.0)
         assert abs(sol.step[0]) == pytest.approx(2.0)
 
+    def test_zero_gradient_subnormal_negative_curvature(self):
+        # -lambda_min / (alpha/2) underflows to 0, yet g = 0 with lambda_min < 0
+        # is still the hard case: no secular iteration, and a +0.0 step
+        sol = solve_cubic_subproblem(np.zeros(1), np.diag([-5.66e-321]), 11563.0)
+        assert sol.hard_case and sol.iterations == 0
+        assert sol.radius == 0.0 and not np.signbit(sol.step).any()
+
     def test_global_optimality_certificate(self):
         """H + (alpha/2) |s| I psd plus a tiny residual certifies globality."""
         rng = np.random.default_rng(7)

@@ -21,7 +21,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 #: sha256 of each demo's masked stdout
 STDOUT_SHA256 = {
-    "01_stencil_tables.py": "f8ba5e561c8960881b827f4cb7e14f8d6b4b6eff9ef6fbf3806524c3ce610669",
+    "01_stencil_tables.py": "563daad4a9713d0e17d04f0272bc47da783852ee15d3ac0bc39407db7f18d25a",
     "02_hessian_unbiasedness.py": "56ae792f78fbc40388fd235ec3592ad271d41dd0521aa2b8c8304485c1c2f401",
     "03_bias_order_sweep.py": "cd8b5759fe8573358b6c40b3d6334084d17cda6d01abf354e3f62bc4c42cc5af",
     "04_newton_benchmark.py": "58446695d9648c1d7c2a29a48d1a3346bedc3b92adb783e08ab3e0603434f191",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import hashlib
 import importlib.util
 import math
 from fractions import Fraction
@@ -14,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grdsa import stencils
+from grdsa.cli import main
 from grdsa.stencils import (
     MAX_ORDER,
     OrderError,
@@ -366,6 +369,26 @@ class TestVerifyIdentities:
             verify_identities(0)
         with pytest.raises(OrderError):
             verify_identities(MAX_ORDER + 1)
+
+    def test_negated_gradient_stencil_fails(self, monkeypatch):
+        # the certificate reads the package's weights: negating every weight
+        # (each gradient step pointing uphill) must fail it, although the
+        # composed stencil, a product of two negated factors, is unchanged
+        build, composed = stencils.grad_stencil, hess_stencil(3)
+
+        def negated(k):
+            s = build(k)
+            return Stencil(orders=s.orders, weights=tuple(-w for w in s.weights))
+
+        monkeypatch.setattr(stencils, "grad_stencil", negated)
+        assert hess_stencil(3) == composed
+        assert not all_identities_pass(verify_identities(6))
+
+    def test_cli_report_is_pinned(self, capsys):
+        # every row's identity, k, q, lhs and rhs, byte for byte
+        assert main(["stencil", "verify", "--kmax", "12", "--json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "d6ef4c6cc25a3bbe8d86c6eb66e5a870c879bc34618f663998a1bd16e6a3085a"
 
     def test_all_identities_pass_detects_failure(self):
         report = verify_identities(3)
