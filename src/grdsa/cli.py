@@ -251,9 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command.  A config its builders reject, or a file that cannot be
-    read or written, exits 2, and a run that measures a non-finite value exits
-    1, each with one ``error:`` line."""
+    """Run one command.  A config its builders reject (a key they do not read
+    included), or a file that cannot be read or written, exits 2, and a run
+    that measures a non-finite value exits 1, each with one ``error:`` line.
+    ``bench table`` exits 2 only for what stops it before its first cell; a
+    cell whose config fails to build is ``error`` rows, and the table exits 1."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -267,15 +267,18 @@ def _arguments(config: dict, target, **given) -> dict:
     return kwargs
 
 
-def _unknown_keys(config: dict, prefix: str = "") -> Iterator[str]:
-    """Dotted paths of ``config`` that are not in :data:`KEYS`."""
+def _check_keys(config: dict, prefix: str = "") -> None:
+    """Raise ``ValueError`` naming the first path of ``config`` no builder reads:
+    one not in :data:`KEYS`, or a name with a dot.  Non-object sections hold none."""
+    if not isinstance(config, dict):  # a null top level included: it is no section
+        raise ValueError(f"config must be an object, got {config!r}")
     for name, value in config.items():
         path = prefix + name
         if path in _SECTIONS:
             if isinstance(value, dict):
-                yield from _unknown_keys(value, path + ".")
-        elif path not in KEYS:
-            yield path
+                _check_keys(value, path + ".")
+        elif path not in KEYS or "." in name:
+            raise ValueError(f"unknown key {path!r}")
 
 
 # --- config assembly ------------------------------------------------------
@@ -303,8 +306,9 @@ _OBJECTIVES = {
 
 def make_objective(config: dict) -> Objective:
     """The objective named by ``objective``, which must be ``dim``-dimensional;
-    only the quadratic reads a ``quadratic`` section."""
+    only the quadratic reads a ``quadratic`` section; a key outside KEYS is an error."""
     name = setting(config, "objective")
+    _check_keys(config)
     if name not in _OBJECTIVES:
         raise ValueError(f"unknown objective {name!r} (one of {', '.join(_OBJECTIVES)})")
     if name != "quadratic" and _lookup(config, "quadratic") is not None:
@@ -410,8 +414,8 @@ class TableResult:
 
 def table_cells(config: dict) -> Iterator[tuple[MethodSpec, dict]]:
     """Each method x dim x budget cell of a table, with the config its runs
-    build from; a method, dim or budget listed twice is an error, and so is
-    a section that is not an object."""
+    build from; a method, dim or budget listed twice is an error, and so are
+    a section that is not an object and a key no builder reads."""
     names = setting(config, "methods")
     methods = [method_spec(name) for name in names]
     dims = setting(config, "dims", [setting(config, "dim")])
@@ -423,6 +427,7 @@ def table_cells(config: dict) -> Iterator[tuple[MethodSpec, dict]]:
     # a section that is not an object would fail every cell: name it instead
     for section in sorted(_SECTIONS):
         _lookup(config, section)
+    _check_keys(config)
     for method, dim, budget in itertools.product(methods, dims, budgets):
         sub = dict(config, dim=dim, budget=budget, algorithm=method.algorithm)
         sub["estimator"] = dict(_lookup(config, "estimator") or {}, k=method.k)
@@ -509,19 +514,9 @@ class BiasSweepResult:
     slope: float
 
 
-class BiasSweep(typing.NamedTuple):
-    """The settings :func:`run_bias_sweep` reads, checked."""
-
-    estimator: str
-    k1: int
-    k2: int
-    mode: str
-    deltas: list[float]
-    samples: int
-
-
-def bias_sweep_settings(config: dict) -> BiasSweep:
-    """The bias sweep's settings: a known ``estimator_kind`` and ``mode``,
+def bias_sweep_settings(config: dict) -> tuple[str, int, int, str, list[float], int]:
+    """The settings :func:`run_bias_sweep` reads, checked, as ``(estimator,
+    k1, k2, mode, deltas, samples)``: a known ``estimator_kind`` and ``mode``,
     supported orders (``k`` is another name for ``k1``, so only one of the
     two may be set; ``k2`` defaults to ``k1``),
     at least two distinct positive finite ``deltas`` (a slope needs two
@@ -557,7 +552,7 @@ def bias_sweep_settings(config: dict) -> BiasSweep:
         dim = make_objective(config).dim
         if np.shape(theta) != (dim,):
             raise ValueError(f"theta must have shape ({dim},), got {np.shape(theta)}")
-    return BiasSweep(estimator, k1, k2, mode, deltas, samples)
+    return estimator, k1, k2, mode, deltas, samples
 
 
 def run_bias_sweep(config: dict) -> BiasSweepResult:
@@ -602,8 +597,6 @@ def _build_runs(config: dict) -> list:
     the CRZON config, its regularizer included; or the ``newton run`` config,
     then every table cell's.  The bias sweep's settings are checked first,
     then the seeds are laid out, as every command that runs seeds does."""
-    if not isinstance(config, dict):
-        raise ValueError(f"config must be an object, got {config!r}")
     bias_sweep_settings(config)
     seed_range(config)
     if _lookup(config, "crzon") is not None:
@@ -616,9 +609,9 @@ def _build_runs(config: dict) -> list:
 
 def validate_config(config: dict) -> list[Finding]:
     """One ``run.builds`` finding, failing with the first message
-    :func:`_build_runs` raises (a budget too small for one iteration
-    included); when Newton runs build, the asymptotic warnings on their
-    schedules; one warning per unknown key."""
+    :func:`_build_runs` raises (a budget too small for one iteration or a
+    key no builder reads included); when Newton runs build, the asymptotic
+    warnings on their schedules."""
     try:
         runs, problem = _build_runs(config), ""
     except (ValueError, TypeError, ArithmeticError) as exc:
@@ -628,11 +621,6 @@ def validate_config(config: dict) -> list[Finding]:
         findings += [
             replace(f, check=f"schedules.{f.check}") for f in validate_schedules(runs[0].schedules)
         ]
-    # a top level that is not an object has no keys; run.builds names it
-    for path in _unknown_keys(config) if isinstance(config, dict) else ():
-        findings.append(
-            Finding("config.unknown_key", "warning", False, f"unknown key {path!r} is ignored")
-        )
     return findings
 
 

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from grdsa import cli, harness
+from grdsa import cli, harness, oracle
 from grdsa.cli import build_parser, main
 
 
@@ -142,16 +142,15 @@ class TestNewtonRun:
 
     def test_record_stride_is_an_ignored_unknown_key(self, tmp_path, capsys):
         # a run keeps only its endpoints, so a stride is no longer a setting:
-        # validate warns about it and the runs ignore it, even at 0
+        # like any key no builder reads, it fails validate and the run, even at 0
         config = write_config(tmp_path, dict(QUAD, record_stride=0))
-        assert main(["config", "validate", config]) == 0
-        warned = [line for line in capsys.readouterr().out.splitlines() if "[WARN ]" in line]
-        assert any("config.unknown_key" in line and "'record_stride'" in line for line in warned)
-        out, plain = tmp_path / "runs.csv", tmp_path / "plain.csv"
-        assert main(["newton", "run", "--config", config, "--out", str(out)]) == 0
-        plain_config = write_config(tmp_path, QUAD, "plain.json")
-        assert main(["newton", "run", "--config", plain_config, "--out", str(plain)]) == 0
-        assert out.read_bytes() == plain.read_bytes()
+        assert main(["config", "validate", config]) == 2
+        printed = capsys.readouterr().out
+        assert re.search(r"\[ERROR\] run\.builds +unknown key 'record_stride'\n", printed)
+        out = tmp_path / "runs.csv"
+        assert main(["newton", "run", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: unknown key 'record_stride'\n"
+        assert not out.exists()
 
     def test_unknown_algorithm_raises(self, tmp_path, capsys):
         config = write_config(tmp_path, dict(QUAD, algorithm="gradient-only", seeds=1))
@@ -171,11 +170,13 @@ class TestNewtonRun:
         assert len(rows) == 2
         assert rows[1][2] == "1000"
 
-    def test_seed_key_is_ignored(self, tmp_path):
+    def test_seed_key_is_ignored(self, tmp_path, capsys):
+        # seed_base is the one seed key, so "seed" is rejected, not run at 0
         config = write_config(tmp_path, dict(QUAD, seed=7, seeds=1))
         out = tmp_path / "runs.csv"
-        main(["newton", "run", "--config", config, "--out", str(out)])
-        assert read_csv(out)[1][0] == "0"
+        assert main(["newton", "run", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: unknown key 'seed'\n"
+        assert not out.exists()
 
     def test_seed_base_respected(self, tmp_path, capsys):
         config = write_config(tmp_path, dict(QUAD, seed_base=10, seeds=2))
@@ -385,6 +386,60 @@ class TestSectionOfTheWrongTypeIsNamedByEveryCommand:
             assert errors["newton"] == errors["table"] == message
 
 
+class TestUnknownKeyIsRejectedByEveryCommand:
+    """A key no builder reads ends every command that runs a config in exit 2
+    with one ``error:`` line naming its path, before any evaluation and
+    before any file is written."""
+
+    COMMANDS = {
+        "newton": (["newton", "run"], dict(QUAD, seeds=1)),
+        "crzon": (["crzon", "run"], SADDLE_CRZON),
+        "table": (["bench", "table"], dict(QUAD, seeds=1)),
+        "sweep": (["bench", "bias-sweep"], {"objective": "quartic", "dim": 2, "samples": 200}),
+    }
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        evaluate_many = oracle.BudgetedOracle.evaluate_many
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return evaluate_many(self, *args, **kwargs)
+
+        monkeypatch.setattr(oracle.BudgetedOracle, "evaluate_many", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_known_keys_run(self, tmp_path, capsys, evaluations, name):
+        command, base = self.COMMANDS[name]
+        config, out = write_config(tmp_path, base), tmp_path / "out.csv"
+        assert main([*command, "--config", config, "--out", str(out)]) == 0
+        assert out.exists() and evaluations
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    @pytest.mark.parametrize(
+        "unknown,path",
+        [
+            ({"schedule": {"a0": -1}}, "schedule"),
+            ({"estimator": {"K": 3}}, "estimator.K"),
+            ({"crzon": {"n": 3}}, "crzon.n"),
+            ({"noise": {"sigma": 0.1, "mu": 1}}, "noise.mu"),
+            ({"Budget": 100}, "Budget"),
+            ({"seed": 3}, "seed"),
+        ],
+    )
+    def test_named_before_any_evaluation(self, tmp_path, capsys, evaluations, name, unknown, path):
+        command, base = self.COMMANDS[name]
+        payload = dict(base, **unknown)
+        if "crzon" in unknown and name == "crzon":
+            payload["crzon"] = dict(base["crzon"], **unknown["crzon"])
+        config, out = write_config(tmp_path, payload), tmp_path / "out.csv"
+        assert main([*command, "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: unknown key {path!r}\n"
+        assert not out.exists() and evaluations == []
+
+
 class TestSeedsComeFromTheConfig:
     @pytest.mark.parametrize("command,payload", [("newton", QUAD), ("crzon", SADDLE_CRZON)])
     def test_seeds_flag_is_rejected(self, command, payload, tmp_path, capsys):
@@ -502,6 +557,21 @@ class TestBenchCommands:
         assert len(rows) == 2 and rows[1][rows[0].index("status")] == "error"
         assert len(read_csv(summary_out)) == 2
 
+    def test_table_exit_contract(self, tmp_path, capsys):
+        # a cell whose config fails to build is an error row (exit 1); what
+        # stops the table before its first cell is one error: line (exit 2)
+        config = write_config(tmp_path, {"objective": "rastrigin", "dim": 2, "budget": 2})
+        out = tmp_path / "rows.csv"
+        assert main(["bench", "table", "--config", config, "--out", str(out)]) == 1
+        assert "1 failed runs (see status column)" in capsys.readouterr().out
+        rows = read_csv(out)
+        assert rows[1][rows[0].index("message")].startswith("BudgetTooSmall: ")
+        config = write_config(tmp_path, {"methods": ["G2SF-4"], "budget": 30})
+        assert main(["bench", "table", "--config", config]) == 2
+        assert capsys.readouterr().err == (
+            "error: 'G2SF-4': second-order methods need an odd measurement count >= 3\n"
+        )
+
     def test_bias_sweep(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -579,9 +649,9 @@ class TestConfigValidate:
             assert capsys.readouterr().err == "error: config must be an object, got [1, 2]\n"
 
     def test_misspelled_section_warns(self, tmp_path, capsys):
+        # a misspelled section would leave a0 at its default: it fails the config
         config = write_config(tmp_path, {"budget": 100, "schedule": {"a0": -1.0}})
-        assert main(["config", "validate", config]) == 0
+        assert main(["config", "validate", config]) == 2
         printed = capsys.readouterr().out
-        warned = [line for line in printed.splitlines() if line.startswith("[WARN ]")]
-        assert any("config.unknown_key" in line and "'schedule'" in line for line in warned)
-        assert "config ok (2 warnings)" in printed
+        assert re.search(r"\[ERROR\] run\.builds +unknown key 'schedule'\n", printed)
+        assert "WARN" not in printed and printed.endswith("config invalid\n")

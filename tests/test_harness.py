@@ -192,7 +192,8 @@ class TestBuilders:
     def test_seed_base_is_the_one_seed_key(self):
         for build in (build_newton_config, build_cubic_config):
             assert build(dict(QUAD_CONFIG, seed_base=7)).seed == 7
-            assert build(dict(QUAD_CONFIG, seed=7)).seed == 0
+            with pytest.raises(ValueError, match=r"^unknown key 'seed'$"):
+                build(dict(QUAD_CONFIG, seed=7))
 
     def test_cubic_config_direct(self):
         cfg = build_cubic_config(
@@ -644,9 +645,9 @@ class TestValidateConfig:
             # priced at the gradient-only k+1 = 3, not the Newton 2k+1 = 5
             ({"algorithm": "gradient_only", "budget": 3, "estimator": {"k": 2}}, None),
             ({"crzon": {"delta": 0.0, "N": 2, "m": 10, "b": 10}}, "ValueError"),
-            # "seed" is an unknown key, which the runs ignore and the
-            # validator only warns about; seed_base is where every run starts
-            ({"seed": -1, "budget": 30}, None),
+            # "seed" is an unknown key, which no run builds with; seed_base
+            # is where every run starts
+            ({"seed": -1, "budget": 30}, "ValueError"),
             ({"seed_base": -1, "budget": 30}, "ValueError"),
             # the schedules' signs, checked when they are built
             ({"schedules": {"a0": -1.0}}, "ValueError"),
