@@ -23,12 +23,9 @@ from .stencils import (
 )
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str):
     with open(path) as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise ValueError(f"config must be an object, got {config!r}")
-    return config
+        return json.load(fh)
 
 
 def _check_writable(*paths: str | None) -> None:
@@ -110,33 +107,38 @@ def _cmd_stencil_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_newton_run(args: argparse.Namespace) -> int:
+def _run_config(args: argparse.Namespace, run, **writers):
+    """Read ``args.config``, check the output paths that ``writers`` names,
+    in order, before the first run, run ``run`` on the config and write the
+    result to each path that is set.  The builders check the config itself."""
     config = _load_config(args.config)
-    _check_writable(args.out)
-    records = [
-        run_newton(harness.build_newton_config(config, seed=seed))
-        for seed in harness.seed_range(config)
-    ]
-    harness.write_newton_csv(args.out, records)
+    paths = {name: getattr(args, name) for name in writers}
+    _check_writable(*paths.values())
+    result = run(config)
+    for name, write in writers.items():
+        if paths[name]:
+            write(paths[name], result)
+    return result
+
+
+def _per_seed(run, build):
+    return lambda config: [run(build(config, seed=seed)) for seed in harness.seed_range(config)]
+
+
+def _cmd_newton_run(args: argparse.Namespace) -> int:
+    records = _run_config(
+        args, _per_seed(run_newton, harness.build_newton_config), out=harness.write_newton_csv
+    )
     errors = [r.final_parameter_error for r in records if r.final_parameter_error is not None]
-    if errors:
-        print(
-            f"{len(records)} runs -> {args.out}; "
-            f"mean final parameter error {np.mean(errors):.4g}"
-        )
-    else:
-        print(f"{len(records)} runs -> {args.out}")
+    mean = f"; mean final parameter error {np.mean(errors):.4g}" if errors else ""
+    print(f"{len(records)} runs -> {args.out}{mean}")
     return 0
 
 
 def _cmd_crzon_run(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    _check_writable(args.out)
-    reports = [
-        run_crzon(harness.build_cubic_config(config, seed=seed))
-        for seed in harness.seed_range(config)
-    ]
-    harness.write_crzon_csv(args.out, reports)
+    reports = _run_config(
+        args, _per_seed(run_crzon, harness.build_cubic_config), out=harness.write_crzon_csv
+    )
     lam = [r.lambda_min_at_r for r in reports]
     print(
         f"{len(reports)} runs -> {args.out}; "
@@ -146,13 +148,9 @@ def _cmd_crzon_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_table(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    _check_writable(args.out, args.summary_out)
-    result = harness.run_table(config)
-    if args.out:
-        harness.write_table_csv(args.out, result)
-    if args.summary_out:
-        harness.write_summary_csv(args.summary_out, result)
+    result = _run_config(
+        args, harness.run_table, out=harness.write_table_csv, summary_out=harness.write_summary_csv
+    )
     print(f"{'method':<10} {'dim':>4} {'budget':>8} {'n':>3} {'mean_err':>10} {'sd':>10}")
     for cell in result.cells:
         print(
@@ -167,11 +165,7 @@ def _cmd_bench_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_bias_sweep(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    _check_writable(args.out)
-    result = harness.run_bias_sweep(config)
-    if args.out:
-        harness.write_bias_sweep_csv(args.out, result)
+    result = _run_config(args, harness.run_bias_sweep, out=harness.write_bias_sweep_csv)
     label = f"{result.estimator} k1={result.k1} k2={result.k2} mode={result.mode}"
     for delta, dev in zip(result.deltas, result.deviations):
         print(f"{label}  delta={delta:<8g} deviation={dev:.6g}")
@@ -251,9 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command.  A config its builders reject (a key they do not read
-    included), or a file that cannot be read or written, exits 2, and a run
-    that measures a non-finite value exits 1, each with one ``error:`` line.
+    """Run one command.  A writing command reads its config file, checks its
+    output paths, then builds and runs.  A file that cannot be read or
+    written, or a config its builders reject (a key they do not read or a top
+    level that is not an object included), exits 2, and a run that measures a
+    non-finite value exits 1, each with one ``error:`` line.
     ``bench table`` exits 2 only for what stops it before its first cell; a
     cell whose config fails to build is ``error`` rows, and the table exits 1."""
     args = build_parser().parse_args(argv)

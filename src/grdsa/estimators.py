@@ -283,7 +283,7 @@ def batch_hessian(
 
 def _check_mode(mode: str) -> None:
     if mode not in ("residual", "mean_bias"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ValueError(f"mode must be one of residual, mean_bias, got {mode!r}")
 
 
 def gradient_deviation(

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import cubic as cubic_mod
-from .estimators import fit_loglog_slope, gradient_deviation, hessian_deviation
+from .estimators import _check_mode, fit_loglog_slope, gradient_deviation, hessian_deviation
 from .newton import (
     Box,
     Finding,
@@ -526,8 +526,7 @@ def bias_sweep_settings(config: dict) -> tuple[str, int, int, str, list[float], 
     if estimator not in ("gradient", "hessian"):
         raise ValueError(f"estimator_kind must be one of gradient, hessian, got {estimator!r}")
     mode = setting(config, "mode")
-    if mode not in ("residual", "mean_bias"):
-        raise ValueError(f"mode must be one of residual, mean_bias, got {mode!r}")
+    _check_mode(mode)
     order = "k" if _lookup(config, "k") is not None else "k1"
     if order == "k" and _lookup(config, "k1") is not None:
         raise ValueError("k cannot be set with k1")

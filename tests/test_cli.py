@@ -34,6 +34,21 @@ QUAD = {
 SADDLE_CRZON = {"objective": "saddle", "crzon": {"N": 2, "m": 4, "b": 4}}
 
 
+@pytest.fixture
+def runs(monkeypatch):
+    """The arguments of every call to a writing command's runner."""
+    calls = []
+    for owner, runner in [
+        (cli, "run_newton"), (cli, "run_crzon"),
+        (harness, "run_table"), (harness, "run_bias_sweep"),
+    ]:
+        real = getattr(owner, runner)
+        monkeypatch.setattr(
+            owner, runner, lambda *args, real=real: calls.append(args) or real(*args)
+        )
+    return calls
+
+
 def test_no_command_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -242,17 +257,8 @@ class TestFailedRunIsAnErrorLine:
             f"error: [Errno 2] No such file or directory: {missing!r}\n"
         )
 
-    def test_unwritable_out_exits_2(self, tmp_path, capsys, monkeypatch):
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, runs):
         # every path that would be written is checked before the first run
-        ran = []
-        for owner, runner in [
-            (cli, "run_newton"), (cli, "run_crzon"),
-            (harness, "run_table"), (harness, "run_bias_sweep"),
-        ]:
-            real = getattr(owner, runner)
-            monkeypatch.setattr(
-                owner, runner, lambda *args, real=real: ran.append(args) or real(*args)
-            )
         missing = tmp_path / "no-such-directory" / "runs.csv"
         for command, payload, flag in [
             (["newton", "run"], QUAD, "--out"),
@@ -268,7 +274,29 @@ class TestFailedRunIsAnErrorLine:
             ]:
                 assert main([*command, "--config", config, flag, str(out)]) == 2
                 assert capsys.readouterr().err == f"error: {error}: {str(out)!r}\n"
-        assert ran == []
+        assert runs == []
+
+    @pytest.mark.parametrize(
+        "command",
+        [["newton", "run"], ["crzon", "run"], ["bench", "table"], ["bench", "bias-sweep"]],
+        ids=" ".join,
+    )
+    @pytest.mark.parametrize("value", [[1, 2], "x", 3, None], ids=repr)
+    def test_top_level_that_is_not_an_object_is_named_after_the_paths(
+        self, tmp_path, capsys, runs, command, value
+    ):
+        # a writing command reads its file, checks its paths, then builds:
+        # the builders name the top level, and no file is written
+        config, missing = write_config(tmp_path, value), tmp_path / "no-such-directory" / "o.csv"
+        assert main([*command, "--config", config, "--out", str(missing)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+        )
+        assert runs == []
+        out = tmp_path / "out.csv"
+        assert main([*command, "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: config must be an object, got {value!r}\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
     def test_failed_run_keeps_an_existing_out_file(self, tmp_path, capsys):
         # the check before the runs opens the file without truncating it
@@ -304,9 +332,11 @@ class TestFailedRunIsAnErrorLine:
     @pytest.mark.parametrize("command,payload", [
         (["bench", "table"], QUAD),
         (["bench", "bias-sweep"], {"objective": "quartic", "dim": 2}),
+        (["newton", "run"], QUAD),
+        (["crzon", "run"], SADDLE_CRZON),
     ])
     def test_empty_out_writes_nothing(self, command, payload, tmp_path, capsys):
-        # the check skips the paths the writers skip
+        # the check skips the paths the writers skip, in every writing command
         config = write_config(tmp_path, payload)
         assert main([*command, "--config", config, "--out", ""]) == 0
 
@@ -640,13 +670,15 @@ class TestConfigValidate:
 
     def test_top_level_that_is_not_an_object_is_an_error(self, tmp_path, capsys):
         config = write_config(tmp_path, [1, 2])
+        assert main(["config", "validate", config]) == 2
+        printed = capsys.readouterr().out
+        assert re.findall(r"\[ERROR\].*\n", printed) == [
+            f"[ERROR] {'run.builds':<36} config must be an object, got [1, 2]\n"
+        ]
+        assert printed.endswith("config invalid\n")
         out = str(tmp_path / "runs.csv")
-        for command in (
-            ["config", "validate", config],
-            ["newton", "run", "--config", config, "--out", out],
-        ):
-            assert main(command) == 2
-            assert capsys.readouterr().err == "error: config must be an object, got [1, 2]\n"
+        assert main(["newton", "run", "--config", config, "--out", out]) == 2
+        assert capsys.readouterr().err == "error: config must be an object, got [1, 2]\n"
 
     def test_misspelled_section_warns(self, tmp_path, capsys):
         # a misspelled section would leave a0 at its default: it fails the config
