@@ -109,11 +109,13 @@ def _cmd_stencil_verify(args: argparse.Namespace) -> int:
 
 def _run_config(args: argparse.Namespace, run, **writers):
     """Read ``args.config``, check the output paths that ``writers`` names,
-    in order, before the first run, run ``run`` on the config and write the
-    result to each path that is set.  The builders check the config itself."""
+    in order, then the config's shape, before the first run; run ``run`` on
+    the config and write the result to each path that is set.  The builders
+    check the rest of the config."""
     config = _load_config(args.config)
     paths = {name: getattr(args, name) for name in writers}
     _check_writable(*paths.values())
+    harness._check_keys(config)
     result = run(config)
     for name, write in writers.items():
         if paths[name]:
@@ -246,9 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command.  A writing command reads its config file, checks its
-    output paths, then builds and runs.  A file that cannot be read or
-    written, or a config its builders reject (a key they do not read or a top
-    level that is not an object included), exits 2, and a run that measures a
+    output paths and the config's shape, then builds and runs.  A file that
+    cannot be read or written, a config of the wrong shape (a key no builder
+    reads, a section that is not an object or a value that does not fit its
+    key) or one its builders reject exits 2, and a run that measures a
     non-finite value exits 1, each with one ``error:`` line.
     ``bench table`` exits 2 only for what stops it before its first cell; a
     cell whose config fails to build is ``error`` rows, and the table exits 1."""

@@ -215,9 +215,9 @@ def _parameters(target) -> Mapping[str, inspect.Parameter]:
 
 
 def _lookup(config: dict, path: str):
-    """The raw value at dotted ``path``; a null section or value is None, and
-    a section that is not an object, ``path`` itself included, raises
-    ``ValueError`` naming it."""
+    """The raw value at dotted ``path``, unconverted; a null section or value
+    is None.  A section on the way that is not an object raises
+    ``ValueError`` naming it, as :func:`_check_keys` does."""
     node, section = config, "config"
     for name in path.split("."):
         if node is None:
@@ -225,8 +225,6 @@ def _lookup(config: dict, path: str):
         if not isinstance(node, dict):
             raise ValueError(f"{section} must be an object, got {node!r}")
         node, section = node.get(name), name
-    if path in _SECTIONS and node is not None and not isinstance(node, dict):
-        raise ValueError(f"{section} must be an object, got {node!r}")
     return node
 
 
@@ -268,17 +266,22 @@ def _arguments(config: dict, target, **given) -> dict:
 
 
 def _check_keys(config: dict, prefix: str = "") -> None:
-    """Raise ``ValueError`` naming the first path of ``config`` no builder reads:
-    one not in :data:`KEYS`, or a name with a dot.  Non-object sections hold none."""
+    """Raise ``ValueError`` naming the first path of ``config`` no builder can
+    read: one not in :data:`KEYS` or a name with a dot, a set section that is
+    not an object, or a set value that does not fit its key's kind.  Every
+    command runs this before its first evaluation, so a config's shape fails
+    them all alike; range rules stay with the builders."""
     if not isinstance(config, dict):  # a null top level included: it is no section
-        raise ValueError(f"config must be an object, got {config!r}")
+        raise ValueError(f"{prefix[:-1] or 'config'} must be an object, got {config!r}")
     for name, value in config.items():
         path = prefix + name
         if path in _SECTIONS:
-            if isinstance(value, dict):
+            if value is not None:
                 _check_keys(value, path + ".")
         elif path not in KEYS or "." in name:
             raise ValueError(f"unknown key {path!r}")
+        elif value is not None:
+            _convert(path, KEYS[path].kind, value)
 
 
 # --- config assembly ------------------------------------------------------
@@ -306,9 +309,10 @@ _OBJECTIVES = {
 
 def make_objective(config: dict) -> Objective:
     """The objective named by ``objective``, which must be ``dim``-dimensional;
-    only the quadratic reads a ``quadratic`` section; a key outside KEYS is an error."""
-    name = setting(config, "objective")
+    only the quadratic reads a ``quadratic`` section; a config
+    :func:`_check_keys` rejects is an error."""
     _check_keys(config)
+    name = setting(config, "objective")
     if name not in _OBJECTIVES:
         raise ValueError(f"unknown objective {name!r} (one of {', '.join(_OBJECTIVES)})")
     if name != "quadratic" and _lookup(config, "quadratic") is not None:
@@ -414,8 +418,9 @@ class TableResult:
 
 def table_cells(config: dict) -> Iterator[tuple[MethodSpec, dict]]:
     """Each method x dim x budget cell of a table, with the config its runs
-    build from; a method, dim or budget listed twice is an error, and so are
-    a section that is not an object and a key no builder reads."""
+    build from; a config :func:`_check_keys` rejects is an error, and so is
+    a method, dim or budget listed twice."""
+    _check_keys(config)
     names = setting(config, "methods")
     methods = [method_spec(name) for name in names]
     dims = setting(config, "dims", [setting(config, "dim")])
@@ -424,10 +429,6 @@ def table_cells(config: dict) -> Iterator[tuple[MethodSpec, dict]]:
         for i, value in enumerate(values):
             if value in values[:i]:
                 raise ValueError(f"{key} lists {value!r} more than once")
-    # a section that is not an object would fail every cell: name it instead
-    for section in sorted(_SECTIONS):
-        _lookup(config, section)
-    _check_keys(config)
     for method, dim, budget in itertools.product(methods, dims, budgets):
         sub = dict(config, dim=dim, budget=budget, algorithm=method.algorithm)
         sub["estimator"] = dict(_lookup(config, "estimator") or {}, k=method.k)

@@ -24,13 +24,9 @@ from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from numpy._core.umath import clip as _clip
 from numpy.linalg import LinAlgError
 from numpy.linalg._umath_linalg import eigh_lo
-
-try:  # numpy >= 2; numpy.core warns there
-    from numpy._core.umath import clip as _clip
-except ImportError:  # numpy 1.x
-    from numpy.core.umath import clip as _clip
 
 from .estimators import _check_finite_values, ray_offsets
 from .oracle import (

@@ -388,9 +388,9 @@ class TestRadiusARunCannotEvaluateIsABuildError:
 
 
 class TestSectionOfTheWrongTypeIsNamedByEveryCommand:
-    """A section that is not an object ends every command in exit 0 (a
-    command that does not read it) or in exit 2 with one ``error:`` line,
-    never in a traceback; ``bench table`` names it as ``newton run`` does."""
+    """A section that is not an object ends every command in exit 2 with one
+    ``error:`` line naming it, whether or not the command reads it, never in
+    a traceback; ``config validate`` fails on it."""
 
     COMMANDS = {
         "newton": ["newton", "run", "--out"],
@@ -406,14 +406,54 @@ class TestSectionOfTheWrongTypeIsNamedByEveryCommand:
         errors = {}
         for name, command in self.COMMANDS.items():
             argv = [*command, str(tmp_path / f"{name}.csv"), "--config", config]
-            assert main(argv) in (0, 2), name
+            assert main(argv) == 2, name
             errors[name] = capsys.readouterr().err
-        assert main(["config", "validate", config]) in (0, 2)
+        assert main(["config", "validate", config]) == 2
         capsys.readouterr()
-        assert all(err.count("\n") <= 1 and "Traceback" not in err for err in errors.values())
-        if section in ("estimator", "perturb"):
-            message = f"error: {section} must be an object, got {value!r}\n"
-            assert errors["newton"] == errors["table"] == message
+        message = f"error: {section} must be an object, got {value!r}\n"
+        assert errors == dict.fromkeys(self.COMMANDS, message)
+
+
+class TestMalformedConfigFailsEveryCommandAlike:
+    """A set section that is not an object, or a set value that does not fit
+    its key, ends every command in exit 2 with one ``error:`` line naming its
+    path, whether or not the command reads it: no runner is called and no
+    file is written, and ``config validate`` fails ``run.builds`` on it."""
+
+    QUAD_NEWTON = {"objective": "quadratic", "dim": 2, "budget": 30}
+    CRZON = dict(SADDLE_CRZON, budget=30)
+
+    CASES = {
+        "crzon-not-an-object": (dict(QUAD_NEWTON, crzon=5), "crzon must be an object, got 5"),
+        "schedules-not-an-object": (
+            dict(CRZON, schedules=5), "schedules must be an object, got 5"
+        ),
+        "crzon.N-not-an-integer": (
+            dict(CRZON, crzon={"N": "x"}), "crzon.N must be an integer, got 'x'"
+        ),
+        "schedules.a0-not-a-number": (
+            dict(CRZON, schedules={"a0": "x"}), "schedules.a0 must be a number, got 'x'"
+        ),
+        "methods-empty": (dict(QUAD_NEWTON, methods=[]), "methods must not be empty"),
+    }
+    COMMANDS = [["newton", "run"], ["crzon", "run"], ["bench", "table"], ["bench", "bias-sweep"]]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_writing_commands(self, tmp_path, capsys, runs, case):
+        payload, message = self.CASES[case]
+        config, out = write_config(tmp_path, payload), tmp_path / "out.csv"
+        for command in self.COMMANDS:
+            assert main([*command, "--config", config, "--out", str(out)]) == 2, command
+            assert capsys.readouterr().err == f"error: {message}\n", command
+        assert runs == []
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_config_validate(self, tmp_path, capsys, case):
+        payload, message = self.CASES[case]
+        assert main(["config", "validate", write_config(tmp_path, payload)]) == 2
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == [f"[ERROR] {'run.builds':<36} {message}", "config invalid"]
 
 
 class TestUnknownKeyIsRejectedByEveryCommand:
