@@ -109,13 +109,13 @@ def _cmd_stencil_verify(args: argparse.Namespace) -> int:
 
 def _run_config(args: argparse.Namespace, run, **writers):
     """Read ``args.config``, check the output paths that ``writers`` names,
-    in order, then the config's shape, before the first run; run ``run`` on
-    the config and write the result to each path that is set.  The builders
-    check the rest of the config."""
+    in order, then build every run of the config as ``config validate``
+    does, before the first evaluation; run ``run`` on the config and write
+    the result to each path that is set."""
     config = _load_config(args.config)
     paths = {name: getattr(args, name) for name in writers}
     _check_writable(*paths.values())
-    harness._check_keys(config)
+    harness._build_runs(config)
     result = run(config)
     for name, write in writers.items():
         if paths[name]:
@@ -127,10 +127,16 @@ def _per_seed(run, build):
     return lambda config: [run(build(config, seed=seed)) for seed in harness.seed_range(config)]
 
 
+def _one_cell(config: dict, seed: int):
+    """The Newton config of the one table cell of ``config``, at ``seed``."""
+    cells = [cell for _, cell in harness.table_cells(config)]
+    if len(cells) != 1:
+        raise ValueError(f"newton run runs one table cell, got {len(cells)}")
+    return harness.build_newton_config(cells[0], seed=seed)
+
+
 def _cmd_newton_run(args: argparse.Namespace) -> int:
-    records = _run_config(
-        args, _per_seed(run_newton, harness.build_newton_config), out=harness.write_newton_csv
-    )
+    records = _run_config(args, _per_seed(run_newton, _one_cell), out=harness.write_newton_csv)
     errors = [r.final_parameter_error for r in records if r.final_parameter_error is not None]
     mean = f"; mean final parameter error {np.mean(errors):.4g}" if errors else ""
     print(f"{len(records)} runs -> {args.out}{mean}")
@@ -239,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     config = sub.add_parser("config", help="configuration checks")
     config_sub = config.add_subparsers(dest="subcommand", required=True)
-    cv = config_sub.add_parser("validate", help="schedule and feasibility report")
+    cv = config_sub.add_parser("validate", help="build every run as each command does first")
     cv.add_argument("file")
     cv.set_defaults(func=_cmd_config_validate)
 
@@ -248,13 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command.  A writing command reads its config file, checks its
-    output paths and the config's shape, then builds and runs.  A file that
-    cannot be read or written, a config of the wrong shape (a key no builder
-    reads, a section that is not an object or a value that does not fit its
-    key) or one its builders reject exits 2, and a run that measures a
-    non-finite value exits 1, each with one ``error:`` line.
-    ``bench table`` exits 2 only for what stops it before its first cell; a
-    cell whose config fails to build is ``error`` rows, and the table exits 1."""
+    output paths, builds every run of the config as ``config validate``
+    does, then runs.  A file that cannot be read or written, or a config
+    that does not build (``config validate`` fails ``run.builds`` on it),
+    exits 2 before the first evaluation, and a run that measures a
+    non-finite value exits 1, each with one ``error:`` line."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

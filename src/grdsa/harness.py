@@ -188,8 +188,9 @@ KEYS = {
         "crzon.m_prefactor": Key(float, (cubic_mod.from_epsilon,)),
         "crzon.b_prefactor": Key(float, (cubic_mod.from_epsilon,)),
         "crzon.delta_prefactor": Key(float, (cubic_mod.from_epsilon,)),
-        # run_table; dims and budgets default to [dim] and [budget]
-        "methods": Key(list[str], default=("G2SF-3",)),
+        # run_table; methods default to the one that algorithm, estimator.k
+        # and perturb.family name, dims and budgets to [dim] and [budget]
+        "methods": Key(list[str]),
         "dims": Key(list[int]),
         "budgets": Key(list[int]),
         # how many runs newton run, crzon run and each table cell make
@@ -416,15 +417,31 @@ class TableResult:
     cells: list[TableCell]
 
 
+_METHOD_KEYS = ("algorithm", "estimator.k", "perturb.family")  # a method name sets these
+
+
+def _config_method(config: dict) -> MethodSpec:
+    """The method that the ``_METHOD_KEYS`` of ``config`` name; its builds check them."""
+    algorithm, k, family = (setting(config, path) for path in _METHOD_KEYS)
+    order, count = ("G2", 2 * k + 1) if algorithm == "newton" else ("G", k + 1)
+    name = f"{order}{'SF' if family == 'gaussian' else 'R'}-{count}"
+    return MethodSpec(name, algorithm, k, family)
+
+
 def table_cells(config: dict) -> Iterator[tuple[MethodSpec, dict]]:
     """Each method x dim x budget cell of a table, with the config its runs
-    build from; a config :func:`_check_keys` rejects is an error, and so is
-    a method, dim or budget listed twice."""
+    build from.  Unset ``methods`` is the one method that the ``_METHOD_KEYS``
+    name; setting both, a key :func:`_check_keys` rejects, or a method, dim
+    or budget listed twice is an error."""
     _check_keys(config)
-    names = setting(config, "methods")
-    methods = [method_spec(name) for name in names]
+    listed = setting(config, "methods")
+    for path in _METHOD_KEYS if listed else ():
+        if _lookup(config, path) is not None:
+            raise ValueError(f"{path} cannot be set with methods, whose names set it")
+    methods = [method_spec(name) for name in listed] if listed else [_config_method(config)]
     dims = setting(config, "dims", [setting(config, "dim")])
     budgets = setting(config, "budgets", [setting(config, "budget")])
+    names = [method.name for method in methods]
     for key, values in (("methods", names), ("dims", dims), ("budgets", budgets)):
         for i, value in enumerate(values):
             if value in values[:i]:
@@ -593,25 +610,24 @@ def run_bias_sweep(config: dict) -> BiasSweepResult:
 # --- config validation ----------------------------------------------------
 
 def _build_runs(config: dict) -> list:
-    """The configs of every run of ``config``, built as its runs build them:
-    the CRZON config, its regularizer included; or the ``newton run`` config,
-    then every table cell's.  The bias sweep's settings are checked first,
-    then the seeds are laid out, as every command that runs seeds does."""
+    """The configs of every run of ``config``, built as every command builds
+    them before its first evaluation: the keys, the bias sweep's settings and
+    the seeds are checked first, then the CRZON config and its regularizer
+    are built, or without a ``crzon`` section every table cell's config."""
+    _check_keys(config)
     bias_sweep_settings(config)
     seed_range(config)
     if _lookup(config, "crzon") is not None:
         run = build_cubic_config(config)
         run.alpha_value()
         return [run]
-    runs = [build_newton_config(config)]
-    return runs + [build_newton_config(cell) for _, cell in table_cells(config)]
+    return [build_newton_config(cell) for _, cell in table_cells(config)]
 
 
 def validate_config(config: dict) -> list[Finding]:
     """One ``run.builds`` finding, failing with the first message
-    :func:`_build_runs` raises (a budget too small for one iteration or a
-    key no builder reads included); when Newton runs build, the asymptotic
-    warnings on their schedules."""
+    :func:`_build_runs` raises, which every command raises too; when Newton
+    runs build, the asymptotic warnings on the first one's schedules."""
     try:
         runs, problem = _build_runs(config), ""
     except (ValueError, TypeError, ArithmeticError) as exc:

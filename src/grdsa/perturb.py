@@ -35,6 +35,13 @@ class PerturbationSpec:
             raise ValueError(f"uniform half-width eta must be > 0, got {self.eta}")
         if not math.isfinite(self.eta):
             raise ValueError(f"eta must be finite, got {self.eta}")
+        try:  # the scaling divides by 2 mu2**2 and by mu4 - mu2**2
+            usable = 0 < self.mu2 * self.mu2 < self.mu4 < math.inf
+        except OverflowError:
+            usable = False
+        if not usable:
+            raise ValueError(f"uniform half-width eta = {self.eta} is out of range: "
+                             "its moments need 0 < mu2**2 < mu4 < inf in floats")
 
     @property
     def mu2(self) -> float:

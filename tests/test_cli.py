@@ -32,6 +32,9 @@ QUAD = {
 }
 #: a CRZON config that completes in a few milliseconds
 SADDLE_CRZON = {"objective": "saddle", "crzon": {"N": 2, "m": 4, "b": 4}}
+ETA_OUT_OF_RANGE = (
+    "uniform half-width eta = {} is out of range: its moments need 0 < mu2**2 < mu4 < inf in floats"
+)
 
 
 @pytest.fixture
@@ -357,8 +360,7 @@ class TestRadiusARunCannotEvaluateIsABuildError:
             ({"schedules": {"delta0": 1e-170}},
              "schedules underflow at iteration 10: delta = 6.812868399681547e-171, "
              "and a run divides by delta**2"),
-            ({"algorithm": "gradient_only", "methods": ["GSF-2"],
-              "schedules": {"delta0": 1e-323, "gamma": 1}},
+            ({"methods": ["GSF-2"], "schedules": {"delta0": 1e-323, "gamma": 1}},
              "schedules underflow at iteration 15: delta = 0.0, and a run divides by delta"),
         ],
     )
@@ -415,10 +417,12 @@ class TestSectionOfTheWrongTypeIsNamedByEveryCommand:
 
 
 class TestMalformedConfigFailsEveryCommandAlike:
-    """A set section that is not an object, or a set value that does not fit
-    its key, ends every command in exit 2 with one ``error:`` line naming its
-    path, whether or not the command reads it: no runner is called and no
-    file is written, and ``config validate`` fails ``run.builds`` on it."""
+    """A config whose runs do not build (a set section that is not an
+    object, a set value that does not fit its key or its range, a key that a
+    method name sets beside ``methods``) ends every command in exit 2 with
+    one ``error:`` line, whether or not the command reads it: no runner is
+    called and no file is written, and ``config validate`` fails
+    ``run.builds`` with the same message."""
 
     QUAD_NEWTON = {"objective": "quadratic", "dim": 2, "budget": 30}
     CRZON = dict(SADDLE_CRZON, budget=30)
@@ -435,6 +439,27 @@ class TestMalformedConfigFailsEveryCommandAlike:
             dict(CRZON, schedules={"a0": "x"}), "schedules.a0 must be a number, got 'x'"
         ),
         "methods-empty": (dict(QUAD_NEWTON, methods=[]), "methods must not be empty"),
+        # bench table ran plain G2SF-3 in place of the three keys
+        "method-keys-beside-methods": (
+            dict(QUAD_NEWTON, methods=["G2SF-3"], algorithm="gradient_only",
+                 estimator={"k": 4}, perturb={"family": "uniform"}),
+            "algorithm cannot be set with methods, whose names set it",
+        ),
+        # only crzon run and config validate built the crzon section
+        "crzon.N-negative": (dict(QUAD_NEWTON, crzon={"N": -1}), "n_steps must be >= 1, got -1"),
+        # moments that overflow or underflow: the runs crashed after the build
+        "perturb.eta-1e100": (
+            dict(QUAD_NEWTON, perturb={"family": "uniform", "eta": 1e100}),
+            ETA_OUT_OF_RANGE.format(1e100),
+        ),
+        "perturb.eta-1e-200": (
+            dict(QUAD_NEWTON, perturb={"family": "uniform", "eta": 1e-200}),
+            ETA_OUT_OF_RANGE.format(1e-200),
+        ),
+        "perturb.eta-1e-100": (
+            dict(QUAD_NEWTON, perturb={"family": "uniform", "eta": 1e-100}),
+            ETA_OUT_OF_RANGE.format(1e-100),
+        ),
     }
     COMMANDS = [["newton", "run"], ["crzon", "run"], ["bench", "table"], ["bench", "bias-sweep"]]
 
@@ -454,6 +479,66 @@ class TestMalformedConfigFailsEveryCommandAlike:
         assert main(["config", "validate", write_config(tmp_path, payload)]) == 2
         printed = capsys.readouterr().out.splitlines()
         assert printed == [f"[ERROR] {'run.builds':<36} {message}", "config invalid"]
+
+
+class TestOneVerdictPerConfig:
+    """Every command builds the runs ``config validate`` builds: a Newton
+    config's table cells, the one its ``algorithm``, ``estimator.k`` and
+    ``perturb.family`` name unless ``methods`` names them, and ``newton
+    run`` runs that one cell."""
+
+    GRADIENT_ONLY = {"objective": "quadratic", "algorithm": "gradient_only", "budget": 2}
+    QUAD_NEWTON = {"objective": "quadratic", "dim": 2, "budget": 30}
+
+    def table_rows(self, tmp_path, payload):
+        out = tmp_path / "rows.csv"
+        config = write_config(tmp_path, payload)
+        assert main(["bench", "table", "--config", config, "--out", str(out)]) == 0
+        header, *rows = read_csv(out)
+        return [dict(zip(header, row)) for row in rows]
+
+    def newton_rows(self, tmp_path, payload):
+        out = tmp_path / "runs.csv"
+        config = write_config(tmp_path, payload)
+        assert main(["newton", "run", "--config", config, "--out", str(out)]) == 0
+        header, *rows = read_csv(out)
+        return [dict(zip(header, row)) for row in rows]
+
+    def test_gradient_only_config_is_one_gsf2_cell(self, tmp_path, capsys):
+        # the table's default method was G2SF-3, which budget 2 cannot afford
+        assert main(["config", "validate", write_config(tmp_path, self.GRADIENT_ONLY)]) == 0
+        assert "[PASS ] run.builds" in capsys.readouterr().out
+        [row] = self.table_rows(tmp_path, self.GRADIENT_ONLY)
+        assert (row["method"], row["k"], row["iterations"], row["evals_used"]) == (
+            "GSF-2", "1", "1", "2"
+        )
+        [run] = self.newton_rows(tmp_path, self.GRADIENT_ONLY)
+        assert (run["k"], run["iterations"], run["evals_used"]) == ("1", "1", "2")
+
+    @pytest.mark.parametrize(
+        "keys,method",
+        [
+            ({"algorithm": "gradient_only", "estimator": {"k": 4}}, "GSF-5"),
+            ({"perturb": {"family": "uniform"}}, "G2R-3"),
+            ({}, "G2SF-3"),
+        ],
+    )
+    def test_table_without_methods_runs_the_method_keys(self, tmp_path, capsys, keys, method):
+        rows = self.table_rows(tmp_path, dict(self.QUAD_NEWTON, **keys))
+        assert [row["method"] for row in rows] == [method]
+
+    def test_newton_run_runs_the_one_method(self, tmp_path, capsys):
+        [run] = self.newton_rows(tmp_path, dict(self.QUAD_NEWTON, methods=["GSF-5"]))
+        assert (run["k"], run["iterations"], run["evals_used"], run["budget"]) == (
+            "4", "6", "30", "30"
+        )
+
+    def test_newton_run_of_two_cells_is_an_error(self, tmp_path, capsys, runs):
+        config = write_config(tmp_path, dict(self.QUAD_NEWTON, methods=["GSF-5", "G2SF-3"]))
+        out = tmp_path / "runs.csv"
+        assert main(["newton", "run", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: newton run runs one table cell, got 2\n"
+        assert runs == [] and not out.exists()
 
 
 class TestUnknownKeyIsRejectedByEveryCommand:
@@ -599,6 +684,16 @@ class TestBenchCommands:
         assert len(read_csv(rows_out)) == 5
         assert len(read_csv(summary_out)) == 3
 
+    #: its first evaluation overflows: one NonFiniteEvaluation row per seed
+    NONFINITE = {"objective": "quadratic", "dim": 2, "quadratic": {"diag": [1e308, 1.0]},
+                 "budget": 30}
+
+    def run_nonfinite(self, argv):
+        # numpy's overflow warnings are printed at the command line, not the
+        # errors the suite's filter makes of them
+        with np.errstate(over="ignore", invalid="ignore"):
+            return main(argv)
+
     def test_table_reports_failed_cells(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -611,36 +706,48 @@ class TestBenchCommands:
                 "seeds": 1,
             },
         )
-        assert main(["bench", "table", "--config", config]) == 1
+        assert main(["bench", "table", "--config", config]) == 2
+        assert capsys.readouterr().err == (
+            "error: budget 2 cannot afford one iteration (3 evaluations)\n"
+        )
+        config = write_config(tmp_path, self.NONFINITE)
+        assert self.run_nonfinite(["bench", "table", "--config", config]) == 1
         assert "1 failed runs" in capsys.readouterr().out
 
     def test_failed_runs_exit_1_and_still_write(self, tmp_path, capsys):
-        config = write_config(tmp_path, {"schedules": {"a0": -1.0}, "budget": 30})
         rows_out, summary_out = tmp_path / "rows.csv", tmp_path / "cells.csv"
-        code = main(
-            ["bench", "table", "--config", config,
-             "--out", str(rows_out), "--summary-out", str(summary_out)]
-        )
-        assert code == 1
+        argv = ["bench", "table", "--out", str(rows_out), "--summary-out", str(summary_out)]
+        config = write_config(tmp_path, {"schedules": {"a0": -1.0}, "budget": 30})
+        assert main([*argv, "--config", config]) == 2
+        assert capsys.readouterr().err == "error: a0 must be > 0, got -1.0\n"
+        assert not rows_out.exists() and not summary_out.exists()
+        config = write_config(tmp_path, self.NONFINITE)
+        assert self.run_nonfinite([*argv, "--config", config]) == 1
         assert "1 failed runs" in capsys.readouterr().out
         rows = read_csv(rows_out)
         assert len(rows) == 2 and rows[1][rows[0].index("status")] == "error"
         assert len(read_csv(summary_out)) == 2
 
     def test_table_exit_contract(self, tmp_path, capsys):
-        # a cell whose config fails to build is an error row (exit 1); what
-        # stops the table before its first cell is one error: line (exit 2)
-        config = write_config(tmp_path, {"objective": "rastrigin", "dim": 2, "budget": 2})
+        # a measured non-finite value is an error row (exit 1); a config
+        # whose cells do not build is one error: line (exit 2) and no file
         out = tmp_path / "rows.csv"
-        assert main(["bench", "table", "--config", config, "--out", str(out)]) == 1
+        config = write_config(tmp_path, self.NONFINITE)
+        assert self.run_nonfinite(["bench", "table", "--config", config, "--out", str(out)]) == 1
         assert "1 failed runs (see status column)" in capsys.readouterr().out
         rows = read_csv(out)
-        assert rows[1][rows[0].index("message")].startswith("BudgetTooSmall: ")
-        config = write_config(tmp_path, {"methods": ["G2SF-4"], "budget": 30})
-        assert main(["bench", "table", "--config", config]) == 2
-        assert capsys.readouterr().err == (
-            "error: 'G2SF-4': second-order methods need an odd measurement count >= 3\n"
-        )
+        assert rows[1][rows[0].index("message")].startswith("NonFiniteEvaluation: ")
+        out.unlink()
+        for payload, message in [
+            ({"objective": "rastrigin", "dim": 2, "budget": 2},
+             "budget 2 cannot afford one iteration (3 evaluations)"),
+            ({"methods": ["G2SF-4"], "budget": 30},
+             "'G2SF-4': second-order methods need an odd measurement count >= 3"),
+        ]:
+            config = write_config(tmp_path, payload)
+            assert main(["bench", "table", "--config", config, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
 
     def test_bias_sweep(self, tmp_path, capsys):
         config = write_config(

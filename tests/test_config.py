@@ -11,14 +11,17 @@ while the configs this repository and its benchmark ship hold none.
 from __future__ import annotations
 
 import ast
+import contextlib
 import copy
 import dataclasses
 import importlib.util
 import inspect
+import io
 import json
 import re
 import shlex
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +29,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grdsa import cubic
-from grdsa.cli import build_parser
+from grdsa import cli, cubic, harness
+from grdsa.cli import build_parser, main
 from grdsa.harness import (
     KEYS,
     _check_keys,
@@ -230,6 +233,8 @@ BROAD = {
     "objective": st.sampled_from(["rastrigin", "quadratic", "saddle", "quartic", "exp_sin", "x"]),
     "perturb.family": st.sampled_from(["gaussian", "uniform", "levy"]),
     "algorithm": st.sampled_from(["newton", "gradient_only", "gradient-only"]),
+    # a uniform eta whose moments overflow or underflow in floats
+    "perturb.eta": st.one_of(_FLOATS, st.sampled_from([1e100, 1e-200, 1e-100])),
     "methods": st.lists(st.sampled_from(["G2SF-3", "GSF-5", "G2SF-4"]), max_size=3),
     "dims": st.lists(st.integers(-2, 12), max_size=3),
     "budgets": st.lists(st.integers(-2, 10_000), max_size=3),
@@ -266,6 +271,17 @@ def drawn_configs(draw):
     return config
 
 
+#: where each writing command finds its runner
+RUNNERS = [(cli, "run_newton"), (cli, "run_crzon"), (harness, "run_table"),
+           (harness, "run_bias_sweep")]
+WRITING_COMMANDS = [["newton", "run"], ["crzon", "run"], ["bench", "table"],
+                    ["bench", "bias-sweep"]]
+
+
+def _runner_called(*args):
+    raise AssertionError("a runner started on a config that does not build")
+
+
 class TestValidateNeverRaises:
     @settings(max_examples=300, deadline=None)
     @given(config=drawn_configs())
@@ -282,20 +298,40 @@ class TestValidateNeverRaises:
     @given(config=drawn_configs())
     def test_clean_configs_build(self, config):
         # the validator errs exactly when a run of the config cannot be built
-        # or its bias-sweep settings are rejected
+        # or its bias-sweep settings are rejected; a Newton config's runs are
+        # its table cells, newton run's one included
         try:
             bias_sweep_settings(config)
             seed_range(config)
             if config.get("crzon") is not None:
                 build_cubic_config(config).alpha_value()
             else:
-                build_newton_config(config)
                 for _, cell in table_cells(config):
                     build_newton_config(cell)
             raised = False
         except Exception:
             raised = True
         assert has_errors(validate_config(config)) == raised
+
+    @settings(max_examples=300, deadline=None)
+    @given(config=drawn_configs())
+    def test_failed_build_fails_every_command_alike(self, config):
+        # one verdict: a config validate fails, every writing command rejects
+        # with its message before any runner starts
+        builds = next(f for f in validate_config(config) if f.check == "run.builds")
+        if builds.ok:
+            return
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            for owner, runner in RUNNERS:
+                patch.setattr(owner, runner, _runner_called)
+            path, out = Path(tmp, "config.json"), Path(tmp, "out.csv")
+            path.write_text(json.dumps(config))
+            for command in WRITING_COMMANDS:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main([*command, "--config", str(path), "--out", str(out)])
+                assert (code, err.getvalue()) == (2, f"error: {builds.message}\n"), command
+                assert not out.exists()
 
     @pytest.mark.parametrize(
         "config,cause",

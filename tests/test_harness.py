@@ -45,8 +45,8 @@ def run_failure(config):
     """``(type name, message)`` of the first run of ``config`` that raises, or None.
 
     The seeds are laid out first, as the commands do.  A config with a
-    ``crzon`` section makes one CRZON run; any other makes the run of
-    ``grdsa newton run``, then the table's, whose cells fail one by one
+    ``crzon`` section makes one CRZON run; any other makes the table's runs
+    (``grdsa newton run`` runs its one cell), whose cells fail one by one
     unless the table cannot be laid out at all.
     """
     try:
@@ -54,7 +54,6 @@ def run_failure(config):
         if config.get("crzon") is not None:
             run_crzon(build_cubic_config(config))
             return None
-        run_newton(build_newton_config(config))
         rows = run_table(config).rows
     except Exception as exc:
         return type(exc).__name__, str(exc)
@@ -623,8 +622,10 @@ class TestValidateConfig:
         assert failure[0] == "ValueError" and cause in failure[1]
 
     def test_known_names_pass(self):
-        for algorithm in ("newton", "gradient_only"):
-            findings = validate_config({"algorithm": algorithm, "methods": ["GSF-5", "G2R-9"]})
+        # a method name sets its cells' algorithm, so the two are set apart
+        for config in ({"algorithm": "newton"}, {"algorithm": "gradient_only"},
+                       {"methods": ["GSF-5", "G2R-9"]}):
+            findings = validate_config(config)
             assert next(f for f in findings if f.check == "run.builds").ok
 
     @pytest.mark.parametrize(
@@ -702,6 +703,11 @@ class TestValidateConfig:
             ({"eps_pd": float("inf"), "budget": 30}, "ValueError"),
             ({"perturb": {"eta": float("inf")}, "budget": 30}, "ValueError"),
             ({"perturb": {"family": "uniform", "eta": float("inf")}, "budget": 30}, "ValueError"),
+            # a uniform eta whose moments overflow or underflow in floats
+            *[
+                ({"perturb": {"family": "uniform", "eta": eta}, "budget": 30}, "ValueError")
+                for eta in (1e100, 1e-200, 1e-100)
+            ],
             ({"box": {"upper": float("inf")}, "budget": 30}, "ValueError"),
             ({"box": {"lower": -float("inf")}, "budget": 30}, "ValueError"),
             (dict(CRZON_CONFIG, crzon={"N": 2, "m": 4, "b": 4, "delta": float("inf")}),

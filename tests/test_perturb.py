@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -71,6 +73,17 @@ class TestSpec:
     def test_infinite_eta_rejected(self, family):
         with pytest.raises(ValueError, match=r"^eta must be finite, got inf$"):
             PerturbationSpec(family, eta=float("inf"))
+
+    @pytest.mark.parametrize("eta", [1e100, 1e-200, 1e-100])
+    def test_eta_whose_moments_are_not_floats_rejected(self, eta):
+        # mu4 = eta**4 / 5 overflows at 1e100; mu2**2 underflows to 0 at 1e-100
+        # and mu2 itself at 1e-200, and the scaling divides by both
+        message = "^" + re.escape(f"uniform half-width eta = {eta} is out of range: ")
+        with pytest.raises(ValueError, match=message):
+            uniform(eta)
+        for edge in (1e-80, 1e77):
+            _, shift, diag = _form(uniform(edge))
+            assert 0 < shift and 0 < diag < math.inf
 
     def test_sample_shapes(self):
         rng = np.random.default_rng(0)
