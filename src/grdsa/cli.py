@@ -7,6 +7,7 @@ import errno
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,16 +29,19 @@ def _load_config(path: str):
         return json.load(fh)
 
 
-def _check_writable(*paths: str | None) -> None:
-    """Raise, before any run, the error that writing each given path would
-    raise: a missing or non-directory parent, a directory in its place, or
-    no write permission.  Nothing is opened or created, so a file, symlink
-    or FIFO stays as it was; empty paths are skipped, as the writers skip
-    them."""
-    for path in paths:
+def _check_writable(config: str, paths: dict[str, str | None]) -> None:
+    """Raise, before any run, the error that writing each path of ``paths``
+    (keyed by its flag) would raise: a missing or non-directory parent, a
+    directory in its place, no write permission, or the file of ``config``
+    or of an earlier path.  Nothing is opened or created, so a file, symlink
+    or FIFO stays as it was; empty paths are skipped, as the writers do."""
+    seen = {os.path.realpath(config): "--config"}
+    for flag, path in paths.items():
         if not path:
             continue
         target = os.path.realpath(path)  # a dangling symlink names its target
+        if seen.setdefault(target, flag) != flag:
+            raise ValueError(f"{flag} and {seen[target]} name the same file: {path!r}")
         if os.path.isdir(target):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         if os.path.exists(target):
@@ -107,36 +111,32 @@ def _cmd_stencil_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _run_config(args: argparse.Namespace, run, **writers):
+def _run_config(args: argparse.Namespace, run, solver=None, **writers):
     """Read ``args.config``, check the output paths that ``writers`` names,
     in order, then build every run of the config as ``config validate``
-    does, before the first evaluation; run ``run`` on the config and write
-    the result to each path that is set."""
+    does, for ``solver``, before the first evaluation; run ``run`` on the
+    config and those runs and write the result to each path that is set."""
     config = _load_config(args.config)
     paths = {name: getattr(args, name) for name in writers}
-    _check_writable(*paths.values())
-    harness._build_runs(config)
-    result = run(config)
+    _check_writable(args.config, {f"--{n.replace('_', '-')}": p for n, p in paths.items()})
+    result = run(config, harness._build_runs(config, solver))
     for name, write in writers.items():
         if paths[name]:
             write(paths[name], result)
     return result
 
 
-def _per_seed(run, build):
-    return lambda config: [run(build(config, seed=seed)) for seed in harness.seed_range(config)]
-
-
-def _one_cell(config: dict, seed: int):
-    """The Newton config of the one table cell of ``config``, at ``seed``."""
-    cells = [cell for _, cell in harness.table_cells(config)]
-    if len(cells) != 1:
-        raise ValueError(f"newton run runs one table cell, got {len(cells)}")
-    return harness.build_newton_config(cells[0], seed=seed)
+def _per_seed(run):
+    """Run ``run`` at each of the config's seeds on its one built run."""
+    def runner(config: dict, runs: list):
+        if len(runs) != 1:  # a CRZON config builds one run
+            raise ValueError(f"newton run runs one table cell, got {len(runs)}")
+        return [run(replace(runs[0], seed=seed)) for seed in harness.seed_range(config)]
+    return runner
 
 
 def _cmd_newton_run(args: argparse.Namespace) -> int:
-    records = _run_config(args, _per_seed(run_newton, _one_cell), out=harness.write_newton_csv)
+    records = _run_config(args, _per_seed(run_newton), "newton", out=harness.write_newton_csv)
     errors = [r.final_parameter_error for r in records if r.final_parameter_error is not None]
     mean = f"; mean final parameter error {np.mean(errors):.4g}" if errors else ""
     print(f"{len(records)} runs -> {args.out}{mean}")
@@ -144,9 +144,7 @@ def _cmd_newton_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_crzon_run(args: argparse.Namespace) -> int:
-    reports = _run_config(
-        args, _per_seed(run_crzon, harness.build_cubic_config), out=harness.write_crzon_csv
-    )
+    reports = _run_config(args, _per_seed(run_crzon), "crzon", out=harness.write_crzon_csv)
     lam = [r.lambda_min_at_r for r in reports]
     print(
         f"{len(reports)} runs -> {args.out}; "
@@ -157,7 +155,8 @@ def _cmd_crzon_run(args: argparse.Namespace) -> int:
 
 def _cmd_bench_table(args: argparse.Namespace) -> int:
     result = _run_config(
-        args, harness.run_table, out=harness.write_table_csv, summary_out=harness.write_summary_csv
+        args, lambda config, runs: harness.run_table(config), "newton",
+        out=harness.write_table_csv, summary_out=harness.write_summary_csv,
     )
     print(f"{'method':<10} {'dim':>4} {'budget':>8} {'n':>3} {'mean_err':>10} {'sd':>10}")
     for cell in result.cells:
@@ -173,7 +172,9 @@ def _cmd_bench_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_bias_sweep(args: argparse.Namespace) -> int:
-    result = _run_config(args, harness.run_bias_sweep, out=harness.write_bias_sweep_csv)
+    result = _run_config(
+        args, lambda config, runs: harness.run_bias_sweep(config), out=harness.write_bias_sweep_csv
+    )
     label = f"{result.estimator} k1={result.k1} k2={result.k2} mode={result.mode}"
     for delta, dev in zip(result.deltas, result.deviations):
         print(f"{label}  delta={delta:<8g} deviation={dev:.6g}")
@@ -255,9 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command.  A writing command reads its config file, checks its
     output paths, builds every run of the config as ``config validate``
-    does, then runs.  A file that cannot be read or written, or a config
-    that does not build (``config validate`` fails ``run.builds`` on it),
-    exits 2 before the first evaluation, and a run that measures a
+    does, then runs.  A file that cannot be read or written, a config that
+    does not build, or a config of the other solver (a ``crzon`` section
+    makes a config CRZON's) exits 2 before the first evaluation, and a
     non-finite value exits 1, each with one ``error:`` line."""
     args = build_parser().parse_args(argv)
     try:

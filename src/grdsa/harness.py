@@ -188,8 +188,8 @@ KEYS = {
         "crzon.m_prefactor": Key(float, (cubic_mod.from_epsilon,)),
         "crzon.b_prefactor": Key(float, (cubic_mod.from_epsilon,)),
         "crzon.delta_prefactor": Key(float, (cubic_mod.from_epsilon,)),
-        # run_table; methods default to the one that algorithm, estimator.k
-        # and perturb.family name, dims and budgets to [dim] and [budget]
+        # run_table, so Newton runs only; methods default to the one that algorithm,
+        # estimator.k and perturb.family name, dims and budgets to [dim] and [budget]
         "methods": Key(list[str]),
         "dims": Key(list[int]),
         "budgets": Key(list[int]),
@@ -208,6 +208,9 @@ KEYS = {
 }
 
 _SECTIONS = {path.rpartition(".")[0] for path in KEYS} - {""}
+#: the keys only Newton runs read, so a ``crzon`` section, which runs CRZON, rejects them
+_NEWTON_ONLY = [path for path, key in KEYS.items() if path in ("methods", "dims", "budgets")
+                or key.targets and set(key.targets) <= {NewtonConfig, Schedules, Box}]
 
 
 @functools.cache
@@ -358,7 +361,10 @@ def build_newton_config(config: dict, seed: int | None = None) -> NewtonConfig:
 
 def build_cubic_config(config: dict, seed: int | None = None) -> cubic_mod.CubicConfig:
     """A :class:`~grdsa.cubic.CubicConfig`, sized by ``from_epsilon`` when
-    ``crzon.epsilon`` is set; then the sizes it sets cannot be set too."""
+    ``crzon.epsilon`` is set; a size set beside it, or a Newton-only key, is an error."""
+    for path in _NEWTON_ONLY:
+        if _lookup(config, path) is not None:
+            raise ValueError(f"{path} is read only by Newton runs, and a crzon section runs CRZON")
     build = cubic_mod.CubicConfig
     if setting(config, "crzon.epsilon") is not None:
         build = cubic_mod.from_epsilon
@@ -609,19 +615,24 @@ def run_bias_sweep(config: dict) -> BiasSweepResult:
 
 # --- config validation ----------------------------------------------------
 
-def _build_runs(config: dict) -> list:
+def _build_runs(config: dict, solver: str | None = None) -> list:
     """The configs of every run of ``config``, built as every command builds
     them before its first evaluation: the keys, the bias sweep's settings and
     the seeds are checked first, then the CRZON config and its regularizer
-    are built, or without a ``crzon`` section every table cell's config."""
+    are built, or without a ``crzon`` section every table cell's config; only
+    then must a set ``solver``, ``"newton"`` or ``"crzon"``, be the config's."""
     _check_keys(config)
     bias_sweep_settings(config)
     seed_range(config)
-    if _lookup(config, "crzon") is not None:
-        run = build_cubic_config(config)
-        run.alpha_value()
-        return [run]
-    return [build_newton_config(cell) for _, cell in table_cells(config)]
+    if crzon := (_lookup(config, "crzon") is not None):
+        runs = [build_cubic_config(config)]
+        runs[0].alpha_value()
+    else:
+        runs = [build_newton_config(cell) for _, cell in table_cells(config)]
+    if solver not in (None, "crzon" if crzon else "newton"):
+        message = "crzon is read only by crzon run" if crzon else "crzon run needs a crzon section"
+        raise ValueError(message)
+    return runs
 
 
 def validate_config(config: dict) -> list[Finding]:

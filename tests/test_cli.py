@@ -334,6 +334,8 @@ class TestFailedRunIsAnErrorLine:
 
     @pytest.mark.parametrize("command,payload", [
         (["bench", "table"], QUAD),
+        # two empty paths name no file, so neither is the other's
+        (["bench", "table", "--summary-out", ""], QUAD),
         (["bench", "bias-sweep"], {"objective": "quartic", "dim": 2}),
         (["newton", "run"], QUAD),
         (["crzon", "run"], SADDLE_CRZON),
@@ -342,6 +344,41 @@ class TestFailedRunIsAnErrorLine:
         # the check skips the paths the writers skip, in every writing command
         config = write_config(tmp_path, payload)
         assert main([*command, "--config", config, "--out", ""]) == 0
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+class TestOutputPathNamesAnotherFile:
+    """An output path whose real path is the config file's or an earlier
+    output's would lose data: one ``error:`` line naming both flags, exit 2,
+    before any build or run, and every file left as it was."""
+
+    def test_summary_out_is_out(self, tmp_path, capsys, runs):
+        config, same = write_config(tmp_path, QUAD), str(tmp_path / "same.csv")
+        argv = ["bench", "table", "--config", config, "--out", same, "--summary-out", same]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: --summary-out and --out name the same file: {same!r}\n"
+        )
+        assert runs == [] and list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+    def test_summary_out_is_a_symlink_to_out(self, tmp_path, capsys, runs):
+        config, same = write_config(tmp_path, QUAD), tmp_path / "same.csv"
+        link = tmp_path / "link.csv"
+        link.symlink_to(same)
+        argv = ["bench", "table", "--config", config, "--out", str(same)]
+        assert main([*argv, "--summary-out", str(link)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --summary-out and --out name the same file: {str(link)!r}\n"
+        )
+        assert runs == [] and not same.exists() and link.is_symlink()
+
+    def test_out_is_the_config(self, tmp_path, capsys, runs):
+        config = write_config(tmp_path, QUAD)
+        assert main(["newton", "run", "--config", config, "--out", config]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --out and --config name the same file: {config!r}\n"
+        )
+        assert runs == [] and json.loads(open(config).read()) == QUAD
 
 
 
@@ -539,6 +576,110 @@ class TestOneVerdictPerConfig:
         assert main(["newton", "run", "--config", config, "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: newton run runs one table cell, got 2\n"
         assert runs == [] and not out.exists()
+
+
+class TestOneSolverPerConfig:
+    """A ``crzon`` section makes a config CRZON's for every command: beside
+    it a key only Newton runs read fails the build, ``newton run`` and
+    ``bench table`` reject it, and ``crzon run`` needs it.  Each exit 2 is
+    one ``error:`` line (``run.builds`` for ``config validate``), with no
+    runner called and no file written."""
+
+    A0 = "schedules.a0 is read only by Newton runs, and a crzon section runs CRZON"
+    NOT_NEWTON = "crzon is read only by crzon run"
+    NOT_CRZON = "crzon run needs a crzon section"
+    COMMANDS = [
+        ["newton", "run"], ["crzon", "run"], ["bench", "table"], ["bench", "bias-sweep"],
+        ["config", "validate"],
+    ]
+    CASES = {
+        "a0-beside-crzon": (
+            {"objective": "saddle", "budget": 100, "schedules": {"a0": -1},
+             "crzon": {"N": 2, "m": 4, "b": 4}},
+            [A0] * 5,
+        ),
+        "crzon": (
+            {"objective": "saddle", "budget": 1000, "crzon": {"N": 2, "m": 4, "b": 4}},
+            [NOT_NEWTON, None, NOT_NEWTON, None, None],
+        ),
+        "newton": (
+            {"objective": "saddle", "seeds": 2},
+            [None, NOT_CRZON, None, None, None],
+        ),
+        # README's example config before it was split into one per solver
+        "shared": (
+            {"objective": "rastrigin", "dim": 5, "budget": 5000, "estimator": {"reuse": True},
+             "noise": {"sigma": 0.001},
+             "schedules": {"a0": 0.9, "A": 20, "alpha": 0.9, "b0": 0.9, "B": 10, "beta": 0.56,
+                           "delta0": 0.9, "gamma": 0.16667},
+             "box": {"lower": -5.12, "upper": 5.12}, "methods": ["GSF-5", "G2SF-3"],
+             "dims": [5, 10], "budgets": [5000], "seeds": 10, "crzon": {"epsilon": 0.25, "k": 1}},
+            [A0] * 5,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_command(self, tmp_path, capsys, runs, case):
+        payload, messages = self.CASES[case]
+        config = write_config(tmp_path, payload)
+        for command, message in zip(self.COMMANDS, messages):
+            out = tmp_path / "out.csv"
+            argv = [*command, config] if command[0] == "config" else [
+                *command, "--config", config, "--out", str(out)
+            ]
+            del runs[:]
+            code = main(argv)
+            printed = capsys.readouterr()
+            if message is None:
+                assert code == 0 and printed.err == "", command
+                out.unlink(missing_ok=True)
+            elif command[0] == "config":
+                assert code == 2
+                assert printed.out.splitlines() == [
+                    f"[ERROR] {'run.builds':<36} {message}", "config invalid"
+                ]
+            else:
+                assert (code, printed.err) == (2, f"error: {message}\n"), command
+                assert runs == []
+            assert list(tmp_path.iterdir()) == [tmp_path / "config.json"], command
+
+    @pytest.mark.parametrize(
+        "command,payload,builder,run,write",
+        [
+            (
+                "newton",
+                {"objective": "rastrigin", "dim": 3, "budget": 500, "seeds": 3, "seed_base": 5,
+                 "noise": {"sigma": 0.01}, "methods": ["G2SF-5"]},
+                "build_newton_config", "run_newton", "write_newton_csv",
+            ),
+            (
+                "crzon",
+                {"objective": "saddle", "seeds": 3, "seed_base": 4, "noise": {"sigma": 0.01},
+                 "crzon": {"epsilon": 0.5}},
+                "build_cubic_config", "run_crzon", "write_crzon_csv",
+            ),
+        ],
+        ids=["newton", "crzon"],
+    )
+    def test_run_commands_build_once(
+        self, tmp_path, capsys, monkeypatch, command, payload, builder, run, write
+    ):
+        # each seed runs a copy of the one built run, with the bits of a run
+        # built at that seed
+        calls = []
+        real = getattr(harness, builder)
+        monkeypatch.setattr(harness, builder, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        config, out = write_config(tmp_path, payload), tmp_path / "runs.csv"
+        assert main([command, "run", "--config", config, "--out", str(out)]) == 0
+        assert len(calls) == 1
+        if command == "newton":
+            [(_, payload)] = harness.table_cells(payload)
+        expected = tmp_path / "expected.csv"
+        getattr(harness, write)(
+            str(expected),
+            [getattr(cli, run)(real(payload, seed=s)) for s in harness.seed_range(payload)],
+        )
+        assert out.read_bytes() == expected.read_bytes()
 
 
 class TestUnknownKeyIsRejectedByEveryCommand:
@@ -784,8 +925,8 @@ class TestConfigValidate:
         assert "[ERROR]" in printed
         assert "config invalid" in printed
 
-    def test_crzon_config_is_not_checked_for_a_box(self, tmp_path, capsys):
-        # a CRZON run reads no box, so an empty one is no error
+    def test_box_beside_crzon_is_named(self, tmp_path, capsys):
+        # a CRZON run reads no box, so a crzon section rejects one, empty or not
         config = write_config(
             tmp_path,
             {
@@ -795,8 +936,12 @@ class TestConfigValidate:
                 "box": {"lower": 1, "upper": 0},
             },
         )
-        assert main(["config", "validate", config]) == 0
-        assert capsys.readouterr().out.rstrip().endswith("config ok")
+        assert main(["config", "validate", config]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            f"[ERROR] {'run.builds':<36} box.lower is read only by Newton runs, "
+            "and a crzon section runs CRZON",
+            "config invalid",
+        ]
 
     def test_clean_config_reports_no_warnings(self, tmp_path, capsys):
         config = write_config(

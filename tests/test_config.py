@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grdsa import cli, cubic, harness
@@ -282,6 +282,14 @@ def _runner_called(*args):
     raise AssertionError("a runner started on a config that does not build")
 
 
+class RunnerReached(Exception):
+    """Raised by a stubbed runner; ``main`` lets it through."""
+
+
+def _runner_reached(*args):
+    raise RunnerReached
+
+
 class TestValidateNeverRaises:
     @settings(max_examples=300, deadline=None)
     @given(config=drawn_configs())
@@ -331,6 +339,45 @@ class TestValidateNeverRaises:
                 with contextlib.redirect_stderr(err):
                     code = main([*command, "--config", str(path), "--out", str(out)])
                 assert (code, err.getvalue()) == (2, f"error: {builds.message}\n"), command
+                assert not out.exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(config=drawn_configs())
+    @example(config={"objective": "saddle", "crzon": {"N": 2, "m": 4, "b": 4}})
+    @example(config={"budget": 30})
+    @example(config={"budget": 30, "methods": ["GSF-5", "G2SF-3"]})
+    def test_valid_config_reaches_the_runners_of_its_solver(self, config):
+        # one solver per config: a crzon section is crzon run's, any other
+        # config is newton run's (one table cell) and bench table's; the
+        # bias sweep reads either, and the other solver's run command
+        # rejects the config before any runner starts
+        if has_errors(validate_config(config)):
+            return
+        crzon = config.get("crzon") is not None
+        cells = 0 if crzon else len(list(table_cells(config)))
+        expected = {
+            "newton": "crzon is read only by crzon run" if crzon else None,
+            "crzon": None if crzon else "crzon run needs a crzon section",
+            "table": "crzon is read only by crzon run" if crzon else None,
+            "bias-sweep": None,
+        }
+        if cells > 1:
+            expected["newton"] = f"newton run runs one table cell, got {cells}"
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            for owner, runner in RUNNERS:
+                patch.setattr(owner, runner, _runner_reached)
+            path, out = Path(tmp, "config.json"), Path(tmp, "out.csv")
+            path.write_text(json.dumps(config))
+            for command in WRITING_COMMANDS:
+                message = expected[command[-1] if command[0] == "bench" else command[0]]
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    if message is None:
+                        with pytest.raises(RunnerReached):
+                            main([*command, "--config", str(path), "--out", str(out)])
+                    else:
+                        code = main([*command, "--config", str(path), "--out", str(out)])
+                        assert (code, err.getvalue()) == (2, f"error: {message}\n"), command
                 assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -501,6 +548,13 @@ REPO_CONFIGS = {
     "newton-table": _config_literals(ROOT / "perfbench" / "workloads.py", "NewtonTable.run"),
     "crzon": _benchmark_crzon_configs(),
 }
+
+
+@pytest.mark.parametrize("index", range(len(_readme_configs())))
+def test_readme_configs_build(index):
+    # every config README shows builds as each command builds it first
+    findings = validate_config(_readme_configs()[index])
+    assert next(f for f in findings if f.check == "run.builds").ok, findings
 
 
 @pytest.mark.parametrize("name", REPO_CONFIGS)

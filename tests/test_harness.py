@@ -69,6 +69,14 @@ QUAD_CONFIG = {
     "dim": 2,
 }
 
+#: the keys only Newton runs read: those that set only NewtonConfig, Schedules
+#: or Box fields, and the table's
+NEWTON_ONLY = [
+    "estimator.k", "eps_pd", "algorithm",
+    *(f"schedules.{name}" for name in ("a0", "A", "alpha", "b0", "B", "beta", "delta0", "gamma")),
+    "box.lower", "box.upper", "methods", "dims", "budgets",
+]
+
 #: a small CRZON run that completes
 CRZON_CONFIG = {
     "objective": "quartic",
@@ -667,17 +675,18 @@ class TestValidateConfig:
             ({"noise": {"sigma": "0.1"}}, "ValueError"),
             ({"crzon": {"k": 1, "N": 1, "m": 4, "b": 4, "alpha": 1.0}, "budget": 19},
              "BudgetTooSmall"),
-            # a CRZON run reads no algorithm, box, methods or schedules
+            # a CRZON run reads no algorithm, box, methods or schedules, so a
+            # crzon section rejects them
             (
                 {
                     "objective": "quartic", "dim": 2, "algorithm": "bogus",
                     "crzon": {"k": 1, "N": 1, "m": 4, "b": 4, "alpha": 1.0},
                 },
-                None,
+                "ValueError",
             ),
-            (dict(CRZON_CONFIG, box={"lower": 1, "upper": 0}), None),
-            (dict(CRZON_CONFIG, methods=["G2SF-4"]), None),
-            (dict(CRZON_CONFIG, schedules={"a0": -1}), None),
+            (dict(CRZON_CONFIG, box={"lower": 1, "upper": 0}), "ValueError"),
+            (dict(CRZON_CONFIG, methods=["G2SF-4"]), "ValueError"),
+            (dict(CRZON_CONFIG, schedules={"a0": -1}), "ValueError"),
             # a table laid out with no seeds, methods, dims or budgets fails,
             # not gives no rows
             ({"seeds": 0}, "ValueError"),
@@ -794,11 +803,31 @@ class TestValidateConfig:
         assert str(exc.value) == message
 
     def test_crzon_config_gets_no_schedule_findings(self):
-        # CRZON runs never read the schedules, so their warnings do not apply
-        for config in (CRZON_CONFIG, dict(CRZON_CONFIG, schedules={"beta": 2.0})):
-            findings = validate_config(config)
-            assert not any(f.check.startswith("schedules.") for f in findings)
-            assert not has_errors(findings)
+        # CRZON runs never read the schedules, so their warnings do not apply,
+        # and a crzon section rejects a schedule set beside it
+        findings = validate_config(CRZON_CONFIG)
+        assert not any(f.check.startswith("schedules.") for f in findings)
+        assert not has_errors(findings)
+        findings = validate_config(dict(CRZON_CONFIG, schedules={"beta": 2.0}))
+        message = "schedules.beta is read only by Newton runs, and a crzon section runs CRZON"
+        assert [(f.check, f.message) for f in findings if not f.ok] == [("run.builds", message)]
+
+    def test_newton_only_keys_are_derived_from_the_table(self):
+        # a new key has to be classified: it joins this list or CRZON reads it
+        assert harness_mod._NEWTON_ONLY == NEWTON_ONLY
+
+    @pytest.mark.parametrize("path", NEWTON_ONLY)
+    def test_newton_only_key_beside_crzon_is_named(self, path):
+        value = {int: 2, float: 1.0, str: "newton", list[str]: ["G2SF-3"], list[int]: [2]}[
+            harness_mod.KEYS[path].kind
+        ]
+        section, _, name = path.rpartition(".")
+        config = dict(CRZON_CONFIG, **({section: {name: value}} if section else {name: value}))
+        message = f"{path} is read only by Newton runs, and a crzon section runs CRZON"
+        with pytest.raises(ValueError) as exc:
+            build_cubic_config(config)
+        assert str(exc.value) == message
+        assert [f.message for f in validate_config(config) if not f.ok] == [message]
 
     @pytest.mark.parametrize(
         "keys,message",
