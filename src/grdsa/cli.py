@@ -32,16 +32,17 @@ def _load_config(path: str):
 def _check_writable(config: str, paths: dict[str, str | None]) -> None:
     """Raise, before any run, the error that writing each path of ``paths``
     (keyed by its flag) would raise: a missing or non-directory parent, a
-    directory in its place, no write permission, or the file of ``config``
-    or of an earlier path.  Nothing is opened or created, so a file, symlink
-    or FIFO stays as it was; empty paths are skipped, as the writers do."""
-    seen = {os.path.realpath(config): "--config"}
+    directory in its place, no write permission, or the file, by any link,
+    of ``config`` or of an earlier path.  Nothing is opened or created, so
+    a file, symlink or FIFO stays; empty paths are skipped, as the writers do."""
+    seen = {(os.stat(config).st_dev, os.stat(config).st_ino): "--config"}
     for flag, path in paths.items():
         if not path:
             continue
         target = os.path.realpath(path)  # a dangling symlink names its target
-        if seen.setdefault(target, flag) != flag:
-            raise ValueError(f"{flag} and {seen[target]} name the same file: {path!r}")
+        key = (os.stat(target).st_dev, os.stat(target).st_ino) if os.path.exists(target) else target
+        if seen.setdefault(key, flag) != flag:
+            raise ValueError(f"{flag} and {seen[key]} name the same file: {path!r}")
         if os.path.isdir(target):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         if os.path.exists(target):

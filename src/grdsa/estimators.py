@@ -52,7 +52,7 @@ def _check_inputs(theta, directions) -> tuple[np.ndarray, np.ndarray]:
 
 def ray_offsets(directions: np.ndarray, delta, shifts) -> np.ndarray:
     """Offsets ``(delta*s)*directions`` shift-major, ``(len(shifts), n, d)``, as
-    the oracle's ray form reads them; a shift may repeat.  ``delta`` is one
+    the oracle's ray form reads them.  ``delta`` is one
     radius, fastest as a Python float, or an ``(n, 1)`` column of per-row
     radii; a 1-D radius raises, as it would broadcast across the columns.
 

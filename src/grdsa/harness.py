@@ -56,8 +56,8 @@ class MethodSpec:
 
     Names encode the per-iteration measurement count: ``GSF-5`` is the
     gradient-only scheme with k=4 (5 measurements), ``G2SF-3``/``G2SF-9``
-    are the Newton scheme with k=1/k=4 (3/9 measurements with reuse), and
-    the ``R`` variants swap Gaussian directions for uniform ones.
+    are the Newton scheme with k=1/k=4 (3/9 measurements), and the ``R``
+    variants swap Gaussian directions for uniform ones.
     """
 
     name: str
@@ -162,7 +162,7 @@ KEYS = {
         "budget": Key(int, _RUN),
         "seed_base": Key(int, _RUN, "seed"),
         "theta0": Key(list[float], _RUN),
-        "estimator.reuse": Key(bool, _RUN),
+        "estimator.reuse": Key(bool, (cubic_mod.CubicConfig, cubic_mod.from_epsilon)),
         "estimator.paper_literal_scaling": Key(bool, (PerturbationSpec,)),
         "estimator.k": Key(int, (NewtonConfig,)),
         "eps_pd": Key(float, (NewtonConfig,)),
@@ -211,6 +211,9 @@ _SECTIONS = {path.rpartition(".")[0] for path in KEYS} - {""}
 #: the keys only Newton runs read, so a ``crzon`` section, which runs CRZON, rejects them
 _NEWTON_ONLY = [path for path, key in KEYS.items() if path in ("methods", "dims", "budgets")
                 or key.targets and set(key.targets) <= {NewtonConfig, Schedules, Box}]
+#: the keys only CRZON runs read, so a Newton build rejects them
+_CRZON_ONLY = [path for path, key in KEYS.items() if key.targets
+               and set(key.targets) <= {cubic_mod.CubicConfig, cubic_mod.from_epsilon}]
 
 
 @functools.cache
@@ -348,7 +351,15 @@ def make_box(config: dict) -> Box:
     return Box(**_arguments(config, Box))
 
 
+def _reject_unread(config: dict, paths: list[str], reason: str) -> None:
+    for path in paths:
+        if _lookup(config, path) is not None:
+            raise ValueError(f"{path} is read only by {reason}")
+
+
 def build_newton_config(config: dict, seed: int | None = None) -> NewtonConfig:
+    _reject_unread(config, _CRZON_ONLY,
+                   "CRZON runs, and a config without a crzon section runs Newton")
     return NewtonConfig(
         objective=make_objective(config),
         noise=make_noise(config),
@@ -362,9 +373,7 @@ def build_newton_config(config: dict, seed: int | None = None) -> NewtonConfig:
 def build_cubic_config(config: dict, seed: int | None = None) -> cubic_mod.CubicConfig:
     """A :class:`~grdsa.cubic.CubicConfig`, sized by ``from_epsilon`` when
     ``crzon.epsilon`` is set; a size set beside it, or a Newton-only key, is an error."""
-    for path in _NEWTON_ONLY:
-        if _lookup(config, path) is not None:
-            raise ValueError(f"{path} is read only by Newton runs, and a crzon section runs CRZON")
+    _reject_unread(config, _NEWTON_ONLY, "Newton runs, and a crzon section runs CRZON")
     build = cubic_mod.CubicConfig
     if setting(config, "crzon.epsilon") is not None:
         build = cubic_mod.from_epsilon

@@ -4,9 +4,8 @@ Each iteration draws one direction, measures the objective at ``2k+1``
 points along it, updates a running Hessian average on the faster timescale,
 and moves the iterate against the clamped-Newton direction on the slower
 one.  The gradient estimate reuses the first ``k+1`` Hessian measurements,
-so an iteration costs exactly ``2k+1`` evaluations; without reuse the same
-oracle call measures them again, at ``3k+2``.  The gradient-only baseline
-runs through the same driver and step without the Hessian, at ``k+1``.
+so an iteration costs exactly ``2k+1`` evaluations.  The gradient-only
+baseline runs the same driver and step without the Hessian, at ``k+1``.
 
 One generator, :func:`_iterations`, runs the iteration for either
 algorithm.  It draws what the iterations need that does not depend on the
@@ -203,7 +202,6 @@ class NewtonConfig:
     schedules: Schedules = field(default_factory=Schedules)
     box: Box = field(default_factory=Box)
     eps_pd: float = 0.1
-    reuse: bool = True
     seed: int = 0
     theta0: np.ndarray | None = None
     algorithm: str = "newton"  # or "gradient_only": no Hessian, k+1 evaluations
@@ -228,7 +226,7 @@ class NewtonConfig:
                 f"algorithm must be one of newton, gradient_only, got {self.algorithm!r}"
             )
         hessian = self.algorithm == "newton"
-        cost = iteration_cost(self.k, self.reuse, hessian)
+        cost = iteration_cost(self.k, hessian=hessian)
         if self.budget < cost:
             raise BudgetTooSmall(
                 f"budget {self.budget} cannot afford one iteration ({cost} evaluations)"
@@ -273,10 +271,9 @@ class RunRecord:
     wall_time_s: float
 
 
-def iteration_cost(k: int, reuse: bool = True, hessian: bool = True) -> int:
-    """Measurements one iteration consumes: ``2k+1`` for Newton, ``k+1`` more
-    without reuse; ``k+1`` for the gradient-only baseline (no Hessian)."""
-    return (2 * k + 1 if reuse else 3 * k + 2) if hessian else k + 1
+def iteration_cost(k: int, *, hessian: bool = True) -> int:
+    """Measurements one iteration consumes: ``2k+1`` for Newton, ``k+1`` for gradient-only."""
+    return 2 * k + 1 if hessian else k + 1
 
 
 def _block_rows(cfg: NewtonConfig) -> int:
@@ -286,7 +283,7 @@ def _block_rows(cfg: NewtonConfig) -> int:
     and the three schedule values."""
     hessian = cfg.algorithm == "newton"
     d = cfg.objective.dim
-    floats = (iteration_cost(cfg.k, cfg.reuse, hessian) + 1) * d + (d * d if hessian else 0) + 3
+    floats = (iteration_cost(cfg.k, hessian=hessian) + 1) * d + (d * d if hessian else 0) + 3
     return max(1, BLOCK_FLOATS // floats)
 
 
@@ -302,12 +299,12 @@ def _iterations(
     hbar)``, yielding the pair after every iteration.
 
     Each iteration makes one oracle call of ``iteration_cost`` points along
-    one direction.  Newton's holds shifts ``0..2k`` (then ``0..k`` again
-    without reuse, for the gradient) and moves the Hessian average first
-    (fast timescale), then the iterate against the clamped-Newton direction
-    (slow timescale).  Gradient-only's holds shifts ``0..k``; it moves the
-    iterate against the gradient estimate and passes ``hbar`` through.
-    Either way the iterate is projected back into the box.
+    one direction.  Newton's holds shifts ``0..2k``, the gradient reading the
+    first ``k+1``, and moves the Hessian average first (fast timescale), then
+    the iterate against the clamped-Newton direction (slow timescale).
+    Gradient-only's holds shifts ``0..k``; it moves the iterate against the
+    gradient estimate and passes ``hbar`` through.  Either way the iterate
+    is projected back into the box.
 
     The direction stream feeds nothing else, so the inputs that do not
     depend on the iterate (directions, probe offsets, scaling matrices and
@@ -330,19 +327,14 @@ def _iterations(
     gradient's, and a NaN or infinite value makes that dot non-finite; so
     only a non-finite dot scans the call, and a non-finite value raises
     :class:`~grdsa.estimators.NonFiniteEvaluation`, naming the first bad
-    point, before ``hbar`` or the iterate moves: without reuse, after all
-    ``3k+2`` points are charged, even for a bad value among the Hessian's
-    shifts.  ``hbar`` is never symmetrized: it must be symmetric, as a run's
-    is (it starts at the identity and every sample ``M(Delta) q`` is exactly
-    symmetric, so every average is too), and the eigensolve reads its lower
-    triangle only.
+    point, before ``hbar`` or the iterate moves.  ``hbar`` is never symmetrized:
+    it must be symmetric, as a run's is (it starts at the identity and every
+    sample ``M(Delta) q`` is exactly symmetric, so every average is too),
+    and the eigensolve reads its lower triangle only.
     """
     k, s, spec = cfg.k, cfg.schedules, cfg.perturbation
     hessian = cfg.algorithm == "newton"
-    n_shifts = 2 * k + 1 if hessian else k + 1
-    grad_start = n_shifts if hessian and not cfg.reuse else 0
-    grad_stop = grad_start + k + 1
-    shifts = [*range(n_shifts), *range(k + 1 if grad_start else 0)]
+    n_shifts = iteration_cost(k, hessian=hessian)
     grad_w = grad_weights(k)
     hess_w = hess_weights(k, k) if hessian else None
     rows = _block_rows(cfg)
@@ -350,7 +342,7 @@ def _iterations(
         a, b, deltas = s._over(range(first, min(first + rows, count + 1)))
         directions = spec.sample(rng, (len(deltas), theta.size))
         scalers = scaling_matrices(spec, directions) if hessian else None
-        offsets = ray_offsets(directions, np.frombuffer(deltas)[:, None], shifts)
+        offsets = ray_offsets(directions, np.frombuffer(deltas)[:, None], range(n_shifts))
         directions *= gradient_unbias_factor(spec)
         # 0-d arrays: a ufunc converts a Python float operand on every call
         lower, upper = np.array(cfg.box.lower), np.array(cfg.box.upper)
@@ -360,8 +352,8 @@ def _iterations(
         for i, delta in enumerate(deltas):
             points = theta + offsets[:, i]
             values = evaluate(points)
-            slope = values[grad_start:grad_stop].dot(grad_w)
-            quad = values[:n_shifts].dot(hess_w) if hessian else 0.0
+            slope = values[: k + 1].dot(grad_w)
+            quad = values.dot(hess_w) if hessian else 0.0
             # not isfinite(slope + quad): inf + -inf warns, and warnings raise
             if not (math.isfinite(slope) and math.isfinite(quad)):
                 _check_finite_values(values, points)
@@ -402,16 +394,13 @@ def run_newton(cfg: NewtonConfig) -> RunRecord:
     whatever its budget.
     """
     start = time.perf_counter()
-    cost = iteration_cost(cfg.k, cfg.reuse, cfg.algorithm == "newton")
-
     dim = cfg.objective.dim
     init_rng, perturb_rng, noise_rng = _spawn_streams(cfg.seed, 3)
     theta0 = _initial_theta(cfg.theta0, dim, init_rng)
     oracle = BudgetedOracle(cfg.objective, cfg.noise, cfg.budget, noise_rng)
 
-    # every iteration costs exactly `cost`, so the count is known up front
-    # (the config has checked that the budget buys one)
-    iterations = cfg.budget // cost
+    # every iteration costs the same, and the config checked that the budget buys one
+    iterations = cfg.budget // iteration_cost(cfg.k, hessian=cfg.algorithm == "newton")
     for theta, _ in _iterations(theta0, np.eye(dim), oracle, cfg, perturb_rng, iterations):
         pass
 

@@ -380,6 +380,27 @@ class TestOutputPathNamesAnotherFile:
         )
         assert runs == [] and json.loads(open(config).read()) == QUAD
 
+    def test_out_is_a_hard_link_to_the_config(self, tmp_path, capsys, runs):
+        config, link = write_config(tmp_path, QUAD), tmp_path / "link.json"
+        before = open(config, "rb").read()
+        link.hardlink_to(config)
+        assert main(["newton", "run", "--config", config, "--out", str(link)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --out and --config name the same file: {str(link)!r}\n"
+        )
+        assert runs == [] and open(config, "rb").read() == before
+
+    def test_summary_out_is_a_hard_link_to_out(self, tmp_path, capsys, runs):
+        config, rows, link = write_config(tmp_path, QUAD), tmp_path / "a.csv", tmp_path / "b.csv"
+        rows.write_text("earlier\n")
+        link.hardlink_to(rows)
+        argv = ["bench", "table", "--config", config, "--out", str(rows)]
+        assert main([*argv, "--summary-out", str(link)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --summary-out and --out name the same file: {str(link)!r}\n"
+        )
+        assert runs == [] and rows.read_text() == "earlier\n"
+
 
 
 class TestRadiusARunCannotEvaluateIsABuildError:
@@ -456,13 +477,18 @@ class TestSectionOfTheWrongTypeIsNamedByEveryCommand:
 class TestMalformedConfigFailsEveryCommandAlike:
     """A config whose runs do not build (a set section that is not an
     object, a set value that does not fit its key or its range, a key that a
-    method name sets beside ``methods``) ends every command in exit 2 with
+    method name sets beside ``methods``, a key only CRZON reads without a
+    ``crzon`` section) ends every command in exit 2 with
     one ``error:`` line, whether or not the command reads it: no runner is
     called and no file is written, and ``config validate`` fails
     ``run.builds`` with the same message."""
 
     QUAD_NEWTON = {"objective": "quadratic", "dim": 2, "budget": 30}
     CRZON = dict(SADDLE_CRZON, budget=30)
+    REUSE = (
+        "estimator.reuse is read only by CRZON runs, and a config without a crzon section "
+        "runs Newton"
+    )
 
     CASES = {
         "crzon-not-an-object": (dict(QUAD_NEWTON, crzon=5), "crzon must be an object, got 5"),
@@ -497,6 +523,10 @@ class TestMalformedConfigFailsEveryCommandAlike:
             dict(QUAD_NEWTON, perturb={"family": "uniform", "eta": 1e-100}),
             ETA_OUT_OF_RANGE.format(1e-100),
         ),
+        # a Newton iteration always reuses its measurements; all but crzon
+        # run ran with the key set either way
+        "estimator.reuse-false": (dict(QUAD_NEWTON, estimator={"reuse": False}), REUSE),
+        "estimator.reuse-true": (dict(QUAD_NEWTON, estimator={"reuse": True}), REUSE),
     }
     COMMANDS = [["newton", "run"], ["crzon", "run"], ["bench", "table"], ["bench", "bias-sweep"]]
 

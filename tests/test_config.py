@@ -159,9 +159,16 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=message):
             build_cubic_config(config)
 
-    def test_reuse_keeps_its_two_defaults(self):
-        assert build_newton_config({"budget": 100}).reuse is True
+    def test_reuse_is_crzons_and_defaults_to_false(self):
+        # a Newton iteration always reuses its measurements, so a Newton build rejects the key
         assert build_cubic_config({}).reuse is False
+        message = (
+            "^estimator.reuse is read only by CRZON runs, and a config without a crzon section "
+            "runs Newton$"
+        )
+        for reuse in (True, False):
+            with pytest.raises(ValueError, match=message):
+                build_newton_config({"budget": 100, "estimator": {"reuse": reuse}})
 
     def test_integral_floats_read_as_ints(self):
         # JSON writes 1e4 as a float; it is still the integer 10000

@@ -395,9 +395,8 @@ class TestUnbufferedProducts:
         dirs[0, 1], dirs[2, 3] = 0.0, -0.0
         # a Python float, or an (n, 1) column of per-row radii
         delta = rng.uniform(0.1, 1.0, (n, 1)) if per_row else 0.3
-        # every shift of a probe, its off-center ones, and Newton's no-reuse call
-        no_reuse = [*range(2 * k + 1), *range(k + 1)]
-        for shifts in (range(2 * k + 1), range(1, 2 * k + 1), no_reuse):
+        # every shift of a probe, and its off-center ones
+        for shifts in (range(2 * k + 1), range(1, 2 * k + 1)):
             # the broadcast form: each (delta*s) rounded, then times its direction
             steps = np.reshape(np.asarray(shifts, dtype=float), (-1, 1, 1)) * delta
             expected = steps * dirs
@@ -422,8 +421,8 @@ class TestUnbufferedProducts:
         dirs = SPEC.sample(rng, (n, d))
         dirs[0, 0] = -0.0
         delta = np.frombuffer(rng.uniform(0.1, 1.0, n).tobytes())[:, None]
-        # a probe's shifts, its off-center ones, and Newton's no-reuse call
-        for shifts in ([0, 1, 2], [1, 2, 3, 4], [0, 1, 2, 0, 1]):
+        # a probe's shifts, its off-center ones, and a k = 2 Newton call's
+        for shifts in ([0, 1, 2], [1, 2, 3, 4], range(5)):
             offsets = ray_offsets(dirs, delta, shifts)
             expected = np.stack([np.multiply(delta * s, dirs) for s in shifts])
             assert np.array_equal(offsets.view(np.int64), expected.view(np.int64)), shifts

@@ -26,16 +26,12 @@ from grdsa.stencils import (
     hess_weights,
 )
 
-#: (reuse, method) -> (final_parameter_error.hex(), evals_used)
+#: method -> (final_parameter_error.hex(), evals_used)
 TABLE_GOLDEN = {
-    (True, "GSF-5"): ("0x1.099d368192c9ap+1", 600),
-    (True, "G2SF-3"): ("0x1.3c314fd7c020ep+0", 600),
-    (True, "G2SF-9"): ("0x1.0792ce7ae587dp+2", 594),
-    (True, "G2R-3"): ("0x1.deb5034db3189p-1", 600),
-    (False, "GSF-5"): ("0x1.099d368192c9ap+1", 600),
-    (False, "G2SF-3"): ("0x1.6ae19ded76c76p+1", 600),
-    (False, "G2SF-9"): ("0x1.c69109323a9cap+1", 588),
-    (False, "G2R-3"): ("0x1.a615e55e865f5p+1", 600),
+    "GSF-5": ("0x1.099d368192c9ap+1", 600),
+    "G2SF-3": ("0x1.3c314fd7c020ep+0", 600),
+    "G2SF-9": ("0x1.0792ce7ae587dp+2", 594),
+    "G2R-3": ("0x1.deb5034db3189p-1", 600),
 }
 
 #: (method, dim) -> (final_parameter_error.hex(), evals_used); the
@@ -75,28 +71,22 @@ CRZON_STEP_GOLDEN = {
     False: "a024ed79c45f25f4dd68a76d7d1433fb5c4285899cd13e4dfba33637224dd2c1",
 }
 
-#: (algorithm, reuse, stride) -> (iterations, evals_used, sha256 of the
+#: (algorithm, stride) -> (iterations, evals_used, sha256 of the
 #: trajectory's bytes); rastrigin d=3, k=2, budget 200, sigma 0.01, seed 4.
 #: The trajectory is the start, then every ``stride``-th iterate of the run's
 #: ``_iterations`` stream, and its last.  No iteration count is a multiple of
 #: 7, so the last row is pinned at both strides.
 TRAJECTORY_GOLDEN = {
-    ("newton", True, 1): (
+    ("newton", 1): (
         40, 200, "dcc1f0ddc917da68b5de22ec44688797ac5e3784d0fdf28f1b426ece313cc2f0"
     ),
-    ("newton", True, 7): (
+    ("newton", 7): (
         40, 200, "204b79101708ce8b7414e57c025a65d77a3df8c5c48b10f84c5abc0444990fe5"
     ),
-    ("newton", False, 1): (
-        25, 200, "8c69dad7023b9abdde75715bfd283216976e341ac1421ecc4feee9dcc4dc278b"
-    ),
-    ("newton", False, 7): (
-        25, 200, "53311c23694be3e060eb52206a2ae5fb13083593babe776c3a5d4409380bc89e"
-    ),
-    ("gradient_only", True, 1): (
+    ("gradient_only", 1): (
         66, 198, "a2581f74b7683bb80eefc4f3e62b6e185e0700a670722d4064162b3e25906236"
     ),
-    ("gradient_only", True, 7): (
+    ("gradient_only", 7): (
         66, 198, "27e656916186d02c5838abee84557bdc3acf2decef9fb43e1b0d883a8a1684af"
     ),
 }
@@ -104,14 +94,14 @@ TRAJECTORY_GOLDEN = {
 
 @pytest.mark.parametrize("key", sorted(TRAJECTORY_GOLDEN), ids=str)
 def test_trajectory_bits(key):
-    algorithm, reuse, stride = key
+    algorithm, stride = key
     cfg = build_newton_config(
         {
             "objective": "rastrigin",
             "dim": 3,
             "budget": 200,
             "noise": {"sigma": 0.01},
-            "estimator": {"k": 2, "reuse": reuse},
+            "estimator": {"k": 2},
             "algorithm": algorithm,
         },
         seed=4,
@@ -131,8 +121,7 @@ def test_trajectory_bits(key):
     assert (rec.iterations, rec.evals_used) == TRAJECTORY_GOLDEN[key][:2]
 
 
-@pytest.mark.parametrize("reuse", [True, False])
-def test_table_bits(reuse):
+def test_table_bits():
     result = run_table(
         {
             "objective": "rastrigin",
@@ -141,14 +130,10 @@ def test_table_bits(reuse):
             "budgets": [600],
             "seeds": 1,
             "seed_base": 0,
-            "estimator": {"reuse": reuse},
         }
     )
-    got = {
-        (reuse, row.method): (row.final_parameter_error.hex(), row.evals_used)
-        for row in result.rows
-    }
-    assert got == {key: val for key, val in TABLE_GOLDEN.items() if key[0] == reuse}
+    got = {row.method: (row.final_parameter_error.hex(), row.evals_used) for row in result.rows}
+    assert got == TABLE_GOLDEN
 
 
 def test_benchmark_table_bits():

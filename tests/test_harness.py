@@ -32,8 +32,9 @@ from grdsa.harness import (
     write_table_csv,
 )
 from grdsa.cubic import run_crzon
-from grdsa.newton import RunRecord, run_newton
+from grdsa.newton import RunRecord, iteration_cost, run_newton
 from grdsa.oracle import BudgetTooSmall
+from grdsa.stencils import MAX_ORDER
 
 
 def read_csv(path):
@@ -76,6 +77,20 @@ NEWTON_ONLY = [
     *(f"schedules.{name}" for name in ("a0", "A", "alpha", "b0", "B", "beta", "delta0", "gamma")),
     "box.lower", "box.upper", "methods", "dims", "budgets",
 ]
+#: the keys only CRZON runs read: those that set only CubicConfig or from_epsilon fields
+CRZON_ONLY = [
+    "estimator.reuse",
+    *(f"crzon.{name}" for name in ("k", "N", "m", "b", "delta", "alpha", "epsilon",
+                                   "n_prefactor", "m_prefactor", "b_prefactor",
+                                   "delta_prefactor")),
+]
+#: every method name up to the stencils' order cap, with its measurement count
+METHODS = [
+    (f"{order}{family}-{count}", count)
+    for k in range(1, MAX_ORDER + 1)
+    for order, count in (("G", k + 1), ("G2", 2 * k + 1))
+    for family in ("SF", "R")
+]
 
 #: a small CRZON run that completes
 CRZON_CONFIG = {
@@ -115,6 +130,14 @@ class TestMethodSpec:
         with pytest.raises(ValueError):
             method_spec(name)
 
+    @pytest.mark.parametrize("name,count", METHODS, ids=[name for name, _ in METHODS])
+    def test_an_iteration_costs_the_count_in_the_name(self, name, count):
+        # G2SF-m spends m evaluations an iteration, its gradient's among them
+        spec = method_spec(name)
+        assert iteration_cost(spec.k, hessian=spec.algorithm == "newton") == count
+        [row] = run_table(dict(QUAD_CONFIG, methods=[name], budget=3 * count)).rows
+        assert (row.status, row.iterations, row.evals_used) == ("ok", 3, 3 * count)
+
 
 class TestFingerprint:
     def test_key_order_independent(self):
@@ -134,9 +157,9 @@ class TestFingerprint:
         # the config readers take numpy integers, bools and arrays, so the
         # table's fingerprint must too
         config = dict(QUAD_CONFIG, budget=30, seeds=np.int64(2), theta0=np.array([1.0, 2.0]))
-        config["estimator"] = {"reuse": np.bool_(False), "k": np.int32(1)}
+        config["estimator"] = {"paper_literal_scaling": np.bool_(False), "k": np.int32(1)}
         plain = dict(QUAD_CONFIG, budget=30, seeds=2, theta0=[1.0, 2.0])
-        plain["estimator"] = {"reuse": False, "k": 1}
+        plain["estimator"] = {"paper_literal_scaling": False, "k": 1}
         assert config_fingerprint(config) == config_fingerprint(plain)
         assert {row.fingerprint for row in run_table(config).rows} == {config_fingerprint(plain)}
 
@@ -178,7 +201,7 @@ class TestBuilders:
             dict(
                 QUAD_CONFIG,
                 budget=90,
-                estimator={"k": 2, "reuse": False, "paper_literal_scaling": True},
+                estimator={"k": 2, "paper_literal_scaling": True},
                 schedules={"a0": 0.5},
                 box={"lower": -2.0, "upper": 2.0},
                 theta0=[1.0, -1.0],
@@ -186,7 +209,7 @@ class TestBuilders:
             seed=17,
         )
         assert cfg.budget == 90
-        assert cfg.k == 2 and not cfg.reuse and cfg.perturbation.paper_literal_scaling
+        assert cfg.k == 2 and cfg.perturbation.paper_literal_scaling
         assert cfg.schedules.a0 == 0.5
         assert (cfg.box.lower, cfg.box.upper) == (-2.0, 2.0)
         assert np.array_equal(cfg.theta0, [1.0, -1.0])
@@ -474,11 +497,6 @@ class TestValidateConfig:
         ok = validate_config({"budget": 3})
         assert not has_errors(ok)
 
-    def test_no_reuse_raises_cost(self):
-        findings = validate_config({"budget": 4, "estimator": {"reuse": False}})
-        finding = next(f for f in findings if f.check == "run.builds")
-        assert not finding.ok
-
     def test_unsupported_order(self):
         findings = validate_config({"budget": 1000, "estimator": {"k": 20}})
         assert not next(
@@ -564,7 +582,7 @@ class TestValidateConfig:
         assert "'rosenbrock'" in finding.message
         assert has_errors(findings)
         with pytest.raises(ValueError, match="unknown objective"):
-            build_newton_config(config)
+            (build_newton_config if crzon is None else build_cubic_config)(config)
 
     @pytest.mark.parametrize("crzon", [None, {}], ids=["newton", "crzon"])
     def test_objective_that_cannot_be_built_is_an_error(self, crzon):
@@ -815,6 +833,21 @@ class TestValidateConfig:
     def test_newton_only_keys_are_derived_from_the_table(self):
         # a new key has to be classified: it joins this list or CRZON reads it
         assert harness_mod._NEWTON_ONLY == NEWTON_ONLY
+
+    def test_crzon_only_keys_are_derived_from_the_table(self):
+        # a new key has to be classified: it joins this list or Newton reads it
+        assert harness_mod._CRZON_ONLY == CRZON_ONLY
+        assert not set(CRZON_ONLY) & set(NEWTON_ONLY)
+
+    @pytest.mark.parametrize("path", CRZON_ONLY)
+    def test_crzon_only_key_in_a_newton_build_is_named(self, path):
+        value = {int: 2, float: 0.5, bool: True}[harness_mod.KEYS[path].kind]
+        section, _, name = path.rpartition(".")
+        with pytest.raises(ValueError) as exc:
+            build_newton_config(dict(QUAD_CONFIG, budget=30, **{section: {name: value}}))
+        assert str(exc.value) == (
+            f"{path} is read only by CRZON runs, and a config without a crzon section runs Newton"
+        )
 
     @pytest.mark.parametrize("path", NEWTON_ONLY)
     def test_newton_only_key_beside_crzon_is_named(self, path):

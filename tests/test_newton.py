@@ -291,8 +291,13 @@ class TestIterationCost:
     def test_values(self):
         assert iteration_cost(1) == 3
         assert iteration_cost(4) == 9
-        assert iteration_cost(1, reuse=False) == 5
-        assert iteration_cost(2, reuse=False) == 8
+        assert iteration_cost(1, hessian=False) == 2
+        assert iteration_cost(4, hessian=False) == 5
+
+    def test_hessian_is_keyword_only(self):
+        # keyword-only, so no positional flag is mistaken for hessian
+        with pytest.raises(TypeError):
+            iteration_cost(2, False)
 
 
 class TestBlockRule:
@@ -300,15 +305,12 @@ class TestBlockRule:
     as many as fit in ``BLOCK_FLOATS`` floats and at least one; the block
     size cannot change a run."""
 
-    @pytest.mark.parametrize(
-        "hessian,reuse", [(True, True), (True, False), (False, True)],
-        ids=["newton-reuse", "newton-fresh", "gradient"],
-    )
+    @pytest.mark.parametrize("hessian", [True, False], ids=["newton-reuse", "gradient"])
     @pytest.mark.parametrize("k,d", [(1, 10), (4, 10), (2, 100)])
-    def test_blocks_fill_block_floats(self, monkeypatch, hessian, reuse, k, d):
-        cost = iteration_cost(k, reuse, hessian)
+    def test_blocks_fill_block_floats(self, monkeypatch, hessian, k, d):
+        cost = iteration_cost(k, hessian=hessian)
         cfg = NewtonConfig(
-            objective=rastrigin(d), budget=cost, k=k, reuse=reuse,
+            objective=rastrigin(d), budget=cost, k=k,
             algorithm="newton" if hessian else "gradient_only",
         )
         rows = _block_rows(cfg)
@@ -326,13 +328,10 @@ class TestBlockRule:
         run_newton(replace(cfg, budget=(2 * rows + 1) * cost))
         assert shapes == [(cost, rows, d), (cost, rows, d), (cost, 1, d)]
 
-    @pytest.mark.parametrize(
-        "hessian,reuse", [(True, True), (True, False), (False, True)],
-        ids=["newton-reuse", "newton-fresh", "gradient"],
-    )
-    def test_one_row_blocks_give_the_same_bits(self, monkeypatch, hessian, reuse):
+    @pytest.mark.parametrize("hessian", [True, False], ids=["newton-reuse", "gradient"])
+    def test_one_row_blocks_give_the_same_bits(self, monkeypatch, hessian):
         cfg = NewtonConfig(
-            objective=rastrigin(DIM), budget=10**5, k=2, reuse=reuse,
+            objective=rastrigin(DIM), budget=10**5, k=2,
             noise=LinearGaussianNoise(0.01), seed=5,
             algorithm="newton" if hessian else "gradient_only",
         )
@@ -402,8 +401,6 @@ def _reference_step(theta, hbar, oracle, cfg, rng, n):
     if hessian:
         hess = hessian_samples(values, scaling_matrices(spec, direction)[0], delta, k, k)
         hbar = hbar + b * (hess - hbar)
-        if not cfg.reuse:
-            values = probe(oracle, theta, direction, delta, k + 1)[0]
         grad = gradient_samples(values, grad_direction, delta, k)
         step = _eigh_solve(hbar, grad, cfg.eps_pd)
     else:
@@ -436,14 +433,14 @@ class TestOneIteration:
     @staticmethod
     def noisy_run(cfg):
         """One iteration from ``(0.5, -0.5)``, on a noisy oracle."""
-        cost = iteration_cost(cfg.k, cfg.reuse)
+        cost = iteration_cost(cfg.k)
         return run_newton(
             replace(cfg, budget=cost, noise=LinearGaussianNoise(0.1), theta0=np.array([0.5, -0.5]))
         )
 
     def test_reuse_passes_gradient_shift_prefix(self, probes):
         # one probe of 2k+1 shifts; the gradient reads its values
-        cfg = NewtonConfig(objective=QUAD, k=2, seed=0, reuse=True)
+        cfg = NewtonConfig(objective=QUAD, k=2, seed=0)
         rec = self.noisy_run(cfg)
         assert [len(points) for points, _ in probes] == [5]
         assert rec.evals_used == 5
@@ -453,27 +450,6 @@ class TestOneIteration:
                                delta1, 2, 2)
         hbar1 = np.eye(2) + b1 * (hess - np.eye(2))
         g0 = gradient_samples(probes[0][1], direction[0], delta1, 2)
-        expected = _project(rec.theta_init - a1 * _eigh_solve(hbar1, g0, cfg.eps_pd), cfg.box)
-        assert np.allclose(rec.theta_final, expected, atol=1e-12)
-
-    def test_no_reuse_passes_nothing(self, probes):
-        # one call of 2k+1 shifts, then the gradient's k+1 again: the
-        # gradient reads only those last k+1 values
-        cfg = NewtonConfig(objective=QUAD, k=2, seed=0, reuse=False)
-        rec = self.noisy_run(cfg)
-        assert [len(points) for points, _ in probes] == [8]
-        assert rec.evals_used == 8
-        [(points, values)] = probes
-        # the same shifts, measured again under fresh noise
-        assert np.array_equal(points[5:], points[:3])
-        assert not np.array_equal(values[5:], values[:3])
-        a1, b1, delta1 = _schedule(cfg.schedules, 1)
-        direction = _directions(cfg, 1)
-        hess = hessian_samples(
-            values[:5], scaling_matrices(gaussian(), direction)[0], delta1, 2, 2
-        )
-        hbar1 = np.eye(2) + b1 * (hess - np.eye(2))
-        g0 = gradient_samples(values[5:], direction[0], delta1, 2)
         expected = _project(rec.theta_init - a1 * _eigh_solve(hbar1, g0, cfg.eps_pd), cfg.box)
         assert np.allclose(rec.theta_final, expected, atol=1e-12)
 
@@ -521,16 +497,13 @@ class TestOneIteration:
 
 
 class TestOneCallPerIteration:
-    @pytest.mark.parametrize(
-        "hessian,reuse", [(True, True), (True, False), (False, True)],
-        ids=["newton-reuse", "newton-fresh", "gradient"],
-    )
+    @pytest.mark.parametrize("hessian", [True, False], ids=["newton-reuse", "gradient"])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_each_iteration_is_one_call_of_its_cost(self, probes, hessian, reuse, k):
+    def test_each_iteration_is_one_call_of_its_cost(self, probes, hessian, k):
         # a noisy run over two blocks of draws
-        cost = iteration_cost(k, reuse, hessian)
+        cost = iteration_cost(k, hessian=hessian)
         cfg = NewtonConfig(
-            objective=rastrigin(DIM), budget=cost, k=k, reuse=reuse,
+            objective=rastrigin(DIM), budget=cost, k=k,
             noise=LinearGaussianNoise(0.01), seed=3,
             algorithm="newton" if hessian else "gradient_only",
         )
@@ -553,25 +526,21 @@ class TestIterationsAreThePublicUpdate:
         # quartic: an objective whose value is written the plain way
         ids=["rastrigin", "quartic"],
     )
-    @pytest.mark.parametrize(
-        "hessian,reuse", [(True, True), (True, False), (False, True)],
-        ids=["newton-reuse", "newton-fresh", "gradient"],
-    )
+    @pytest.mark.parametrize("hessian", [True, False], ids=["newton-reuse", "gradient"])
     @pytest.mark.parametrize("k", [1, 2, 4])
     @pytest.mark.parametrize("spec", [gaussian(), uniform(1.0)], ids=["gaussian", "uniform"])
     @pytest.mark.parametrize("sigma", [0.0, 0.01])
     @pytest.mark.parametrize("iterations", [5, 64, 71])
-    def test_same_bits(self, objective, hessian, reuse, k, spec, sigma, iterations):
+    def test_same_bits(self, objective, hessian, k, spec, sigma, iterations):
         # blocks of 32-57 Newton iterations at d = 10 and of 31-62
         # gradient-only ones at d = 43, so 64 and 71 iterations cross one
-        cost = iteration_cost(k, reuse, hessian)
+        cost = iteration_cost(k, hessian=hessian)
         cfg = NewtonConfig(
             objective=objective(DIM if hessian else 43),
             budget=iterations * cost + cost - 1,
             k=k,
             noise=LinearGaussianNoise(sigma),
             perturbation=spec,
-            reuse=reuse,
             seed=7,
             algorithm="newton" if hessian else "gradient_only",
         )
@@ -589,7 +558,7 @@ class TestIterationsAreThePublicUpdate:
         iterations = 71
         cfg = NewtonConfig(
             objective=rastrigin(3),
-            budget=iterations * iteration_cost(k, True, hessian),
+            budget=iterations * iteration_cost(k, hessian=hessian),
             k=k,
             noise=LinearGaussianNoise(0.01),
             box=box,
@@ -605,7 +574,7 @@ class TestIterationsAreThePublicUpdate:
         """Check a run of ``cfg`` against the reference; return the iterates
         ``_iterations`` yields."""
         rec = run_newton(cfg)
-        cost = iteration_cost(cfg.k, cfg.reuse, cfg.algorithm == "newton")
+        cost = iteration_cost(cfg.k, hessian=cfg.algorithm == "newton")
 
         theta, oracle, rng = _run_start(cfg)
         ref_theta, ref_oracle, ref_rng = _run_start(cfg)
@@ -633,21 +602,17 @@ class TestIterationsFromAnyState:
     THETA0 = np.array([2.4, -2.4, 0.3])
     HBAR0 = np.array([[3.0, 0.5, -0.25], [0.5, 0.5, 0.125], [-0.25, 0.125, 2.0]])
 
-    @pytest.mark.parametrize(
-        "hessian,reuse", [(True, True), (True, False), (False, True)],
-        ids=["newton-reuse", "newton-fresh", "gradient"],
-    )
+    @pytest.mark.parametrize("hessian", [True, False], ids=["newton-reuse", "gradient"])
     @pytest.mark.parametrize("k", [1, 2, 4])
     @pytest.mark.parametrize("spec", [gaussian(), uniform(1.0)], ids=["gaussian", "uniform"])
     @pytest.mark.parametrize("sigma", [0.0, 0.01])
-    def test_same_bits(self, hessian, reuse, k, spec, sigma):
+    def test_same_bits(self, hessian, k, spec, sigma):
         cfg = NewtonConfig(
             objective=rastrigin(3),
             budget=100,
             k=k,
             noise=LinearGaussianNoise(sigma),
             perturbation=spec,
-            reuse=reuse,
             algorithm="newton" if hessian else "gradient_only",
         )
 
@@ -664,25 +629,20 @@ class TestIterationsFromAnyState:
         *args, oracle, _, rng = start()
         steps = _iterations(*args, oracle, cfg, rng, 5)
         assert [(t.tobytes(), h.tobytes()) for t, h in steps] == reference
-        cost = iteration_cost(k, reuse, hessian)
+        cost = iteration_cost(k, hessian=hessian)
         assert oracle.evals_used == ref_oracle.evals_used == 5 * cost
         if not hessian:
             assert reference[-1][1] == self.HBAR0.tobytes()
 
 
 class TestNonFiniteMidBlock:
-    @pytest.mark.parametrize(
-        "hessian,reuse", [(True, True), (True, False), (False, True)],
-        ids=["newton-reuse", "newton-fresh", "gradient"],
-    )
-    def test_raises_at_the_failing_call(self, monkeypatch, hessian, reuse):
+    @pytest.mark.parametrize("hessian", [True, False], ids=["newton-reuse", "gradient"])
+    def test_raises_at_the_failing_call(self, monkeypatch, hessian):
         # the objective turns NaN on the one call of an iteration in the
         # middle of the second block
         algorithm = "newton" if hessian else "gradient_only"
-        cost = iteration_cost(1, reuse, hessian)
-        rows = _block_rows(
-            NewtonConfig(objective=QUAD, budget=cost, reuse=reuse, algorithm=algorithm)
-        )
+        cost = iteration_cost(1, hessian=hessian)
+        rows = _block_rows(NewtonConfig(objective=QUAD, budget=cost, algorithm=algorithm))
         iteration = rows + rows // 2
         bad_call = iteration
         seen = {"calls": 0}
@@ -702,7 +662,7 @@ class TestNonFiniteMidBlock:
         monkeypatch.setattr(newton_mod, "BudgetedOracle", RecordingOracle)
         objective = replace(QUAD, value=value)
         cfg = NewtonConfig(
-            objective=objective, budget=2 * rows * cost, k=1, reuse=reuse, seed=0,
+            objective=objective, budget=2 * rows * cost, k=1, seed=0,
             algorithm=algorithm,
         )
         with pytest.raises(NonFiniteEvaluation):
@@ -718,16 +678,14 @@ class TestNonFiniteFromTheDot:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
-        # k = 2: Newton's one call holds the Hessian's 5 shifts, then without
-        # reuse the gradient's 3 again; gradient-only's holds 3
-        "hessian,reuse,positions",
-        [(True, True, range(5)), (True, False, range(5)), (True, False, range(5, 8)),
-         (False, True, range(3))],
-        ids=["newton-reuse", "newton-fresh-first", "newton-fresh-second", "gradient"],
+        # k = 2: Newton's one call holds the Hessian's 5 shifts, the
+        # gradient reading the first 3; gradient-only's holds 3
+        "hessian,positions", [(True, range(5)), (False, range(3))],
+        ids=["newton-reuse", "gradient"],
     )
-    def test_any_shift_raises_naming_its_point(self, bad, hessian, reuse, positions):
+    def test_any_shift_raises_naming_its_point(self, bad, hessian, positions):
         cfg = NewtonConfig(
-            objective=QUAD, budget=100, k=2, reuse=reuse,
+            objective=QUAD, budget=100, k=2,
             algorithm="newton" if hessian else "gradient_only",
         )
         for pos in positions:
@@ -825,13 +783,6 @@ class TestRunNewton:
         rec = run_newton(NewtonConfig(objective=QUAD, budget=100, k=2, seed=0))
         assert rec.iterations == 20
         assert rec.evals_used == 100
-
-    def test_budget_accounting_without_reuse(self):
-        rec = run_newton(
-            NewtonConfig(objective=QUAD, budget=16, k=1, seed=0, reuse=False)
-        )
-        assert rec.iterations == 3
-        assert rec.evals_used == 15
 
     def test_converges_on_quadratic(self):
         errors = [
