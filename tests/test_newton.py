@@ -527,7 +527,7 @@ class TestIterationsAreThePublicUpdate:
         ids=["rastrigin", "quartic"],
     )
     @pytest.mark.parametrize("hessian", [True, False], ids=["newton-reuse", "gradient"])
-    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("spec", [gaussian(), uniform(1.0)], ids=["gaussian", "uniform"])
     @pytest.mark.parametrize("sigma", [0.0, 0.01])
     @pytest.mark.parametrize("iterations", [5, 64, 71])
@@ -603,7 +603,7 @@ class TestIterationsFromAnyState:
     HBAR0 = np.array([[3.0, 0.5, -0.25], [0.5, 0.5, 0.125], [-0.25, 0.125, 2.0]])
 
     @pytest.mark.parametrize("hessian", [True, False], ids=["newton-reuse", "gradient"])
-    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("spec", [gaussian(), uniform(1.0)], ids=["gaussian", "uniform"])
     @pytest.mark.parametrize("sigma", [0.0, 0.01])
     def test_same_bits(self, hessian, k, spec, sigma):
